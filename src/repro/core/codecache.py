@@ -9,18 +9,14 @@ structure.  That makes the generated source content-addressable — the
 same firmware explored by forty DSE workers should be code-generated
 *once per host, ever*, not once per worker per trial.
 
-:class:`CodeCache` stores generated source keyed by a SHA-256 of the
-canonical JSON of the generator's inputs, on the same sharded
-atomic-rename layout as the DSE :class:`~repro.dse.cache.EvaluationCache`
-(``root/<key[:2]>/<key>.json``), fronted by an in-process dict so the
-disk is touched once per key per process.  Corrupt, torn, or
-foreign-schema files read as misses — a broken shard costs one
-re-generation, never an exception.
-
-The cache stores *source text*, never code objects: every consumer
-re-``exec``-utes the source and re-binds its own live objects (machine
-methods, cache instances, signal slots), so nothing process-specific
-ever lands on disk and any process can consume any other's entries.
+:class:`CodeCache` keys generated source by a SHA-256 of the canonical
+JSON of the generator's inputs, on the shared content-addressed store
+(:mod:`repro.core.castore`): sharded files written atomically behind an
+in-process dict, so the disk is touched once per key per process, and
+corrupt or foreign-schema files read as misses.  It stores *source
+text*, never code objects: every consumer re-``exec``-utes the source
+and re-binds its own live objects (machine methods, cache instances,
+signal slots), so any process can consume any other's entries.
 
 A process-wide default cache is configured with :func:`configure` or
 the ``REPRO_CODECACHE_DIR`` environment variable; ``None`` means
@@ -29,123 +25,35 @@ in-memory only (still deduplicates within the process).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
+
+# MISS and canonical_payload are re-exported for the cache's consumers.
+from .castore import MISS, ContentStore, content_key
+from .castore import canonical_json as canonical_payload
 
 CODECACHE_SCHEMA_VERSION = 1
-
-#: Sentinel distinguishing "no entry" from a cached falsy value.
-MISS = object()
-
-
-def canonical_payload(payload):
-    """The canonical JSON text hashed into a cache key."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr)
 
 
 def code_key(kind, payload):
     """Content-address one generator invocation: its kind + inputs."""
-    text = canonical_payload({"kind": kind, "schema": CODECACHE_SCHEMA_VERSION,
-                              "payload": payload})
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return content_key({"kind": kind, "schema": CODECACHE_SCHEMA_VERSION,
+                        "payload": payload})
 
 
-class CodeCacheStats:
-    """Hit/miss/store tallies, split by layer (memory vs disk)."""
-
-    __slots__ = ("memory_hits", "disk_hits", "misses", "stores")
-
-    def __init__(self):
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @property
-    def hits(self):
-        return self.memory_hits + self.disk_hits
-
-    def as_dict(self):
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "stores": self.stores}
-
-
-class CodeCache:
-    """Two-layer (dict + sharded JSON files) generated-source cache.
+class CodeCache(ContentStore):
+    """Generated-source cache: a JSON value document per key.
 
     ``cache_dir=None`` keeps entries in memory only — the process still
     deduplicates repeat generations, but nothing persists.
     """
 
-    def __init__(self, cache_dir=None):
-        self.cache_dir = cache_dir
-        self._memory = {}
-        self.stats = CodeCacheStats()
+    schema = CODECACHE_SCHEMA_VERSION
 
-    # --- lookup --------------------------------------------------------------------
-    def get(self, key):
-        """The cached value document for ``key``, or :data:`MISS`."""
-        if key in self._memory:
-            self.stats.memory_hits += 1
-            return self._memory[key]
-        if self.cache_dir is not None:
-            value = self._load(key)
-            if value is not MISS:
-                self._memory[key] = value
-                self.stats.disk_hits += 1
-                return value
-        self.stats.misses += 1
-        return MISS
+    def encode(self, key, value):
+        return {"key": key, "value": value}
 
-    def put(self, key, value):
-        """Store a JSON-serializable value document under ``key``."""
-        self._memory[key] = value
-        self.stats.stores += 1
-        if self.cache_dir is not None:
-            self._store(key, value)
-        return value
-
-    def __len__(self):
-        return len(self._memory)
-
-    # --- disk layer (EvaluationCache layout) ----------------------------------------
-    def _path(self, key):
-        return os.path.join(self.cache_dir, key[:2], key + ".json")
-
-    def _load(self, key):
-        try:
-            with open(self._path(key)) as handle:
-                document = json.load(handle)
-            if not isinstance(document, dict):
-                return MISS
-            if document.get("schema") != CODECACHE_SCHEMA_VERSION:
-                return MISS
-            return document["value"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return MISS
-
-    def _store(self, key, value):
-        path = self._path(key)
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        except OSError:
-            return  # unwritable cache dir: stay in-memory only
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"schema": CODECACHE_SCHEMA_VERSION, "key": key,
-                           "value": value}, handle)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+    def decode(self, document):
+        return document["value"]
 
 
 # --- the process-wide default ---------------------------------------------------

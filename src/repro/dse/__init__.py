@@ -36,7 +36,6 @@ from .runner import (
 )
 from .service import (
     DEFAULT_LEASE_SECONDS,
-    DseHttpServer,
     DseService,
     FaultInjector,
     ServiceError,
@@ -47,7 +46,6 @@ from .service import (
 from .space import CACHE_SIZES, Parameter, ParameterSpace, point_to_cpu_config, vexriscv_space
 from .store import STORE_SCHEMA_VERSION, StudyStore, TrialRecord
 from .study import MAXIMIZE, MINIMIZE, MetricGoal, Study, Trial
-from .vizier import StudyClient, VizierError, VizierService
 from .worker import (
     ClientError,
     ServiceClient,
@@ -66,7 +64,7 @@ __all__ = [
     "CharacterizationTarget", "ClassProfile", "ClientError",
     "LatencyEnvelope", "OPERAND_CLASSES", "characterization_targets",
     "characterize_cfu",
-    "DEFAULT_BATCH", "DEFAULT_LEASE_SECONDS", "DseHttpServer", "DsePoint",
+    "DEFAULT_BATCH", "DEFAULT_LEASE_SECONDS", "DsePoint",
     "DseResult", "DseService", "EvalOutcome", "EvaluationCache",
     "ExhaustiveResult", "ExhaustiveSweeper", "FamilyPlane", "FaultInjector",
     "Fig7Evaluator", "GridSearch", "GridTensors", "MAXIMIZE", "MINIMIZE",
@@ -75,8 +73,8 @@ __all__ = [
     "STORE_SCHEMA_VERSION", "VectorizedFit",
     "SerialBackend", "ServiceClient", "ServiceError", "ServiceStudy",
     "ServiceThread", "ServiceUnavailable", "StaleLeaseError", "Study",
-    "StudyClient", "StudyStore", "TpeLite", "Trial", "TrialRecord",
-    "VizierError", "VizierService", "WorkerFleet", "WorkerPool",
+    "StudyStore", "TpeLite", "Trial", "TrialRecord", "WorkerFleet",
+    "WorkerPool",
     "WorkerPoolError", "cache_key", "create_fig7_studies", "dominates",
     "evaluate_design", "fetch_result", "hypervolume_2d", "pareto_front",
     "pareto_front_indices", "point_to_cpu_config", "run_exhaustive_service",

@@ -8,25 +8,19 @@ evaluation outcome: a :class:`~repro.dse.runner.DsePoint`, or the
 explicit "does not fit" verdict (``None``) — infeasibility is cached
 too, so warm reruns skip fit rejections as well.
 
-Entries live one-per-file under ``cache_dir/<k[:2]>/<key>.json``
-(sharded on the first key byte so directories stay small), written
-atomically via temp-file + rename so concurrent workers and interrupted
-runs cannot corrupt an entry in place.  Unreadable, truncated, or
-foreign-schema files are treated as misses and rebuilt on the next
-store — never crashed on.
+Storage is the shared content-addressed store
+(:mod:`repro.core.castore`): one file per entry under
+``cache_dir/<k[:2]>/<key>.json``, written atomically, with unreadable,
+truncated, or foreign-schema files read as misses and rebuilt on the
+next store.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
+# MISS is re-exported: "not cached" as distinct from "cached infeasible".
+from ..core.castore import MISS, ContentStore, content_key
 
 CACHE_SCHEMA_VERSION = 1
-
-# Sentinel distinguishing "not cached" from "cached as infeasible".
-MISS = object()
 
 
 def canonical_payload(parameters, family, model=None, board=None):
@@ -41,18 +35,12 @@ def canonical_payload(parameters, family, model=None, board=None):
 
 
 def cache_key(parameters, family, model=None, board=None):
-    """Content address: SHA-256 over the canonical JSON document.
-
-    ``sort_keys`` canonicalizes dict ordering, so two dicts with the
-    same items in different insertion order produce the same key.
-    """
-    payload = canonical_payload(parameters, family, model=model, board=board)
-    document = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=repr)
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+    """Content address: SHA-256 over the canonical JSON document."""
+    return content_key(canonical_payload(parameters, family, model=model,
+                                         board=board))
 
 
-class EvaluationCache:
+class EvaluationCache(ContentStore):
     """Two-level (memory, then optional disk) map from key to outcome.
 
     With no ``cache_dir`` this is a per-process memo; with one, entries
@@ -60,66 +48,17 @@ class EvaluationCache:
     when the key is absent (``None`` is a real cached value: infeasible).
     """
 
-    def __init__(self, cache_dir=None):
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        self._memory = {}
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
+    schema = CACHE_SCHEMA_VERSION
 
-    def __len__(self):
-        return len(self._memory)
-
-    def get(self, key):
-        if key in self._memory:
-            return self._memory[key]
-        if self.cache_dir is None:
-            return MISS
-        value = self._load(key)
-        if value is not MISS:
-            self._memory[key] = value
-        return value
-
-    def put(self, key, value):
-        """Store an outcome (a DsePoint, or None for "does not fit")."""
-        self._memory[key] = value
-        if self.cache_dir is not None:
-            self._store(key, value)
-        return value
-
-    # --- disk layer -------------------------------------------------------------
-    def _path(self, key):
-        return os.path.join(self.cache_dir, key[:2], key + ".json")
-
-    def _load(self, key):
-        from .runner import DsePoint
-
-        try:
-            with open(self._path(key)) as handle:
-                record = json.load(handle)
-            if record.get("schema") != CACHE_SCHEMA_VERSION:
-                return MISS
-            if not record["fit"]:
-                return None
-            return DsePoint.from_record(record["point"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # missing, truncated, garbage, or foreign file: a plain miss
-            return MISS
-
-    def _store(self, key, value):
-        record = {"schema": CACHE_SCHEMA_VERSION, "fit": value is not None}
+    def encode(self, key, value):
+        record = {"fit": value is not None}
         if value is not None:
             record["point"] = value.to_record()
-        path = self._path(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        # atomic publish: concurrent readers see the old file or the new
-        # one, never a half-written entry
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        return record
+
+    def decode(self, record):
+        from .runner import DsePoint
+
+        if not record["fit"]:
+            return None
+        return DsePoint.from_record(record["point"])

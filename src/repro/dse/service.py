@@ -36,19 +36,20 @@ loop.  This module is that shape for the reproduction:
   studies, and each study caps its in-flight leases at
   ``max_inflight``, so concurrent studies share one worker pool.
 
-The server is single-threaded asyncio with synchronous handlers, so
-every state transition is atomic with respect to the wire — no locks.
-Failure injection for the test suite lives in :class:`FaultInjector`.
+The HTTP plumbing is the shared wire layer (:mod:`repro.core.wire`):
+single-threaded asyncio with synchronous handlers, so every state
+transition is atomic with respect to the wire — no locks.  This module
+supplies only the routes and handlers (:meth:`DseService.routes`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
 import time
 
+from ..core import wire
 from ..core.metrics import MetricsRegistry
+from ..core.wire import FaultInjector, HttpError, ServerThread
 from .algorithms import GridSearch, RandomSearch, RegularizedEvolution, TpeLite
 from .pareto import pareto_front
 from .runner import DEFAULT_BATCH
@@ -80,12 +81,8 @@ ALGORITHMS = {
 }
 
 
-class ServiceError(Exception):
+class ServiceError(HttpError):
     """A request the service refuses; carries the HTTP status."""
-
-    def __init__(self, message, status=400):
-        super().__init__(message)
-        self.status = status
 
 
 def build_space(spec):
@@ -153,39 +150,14 @@ def resource_name(owner, study_id):
     return f"owners/{owner}/studies/{study_id}"
 
 
-class FaultInjector:
-    """Planned failures for the adversarial suite.
-
-    ``plan(route, count, kind)`` queues faults on a logical route
-    (``"suggest"``, ``"complete"``, ``"work"``, ...): ``"error"``
-    answers with an HTTP 5xx, ``"drop"`` severs the connection without
-    executing the handler, and ``"drop_after"`` executes the handler
-    but severs the connection before the response — the lost-response
-    case that forces the client to retry an already-applied request.
-    Faults are consumed FIFO, one per matching request.
-    """
-
-    def __init__(self):
-        self._plans = {}
-        self.injected = 0
-
-    def plan(self, route, count=1, kind="error", status=500):
-        if kind not in ("error", "drop", "drop_after"):
-            raise ValueError(f"unknown fault kind {kind!r}")
-        self._plans.setdefault(route, []).extend([(kind, status)] * count)
-
-    def take(self, route):
-        plans = self._plans.get(route)
-        if plans:
-            self.injected += 1
-            return plans.pop(0)
-        return None
-
-    def pending(self):
-        return sum(len(v) for v in self._plans.values())
-
-    def clear(self):
-        self._plans.clear()
+def completion_fields(item):
+    """The keyword arguments of one completion, from its wire form."""
+    return {"lease_token": str(item.get("lease_token", "")),
+            "metrics": item.get("metrics"),
+            "infeasible": bool(item.get("infeasible", False)),
+            "cache_hit": bool(item.get("cache_hit", False)),
+            "seconds": float(item.get("seconds", 0.0)),
+            "worker_id": str(item.get("worker_id", ""))}
 
 
 class ServiceStudy:
@@ -238,7 +210,7 @@ class ServiceStudy:
             self.state = state
             self._persist_state()
             if state in (DONE, STOPPED):
-                self._notify(done=True)
+                self._notify()
 
     # --- scheduling ---------------------------------------------------------------
     def completed_count(self):
@@ -324,15 +296,8 @@ class ServiceStudy:
         results = []
         for item in completions:
             try:
-                results.append(self._complete_one(
-                    int(item["trial_id"]),
-                    str(item.get("lease_token", "")),
-                    metrics=item.get("metrics"),
-                    infeasible=bool(item.get("infeasible", False)),
-                    cache_hit=bool(item.get("cache_hit", False)),
-                    seconds=float(item.get("seconds", 0.0)),
-                    worker_id=str(item.get("worker_id", "")),
-                ))
+                results.append(self._complete_one(int(item["trial_id"]),
+                                                  **completion_fields(item)))
             except ServiceError as error:
                 results.append({"ok": False, "error": str(error),
                                 "status": error.status})
@@ -519,25 +484,29 @@ class ServiceStudy:
         }
 
     # --- pareto streaming ---------------------------------------------------------
-    def subscribe(self):
+    async def front_updates(self):
+        """The current front, then one item per front change, ending
+        with the study (the pareto-stream route streams these)."""
         queue = asyncio.Queue()
         queue.put_nowait(self._stream_item())
         self._subscribers.append(queue)
-        return queue
-
-    def unsubscribe(self, queue):
-        if queue in self._subscribers:
+        try:
+            while True:
+                item = await queue.get()
+                yield item
+                if item["done"]:
+                    return
+        finally:
             self._subscribers.remove(queue)
 
-    def _stream_item(self, done=None):
+    def _stream_item(self):
         return {"study": self.resource_name,
                 "completed": self.completed_count(),
                 "front": self.front(),
-                "done": self.state in (DONE, STOPPED) if done is None
-                else done}
+                "done": self.state in (DONE, STOPPED)}
 
-    def _notify(self, done=False):
-        item = self._stream_item(done=done or self.state in (DONE, STOPPED))
+    def _notify(self):
+        item = self._stream_item()
         for queue in self._subscribers:
             queue.put_nowait(item)
 
@@ -636,221 +605,59 @@ class DseService:
         self._export_active()
         return granted
 
+    # --- the wire (served by repro.core.wire) ---------------------------------------
+    http_counter = "dse_http_requests"
 
-# --------------------------------------------------------------------------------
-# The HTTP layer: a minimal, dependency-free HTTP/1.1 server on asyncio
-# streams.  Handlers are synchronous, so every state mutation is atomic
-# with respect to the event loop.
-# --------------------------------------------------------------------------------
+    def routes(self):
+        study, get = "studies/{owner}/{study_id}", self.get_study
+        return [
+            ("GET", "healthz", "healthz", lambda body: {"ok": True}),
+            ("GET", "metrics", "metrics", lambda body: self.metrics.snapshot()),
+            ("GET", "studies", "list", lambda body: {
+                "studies": self.list_statuses(), "done": self.all_done()}),
+            ("POST", "studies", "create",
+             lambda body: self.create_study(body).status()),
+            ("POST", "work", "work", lambda body: {
+                "trials": self.work(str(body.get("worker_id", "worker")),
+                                    int(body.get("count", 1))),
+                "done": self.all_done()}),
+            ("GET", study, "status", lambda body, *key: get(*key).status()),
+            ("GET", f"{study}/pareto", "pareto",
+             lambda body, *key: {"front": get(*key).front()}),
+            ("GET", f"{study}/pareto-stream", "pareto-stream",
+             lambda body, *key: get(*key).front_updates()),
+            ("GET", f"{study}/trials", "trials", self._http_trials),
+            ("POST", f"{study}/suggest", "suggest", self._http_suggest),
+            ("POST", f"{study}/stop", "stop",
+             lambda body, *key: self.stop_study(*key).status()),
+            ("POST", f"{study}/trials/complete-batch", "complete-batch",
+             self._http_complete_batch),
+            ("POST", f"{study}/trials/{{trial_id}}/complete", "complete",
+             self._http_complete),
+        ]
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+    def _http_suggest(self, body, owner, study_id):
+        study = self.get_study(owner, study_id)
+        granted = study.claim(str(body.get("worker_id", "worker")),
+                              int(body.get("count", 1)))
+        return {"trials": [study.trial_wire(r) for r in granted],
+                "done": study.state in (DONE, STOPPED),
+                "state": study.state}
 
-
-async def _read_request(reader):
-    """One HTTP/1.1 request -> (method, path, headers, body) or None."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
-    if not line or line in (b"\r\n", b"\n"):
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split(" ", 2)
-    except ValueError:
-        return None
-    headers = {}
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
-
-
-def _json_bytes(status, payload):
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n\r\n").encode("latin-1")
-    return head + body
-
-
-class DseHttpServer:
-    """Serves a :class:`DseService` over HTTP/1.1."""
-
-    def __init__(self, service, host="127.0.0.1", port=0):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server = None
-
-    async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def wait_closed(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    @property
-    def url(self):
-        return f"http://{self.host}:{self.port}"
-
-    # --- connection loop ----------------------------------------------------------
-    async def _handle_connection(self, reader, writer):
-        try:
-            while True:
-                request = await _read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                keep_open = await self._handle_request(
-                    method, target, body, writer)
-                if not keep_open:
-                    break
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown: close the socket and finish quietly
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, method, target, body, writer):
-        path, _, _query = target.partition("?")
-        parts = [p for p in path.split("/") if p]
-        route, handler = self._route(method, parts)
-        self.service.metrics.counter("dse_http_requests", route=route).inc()
-        fault = self.service.faults.take(route)
-        drop_response = False
-        if fault is not None:
-            kind, status = fault
-            if kind == "drop":
-                return False  # sever before the handler runs
-            if kind == "drop_after":
-                drop_response = True  # run the handler, lose the response
-            else:
-                writer.write(_json_bytes(status,
-                                         {"error": "injected fault"}))
-                await writer.drain()
-                return True
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            writer.write(_json_bytes(400, {"error": "malformed JSON body"}))
-            await writer.drain()
-            return True
-        if route == "pareto-stream":
-            await self._stream_pareto(parts[1], parts[2], writer)
-            return False  # streams close the connection when done
-        try:
-            status, result = handler(parts, payload)
-        except ServiceError as error:
-            status, result = error.status, {"error": str(error)}
-        except Exception as error:  # never kill the connection loop
-            status, result = 500, {"error": f"internal error: {error!r}"}
-        if drop_response:
-            return False  # the work is applied; the acknowledgment is lost
-        writer.write(_json_bytes(status, result))
-        await writer.drain()
-        return True
-
-    def _route(self, method, parts):
-        service = self.service
-        if method == "GET" and parts == ["healthz"]:
-            return "healthz", lambda p, b: (200, {"ok": True})
-        if method == "GET" and parts == ["metrics"]:
-            return "metrics", lambda p, b: (200, service.metrics.snapshot())
-        if method == "GET" and parts == ["studies"]:
-            return "list", lambda p, b: (200, {
-                "studies": service.list_statuses(),
-                "done": service.all_done()})
-        if method == "POST" and parts == ["studies"]:
-            return "create", self._create
-        if method == "POST" and parts == ["work"]:
-            return "work", self._work
-        if len(parts) >= 3 and parts[0] == "studies":
-            owner, study_id = parts[1], parts[2]
-            tail = parts[3:]
-            if method == "GET" and not tail:
-                return "status", lambda p, b: (
-                    200, service.get_study(owner, study_id).status())
-            if method == "GET" and tail == ["pareto"]:
-                return "pareto", lambda p, b: (200, {
-                    "front": service.get_study(owner, study_id).front()})
-            if method == "GET" and tail == ["pareto-stream"]:
-                return "pareto-stream", None
-            if method == "GET" and tail == ["trials"]:
-                return "trials", self._trials
-            if method == "POST" and tail == ["suggest"]:
-                return "suggest", self._suggest
-            if method == "POST" and tail == ["stop"]:
-                return "stop", lambda p, b: (
-                    200, service.stop_study(owner, study_id).status())
-            if method == "POST" and tail == ["trials", "complete-batch"]:
-                return "complete-batch", self._complete_batch
-            if (method == "POST" and len(tail) == 3 and tail[0] == "trials"
-                    and tail[2] == "complete"):
-                return "complete", self._complete
-        return "unknown", lambda p, b: (
-            404, {"error": f"no route {method} /{'/'.join(parts)}"})
-
-    # --- handlers -----------------------------------------------------------------
-    def _create(self, parts, payload):
-        study = self.service.create_study(payload)
-        return 200, study.status()
-
-    def _work(self, parts, payload):
-        worker_id = str(payload.get("worker_id", "worker"))
-        count = int(payload.get("count", 1))
-        trials = self.service.work(worker_id, count)
-        return 200, {"trials": trials, "done": self.service.all_done()}
-
-    def _suggest(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
-        worker_id = str(payload.get("worker_id", "worker"))
-        count = int(payload.get("count", 1))
-        granted = study.claim(worker_id, count)
-        return 200, {"trials": [study.trial_wire(r) for r in granted],
-                     "done": study.state in (DONE, STOPPED),
-                     "state": study.state}
-
-    def _complete(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
-        trial_id = int(parts[4])
-        result = study.complete(
-            trial_id,
-            lease_token=str(payload.get("lease_token", "")),
-            metrics=payload.get("metrics"),
-            infeasible=bool(payload.get("infeasible", False)),
-            cache_hit=bool(payload.get("cache_hit", False)),
-            seconds=float(payload.get("seconds", 0.0)),
-            worker_id=str(payload.get("worker_id", "")),
-        )
+    def _http_complete(self, body, owner, study_id, trial_id):
+        study = self.get_study(owner, study_id)
+        result = study.complete(int(trial_id), **completion_fields(body))
         result["state"] = study.state
-        return 200, result
+        return result
 
-    def _complete_batch(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
-        results = study.complete_batch(payload.get("completions", []))
-        return 200, {"results": results, "state": study.state}
+    def _http_complete_batch(self, body, owner, study_id):
+        study = self.get_study(owner, study_id)
+        results = study.complete_batch(body.get("completions", []))
+        return {"results": results, "state": study.state}
 
-    def _trials(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
-        return 200, {
+    def _http_trials(self, body, owner, study_id):
+        study = self.get_study(owner, study_id)
+        return {
             "study": study.resource_name,
             "family": study.config["family"],
             "trials": [
@@ -861,45 +668,13 @@ class DseHttpServer:
             ],
         }
 
-    async def _stream_pareto(self, owner, study_id, writer):
-        """Chunked NDJSON: the current front immediately, then one line
-        per front change, ending when the study finishes."""
-        try:
-            study = self.service.get_study(owner, study_id)
-        except ServiceError as error:
-            writer.write(_json_bytes(error.status, {"error": str(error)}))
-            await writer.drain()
-            return
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Transfer-Encoding: chunked\r\n"
-                     b"Connection: close\r\n\r\n")
-        queue = study.subscribe()
-        try:
-            while True:
-                item = await queue.get()
-                chunk = (json.dumps(item, sort_keys=True) + "\n").encode()
-                writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
-                await writer.drain()
-                if item.get("done"):
-                    break
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            study.unsubscribe(queue)
-
 
 def serve(service, host="127.0.0.1", port=8733):
     """Blocking entry point (``repro dse serve``)."""
-    async def _main():
-        server = await DseHttpServer(service, host, port).start()
-        await server._server.serve_forever()
-    asyncio.run(_main())
+    wire.serve(service, host, port)
 
 
-class ServiceThread:
+class ServiceThread(ServerThread):
     """A served :class:`DseService` on a background thread (tests, the
     benchmark harness, and ``repro dse --service-url``-less local runs).
 
@@ -911,44 +686,4 @@ class ServiceThread:
 
     def __init__(self, service, host="127.0.0.1", port=0):
         self.service = service
-        self._http = DseHttpServer(service, host, port)
-        self._loop = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("DSE service thread failed to start")
-
-    def _run(self):
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        loop.run_until_complete(self._http.start())
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._http.wait_closed())
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True))
-            loop.close()
-
-    @property
-    def url(self):
-        return self._http.url
-
-    def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
+        super().__init__(service, host, port)

@@ -1,12 +1,12 @@
 """Persistent sharded study store: crash-safe studies and trials on disk.
 
 The layout is the :class:`~repro.dse.cache.EvaluationCache` layout,
-promoted from evaluation outcomes to whole studies: every record is one
-JSON file at a content-addressed path ``root/<key[:2]>/...``, written
-atomically via temp-file + rename so a crash (or a concurrent reader)
-can never observe a half-written record.  The key of a study is the
-SHA-256 of ``(owner, study_id)``; the key of a trial is the SHA-256 of
-``(study_key, trial_id)``:
+promoted from evaluation outcomes to whole studies, on the primitives
+of :mod:`repro.core.castore`: every record is one JSON file at a
+content-addressed path ``root/<key[:2]>/...``, written atomically so a
+crash (or a concurrent reader) can never observe a half-written record.
+The key of a study is the SHA-256 of ``(owner, study_id)``; the key of
+a trial is the SHA-256 of ``(study_key, trial_id)``:
 
 ```
 store_root/
@@ -18,16 +18,18 @@ Unreadable, truncated, or foreign-schema trial files are *skipped and
 counted*, never crashed on: a torn write loses at most that one record,
 and the service re-issues the lost trial while every other completed
 trial survives.  This is the property the fault-injection suite
-(`tests/test_dse_service_faults.py`) exercises directly.
+(`tests/test_dse_service_faults.py`) exercises directly.  Unlike the
+caches, a store write that fails raises: a trial is persisted before it
+is acknowledged.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 from dataclasses import dataclass, field
+
+# Every study and trial write calls this module's atomic_write_json.
+from ..core.castore import MISS, atomic_write_json, content_key, read_json
 
 STORE_SCHEMA_VERSION = 1
 
@@ -39,37 +41,16 @@ COMPLETED = "COMPLETED"    # metrics (or the infeasible verdict) recorded
 TRIAL_STATES = (PENDING, CLAIMED, COMPLETED)
 
 
-def _digest(payload):
-    document = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=repr)
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
-
-
 def study_key(owner, study_id):
     """Content address of a study: SHA-256 over (owner, study_id)."""
-    return _digest({"schema": STORE_SCHEMA_VERSION, "owner": str(owner),
-                    "study_id": str(study_id)})
+    return content_key({"schema": STORE_SCHEMA_VERSION, "owner": str(owner),
+                        "study_id": str(study_id)})
 
 
 def trial_key(study, trial_id):
     """Content address of a trial within its study."""
-    return _digest({"schema": STORE_SCHEMA_VERSION, "study": study,
-                    "trial_id": int(trial_id)})
-
-
-def atomic_write_json(path, payload):
-    """Publish ``payload`` at ``path`` atomically (temp file + rename)."""
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    return content_key({"schema": STORE_SCHEMA_VERSION, "study": study,
+                        "trial_id": int(trial_id)})
 
 
 @dataclass
@@ -179,14 +160,8 @@ class StudyStore:
 
     @staticmethod
     def _read_study(path):
-        try:
-            with open(path) as handle:
-                record = json.load(handle)
-            if record.get("schema") != STORE_SCHEMA_VERSION:
-                return None
-            return record
-        except (OSError, ValueError):
-            return None
+        record = read_json(path, STORE_SCHEMA_VERSION)
+        return None if record is MISS else record
 
     def list_studies(self):
         """Every readable persisted study config, sorted by resource
@@ -237,9 +212,10 @@ class StudyStore:
                 if not name.endswith(".json"):
                     continue
                 try:
-                    with open(os.path.join(shard_dir, name)) as handle:
-                        record = TrialRecord.from_record(json.load(handle))
-                except (OSError, ValueError, KeyError, TypeError):
+                    # a miss is no record document, so it raises too
+                    record = TrialRecord.from_record(read_json(
+                        os.path.join(shard_dir, name), STORE_SCHEMA_VERSION))
+                except (ValueError, KeyError, TypeError):
                     unreadable += 1
                     continue
                 records[record.trial_id] = record

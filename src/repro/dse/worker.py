@@ -10,13 +10,13 @@ worker loses nothing (its leases expire and the trials are re-issued),
 and a worker that outlives a server restart simply retries until the
 resumed server re-adopts its leases.
 
-:class:`ServiceClient` is the transport: stdlib ``http.client`` with
-exponential retry/backoff on connection errors, timeouts, and HTTP
-5xx.  Claim loss is handled at the protocol layer — a completion whose
-response was lost is retried idempotently (same lease token), and a
-completion whose lease was re-issued after expiry comes back as a
-:class:`StaleLeaseError` that the worker logs and drops, so retries can
-never double-count a trial.
+:class:`ServiceClient` is the transport: the shared stdlib client
+(:class:`~repro.core.wire.JsonClient`) with exponential retry/backoff on
+connection errors, timeouts, and HTTP 5xx.  Claim loss is handled at
+the protocol layer — a completion whose response was lost is retried
+idempotently (same lease token), and a completion whose lease was
+re-issued after expiry comes back as a :class:`StaleLeaseError` that
+the worker logs and drops, so retries can never double-count a trial.
 
 ``run_fig7_service`` is the paper-scale entry: it submits the three
 Fig. 7 studies, drives a local worker fleet, and folds the completed
@@ -26,12 +26,11 @@ golden-equal to the in-process ``run_fig7`` engine.
 
 from __future__ import annotations
 
-import http.client
-import json
 import threading
 import time
-import urllib.parse
 
+# ServiceUnavailable is re-exported: the client raises it once retries run out.
+from ..core.wire import ClientError, JsonClient, ServiceUnavailable
 from .cache import EvaluationCache
 from .runner import CFU_FAMILIES, DEFAULT_BATCH, DsePoint, DseResult, Fig7Evaluator
 
@@ -39,110 +38,24 @@ from .runner import CFU_FAMILIES, DEFAULT_BATCH, DsePoint, DseResult, Fig7Evalua
 FIG7_OWNER = "fig7"
 
 
-class ServiceUnavailable(ConnectionError):
-    """The service stayed unreachable through every retry."""
-
-
-class ClientError(RuntimeError):
-    """A 4xx the client must not retry."""
-
-    def __init__(self, status, payload):
-        super().__init__(f"HTTP {status}: {payload.get('error', payload)}")
-        self.status = status
-        self.payload = payload
-
-
 class StaleLeaseError(ClientError):
     """The trial's lease was re-issued (or completed) elsewhere."""
 
 
-class ServiceClient:
-    """JSON-over-HTTP client with retry/backoff on transient failures.
-
-    ``sleep`` is injectable so the fault-injection suite converges
-    without real waiting; backoff is exponential from ``backoff`` up to
-    ``backoff_cap`` seconds.
-    """
+class ServiceClient(JsonClient):
+    """The study service's client: retries transient failures with
+    backoff, and a 409 raises :class:`StaleLeaseError`."""
 
     def __init__(self, base_url, worker_id="worker-0", timeout=30.0,
                  max_retries=8, backoff=0.05, backoff_cap=2.0,
                  sleep=time.sleep):
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError(f"unsupported scheme in {base_url!r}")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
+        super().__init__(base_url, timeout=timeout, max_retries=max_retries,
+                         backoff=backoff, backoff_cap=backoff_cap, sleep=sleep)
         self.worker_id = worker_id
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.sleep = sleep
-        self.retries = 0  # transient failures survived (observability)
-        self._conn = None
 
-    # --- transport ----------------------------------------------------------------
-    def _connection(self):
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def _drop_connection(self):
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-
-    def request(self, method, path, payload=None):
-        """One API call; retries transient failures, raises
-        :class:`ClientError` subclasses on 4xx and
-        :class:`ServiceUnavailable` when retries are exhausted."""
-        body = json.dumps(payload).encode() if payload is not None else b""
-        attempt = 0
-        while True:
-            try:
-                conn = self._connection()
-                conn.request(method, path, body=body,
-                             headers={"Content-Type": "application/json"})
-                response = conn.getresponse()
-                data = response.read()
-                status = response.status
-            except (OSError, http.client.HTTPException) as error:
-                self._drop_connection()
-                attempt += 1
-                self.retries += 1
-                if attempt > self.max_retries:
-                    raise ServiceUnavailable(
-                        f"{method} {path} failed after "
-                        f"{self.max_retries} retries: {error!r}") from error
-                self.sleep(min(self.backoff_cap,
-                               self.backoff * (2 ** (attempt - 1))))
-                continue
-            try:
-                result = json.loads(data.decode("utf-8")) if data else {}
-            except ValueError:
-                result = {"error": data.decode("utf-8", "replace")}
-            if status >= 500:
-                attempt += 1
-                self.retries += 1
-                if attempt > self.max_retries:
-                    raise ServiceUnavailable(
-                        f"{method} {path}: HTTP {status} persisted through "
-                        f"{self.max_retries} retries")
-                self.sleep(min(self.backoff_cap,
-                               self.backoff * (2 ** (attempt - 1))))
-                continue
-            if status == 409:
-                raise StaleLeaseError(status, result)
-            if status >= 400:
-                raise ClientError(status, result)
-            return result
-
-    def close(self):
-        self._drop_connection()
+    def error(self, status, payload):
+        return (StaleLeaseError if status == 409 else ClientError)(status,
+                                                                   payload)
 
     # --- API surface --------------------------------------------------------------
     def healthz(self):
@@ -209,21 +122,7 @@ class ServiceClient:
     def stream_pareto(self, owner, study_id):
         """Yield Pareto-front updates as the study progresses (a
         dedicated streaming connection; ends when the study finishes)."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", f"/studies/{owner}/{study_id}/pareto-stream")
-            response = conn.getresponse()
-            if response.status != 200:
-                raise ClientError(response.status,
-                                  json.loads(response.read() or b"{}"))
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                yield json.loads(line)
-        finally:
-            conn.close()
+        return self.stream(f"/studies/{owner}/{study_id}/pareto-stream")
 
 
 class WorkerStats:

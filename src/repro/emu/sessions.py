@@ -26,24 +26,20 @@ all of that warm across laps:
   the least-recently-used one on overflow, bounding host memory while
   keeping the hottest machines resident.
 
-The HTTP layer mirrors :mod:`repro.dse.service`: a dependency-free
-asyncio HTTP/1.1 server with synchronous handlers, so every state
-transition is atomic with respect to the wire.
+The HTTP layer is the wire layer the DSE study service also uses
+(:mod:`repro.core.wire`): asyncio HTTP/1.1 with synchronous handlers, so
+every state transition is atomic with respect to the wire.  This module
+supplies only the routes and handlers (:meth:`SessionManager.routes`).
 """
 
 from __future__ import annotations
 
-import asyncio
-import http.client
 import itertools
-import json
-import threading
 import time
 
+from ..core import wire
 from ..core.metrics import MetricsRegistry
-# The wire plumbing is shared with the DSE study service — both servers
-# speak the same minimal JSON-over-HTTP/1.1 dialect.
-from ..dse.service import _json_bytes, _read_request
+from ..core.wire import ClientError, FaultInjector, HttpError, JsonClient, ServerThread
 from .renode import Emulator, _resolve_compile_cache
 
 SESSIONS_SCHEMA_VERSION = 1
@@ -56,12 +52,8 @@ STEP_SECONDS_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
                         0.1, 0.5, 1.0, 5.0)
 
 
-class SessionError(Exception):
+class SessionError(HttpError):
     """A request the session server refuses; carries the HTTP status."""
-
-    def __init__(self, message, status=400):
-        super().__init__(message)
-        self.status = status
 
 
 def _build_cfu(name, impl):
@@ -83,8 +75,7 @@ def _build_cfu(name, impl):
         return rtl_cls() if impl == "rtl" else model_cls()
     if name == "kws":
         return KwsCfu2Rtl() if impl == "rtl" else KwsCfu()
-    from ..accel import LIBRARY as lib
-    known = sorted(lib) + ["kws", "none"]
+    known = sorted(LIBRARY) + ["kws", "none"]
     raise SessionError(f"unknown cfu {name!r} "
                        f"(expected one of {', '.join(known)})")
 
@@ -291,6 +282,7 @@ class SessionManager:
         self.max_sessions = max_sessions
         self.compile_cache = _resolve_compile_cache(compile_cache)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.faults = FaultInjector()
         self.sessions = {}            # insertion-ordered: LRU front-to-back
         self._ids = itertools.count(1)
         # ``sessions`` is reordered on every get() (LRU touch), so the
@@ -363,226 +355,66 @@ class SessionManager:
                     self.metrics.gauge(f"codecache_{name}").set(value)
         return self.metrics.snapshot()
 
+    # --- the wire (served by repro.core.wire) ---------------------------------------
+    http_counter = "session_http_requests"
 
-# --------------------------------------------------------------------------------
-# The HTTP layer
-# --------------------------------------------------------------------------------
-
-
-class SessionHttpServer:
-    """Serves a :class:`SessionManager` over HTTP/1.1."""
-
-    def __init__(self, manager, host="127.0.0.1", port=0):
-        self.manager = manager
-        self.host = host
-        self.port = port
-        self._server = None
-
-    async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def wait_closed(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    @property
-    def url(self):
-        return f"http://{self.host}:{self.port}"
-
-    async def _handle_connection(self, reader, writer):
-        try:
-            while True:
-                request = await _read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                await self._handle_request(method, target, body, writer)
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown: close the socket and finish quietly
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, method, target, body, writer):
-        path, _, _query = target.partition("?")
-        parts = [p for p in path.split("/") if p]
-        route, handler = self._route(method, parts)
-        self.manager.metrics.counter("session_http_requests",
-                                     route=route).inc()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            writer.write(_json_bytes(400, {"error": "malformed JSON body"}))
-            await writer.drain()
-            return
-        try:
-            status, result = handler(parts, payload)
-        except SessionError as error:
-            status, result = error.status, {"error": str(error)}
-        except Exception as error:  # never kill the connection loop
-            status, result = 500, {"error": f"internal error: {error!r}"}
-        writer.write(_json_bytes(status, result))
-        await writer.drain()
-
-    def _route(self, method, parts):
-        manager = self.manager
-        if method == "GET" and parts == ["healthz"]:
-            return "healthz", lambda p, b: (200, {
-                "ok": True, "schema": SESSIONS_SCHEMA_VERSION})
-        if method == "GET" and parts == ["metrics"]:
-            return "metrics", lambda p, b: (200, manager.snapshot_metrics())
-        if method == "GET" and parts == ["sessions"]:
-            return "list", lambda p, b: (200, {
-                "sessions": manager.list_statuses(),
-                "max_sessions": manager.max_sessions})
-        if method == "POST" and parts == ["sessions"]:
-            return "create", lambda p, b: (200, manager.create(b).status())
-        if len(parts) >= 2 and parts[0] == "sessions":
-            session_id = parts[1]
-            tail = parts[2:]
-            if method == "GET" and not tail:
-                return "status", lambda p, b: (
-                    200, manager.get(session_id).status())
-            if method == "DELETE" and not tail:
-                return "delete", lambda p, b: (
-                    200, manager.delete(session_id))
-            if method == "POST" and len(tail) == 1:
-                verb = tail[0]
-                actions = {
-                    "load": lambda s, b: s.load(b),
-                    "run": lambda s, b: s.run(b),
-                    "step": lambda s, b: s.run(b),
-                    "snapshot": lambda s, b: s.snapshot(),
-                    "restore": lambda s, b: s.restore(b),
-                    "discard-snapshot": lambda s, b: s.discard(b),
-                    "profile": lambda s, b: s.profile(b),
-                }
-                if verb in actions:
-                    action = actions[verb]
-                    return verb, lambda p, b: (
-                        200, action(manager.get(session_id), b))
-        return "unknown", lambda p, b: (
-            404, {"error": f"no route {method} /{'/'.join(parts)}"})
+    def routes(self):
+        session = "sessions/{session_id}"
+        return [
+            ("GET", "healthz", "healthz",
+             lambda body: {"ok": True, "schema": SESSIONS_SCHEMA_VERSION}),
+            ("GET", "metrics", "metrics", lambda body: self.snapshot_metrics()),
+            ("GET", "sessions", "list", lambda body: {
+                "sessions": self.list_statuses(),
+                "max_sessions": self.max_sessions}),
+            ("POST", "sessions", "create",
+             lambda body: self.create(body).status()),
+            ("GET", session, "status",
+             lambda body, session_id: self.get(session_id).status()),
+            ("DELETE", session, "delete",
+             lambda body, session_id: self.delete(session_id)),
+            ("POST", f"{session}/load", "load",
+             lambda body, session_id: self.get(session_id).load(body)),
+            ("POST", f"{session}/run", "run",
+             lambda body, session_id: self.get(session_id).run(body)),
+            ("POST", f"{session}/step", "step",
+             lambda body, session_id: self.get(session_id).run(body)),
+            ("POST", f"{session}/snapshot", "snapshot",
+             lambda body, session_id: self.get(session_id).snapshot()),
+            ("POST", f"{session}/restore", "restore",
+             lambda body, session_id: self.get(session_id).restore(body)),
+            ("POST", f"{session}/discard-snapshot", "discard-snapshot",
+             lambda body, session_id: self.get(session_id).discard(body)),
+            ("POST", f"{session}/profile", "profile",
+             lambda body, session_id: self.get(session_id).profile(body)),
+        ]
 
 
 def serve(manager, host="127.0.0.1", port=8744):
     """Blocking entry point (``repro sessions serve``)."""
-    async def _main():
-        server = await SessionHttpServer(manager, host, port).start()
-        await server._server.serve_forever()
-    asyncio.run(_main())
+    wire.serve(manager, host, port)
 
 
-class SessionServerThread:
-    """A served :class:`SessionManager` on a background thread (tests
-    and the benchmark harness)."""
+class SessionServerThread(ServerThread):
+    """A served :class:`SessionManager` on a background thread."""
 
     def __init__(self, manager, host="127.0.0.1", port=0):
         self.manager = manager
-        self._http = SessionHttpServer(manager, host, port)
-        self._loop = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("session server thread failed to start")
-
-    def _run(self):
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        loop.run_until_complete(self._http.start())
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._http.wait_closed())
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True))
-            loop.close()
-
-    @property
-    def url(self):
-        return self._http.url
-
-    def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
+        super().__init__(manager, host, port)
 
 
-class SessionClientError(RuntimeError):
+class SessionClientError(ClientError):
     """A 4xx/5xx from the session server."""
 
-    def __init__(self, status, payload):
-        super().__init__(f"HTTP {status}: {payload.get('error', payload)}")
-        self.status = status
-        self.payload = payload
 
+class SessionClient(JsonClient):
+    """JSON-over-HTTP client for the session server.  It never retries:
+    ``run`` and ``step`` are not idempotent."""
 
-class SessionClient:
-    """Minimal JSON-over-HTTP client for the session server."""
+    error = SessionClientError
 
     def __init__(self, base_url, timeout=30.0):
-        import urllib.parse
-
-        parsed = urllib.parse.urlsplit(base_url)
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
-        self.timeout = timeout
-        self._conn = None
-
-    def _connection(self):
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def request(self, method, path, payload=None):
-        body = json.dumps(payload).encode() if payload is not None else b""
-        try:
-            conn = self._connection()
-            conn.request(method, path, body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (OSError, http.client.HTTPException):
-            self.close()
-            raise
-        result = json.loads(data.decode("utf-8")) if data else {}
-        if status >= 400:
-            raise SessionClientError(status, result)
-        return result
-
-    def close(self):
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
+        super().__init__(base_url, timeout=timeout, max_retries=0)
 
     # --- API surface --------------------------------------------------------------
     def healthz(self):
@@ -627,10 +459,3 @@ class SessionClient:
     def profile(self, session_id, **payload):
         return self.request("POST", f"/sessions/{session_id}/profile",
                             payload)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False

@@ -1,9 +1,13 @@
-"""Property tests for the study store and the lease state machine.
+"""Property tests for the persisted stores and the lease state machine.
 
-Hypothesis drives two obligations the example-based suites can't pin:
+Hypothesis drives three obligations the example-based suites can't pin:
 
 - arbitrary trial records (unicode parameter names, odd floats,
   empty strings) round-trip through the sharded JSON store bit-exactly;
+- all three content-addressed stores (the evaluation cache, the compile
+  cache and the study store) read torn, garbage and foreign-schema
+  files as misses, publish atomically without leftover temp files, keep
+  their keys and read files in the format they have always written;
 - under *any* interleaving of claims, completions, stale retries, and
   clock advances, the lease bookkeeping holds its invariants: every
   trial completes exactly once, stale tokens never win, and the number
@@ -15,9 +19,13 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.castore import MISS
+from repro.core.codecache import CodeCache, code_key
 from repro.dse import DseService, ServiceError
+from repro.dse.cache import EvaluationCache, cache_key
+from repro.dse.runner import DsePoint
 from repro.dse.store import (
     CLAIMED,
     COMPLETED,
@@ -147,6 +155,194 @@ def test_memory_store_is_a_quiet_noop():
     assert store.load_study("o", "s") is None
     assert store.list_studies() == []
     assert store.load_trials("o", "s") == ({}, 0)
+
+
+# --------------------------------------------------------------------------------
+# The three content-addressed stores, one property suite
+# --------------------------------------------------------------------------------
+
+def test_keys_are_pinned():
+    """The keys every persisted file lives under never change."""
+    assert cache_key({"x": 1, "y": "big"}, "cfu2", model="m", board="b") == \
+        "dc5d68ee142754f7a54ff2b6c07cc1486efdf4e6ab99afb79f1026df8bd7af71"
+    assert code_key("tier2-block", {"pc": 4096, "words": [19, 147]}) == \
+        "362afbf7e154f92d4b8325a1a0c474f864f5cda24cf0d0ac51e665b5f3eaf64b"
+    skey = study_key("fig7", "fig7-cfu1")
+    assert skey == \
+        "917f37ceaadfd17b5671a3a4f773de9405bbaae426a195f8b2e0245c554d81fb"
+    assert trial_key(skey, 7) == \
+        "e33a7667cb1ab42323897612cd239aced9be75d23edb946efed30e609970cf0c"
+
+
+class StoreCase:
+    """One entry of one store: ``open(root)`` the store, ``put`` and
+    ``get`` the entry (a miss reads as MISS)."""
+
+    raises_on_write_failure = False
+
+    def write(self, root, value):
+        self.put(self.open(root), value)
+
+    def read(self, root):
+        return self.get(self.open(root))
+
+
+class EvaluationCacheStore(StoreCase):
+    """One evaluation outcome under a fixed key."""
+
+    key = cache_key({"x": 1, "y": "big"}, "cfu2", model="m", board="b")
+    path = os.path.join(key[:2], key + ".json")
+    value = DsePoint.from_record({"family": "cfu2",
+                                  "parameters": {"x": 1, "y": "big"},
+                                  "cycles": 123.5, "logic_cells": 42})
+    other = None  # the "does not fit" verdict
+    # the file format every earlier version wrote
+    legacy = ('{"fit": true, "point": {"cycles": 123.5, "family": "cfu2", '
+              '"logic_cells": 42, "parameters": {"x": 1, "y": "big"}}, '
+              '"schema": 1}')
+    open = staticmethod(EvaluationCache)
+
+    def put(self, cache, value):
+        cache.put(self.key, value)
+
+    def get(self, cache):
+        return cache.get(self.key)
+
+
+class CodeCacheStore(EvaluationCacheStore):
+    """One generated-source document under a fixed key."""
+
+    key = code_key("tier2-block", {"pc": 4096, "words": [19, 147]})
+    path = os.path.join(key[:2], key + ".json")
+    value = {"source": "x = 1", "need": ["_md"]}
+    other = {"source": "x = 2", "need": []}
+    legacy = ('{"schema": 1, "key": "' + key + '", "value": '
+              '{"source": "x = 1", "need": ["_md"]}}')
+    open = staticmethod(CodeCache)
+
+
+class StudyStoreTrial(StoreCase):
+    """One trial record of one study (an unreadable one is skipped)."""
+
+    skey = study_key("fig7", "fig7-cfu1")
+    tkey = trial_key(skey, 7)
+    path = os.path.join(skey[:2], skey, "trials", tkey[:2], tkey + ".json")
+    value = TrialRecord(trial_id=7, parameters={"x": 1}, state=COMPLETED,
+                        metrics={"a": 1.5}, worker="w0",
+                        lease_token="fig7-cfu1/7#3", lease_deadline=12.5,
+                        cache_hit=True, seconds=0.25)
+    other = TrialRecord(trial_id=7, parameters={"x": 1})
+    legacy = ('{"cache_hit": true, "infeasible": false, "lease_deadline": '
+              '12.5, "lease_token": "fig7-cfu1/7#3", "metrics": {"a": 1.5}, '
+              '"parameters": {"x": 1}, "schema": 1, "seconds": 0.25, '
+              '"state": "COMPLETED", "trial_id": 7, "worker": "w0"}')
+    raises_on_write_failure = True  # a trial is persisted before it is acked
+    open = staticmethod(StudyStore)
+
+    def put(self, store, value):
+        store.write_trial("fig7", "fig7-cfu1", value)
+
+    def get(self, store):
+        return store.load_trials("fig7", "fig7-cfu1")[0].get(7, MISS)
+
+
+STORES = [EvaluationCacheStore(), CodeCacheStore(), StudyStoreTrial()]
+by_name = pytest.mark.parametrize("store", STORES,
+                                  ids=lambda store: type(store).__name__)
+
+
+def leftovers(root):
+    return [name for _, _, names in os.walk(root) for name in names
+            if name.endswith(".tmp")]
+
+
+@by_name
+def test_store_reads_its_legacy_file_format(tmp_path, store):
+    path = tmp_path / store.path
+    path.parent.mkdir(parents=True)
+    path.write_text(store.legacy)
+    assert store.read(str(tmp_path)) == store.value
+
+
+@by_name
+@settings(max_examples=20, deadline=None)
+@given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_store_reads_a_torn_file_as_a_miss(tmp_path_factory, store, cut):
+    root = tmp_path_factory.mktemp("store")
+    store.write(str(root), store.value)
+    path = root / store.path
+    whole = path.read_bytes()
+    path.write_bytes(whole[:int(cut * len(whole))])
+    assert store.read(str(root)) is MISS
+
+
+@by_name
+@settings(max_examples=25, deadline=None)
+@given(garbage=st.binary(max_size=64))
+def test_store_reads_a_garbage_file_as_a_miss(tmp_path_factory, store,
+                                              garbage):
+    try:
+        assume(json.loads(garbage.decode("utf-8")).get("schema") != 1)
+    except (ValueError, AttributeError):
+        pass  # not a JSON object: garbage by construction
+    root = tmp_path_factory.mktemp("store")
+    store.write(str(root), store.value)
+    (root / store.path).write_bytes(garbage)
+    assert store.read(str(root)) is MISS
+
+
+@by_name
+@settings(max_examples=10, deadline=None)
+@given(schema=st.one_of(st.integers().filter(lambda n: n != 1), st.none(),
+                        st.text(max_size=4)))
+def test_store_reads_a_foreign_schema_as_a_miss(tmp_path_factory, store,
+                                                schema):
+    root = tmp_path_factory.mktemp("store")
+    store.write(str(root), store.value)
+    path = root / store.path
+    document = json.loads(path.read_text())
+    document["schema"] = schema
+    path.write_text(json.dumps(document))
+    assert store.read(str(root)) is MISS
+
+
+@by_name
+def test_store_overwrites_atomically_without_temp_files(tmp_path, store):
+    store.write(str(tmp_path), store.value)
+    store.write(str(tmp_path), store.other)
+    assert store.read(str(tmp_path)) == store.other
+    assert leftovers(tmp_path) == []
+
+
+@by_name
+def test_store_failed_write_leaves_no_temp_file(tmp_path, store, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    if store.raises_on_write_failure:
+        with pytest.raises(OSError):
+            store.write(str(tmp_path), store.value)
+    else:
+        store.write(str(tmp_path), store.value)  # memory only, no raise
+    monkeypatch.undo()
+    assert leftovers(tmp_path) == []
+    assert store.read(str(tmp_path)) is MISS
+
+
+@by_name
+def test_store_unwritable_directory_policy(tmp_path, store):
+    """The caches fall back to memory only; the study store raises."""
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory")
+    root = str(blocked / "sub")
+    if store.raises_on_write_failure:
+        with pytest.raises(OSError):
+            store.put(store.open(root), store.value)
+    else:
+        backing = store.open(root)
+        store.put(backing, store.value)  # must not raise
+        assert store.get(backing) == store.value
 
 
 # --------------------------------------------------------------------------------
