@@ -40,6 +40,7 @@ import time
 from ..core import wire
 from ..core.metrics import MetricsRegistry
 from ..core.wire import ClientError, FaultInjector, HttpError, JsonClient, ServerThread
+from ..soc.bus import BusError
 from .renode import Emulator, _resolve_compile_cache
 
 SESSIONS_SCHEMA_VERSION = 1
@@ -137,7 +138,7 @@ class Session:
                     "load needs 'assembly' or 'binary_hex'")
         except SessionError:
             raise
-        except (KeyError, ValueError) as error:
+        except (KeyError, ValueError, BusError) as error:
             raise SessionError(f"load failed: {error}") from None
         machine = self.emulator.machine
         machine.halted = False

@@ -8,8 +8,10 @@ loads and stores hit real RAM backings or peripheral registers.
 
 from __future__ import annotations
 
-from ..cpu.machine import CowPagesMixin
+from ..cpu.machine import _PAGE_BITS, _PAGE_SIZE, CowPagesMixin
 from ..rtl.synth import ResourceReport
+
+_PAGE_MASK = _PAGE_SIZE - 1
 
 
 class BusError(RuntimeError):
@@ -17,14 +19,20 @@ class BusError(RuntimeError):
 
 
 class RamBacking:
-    """A bytearray-backed RAM/ROM region.
+    """A RAM/ROM region stored as 4 KiB pages.
 
-    The backing store materialises on first touch: an idle region (the
-    256 MiB ``main_ram`` of a session that only ever runs from flash)
-    costs no resident memory, which is what bounds how many warm
-    sessions one host can hold.  Reading ``data`` allocates, so code
-    that only wants to know whether the region was ever touched must
-    check ``materialized`` first.
+    Pages are keyed by *address* page ``addr >> 12`` (the index the bus
+    page caches, the translated-block resolver and copy-on-write
+    snapshots use), and each is allocated, zeroed, on its first access.
+    A region therefore costs resident memory only for the pages a
+    program touches: a short program in the 256 MiB ``main_ram`` holds
+    a handful of pages, and an idle region holds none, which is what
+    bounds how many warm sessions one host can hold.
+
+    ``data`` is the ``{page index: bytearray}`` dict, created on the
+    region's first access; ``materialized`` says whether that happened
+    without causing it.  Page bytes outside the region (a region that is
+    not page aligned) stay zero.
     """
 
     __slots__ = ("region", "writable", "_data")
@@ -42,32 +50,62 @@ class RamBacking:
     def data(self):
         data = self._data
         if data is None:
-            data = self._data = bytearray(self.region.size)
+            data = self._data = {}
         return data
 
-    def load(self, offset, blob):
-        self.data[offset:offset + len(blob)] = blob
+    def page(self, index):
+        """Address page ``index``'s bytes, allocated on first access."""
+        pages = self.data
+        page = pages.get(index)
+        if page is None:
+            page = pages[index] = bytearray(_PAGE_SIZE)
+        return page
 
+    def read(self, addr, nbytes):
+        """``nbytes`` bytes from ``addr`` on, across pages; the caller
+        keeps the range inside the region."""
+        out = bytearray()
+        end = addr + nbytes
+        while addr < end:
+            start = addr & _PAGE_MASK
+            chunk = min(end - addr, _PAGE_SIZE - start)
+            out += self.page(addr >> _PAGE_BITS)[start:start + chunk]
+            addr += chunk
+        return out
 
-_PAGE_BITS = 12
+    def write(self, addr, blob):
+        """Store ``blob`` from ``addr`` on, across pages; the caller
+        keeps the range inside the region."""
+        view = memoryview(blob)
+        done = 0
+        while done < len(view):
+            start = addr & _PAGE_MASK
+            chunk = min(len(view) - done, _PAGE_SIZE - start)
+            page = self.page(addr >> _PAGE_BITS)
+            page[start:start + chunk] = view[done:done + chunk]
+            addr += chunk
+            done += chunk
 
 
 class SocBus(CowPagesMixin):
     """Decodes addresses to RAM backings or the CSR bank.
 
-    Address decode is cached per 4 KiB page: pages that lie entirely
-    inside one RAM region resolve to ``(backing, region_base, name)``
-    through a dict lookup instead of a linear region scan plus CSR-range
-    check on every access.  Pages overlapping the CSR window or a region
-    boundary are never cached and always take the full decode path, so
-    peripheral side effects and bus errors behave exactly as before.
+    Address decode is cached per 4 KiB page: a page that lies entirely
+    inside one RAM region resolves to ``(page bytes, page base,
+    writable, region name)`` through a dict lookup instead of a linear
+    region scan plus CSR-range check on every access.  Pages
+    overlapping the CSR window or a region boundary are never cached
+    and always take the full decode path, so peripheral side effects
+    and bus errors behave exactly as before.  A word access counts as
+    one 4-byte transaction whenever it lies inside one region, even
+    when it straddles two of the region's pages.
 
     Copy-on-write snapshots (:class:`~repro.cpu.machine.CowPagesMixin`)
-    index pages in *address* space — the same ``addr >> 12`` indexes the
-    translated-block page resolver uses — with page images clipped to
-    the RAM regions overlapping the page, so region-boundary pages
-    snapshot correctly.  CSR/peripheral state is not memory and is
-    captured at the :class:`~repro.emu.renode.Emulator` level.
+    index pages in *address* space, the same ``addr >> 12`` that keys
+    the backings' pages, so a page image is the page of each backing
+    overlapping it (region-boundary pages snapshot correctly).
+    CSR/peripheral state is not memory and is captured at the
+    :class:`~repro.emu.renode.Emulator` level.
     """
 
     def __init__(self, memory_map, csr_bank=None, rom_regions=()):
@@ -80,9 +118,9 @@ class SocBus(CowPagesMixin):
         self._init_cow()
         self._page_cache = {}
         # Parallel page cache for generated code (repro.cpu.translate):
-        # page -> (backing bytearray, region base, writable).  Kept in
-        # lockstep with _page_cache by _resolve_page; raw tuples so hot
-        # blocks index the bytearray without attribute lookups.
+        # page -> (page bytes, page base, writable).  Kept in lockstep
+        # with _page_cache by _resolve_page; raw tuples so hot blocks
+        # index the page without attribute lookups.
         self._page_data = {}
         # Per-region traffic accounting: (region, "read"|"write") ->
         # [transactions, bytes].  None (default) keeps the hot paths to
@@ -114,28 +152,30 @@ class SocBus(CowPagesMixin):
 
     def _cow_page_image(self, index):
         lo = index << _PAGE_BITS
-        hi = lo + (1 << _PAGE_BITS)
+        hi = lo + _PAGE_SIZE
         pieces = []
         for name, backing in sorted(self.backings.items()):
             region = backing.region
-            start = max(lo, region.base)
-            end = min(hi, region.end)
-            if start < end:
-                offset = start - region.base
-                if backing.materialized:
-                    blob = bytes(backing.data[offset:offset + end - start])
-                else:
-                    # Never touched: the pre-image is zeros, and taking
-                    # it must not materialise the whole region.
-                    blob = bytes(end - start)
-                pieces.append((name, offset, blob))
+            if region.base < hi and lo < region.end:
+                # A page never touched has a pre-image of zeros: record
+                # None and allocate nothing.
+                page = (backing.data.get(index) if backing.materialized
+                        else None)
+                pieces.append((name, None if page is None else bytes(page)))
         return pieces or None
 
     def _cow_restore_page(self, index, saved):
         if saved is None:
-            return  # bus pages always exist; nothing was allocated lazily
-        for name, offset, blob in saved:
-            self.backings[name].data[offset:offset + len(blob)] = blob
+            return  # no region overlaps the page
+        for name, blob in saved:
+            backing = self.backings[name]
+            # In place: cached page tuples keep pointing at live pages.
+            if blob is not None:
+                backing.page(index)[:] = blob
+            else:
+                page = backing.data.get(index)
+                if page is not None:
+                    page[:] = bytes(_PAGE_SIZE)
 
     # --- traffic metrics ---------------------------------------------------------
     def enable_traffic_metrics(self):
@@ -169,24 +209,32 @@ class SocBus(CowPagesMixin):
         return registry
 
     def load_bytes(self, addr, blob):
+        """Write the bytes-like ``blob`` at ``addr`` as a program loader
+        does: read-only regions accept it, but it must lie inside one
+        region."""
+        backing = self._locate(addr)
+        region = backing.region
+        if addr + len(blob) > region.end:
+            raise BusError(
+                f"{len(blob)}-byte load at 0x{addr:08x} runs past the end "
+                f"of {region.name} (0x{region.end:08x})")
         if blob and self._cow_protected:
             for page in range(addr >> _PAGE_BITS,
                               ((addr + len(blob) - 1) >> _PAGE_BITS) + 1):
                 if page in self._cow_protected:
                     self._cow_record(page)
-        backing, offset = self._locate(addr)
-        backing.data[offset:offset + len(blob)] = blob
+        backing.write(addr, blob)
 
     def _locate(self, addr):
-        region = self.memory_map.find(addr)
-        return self.backings[region.name], addr - region.base
+        return self.backings[self.memory_map.find(addr).name]
 
     def _resolve_page(self, addr):
-        """Cache and return ``(backing, base, region_name)`` for addr's
-        page, or None when the page must use the slow path."""
+        """Cache and return ``(page bytes, page base, writable, region
+        name)`` for addr's page, or None when the page must use the
+        slow path."""
         page = addr >> _PAGE_BITS
         lo = page << _PAGE_BITS
-        hi = lo + (1 << _PAGE_BITS)
+        hi = lo + _PAGE_SIZE
         if self._csr_window is not None:
             csr_lo, csr_hi = self._csr_window
             if lo < csr_hi and csr_lo < hi:
@@ -194,10 +242,10 @@ class SocBus(CowPagesMixin):
         region = self.memory_map.find(addr)
         if region.base <= lo and hi <= region.end:
             backing = self.backings[region.name]
-            entry = (backing, region.base, region.name)
-            self._page_cache[page] = entry
-            self._page_data[page] = (backing.data, region.base,
-                                     backing.writable)
+            data = backing.page(page)
+            self._page_data[page] = (data, lo, backing.writable)
+            entry = self._page_cache[page] = (data, lo, backing.writable,
+                                              region.name)
             return entry
         return None
 
@@ -206,19 +254,19 @@ class SocBus(CowPagesMixin):
         entry = (self._page_cache.get(addr >> _PAGE_BITS)
                  or self._resolve_page(addr))
         if entry is not None:
-            backing, base, name = entry
+            data, base, _writable, name = entry
             if self._traffic is not None:
                 self._count(name, "read", 1)
-            return backing.data[addr - base]
+            return data[addr - base]
         if self.csr_bank is not None and self.csr_bank.contains(addr):
             if self._traffic is not None:
                 self._count("csr", "read", 1)
             word = self.csr_bank.read32(addr & ~3)
             return (word >> (8 * (addr & 3))) & 0xFF
-        backing, offset = self._locate(addr)
+        backing = self._locate(addr)
         if self._traffic is not None:
             self._count(backing.region.name, "read", 1)
-        return backing.data[offset]
+        return backing.page(addr >> _PAGE_BITS)[addr & _PAGE_MASK]
 
     def write8(self, addr, value):
         if self._cow_protected and (addr >> _PAGE_BITS) in self._cow_protected:
@@ -226,24 +274,24 @@ class SocBus(CowPagesMixin):
         entry = (self._page_cache.get(addr >> _PAGE_BITS)
                  or self._resolve_page(addr))
         if entry is not None:
-            backing, base, name = entry
-            if not backing.writable:
+            data, base, writable, name = entry
+            if not writable:
                 raise BusError(f"write to read-only region at 0x{addr:08x}")
             if self._traffic is not None:
                 self._count(name, "write", 1)
-            backing.data[addr - base] = value & 0xFF
+            data[addr - base] = value & 0xFF
             return
         if self.csr_bank is not None and self.csr_bank.contains(addr):
             if self._traffic is not None:
                 self._count("csr", "write", 1)
             self.csr_bank.write32(addr & ~3, value & 0xFF)
             return
-        backing, offset = self._locate(addr)
+        backing = self._locate(addr)
         if not backing.writable:
             raise BusError(f"write to read-only region at 0x{addr:08x}")
         if self._traffic is not None:
             self._count(backing.region.name, "write", 1)
-        backing.data[offset] = value & 0xFF
+        backing.page(addr >> _PAGE_BITS)[addr & _PAGE_MASK] = value & 0xFF
 
     def read16(self, addr):
         return self.read8(addr) | self.read8(addr + 1) << 8
@@ -256,29 +304,29 @@ class SocBus(CowPagesMixin):
         entry = (self._page_cache.get(addr >> _PAGE_BITS)
                  or self._resolve_page(addr))
         if entry is not None:
-            backing, base, name = entry
+            data, base, _writable, name = entry
             offset = addr - base
-            data = backing.data
-            if offset + 4 <= len(data):
+            if offset <= _PAGE_SIZE - 4:
                 if self._traffic is not None:
                     self._count(name, "read", 4)
                 return int.from_bytes(data[offset:offset + 4], "little")
-            return self.read16(addr) | self.read16(addr + 2) << 16
-        if self.csr_bank is not None and self.csr_bank.contains(addr):
+        elif self.csr_bank is not None and self.csr_bank.contains(addr):
             if self._traffic is not None:
                 self._count("csr", "read", 4)
             return self.csr_bank.read32(addr & ~3)
-        backing, offset = self._locate(addr)
-        if offset + 4 <= len(backing.data):
+        # A word inside one region is one transaction, even across two
+        # of its pages; one that leaves the region goes byte by byte.
+        backing = self._locate(addr)
+        if addr + 4 <= backing.region.end:
             if self._traffic is not None:
                 self._count(backing.region.name, "read", 4)
-            return int.from_bytes(backing.data[offset:offset + 4], "little")
+            return int.from_bytes(backing.read(addr, 4), "little")
         return self.read16(addr) | self.read16(addr + 2) << 16
 
     def write32(self, addr, value):
         if self._cow_protected:
-            # The backing is contiguous across pages, so a misaligned
-            # word store can touch two address pages: record both.
+            # A misaligned word store can touch two address pages:
+            # record both.
             page = addr >> _PAGE_BITS
             if page in self._cow_protected:
                 self._cow_record(page)
@@ -288,31 +336,27 @@ class SocBus(CowPagesMixin):
         entry = (self._page_cache.get(addr >> _PAGE_BITS)
                  or self._resolve_page(addr))
         if entry is not None:
-            backing, base, name = entry
-            if not backing.writable:
+            data, base, writable, name = entry
+            if not writable:
                 raise BusError(f"write to read-only region at 0x{addr:08x}")
             offset = addr - base
-            data = backing.data
-            if offset + 4 <= len(data):
+            if offset <= _PAGE_SIZE - 4:
                 if self._traffic is not None:
                     self._count(name, "write", 4)
                 data[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-            else:
-                self.write16(addr, value)
-                self.write16(addr + 2, value >> 16)
-            return
-        if self.csr_bank is not None and self.csr_bank.contains(addr):
+                return
+        elif self.csr_bank is not None and self.csr_bank.contains(addr):
             if self._traffic is not None:
                 self._count("csr", "write", 4)
             self.csr_bank.write32(addr & ~3, value & 0xFFFFFFFF)
             return
-        backing, offset = self._locate(addr)
+        backing = self._locate(addr)
         if not backing.writable:
             raise BusError(f"write to read-only region at 0x{addr:08x}")
-        if offset + 4 <= len(backing.data):
+        if addr + 4 <= backing.region.end:
             if self._traffic is not None:
                 self._count(backing.region.name, "write", 4)
-            backing.data[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+            backing.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
         else:
             self.write16(addr, value)
             self.write16(addr + 2, value >> 16)

@@ -10,6 +10,8 @@ refusal at block entry, profiler attribution parity, the CFU
 memory/dcache paths.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.accel import KwsCfu
@@ -528,3 +530,47 @@ def test_dcache_conflict_misses_identical():
         assert len(hits) == 1, f"{name} hits diverged: {hits}"
         assert len(misses) == 1, f"{name} misses diverged: {misses}"
     assert translated.timing.dcache.misses > 128  # conflicts actually occur
+
+
+def test_page_accesses_inline_without_alignment_checks():
+    """Generated loads/stores bound their offset into the resolved 4 KiB
+    page, so with alignment checks off they stay inline anywhere in a
+    region, not only in its first page: the bus sees the same few word
+    calls (instruction fetches, first touches) as with checks on."""
+    def run(checks, backend="translated"):
+        cpu = dataclasses.replace(ARTY_DEFAULT, hw_error_checking=checks)
+        soc = Soc(ARTY_A7_35T, cpu)
+        emu = Emulator(soc, with_timing=True)
+        bus = emu.bus
+        calls = {}
+        for name in ("read32", "write32"):
+            def counted(*args, _name=name, _method=getattr(bus, name)):
+                calls[_name] += 1
+                return _method(*args)
+            calls[name] = 0
+            setattr(bus, name, counted)
+        data = soc.memory_map.get("main_ram").base + 0x10000
+        emu.load_assembly(f"""
+            li   t0, {data}
+            li   t2, 2000
+        loop:
+            lw   t1, 0(t0)
+            add  t1, t1, t2
+            sw   t1, 0(t0)
+            addi t2, t2, -1
+            bnez t2, loop
+            li   a7, 93
+            ecall
+        """, region="main_ram")
+        emu.run(backend=backend)
+        return calls, emu.machine
+
+    checked, _ = run(True)
+    unchecked, translated = run(False)
+    assert translated.block_promotions > 0
+    assert unchecked == checked
+    assert unchecked["read32"] < 100 and unchecked["write32"] < 100
+    _, step = run(False, backend="step")
+    assert translated.regs == step.regs
+    assert (translated.instret, translated.cycles) == (step.instret,
+                                                       step.cycles)

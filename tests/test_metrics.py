@@ -284,6 +284,44 @@ def test_bus_csr_traffic_counted():
     assert bus.traffic()[("csr", "write")] == (1, 4)
 
 
+@pytest.mark.parametrize("via", ["bus", "step", "fast", "translated"])
+def test_page_straddling_word_is_one_transaction(via):
+    """A misaligned word inside one region is one 4-byte transaction,
+    also where it straddles two of the region's 4 KiB pages: on the bus,
+    and from each execution tier with alignment checks off."""
+    import dataclasses
+
+    from repro.boards import ARTY_A7_35T
+    from repro.cpu.vexriscv import ARTY_DEFAULT
+    from repro.emu import Emulator
+    from repro.soc import Soc
+
+    soc = Soc(ARTY_A7_35T,
+              dataclasses.replace(ARTY_DEFAULT, hw_error_checking=False))
+    addr = soc.memory_map.get("main_ram").base + 0x1FFE
+    if via == "bus":
+        bus = soc.bus().enable_traffic_metrics()
+        bus.write32(addr, 0x1234_5678)
+        assert bus.read32(addr) == 0x1234_5678
+    else:
+        emulator = Emulator(soc)
+        emulator.machine.hot_threshold = 1
+        bus = emulator.bus.enable_traffic_metrics()
+        emulator.load_assembly(f"""
+            li   t0, {addr}
+            li   t1, 0x12345678
+            sw   t1, 0(t0)
+            lw   a0, 0(t0)
+            li   a7, 93
+            ecall
+        """, region="flash")            # fetches count against flash
+        emulator.run(backend=via)
+        assert emulator.machine.regs[10] == 0x1234_5678
+    traffic = bus.traffic()
+    assert traffic[("main_ram", "write")] == (1, 4)
+    assert traffic[("main_ram", "read")] == (1, 4)
+
+
 def test_tflm_metrics_listener():
     from repro.models import load
     from repro.perf.estimator import estimate_inference

@@ -160,6 +160,11 @@ def test_wire_errors(fleet):
     assert error.value.status == 400
 
     with pytest.raises(SessionClientError) as error:
+        client.load(sid, binary_hex="00" * 8, region="main_ram",
+                    offset=256 * 1024 * 1024 - 4)   # past main_ram's end
+    assert error.value.status == 400
+
+    with pytest.raises(SessionClientError) as error:
         client.create({"board": "not-a-board"})
     assert error.value.status == 400
 

@@ -63,18 +63,19 @@ def cfu_state(cfu):
 
 
 def assert_same_memory(fast_memory, slow_memory):
+    """Byte-exact over the union of pages either side allocated, with
+    an absent page equal to a page of zeros."""
     if isinstance(fast_memory, SparseMemory):
-        fast_pages, slow_pages = fast_memory._pages, slow_memory._pages
-        # A page of zeroes equals an untouched (absent) page.
-        zero = bytes(4096)
+        sides = [("memory", fast_memory._pages, slow_memory._pages)]
+    else:
+        sides = [(name, backing.data, slow_memory.backings[name].data)
+                 for name, backing in fast_memory.backings.items()]
+    zero = bytes(4096)
+    for name, fast_pages, slow_pages in sides:
         for index in fast_pages.keys() | slow_pages.keys():
-            assert (bytes(fast_pages.get(index, zero))
-                    == bytes(slow_pages.get(index, zero))), (
-                f"memory mismatch in page {index:#x}")
-        return
-    for name, backing in fast_memory.backings.items():
-        assert backing.data == slow_memory.backings[name].data, (
-            f"memory mismatch in region {name}")
+            assert (fast_pages.get(index, zero)
+                    == slow_pages.get(index, zero)), (
+                f"memory mismatch in {name} page {index:#x}")
 
 
 def assert_identical(machine, reference, label=""):
@@ -96,6 +97,24 @@ def assert_all_identical(machines):
         if backend == "step":
             continue
         assert_identical(machine, reference, label=f"{backend}/step")
+
+
+@pytest.mark.parametrize("make_memory",
+                         [SparseMemory,
+                          lambda: Soc(ARTY_A7_35T, ARTY_DEFAULT).bus()],
+                         ids=["sparse", "bus"])
+def test_memory_comparison_is_page_exact(make_memory):
+    """A page of zeros equals an absent page, and one differing byte in
+    a page only one side allocated is a mismatch, either way round."""
+    addr = 0x4000_5000                   # main_ram on the bus
+    one, other = make_memory(), make_memory()
+    one.write8(addr, 0)                  # allocates the page on one side
+    assert_same_memory(one, other)
+    assert_same_memory(other, one)
+    one.write8(addr + 7, 1)
+    for pair in ((one, other), (other, one)):
+        with pytest.raises(AssertionError, match="mismatch"):
+            assert_same_memory(*pair)
 
 
 # --- randomized RV32IM corpus ------------------------------------------------------

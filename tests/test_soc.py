@@ -4,6 +4,7 @@ import pytest
 
 from repro.boards import ARTY_A7_35T, FOMU
 from repro.cpu.vexriscv import ARTY_DEFAULT, FOMU_MINIMAL
+from repro.emu import Emulator
 from repro.models import load
 from repro.perf.memories import QSPI_FLASH, SPI_FLASH
 from repro.soc import LinkError, Soc, image_sections, link
@@ -50,9 +51,10 @@ def test_bus_read_write(fomu_soc):
 
 
 def test_ram_backings_materialize_lazily(arty_soc):
-    """An untouched region costs no resident memory (what bounds warm
-    sessions per host); first touch allocates, snapshots of untouched
-    pages record zero pre-images without allocating."""
+    """An untouched region costs no resident memory and a touched one
+    only the pages a program touched (what bounds warm sessions per
+    host); snapshots of untouched pages record zero pre-images without
+    allocating."""
     bus = arty_soc.bus()
     ram = bus.backing("main_ram")
     assert not ram.materialized
@@ -61,12 +63,47 @@ def test_ram_backings_materialize_lazily(arty_soc):
     assert not ram.materialized
 
     base = arty_soc.memory_map.get("main_ram").base
-    bus.write32(base + 8, 0x12345678)    # first touch materialises
+    bus.write32(base + 8, 0x12345678)    # first touch allocates one page
     assert ram.materialized
+    assert list(ram.data) == [base >> 12]
     assert bus.read32(base + 8) == 0x12345678
 
     bus.restore(snap)                    # pre-image of a lazy page: zeros
     assert bus.read32(base + 8) == 0
+    assert list(ram.data) == [base >> 12]
+
+    # A small firmware: main_ram holds the pages it touched and no
+    # more, and restoring a snapshot taken before it allocates none.
+    emulator = Emulator(arty_soc)
+    ram = emulator.bus.backing("main_ram")
+    data = base + 0x10000
+    snap = emulator.snapshot()
+    emulator.load_assembly(f"""
+        li   t0, {data}
+        li   t1, 7
+        sw   t1, 0(t0)
+        lw   a0, 0(t0)
+        li   a7, 93
+        ecall
+    """, region="main_ram")
+    emulator.run()
+    assert emulator.machine.regs[10] == 7
+    touched = [base >> 12, data >> 12]   # code page, data page
+    assert sorted(ram.data) == touched
+    assert emulator.restore(snap) == 2   # both zeroed in place
+    assert sorted(ram.data) == touched
+    assert not any(any(page) for page in ram.data.values())
+    assert not emulator.bus.backing("flash").materialized
+
+
+def test_load_past_region_end_is_rejected(fomu_soc):
+    bus = fomu_soc.bus()
+    sram = fomu_soc.memory_map.get("sram")
+    with pytest.raises(BusError, match="past the end of sram"):
+        bus.load_bytes(sram.end - 2, b"\x01\x02\x03\x04")
+    assert bus.read16(sram.end - 2) == 0  # nothing was written
+    with pytest.raises(KeyError):        # and the region did not grow
+        bus.read32(sram.end - 2)
 
 
 def test_flash_is_read_only_on_bus(fomu_soc):
