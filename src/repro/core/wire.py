@@ -157,12 +157,22 @@ class HttpServer:
         self.port = port
         self.routes = [(method, pattern.split("/"), name, handler)
                        for method, pattern, name, handler in app.routes()]
+        self._connections = set()
 
     async def start(self):
-        server = await asyncio.start_server(self._serve_connection,
-                                            self.host, self.port)
+        server = await asyncio.start_server(self._accept, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         return server
+
+    def _accept(self, reader, writer):
+        # The connection runs in a task of ours, not one asyncio makes from
+        # a coroutine: on Pythons 3.11 and 3.12 asyncio logs a traceback
+        # for its task ending cancelled, as every open one does at stop().
+        # The set holds each task, which the loop references only weakly.
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _serve_connection(self, reader, writer):
         try:

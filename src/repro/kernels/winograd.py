@@ -29,6 +29,7 @@ from ..accel.winograd import model as wm
 from ..accel.winograd.model import WinogradCfu
 from ..perf.cost import CostContext
 from ..tflm.ops.conv import pad_input
+from ..tflm.ops.gemm import int_matmul
 from ..tflm.quantize import requantize
 from .api import KernelVariant, _REFERENCE
 
@@ -116,7 +117,7 @@ def winograd_pointwise(op, inputs, model):
     in_zp, out_zp = _conv_io(op, model)
     out_ch = filters.shape[0]
     weights = filters.reshape(out_ch, in_ch).astype(np.int64)
-    acc = data.astype(np.int64).reshape(-1, in_ch) @ weights.T
+    acc = int_matmul(data.reshape(-1, in_ch), weights.T)
     folded_bias = np.asarray(bias, dtype=np.int64) - in_zp * weights.sum(axis=1)
     # The CFU accumulates in 32 bits; wrap the same way (a no-op for
     # every in-range layer, exactly like TFLM's int32 accumulators).

@@ -4,8 +4,10 @@ Builds int8 models layer by layer.  A deterministic sample activation is
 propagated through every layer as it is added; each layer's output
 quantization is calibrated from the sample's accumulator range, exactly
 like post-training quantization calibrates from representative data.
-All requantization multipliers are frozen into the operator parameters
-(the TFLM Prepare step), so interpretation is integer-only.
+Requantizing those same accumulators gives the sample's output, so each
+layer is accumulated once.  All requantization multipliers are frozen
+into the operator parameters (the TFLM Prepare step), so interpretation
+is integer-only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from .ops import depthwise as dw_ops
 from .ops import elementwise as ew_ops
 from .ops import misc as misc_ops
 from .ops import pooling as pool_ops
-from .quantize import QuantParams, output_multipliers
+from .quantize import (
+    QuantParams,
+    output_multipliers,
+    quantize_multiplier,
+    requantize,
+)
 from .tensor import Tensor
 
 
@@ -134,10 +141,8 @@ class ModelBuilder:
                                          stride, padding),
             "kernel": kernel,
         }
-        sample_out = conv_ops.conv2d_reference(
-            sample_in, in_tensor.quant.zero_point, filters, bias, stride,
-            padding, mults, shifts, out_quant.zero_point, act_min, 127,
-        )
+        sample_out = requantize(acc, mults, shifts, out_quant.zero_point,
+                                act_min, 127)
         out_tensor = Tensor(name=f"{op_name}_out", shape=sample_out.shape,
                             quant=out_quant)
         return self._finish_op(
@@ -188,11 +193,8 @@ class ModelBuilder:
                                           stride, padding),
             "kernel": kernel,
         }
-        sample_out = dw_ops.depthwise_reference(
-            sample_in, in_tensor.quant.zero_point, filters, bias, stride,
-            padding, mults, shifts, out_quant.zero_point, depth_multiplier,
-            act_min, 127,
-        )
+        sample_out = requantize(acc, mults, shifts, out_quant.zero_point,
+                                act_min, 127)
         out_tensor = Tensor(name=f"{op_name}_out", shape=sample_out.shape,
                             quant=out_quant)
         return self._finish_op(
@@ -222,8 +224,6 @@ class ModelBuilder:
         ) + bias
         acc_real = acc * (in_tensor.quant.scale * w_scale)
         out_quant = self._calibrate_output(acc_real, relu)
-        from .quantize import quantize_multiplier
-
         mult, shift = quantize_multiplier(
             in_tensor.quant.scale * w_scale / out_quant.scale
         )
@@ -235,10 +235,8 @@ class ModelBuilder:
                 (in_tensor.shape[0], in_features), weights.shape
             ),
         }
-        sample_out = dense_ops.fully_connected_reference(
-            sample_in, in_tensor.quant.zero_point, weights, bias, mult, shift,
-            out_quant.zero_point, act_min, 127,
-        )
+        sample_out = requantize(acc, mult, shift, out_quant.zero_point,
+                                act_min, 127)
         out_tensor = Tensor(name=f"{op_name}_out", shape=sample_out.shape,
                             quant=out_quant)
         return self._finish_op(

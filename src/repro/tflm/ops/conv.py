@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantize import requantize
+from .gemm import int_matmul
 
 
 def pad_input(input_data, kernel_hw, stride_hw, padding, pad_value):
@@ -64,8 +65,8 @@ def conv2d_accumulate(input_data, input_zero_point, filters, stride, padding):
     )
     patches = extract_patches(padded, (kh, kw), stride, out_hw)
     patches = patches - int(input_zero_point)
-    weights = filters.reshape(out_ch, -1).astype(np.int64)
-    return patches @ weights.T  # (N, OH, OW, out_ch)
+    weights = filters.reshape(out_ch, -1)
+    return int_matmul(patches, weights.T)  # (N, OH, OW, out_ch)
 
 
 def conv2d_reference(input_data, input_zero_point, filters, bias, stride,

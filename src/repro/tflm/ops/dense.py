@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantize import requantize
+from .gemm import int_matmul
 
 
 def fully_connected_accumulate(input_data, input_zero_point, weights):
     """Raw int32 accumulators: ``weights`` is (out_features, in_features)."""
     flat = input_data.reshape(input_data.shape[0], -1).astype(np.int64)
-    flat = flat - int(input_zero_point)
-    return flat @ weights.astype(np.int64).T
+    return int_matmul(flat - int(input_zero_point), weights.T)
 
 
 def fully_connected_reference(input_data, input_zero_point, weights, bias,

@@ -93,15 +93,19 @@ def quantize_multiplier(real_multiplier):
 
 
 def output_multipliers(input_scale, filter_scales, output_scale):
-    """Per-channel (multiplier, shift) pairs for conv/fc requantization."""
+    """Per-channel (multiplier, shift) pairs for conv/fc requantization.
+
+    Channels sharing a filter scale share a pair, so each distinct scale
+    is decomposed once.
+    """
     filter_scales = np.atleast_1d(np.asarray(filter_scales, dtype=np.float64))
-    mults, shifts = [], []
-    for fscale in filter_scales:
-        real = float(input_scale) * float(fscale) / float(output_scale)
-        mult, shift = quantize_multiplier(real)
-        mults.append(mult)
-        shifts.append(shift)
-    return np.asarray(mults, dtype=np.int64), np.asarray(shifts, dtype=np.int64)
+    distinct, channel = np.unique(filter_scales, return_inverse=True)
+    pairs = np.array([
+        quantize_multiplier(
+            float(input_scale) * float(fscale) / float(output_scale))
+        for fscale in distinct
+    ], dtype=np.int64).reshape(-1, 2)
+    return pairs[channel, 0], pairs[channel, 1]
 
 
 def requantize(acc, multiplier, shift, output_zero_point,

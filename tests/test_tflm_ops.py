@@ -7,6 +7,7 @@ from repro.tflm.ops.conv import conv2d_accumulate, conv2d_macs, conv2d_reference
 from repro.tflm.ops.dense import fully_connected_accumulate
 from repro.tflm.ops.depthwise import depthwise_accumulate, depthwise_macs
 from repro.tflm.ops.elementwise import add_parameters, add_reference
+from repro.tflm.ops.gemm import EXACT_BOUND, int_matmul
 from repro.tflm.ops.misc import mean_reference, pad_reference, softmax_reference
 from repro.tflm.ops.pooling import average_pool_reference, max_pool_reference
 
@@ -96,6 +97,34 @@ def test_fully_connected_matches_matmul():
     acc = fully_connected_accumulate(data, 3, weights)
     expected = (data.astype(np.int64) - 3) @ weights.T.astype(np.int64)
     assert np.array_equal(acc, expected)
+
+
+@pytest.mark.parametrize("fan_in", [1, 9, 960, 16_384])
+def test_int_matmul_is_exact_at_the_int8_extremes(fan_in):
+    """Centred int8 inputs (-128 and 127 less zero points of -128 and
+    127) against filters of -128, -127 and 127, plus random rows and
+    columns, equal the int64 product."""
+    local = np.random.default_rng(fan_in)
+    extremes = [x - zp for x in (-128, 127) for zp in (-128, 127)]
+    rows = np.array([[v] * fan_in for v in extremes]
+                    + [local.integers(-255, 256, size=fan_in)], dtype=np.int64)
+    cols = np.array([[w] * fan_in for w in (-128, -127, 127)]
+                    + [local.integers(-128, 128, size=fan_in)],
+                    dtype=np.int8).T
+    got = int_matmul(rows, cols)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, rows @ cols.astype(np.int64))
+
+
+def test_int_matmul_raises_outside_the_exactness_bound():
+    half = np.full((1, 2), 1 << 26, dtype=np.int64)
+    assert int_matmul(half, -half.T)[0, 0] == -EXACT_BOUND  # at the bound
+    with pytest.raises(OverflowError):
+        int_matmul(half + 1, half.T)
+    with pytest.raises(OverflowError):
+        int_matmul(half, -(half.T + 1))
+    with pytest.raises(TypeError):
+        int_matmul(half.astype(np.float64), half.T)
 
 
 def test_average_pool_rounding():

@@ -2,10 +2,12 @@
 
 Every refused request is answered and its connection closed; a JSON
 body that is not an object is a plain 400; a stalled request times out
-from its first byte while an idle keep-alive connection stays open.
+from its first byte while an idle keep-alive connection stays open; and
+stopping a server with a client still connected logs nothing.
 """
 
 import json
+import logging
 import socket
 import time
 
@@ -148,3 +150,20 @@ def test_read_timeout_starts_at_the_first_byte(server, monkeypatch):
         assert headers["connection"] == "close"
         assert closed(sock)
         assert time.monotonic() - started < BOUND
+
+
+def test_stop_with_a_keep_alive_client_logs_nothing(server):
+    handle, _ = server
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    with connect(handle) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert read_response(sock)[0] == 200
+        logger.addHandler(handler)
+        try:
+            handle.stop()
+        finally:
+            logger.removeHandler(handler)
+    assert [record.getMessage() for record in records] == []
