@@ -15,29 +15,17 @@ kernels on the MNV2 ladder workloads, in a ``winograd`` section of the
 same file.  Both tests merge-preserve sections owned by the other (the
 ``bench_dse_service.py`` convention for BENCH_dse.json).
 
-The batched test runs the same workloads as N independent lanes of ONE
-lane-parallel simulation (:class:`BatchRtlCfuDriver`) and compares the
-aggregate throughput against a compiled-scalar loop over the same lanes,
-asserting bit-identical per-lane results and cycle counts; it owns the
-``batched`` section of the same file.
-
 Knobs:
 - ``REPRO_RTL_BENCH_OPS``           ops per CFU workload (default 400)
 - ``REPRO_RTL_SPEEDUP_MIN``         headline threshold (default 5.0)
 - ``REPRO_WINOGRAD_SPEEDUP_MIN``    ladder cycle-reduction bar (default 5.0)
-- ``REPRO_RTL_BATCHED_LANES``       lanes per batched workload (default 256)
-- ``REPRO_RTL_BATCHED_OPS``         ops per lane (default 40)
-- ``REPRO_RTL_BATCHED_SPEEDUP_MIN`` aggregate speedup bar (default 8.0)
-- ``REPRO_RTL_BATCHED_TRIALS``      interleaved timing trials per side, best-of (default 5)
 """
 
-import gc
-import math
 import os
 import random
 import time
 
-from common import merge_bench_section, merge_preserve
+from common import merge_preserve
 
 from repro.accel import Cfu1Rtl, KwsCfu2Rtl, Mac4Rtl, PostprocRtl, WinogradRtl
 from repro.accel.kws import model as km
@@ -55,10 +43,6 @@ from repro.soc import Soc
 OPS = int(os.environ.get("REPRO_RTL_BENCH_OPS", "400"))
 SPEEDUP_MIN = float(os.environ.get("REPRO_RTL_SPEEDUP_MIN", "5.0"))
 WINOGRAD_MIN = float(os.environ.get("REPRO_WINOGRAD_SPEEDUP_MIN", "5.0"))
-BATCH_LANES = int(os.environ.get("REPRO_RTL_BATCHED_LANES", "256"))
-BATCH_OPS = int(os.environ.get("REPRO_RTL_BATCHED_OPS", "40"))
-BATCH_MIN = float(os.environ.get("REPRO_RTL_BATCHED_SPEEDUP_MIN", "8.0"))
-BATCH_TRIALS = int(os.environ.get("REPRO_RTL_BATCHED_TRIALS", "5"))
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_rtl.json")
 
 
@@ -256,111 +240,6 @@ def test_rtl_throughput(report):
     assert headline["speedup"] >= SPEEDUP_MIN, (
         f"compiled backend only {headline['speedup']}x on "
         f"{headline['workload']} (needs ≥{SPEEDUP_MIN}x)")
-
-
-def measure_batched():
-    from repro.cfu import BatchRtlCfuDriver
-
-    rows = []
-    for name, factory, make_sequence in WORKLOADS:
-        sequences = [make_sequence(random.Random(1000 + lane), BATCH_OPS)
-                     for lane in range(BATCH_LANES)]
-        # Drivers are built outside the timed region: codegen is cached
-        # (CodeCache) and the claim under test is lane-advance
-        # throughput, matching the scalar loop which also reuses its
-        # compiled program across lanes.
-        driver = BatchRtlCfuDriver(factory(), lanes=BATCH_LANES)
-        adapter = RtlCfuAdapter(factory(), backend="compiled")
-        # Best-of-N on both sides, with the two sides' trials
-        # interleaved: the quantity under test is the cost of the work,
-        # not scheduler noise, and sampling both sides under the same
-        # ambient load keeps the ratio fair even when interference
-        # lasts longer than a single trial.  GC is paused so a
-        # collection doesn't land inside one side's best trial.
-        batched_s = scalar_s = math.inf
-        gc.disable()
-        try:
-            for _ in range(BATCH_TRIALS):
-                start = time.perf_counter()
-                driver.reset()
-                batched_results = driver.run(sequences)
-                batched_s = min(batched_s, time.perf_counter() - start)
-                start = time.perf_counter()
-                scalar_results = []
-                for sequence in sequences:
-                    adapter.reset()
-                    scalar_results.append(
-                        [adapter.execute(*op) for op in sequence])
-                scalar_s = min(scalar_s, time.perf_counter() - start)
-                gc.collect()
-        finally:
-            gc.enable()
-        total_ops = BATCH_LANES * BATCH_OPS
-        rows.append({
-            "workload": name,
-            "lanes": BATCH_LANES,
-            "ops_per_lane": BATCH_OPS,
-            "backend": driver.backend,
-            "scalar": {
-                "seconds": round(scalar_s, 4),
-                "ops_per_second": round(total_ops / scalar_s),
-            },
-            "batched": {
-                "seconds": round(batched_s, 4),
-                "ops_per_second": round(total_ops / batched_s),
-            },
-            "aggregate_speedup": round(scalar_s / batched_s, 2),
-            "identical": batched_results == scalar_results,
-        })
-    return rows
-
-
-def test_rtl_batched_throughput(report):
-    """Lane-parallel batched backend vs a compiled-scalar loop over the
-    same lanes: every per-lane (result, cycles) stream must be
-    bit-identical, and aggregate throughput must clear BATCH_MIN."""
-    rows = measure_batched()
-    headline = min(rows, key=lambda r: r["aggregate_speedup"])
-    payload = {
-        "generated_by": "benchmarks/bench_rtl_throughput.py",
-        "lanes": BATCH_LANES,
-        "ops_per_lane": BATCH_OPS,
-        "workloads": rows,
-        "headline": {
-            "description": ("min aggregate speedup of the lane-parallel "
-                            "batched backend over a compiled-scalar loop "
-                            "across the shipped gateware CFUs, per-lane "
-                            "results and cycle counts bit-identical"),
-            "workload": headline["workload"],
-            "speedup": headline["aggregate_speedup"],
-            "threshold": BATCH_MIN,
-            "passed": headline["aggregate_speedup"] >= BATCH_MIN,
-        },
-    }
-    merge_bench_section(BENCH_PATH, "batched", payload)
-
-    report(f"Batched RTL throughput (lanes={BATCH_LANES}, "
-           f"ops/lane={BATCH_OPS})")
-    report(f"{'workload':<15} {'backend':>8} {'scalar ops/s':>13} "
-           f"{'batched ops/s':>14} {'speedup':>8}  lanes")
-    for r in rows:
-        report(f"{r['workload']:<15} {r['backend']:>8} "
-               f"{r['scalar']['ops_per_second']:>13,} "
-               f"{r['batched']['ops_per_second']:>14,} "
-               f"{r['aggregate_speedup']:>7.2f}x  "
-               f"{'identical' if r['identical'] else 'MISMATCH'}")
-    report(f"headline: {headline['workload']} "
-           f"{headline['aggregate_speedup']:.2f}x (threshold {BATCH_MIN}x)")
-    report(f"[BENCH_rtl.json batched section written to "
-           f"{os.path.abspath(BENCH_PATH)}]")
-
-    for r in rows:
-        assert r["identical"], f"{r['workload']}: lanes diverged from scalar"
-        assert r["backend"] == "batched", (
-            f"{r['workload']}: fell back to {r['backend']} lanes")
-    assert headline["aggregate_speedup"] >= BATCH_MIN, (
-        f"batched backend only {headline['aggregate_speedup']}x on "
-        f"{headline['workload']} (needs >={BATCH_MIN}x)")
 
 
 def test_winograd_ladder(report):

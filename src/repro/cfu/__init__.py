@@ -1,13 +1,7 @@
 """Custom Function Unit abstraction: interface, emulation, RTL, testing."""
 
 from .interface import CfuError, CfuModel, NullCfu, cfu_op, make_cfu_macro
-from .rtl import (
-    BatchRtlCfuDriver,
-    CfuPorts,
-    CombinationalCfu,
-    RtlCfu,
-    RtlCfuAdapter,
-)
+from .rtl import CfuPorts, CombinationalCfu, RtlCfu, RtlCfuAdapter
 from .testing import (
     FirmwareRun,
     GoldenReport,
@@ -16,11 +10,9 @@ from .testing import (
     random_sequence,
     run_firmware,
     run_sequence,
-    run_sequences_batched,
 )
 
 __all__ = [
-    "BatchRtlCfuDriver",
     "CfuError",
     "CfuModel",
     "CfuPorts",
@@ -37,5 +29,4 @@ __all__ = [
     "random_sequence",
     "run_firmware",
     "run_sequence",
-    "run_sequences_batched",
 ]

@@ -66,6 +66,10 @@ class RtlCfuAdapter:
     ISA machine (or the golden-test harness) can run against real
     gateware.  Reported latency is the measured number of clock cycles
     from command acceptance to response.
+
+    On the compiled backend each call runs as one transaction straight
+    on the program's slot list; the interpreter keeps the poke-level
+    handshake (:meth:`_handshake`), which is the transaction's oracle.
     """
 
     def __init__(self, rtl_cfu, timeout=4096, backend="auto"):
@@ -75,6 +79,7 @@ class RtlCfuAdapter:
         self.ports = rtl_cfu.ports
         self.timeout = timeout
         self.name = f"{rtl_cfu.name} (rtl)"
+        self._bound_sim = self._slots = None
 
     def reset(self):
         # The compiled program is cached per module, so this re-inits
@@ -115,7 +120,75 @@ class RtlCfuAdapter:
                 sim.mem_state[mem][:] = saved
         sim.time = state["time"]
 
+    def _bind(self, sim):
+        """Where the transaction reads and writes the ports of ``sim``:
+        a ``(container, key)`` per command-side port (the slot list, or
+        the simulator's store for pokes of ports the netlist never
+        reads) and a slot per response-side port.  None selects the
+        poke-level handshake: the interpreter, or a netlist that drives
+        a command port or never touches a response port."""
+        self._bound_sim, self._slots = sim, None
+        program = getattr(sim, "program", None)
+        if program is None:
+            return
+        ports = self.ports
+        inputs = (ports.cmd_valid, ports.cmd_funct3, ports.cmd_funct7,
+                  ports.cmd_in0, ports.cmd_in1, ports.rsp_ready)
+        outputs = (ports.cmd_ready, ports.rsp_valid, ports.rsp_out)
+        slot_of = program.slot_of
+        if any(id(sig) in program.driven_ids for sig in inputs) \
+                or any(id(sig) not in slot_of for sig in outputs):
+            return
+        self._slots = tuple(
+            (sim._vals, slot_of[id(sig)]) if id(sig) in slot_of
+            else (sim._extra, id(sig)) for sig in inputs) + tuple(
+            slot_of[id(sig)] for sig in outputs)
+
     def execute(self, funct3, funct7, a, b):
+        sim = self.sim
+        if sim is not self._bound_sim:
+            self._bind(sim)
+        if self._slots is None:
+            return self._handshake(funct3, funct7, a, b)
+        # _handshake() as one transaction on the compiled program.  Each
+        # clock edge follows a settle with nothing poked since, so it
+        # skips the comb pass tick() runs before its sync update.
+        ((valid, valid_key), (f3, f3_key), (f7, f7_key), (in0, in0_key),
+         (in1, in1_key), (ready, ready_key), cmd_ready, rsp_valid,
+         rsp_out) = self._slots
+        vals, mems, comb, edge = sim._vals, sim._mems, sim._comb, sim._edge
+        valid[valid_key] = 1
+        f3[f3_key] = int(funct3 & 0x7)
+        f7[f7_key] = int(funct7 & 0x7F)
+        in0[in0_key] = int(a & 0xFFFFFFFF)
+        in1[in1_key] = int(b & 0xFFFFFFFF)
+        ready[ready_key] = 1
+        comb(vals, mems)
+        waited = 0
+        while not vals[cmd_ready]:
+            edge()
+            waited += 1
+            if waited > self.timeout:
+                raise CfuError(f"{self.name}: command never accepted")
+        cycles = 1
+        answered, result = vals[rsp_valid], vals[rsp_out]
+        edge()  # latch the command, or retire the answer
+        valid[valid_key] = 0
+        comb(vals, mems)
+        if answered:
+            return result, cycles
+        while not vals[rsp_valid]:
+            edge()
+            cycles += 1
+            if cycles > self.timeout:
+                raise CfuError(f"{self.name}: no response after {cycles} cycles")
+        cycles += 1
+        result = vals[rsp_out]
+        edge()  # response consumed
+        return result, cycles
+
+    def _handshake(self, funct3, funct7, a, b):
+        """One call as poke/settle/tick steps on any :class:`Simulator`."""
         sim, ports = self.sim, self.ports
         sim.poke(ports.cmd_valid, 1)
         sim.poke(ports.cmd_funct3, funct3 & 0x7)
@@ -156,181 +229,6 @@ class RtlCfuAdapter:
 
     def resources(self):
         return self.rtl.resources()
-
-
-class BatchRtlCfuDriver:
-    """Drives N independent op sequences through ONE lane-parallel
-    simulation of an :class:`RtlCfu`.
-
-    Each lane replays :meth:`RtlCfuAdapter.execute`'s handshake as a
-    little state machine on the shared clock: present-and-wait for
-    ``cmd_ready``, latch, wait for ``rsp_valid``, consume, then present
-    the lane's next op immediately (exactly the poke sequence the
-    scalar adapter produces, which never drops ``cmd_valid`` across a
-    tick between back-to-back ops).  Per-lane results *and* cycle
-    counts are therefore bit-identical to running the scalar adapter
-    once per sequence — the lockstep clock is invisible to a lane
-    because lanes never share state.
-    """
-
-    def __init__(self, rtl_cfu, lanes, timeout=4096, backend="auto"):
-        from ..rtl import BatchSimulator  # lazy: pulls in NumPy
-
-        self.rtl = rtl_cfu
-        self.ports = rtl_cfu.ports
-        self.lanes = int(lanes)
-        self.timeout = timeout
-        self.sim = BatchSimulator(rtl_cfu.module, lanes=self.lanes,
-                                  backend=backend)
-        self.backend = self.sim.backend
-        self.name = f"{rtl_cfu.name} (rtl x{self.lanes})"
-
-    def reset(self):
-        self.sim = type(self.sim)(self.rtl.module, lanes=self.lanes)
-
-    def run(self, sequences):
-        """Run one op sequence per lane; lanes may have different
-        lengths (short lanes idle with ``cmd_valid`` low once done).
-
-        Returns a list of ``[(result, cycles), ...]`` per lane.
-
-        The per-cycle handshake bookkeeping is fully vectorized: lane
-        states, op cursors, and results live in whole-lane ndarrays, so
-        a clock of N lanes costs a fixed number of array operations
-        rather than a Python loop over lanes.
-        """
-        import numpy as np
-
-        if len(sequences) != self.lanes:
-            raise ValueError(
-                f"{self.name}: {len(sequences)} sequences for "
-                f"{self.lanes} lanes")
-        sim, ports = self.sim, self.ports
-        lanes = self.lanes
-        PRESENT, WAIT_RSP, DONE = 0, 1, 2
-        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-        max_len = max(int(lengths.max(initial=0)), 1)
-        # Per-lane op streams, padded to the longest lane.  Padding (and
-        # the fields a done lane keeps gathering) replays the scalar
-        # adapter's behaviour of leaving the last op's fields on the bus
-        # with cmd_valid low.
-        try:
-            # One C-level conversion of the whole op table; an op field
-            # outside int64 falls back to the per-field Python loop.
-            table = np.array(
-                [[field for op in sequence for field in op]
-                 + [0] * (4 * (max_len - len(sequence)))
-                 for sequence in sequences],
-                dtype=np.int64).reshape(lanes, max_len, 4)
-            op_f3 = (table[:, :, 0] & 0x7).astype(np.uint64)
-            op_f7 = (table[:, :, 1] & 0x7F).astype(np.uint64)
-            op_a = (table[:, :, 2] & 0xFFFFFFFF).astype(np.uint64)
-            op_b = (table[:, :, 3] & 0xFFFFFFFF).astype(np.uint64)
-        except OverflowError:
-            op_f3 = np.zeros((lanes, max_len), dtype=np.uint64)
-            op_f7 = np.zeros((lanes, max_len), dtype=np.uint64)
-            op_a = np.zeros((lanes, max_len), dtype=np.uint64)
-            op_b = np.zeros((lanes, max_len), dtype=np.uint64)
-            for lane, sequence in enumerate(sequences):
-                for index, (funct3, funct7, a, b) in enumerate(sequence):
-                    op_f3[lane, index] = funct3 & 0x7
-                    op_f7[lane, index] = funct7 & 0x7F
-                    op_a[lane, index] = a & 0xFFFFFFFF
-                    op_b[lane, index] = b & 0xFFFFFFFF
-        state = np.where(lengths > 0, PRESENT, DONE).astype(np.int8)
-        op_index = np.zeros(lanes, dtype=np.int64)
-        # Clock at which each lane's in-flight op was accepted; the
-        # per-op cycle count is recovered as clock - acc_clk + 1 at
-        # consume time, so wait clocks cost no bookkeeping.
-        acc_clk = np.zeros(lanes, dtype=np.int64)
-        waited = np.zeros(lanes, dtype=np.int64)
-        res_out = np.zeros((lanes, max_len), dtype=np.uint64)
-        res_cyc = np.zeros((lanes, max_len), dtype=np.int64)
-        lane_ids = np.arange(lanes)
-
-        def poke_command():
-            index = np.minimum(op_index, lengths - 1).clip(min=0)
-            sim.poke(ports.cmd_valid,
-                     (state == PRESENT).astype(np.uint64))
-            sim.poke(ports.cmd_funct3, op_f3[lane_ids, index])
-            sim.poke(ports.cmd_funct7, op_f7[lane_ids, index])
-            sim.poke(ports.cmd_in0, op_a[lane_ids, index])
-            sim.poke(ports.cmd_in1, op_b[lane_ids, index])
-
-        sim.poke(ports.rsp_ready, 1)
-        poke_command()
-        clock = 0
-        active = int(np.count_nonzero(lengths > 0))
-        while active:
-            sim.settle()
-            ready = sim.peek_lanes(ports.cmd_ready, copy=False) != 0
-            valid = sim.peek_lanes(ports.rsp_valid, copy=False) != 0
-            presenting = state == PRESENT
-            accepted = presenting & ready
-            stalled_cmd = presenting ^ accepted
-            waiting = state == WAIT_RSP
-            responded = waiting & valid
-            # Stall/wait counters grow by at most 1 per clock, so no
-            # lane can hit the timeout before ``timeout`` total clocks —
-            # skip the per-lane checks until then.
-            if clock >= self.timeout:
-                if (waited[stalled_cmd] >= self.timeout).any():
-                    lane = int(np.flatnonzero(
-                        stalled_cmd & (waited >= self.timeout))[0])
-                    raise CfuError(
-                        f"{self.name}: lane {lane} command never accepted")
-                pending = clock - acc_clk + 1
-                no_rsp = waiting & ~valid
-                if (pending[no_rsp] >= self.timeout).any():
-                    lane = int(np.flatnonzero(
-                        no_rsp & (pending >= self.timeout))[0])
-                    raise CfuError(
-                        f"{self.name}: lane {lane} got no response after "
-                        f"{int(pending[lane])} cycles")
-            clock += 1
-            if stalled_cmd.any():
-                waited[stalled_cmd] += 1
-            answered = accepted & valid
-            consumed = answered | responded
-            latched = accepted ^ answered
-            # Most clocks of a multi-cycle CFU are pure waits; gate the
-            # fancy-indexed bookkeeping on something actually happening
-            # so a wait clock costs only the handshake classification.
-            has_accepted = bool(accepted.any())
-            has_consumed = bool(consumed.any())
-            if has_accepted:
-                acc_clk[accepted] = clock
-            if has_consumed:
-                out = sim.peek_lanes(ports.rsp_out, copy=False)
-                hit = op_index[consumed]
-                res_out[consumed, hit] = out[consumed]
-                res_cyc[consumed, hit] = clock - acc_clk[consumed] + 1
-            # Nothing was poked since settle(), so a bare clock edge is
-            # equivalent to (and 3x cheaper than) a full tick() here.
-            sim.edge()
-            # Bus updates below take effect at the next settle — after
-            # the edge, exactly like the scalar adapter's poke order.
-            if has_accepted or has_consumed:
-                if latched.any():
-                    state[latched] = WAIT_RSP
-                if has_consumed:
-                    op_index[consumed] += 1
-                    advancing = consumed & (op_index < lengths)
-                    finished = consumed & ~advancing
-                    state[finished] = DONE
-                    state[advancing] = PRESENT
-                    waited[advancing] = 0
-                    active -= int(np.count_nonzero(finished))
-                poke_command()
-        # .tolist() converts to Python ints at C speed; zip trims each
-        # lane back to its unpadded length.
-        out_rows = res_out.tolist()
-        cyc_rows = res_cyc.tolist()
-        return [
-            list(zip(out_rows[lane][:len(sequence)],
-                     cyc_rows[lane][:len(sequence)]))
-            for lane, sequence in enumerate(sequences)
-        ]
 
 
 class CombinationalCfu(RtlCfu):

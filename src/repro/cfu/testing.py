@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .interface import CfuModel
-from .rtl import BatchRtlCfuDriver, RtlCfu, RtlCfuAdapter
+from .rtl import RtlCfu, RtlCfuAdapter
 
 
 @dataclass
@@ -71,42 +71,6 @@ def run_sequence(rtl_cfu, model, sequence, backend="auto"):
     return report
 
 
-def run_sequences_batched(rtl_cfu, model, sequences, backend="auto"):
-    """Feed one op sequence per lane through a single lane-parallel
-    simulation (:class:`BatchRtlCfuDriver`), checking each lane against
-    a fresh run of the software model.
-
-    Every lane is an independent instance of the CFU, so stateful ops
-    (accumulators, parameter stores) chain *within* a lane exactly as
-    they do in :func:`run_sequence`; the model is ``reset()`` before
-    each lane's comparison for the same reason.  Returns one
-    :class:`GoldenReport` per lane.
-    """
-    if isinstance(rtl_cfu, RtlCfu):
-        rtl_cfu = BatchRtlCfuDriver(rtl_cfu, lanes=len(sequences),
-                                    backend=backend)
-    if not isinstance(model, CfuModel):
-        raise TypeError("model must be a CfuModel")
-    lane_results = rtl_cfu.run(sequences)
-    reports = []
-    for sequence, results in zip(sequences, lane_results):
-        model.reset()
-        report = GoldenReport()
-        for index, (op, (rtl_result, rtl_cycles)) in enumerate(
-                zip(sequence, results)):
-            funct3, funct7, a, b = op
-            model_result, model_cycles = model.execute(funct3, funct7, a, b)
-            report.total += 1
-            report.rtl_cycles += rtl_cycles
-            report.model_cycles += model_cycles
-            if rtl_result != model_result:
-                report.mismatches.append(GoldenMismatch(
-                    index, funct3, funct7, a, b, rtl_result, model_result,
-                ))
-        reports.append(report)
-    return reports
-
-
 def random_sequence(opcodes, count=100, seed=0, operand_bits=32):
     """Generate a random op sequence over the given (funct3, funct7) pairs."""
     rng = random.Random(seed)
@@ -118,31 +82,8 @@ def random_sequence(opcodes, count=100, seed=0, operand_bits=32):
 
 
 def assert_equivalent(rtl_cfu, model, opcodes, count=100, seed=0,
-                      backend="auto", lanes=1):
-    """Raise AssertionError with a readable diff if RTL and model diverge.
-
-    With ``lanes > 1`` the whole random corpus runs as one batched
-    simulation: lane ``k`` replays ``random_sequence(opcodes, count,
-    seed + k)`` — the same sequences a loop of scalar calls over
-    consecutive seeds would use — and a list of per-lane reports is
-    returned instead of a single one.
-    """
-    if lanes > 1:
-        sequences = [random_sequence(opcodes, count, seed + lane)
-                     for lane in range(lanes)]
-        reports = run_sequences_batched(rtl_cfu, model, sequences,
-                                        backend=backend)
-        failures = [
-            f"lane {lane} (seed {seed + lane}): {mismatch}"
-            for lane, report in enumerate(reports)
-            for mismatch in report.mismatches
-        ]
-        if failures:
-            shown = "\n".join(failures[:10])
-            raise AssertionError(
-                f"{len(failures)} golden mismatches across {lanes} lanes:\n"
-                f"{shown}")
-        return reports
+                      backend="auto"):
+    """Raise AssertionError with a readable diff if RTL and model diverge."""
     report = run_sequence(rtl_cfu, model, random_sequence(opcodes, count, seed),
                           backend=backend)
     if not report.passed:

@@ -107,9 +107,7 @@ def _cmd_dse(args):
     tracer = Tracer()
     result = run_fig7(trials_per_family=args.trials, seed=args.seed,
                       workers=args.workers, batch=args.batch,
-                      cache_dir=args.cache_dir, tracer=tracer,
-                      sim_backend=args.sim_backend,
-                      compile_cache_dir=args.compile_cache_dir)
+                      cache_dir=args.cache_dir, tracer=tracer)
     print(result.summary())
     print()
     print(tracer.summary())
@@ -125,7 +123,7 @@ def _dse_via_service(args):
     result, info = run_fig7_service(
         service_url=args.service_url, trials_per_family=args.trials,
         seed=args.seed, workers=args.workers, batch=args.batch,
-        cache_dir=args.cache_dir, sim_backend=args.sim_backend)
+        cache_dir=args.cache_dir)
     print(result.summary())
     print()
     print(f"service run: {info['trials_completed']} trials in "
@@ -195,7 +193,7 @@ def _cmd_dse_characterize(args):
     target = targets[args.cfu]
     envelope = characterize_cfu(target.factory(), target.opcodes,
                                 ops=args.ops, seed=args.seed,
-                                setup=target.setup, backend=args.backend)
+                                setup=target.setup)
     print(envelope.summary())
     if args.json_out:
         with open(args.json_out, "w") as handle:
@@ -230,9 +228,7 @@ def _cmd_dse_work(args):
     stats = run_worker(args.url, worker_id=args.worker_id,
                        cache_dir=args.cache_dir,
                        poll_interval=args.poll_interval,
-                       max_trials=args.max_trials,
-                       sim_backend=args.sim_backend,
-                       compile_cache_dir=args.compile_cache_dir)
+                       max_trials=args.max_trials)
     print(f"worker {args.worker_id}: {stats.completed} completed "
           f"({stats.cache_hits} cache hits, {stats.infeasible} infeasible, "
           f"{stats.stale_leases} stale leases)")
@@ -298,20 +294,9 @@ def _positive_int(text):
     return value
 
 
-def _add_sim_backend_flag(subparser):
+def build_parser():
     from .cpu.machine import SIM_BACKENDS
 
-    subparser.add_argument(
-        "--sim-backend", choices=SIM_BACKENDS, default="auto",
-        dest="sim_backend",
-        help="ISA simulator execution tier: auto promotes hot basic "
-             "blocks to generated code (falling back to the fast "
-             "dispatch loop on unsupported constructs), translated/fast "
-             "pin a tier, step is the reference interpreter; all tiers "
-             "are cycle-identical (mirrors the RTL backend= convention)")
-
-
-def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CFU Playground reproduction: full-stack TinyML "
@@ -342,7 +327,13 @@ def build_parser():
     profile.add_argument("--metrics-out", default=None,
                          help="write a metrics JSON snapshot here "
                               "(with --simulate)")
-    _add_sim_backend_flag(profile)
+    profile.add_argument(
+        "--sim-backend", choices=SIM_BACKENDS, default="auto",
+        help="ISA simulator execution tier: auto promotes hot basic "
+             "blocks to generated code (falling back to the fast "
+             "dispatch loop on unsupported constructs), translated/fast "
+             "pin a tier, step is the reference interpreter; all tiers "
+             "are cycle-identical (mirrors the RTL backend= convention)")
     profile.set_defaults(func=_cmd_profile)
 
     golden = sub.add_parser("golden", help="run a project's golden test")
@@ -369,10 +360,6 @@ def build_parser():
     dse.add_argument("--cache-dir", default=None,
                      help="persistent evaluation cache; warm reruns "
                           "re-evaluate nothing")
-    dse.add_argument("--compile-cache-dir", default=None,
-                     help="persistent tier-2/RTL compile cache shared "
-                          "across workers; each firmware block compiles "
-                          "once, ever")
     dse.add_argument("--trace-out", default=None,
                      help="write a JSONL trace (trial spans, progress "
                           "events, counters) here")
@@ -382,7 +369,6 @@ def build_parser():
                           "three Fig. 7 studies and joins local workers "
                           "to its pool; the Pareto fronts are identical "
                           "to the in-process engine")
-    _add_sim_backend_flag(dse)
     dse.set_defaults(func=_cmd_dse)
 
     dse_sub = dse.add_subparsers(dest="dse_command")
@@ -409,7 +395,7 @@ def build_parser():
     dse_char = dse_sub.add_parser(
         "characterize",
         help="measure a CFU's latency envelope across operand classes "
-             "in one lane-parallel batched simulation")
+             "on its gateware")
     dse_char.add_argument("cfu", nargs="?", default=None,
                           help="CFU name (omit or use --list to see them)")
     dse_char.add_argument("--list", action="store_true",
@@ -417,11 +403,6 @@ def build_parser():
     dse_char.add_argument("--ops", type=_positive_int, default=16,
                           help="measured ops per (opcode, class) lane")
     dse_char.add_argument("--seed", type=int, default=0)
-    dse_char.add_argument("--backend", default="auto",
-                          choices=("auto", "batched", "scalar"),
-                          help="batched-simulation backend (auto falls "
-                               "back to lockstep scalar lanes when the "
-                               "netlist cannot be vectorized)")
     dse_char.add_argument("--json-out", default=None,
                           help="also write the envelope as JSON here")
     dse_char.set_defaults(func=_cmd_dse_characterize)
@@ -446,15 +427,10 @@ def build_parser():
     dse_work.add_argument("--cache-dir", default=None,
                           help="shared content-addressed evaluation "
                                "cache (zero re-simulation on warm runs)")
-    dse_work.add_argument("--compile-cache-dir", default=None,
-                          help="shared persistent tier-2/RTL compile "
-                               "cache (one compile per firmware across "
-                               "the whole fleet)")
     dse_work.add_argument("--poll-interval", type=float, default=0.05)
     dse_work.add_argument("--max-trials", type=int, default=None,
                           help="stop after this many claims (default: "
                                "run until every study is done)")
-    _add_sim_backend_flag(dse_work)
     dse_work.set_defaults(func=_cmd_dse_work)
 
     sessions = sub.add_parser(

@@ -18,6 +18,10 @@ text*, never code objects: every consumer re-``exec``-utes the source
 and re-binds its own live objects (machine methods, cache instances,
 signal slots), so any process can consume any other's entries.
 
+Each generator also keys its entries by :func:`generator_digest`, a
+hash of its own source, so an entry written by an edited generator is a
+miss rather than stale source.
+
 A process-wide default cache is configured with :func:`configure` or
 the ``REPRO_CODECACHE_DIR`` environment variable; ``None`` means
 in-memory only (still deduplicates within the process).
@@ -25,7 +29,10 @@ in-memory only (still deduplicates within the process).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+import sys
 
 # MISS and canonical_payload are re-exported for the cache's consumers.
 from .castore import MISS, ContentStore, content_key
@@ -38,6 +45,16 @@ def code_key(kind, payload):
     """Content-address one generator invocation: its kind + inputs."""
     return content_key({"kind": kind, "schema": CODECACHE_SCHEMA_VERSION,
                         "payload": payload})
+
+
+@functools.lru_cache(maxsize=None)
+def generator_digest(module_name):
+    """SHA-256 of a code generator's own source file, read once per
+    process.  Generators put it in the payload they pass to
+    :func:`code_key`, so any edit to a generator turns the entries an
+    older version wrote into misses."""
+    with open(sys.modules[module_name].__file__, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 class CodeCache(ContentStore):

@@ -318,11 +318,6 @@ def _dc_inline_ok(timing, dcache):
             and (dcache is None or type(dcache) is Cache))
 
 
-#: Bumped whenever generated-source shape changes, so persistent cache
-#: entries from an older code generator read as misses.
-TRANSLATE_SCHEMA = 1
-
-
 def _timing_key(timing):
     """The canonical (JSON-able via repr) timing configuration a block
     bakes in, or a refusal (None return means "don't cache"): only the
@@ -345,10 +340,10 @@ def _block_key(machine, entry_pc, ops, profiled):
     timing_key = _timing_key(machine.timing)
     if timing_key is None:
         return None
-    from ..core.codecache import code_key
+    from ..core.codecache import code_key, generator_digest
 
     return code_key("tier2-block", {
-        "schema": TRANSLATE_SCHEMA,
+        "generator": generator_digest(__name__),
         "pc": entry_pc,
         # The instruction words come from the already-decoded ops (not
         # a fresh memory read, which would perturb traffic accounting).

@@ -1,14 +1,10 @@
-"""CFU latency-envelope characterization: one batched run per CFU.
+"""CFU latency-envelope characterization from the gateware.
 
 The Fig. 7 cost model prices every CFU op with a single latency number;
-this module measures the real envelope from the gateware instead.
-Every (opcode, operand-class) pair becomes one lane of a single
-lane-parallel RTL simulation (:class:`repro.cfu.BatchRtlCfuDriver`), so
-a full envelope — min/mean/max cycles per opcode per operand class —
-costs one simulator pass instead of ``len(opcodes) * len(classes)``
-sequential co-simulations.  Per-lane results are bit-identical to the
-scalar :class:`~repro.cfu.RtlCfuAdapter`, so the envelope is exactly
-what a loop of scalar measurements would report.
+this module measures the real envelope from the gateware instead: every
+(opcode, operand-class) pair runs on a freshly reset
+:class:`~repro.cfu.RtlCfuAdapter`, and the envelope reports min/mean/max
+cycles per opcode per operand class.
 
 Exposed on the CLI as ``repro dse characterize <cfu>``.
 """
@@ -18,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..cfu import BatchRtlCfuDriver
+from ..cfu import RtlCfuAdapter
 
 #: Operand classes swept by default: each maps a name to a
 #: ``callable(rng) -> (a, b)`` drawing one 32-bit operand pair.  Data-
@@ -37,7 +33,7 @@ OPERAND_CLASSES = {
 
 @dataclass
 class ClassProfile:
-    """Measured latency of one (opcode, operand class) lane."""
+    """Measured latency of one (opcode, operand class) pair."""
 
     funct3: int
     funct7: int
@@ -65,11 +61,11 @@ class ClassProfile:
 
 @dataclass
 class LatencyEnvelope:
-    """The characterization result: one :class:`ClassProfile` per lane."""
+    """The characterization result: one :class:`ClassProfile` per
+    (opcode, operand class) pair, or lane."""
 
     cfu_name: str
     lanes: int
-    backend: str
     ops_per_lane: int
     profiles: list = field(default_factory=list)
 
@@ -90,13 +86,13 @@ class LatencyEnvelope:
 
     def to_record(self):
         return {"cfu": self.cfu_name, "lanes": self.lanes,
-                "backend": self.backend, "ops_per_lane": self.ops_per_lane,
+                "ops_per_lane": self.ops_per_lane,
                 "data_dependent": self.data_dependent,
                 "profiles": [p.to_record() for p in self.profiles]}
 
     def summary(self):
-        lines = [f"{self.cfu_name}: {self.lanes} lanes "
-                 f"({self.backend} backend), {self.ops_per_lane} ops/lane"]
+        lines = [f"{self.cfu_name}: {self.lanes} lanes, "
+                 f"{self.ops_per_lane} ops/lane"]
         for (f3, f7), (lo, hi) in sorted(self.per_opcode().items()):
             spread = f"{lo}" if lo == hi else f"{lo}..{hi}"
             lines.append(f"  cfu[{f7},{f3}]: {spread} cycles")
@@ -112,18 +108,18 @@ class LatencyEnvelope:
 
 
 def characterize_cfu(rtl_cfu, opcodes, classes=None, ops=16, seed=0,
-                     setup=None, backend="auto", timeout=4096):
-    """Measure ``rtl_cfu``'s latency envelope in ONE batched simulation.
+                     setup=None, timeout=4096):
+    """Measure ``rtl_cfu``'s latency envelope.
 
     ``opcodes`` is a list of ``(funct3, funct7)`` pairs; ``classes``
     maps class names to operand generators (default
-    :data:`OPERAND_CLASSES`).  Each (opcode, class) pair runs as its own
-    lane: ``ops`` back-to-back ops of that opcode with operands drawn
-    from the class generator, optionally preceded by ``setup(rng)`` —
-    a list of ``(funct3, funct7, a, b)`` config ops for stateful CFUs
-    (excluded from the measurement).  Lane stimulus depends only on
-    ``(seed, opcode, class name)``, so envelopes are reproducible and
-    independent of lane ordering.
+    :data:`OPERAND_CLASSES`).  Each (opcode, class) pair is one lane,
+    run on a freshly reset adapter: ``ops`` back-to-back ops of that
+    opcode with operands drawn from the class generator, optionally
+    preceded by ``setup(rng)`` — a list of ``(funct3, funct7, a, b)``
+    config ops for stateful CFUs (excluded from the measurement).  Lane
+    stimulus depends only on ``(seed, opcode, class name)``, so
+    envelopes are reproducible and independent of lane ordering.
 
     Returns a :class:`LatencyEnvelope`.
     """
@@ -131,31 +127,24 @@ def characterize_cfu(rtl_cfu, opcodes, classes=None, ops=16, seed=0,
     lane_specs = [(opcode, name) for opcode in opcodes for name in classes]
     if not lane_specs:
         raise ValueError("need at least one opcode and one operand class")
-    sequences = []
+    adapter = RtlCfuAdapter(rtl_cfu, timeout=timeout)
+    profiles = []
     for (funct3, funct7), name in lane_specs:
         rng = random.Random(f"{seed}:{funct3}:{funct7}:{name}")
-        prefix = list(setup(rng)) if setup else []
+        adapter.reset()
+        for op in (setup(rng) if setup else ()):
+            adapter.execute(*op)
         generate = classes[name]
-        sequence = list(prefix)
+        cycles = []
         for _ in range(ops):
             a, b = generate(rng)
-            sequence.append((funct3, funct7, a & 0xFFFFFFFF, b & 0xFFFFFFFF))
-        sequences.append(sequence)
-    driver = BatchRtlCfuDriver(rtl_cfu, lanes=len(sequences),
-                               timeout=timeout, backend=backend)
-    lane_results = driver.run(sequences)
-    profiles = []
-    for (opcode, name), sequence, results in zip(lane_specs, sequences,
-                                                 lane_results):
-        cycles = [c for _, c in results[len(sequence) - ops:]]
-        funct3, funct7 = opcode
+            cycles.append(adapter.execute(funct3, funct7, a, b)[1])
         profiles.append(ClassProfile(
             funct3=funct3, funct7=funct7, operand_class=name, ops=ops,
             min_cycles=min(cycles), max_cycles=max(cycles),
             total_cycles=sum(cycles)))
     return LatencyEnvelope(cfu_name=rtl_cfu.name, lanes=len(lane_specs),
-                           backend=driver.backend, ops_per_lane=ops,
-                           profiles=profiles)
+                           ops_per_lane=ops, profiles=profiles)
 
 
 @dataclass

@@ -144,7 +144,7 @@ class WorkerStats:
 def run_worker(base_url, worker_id="worker-0", evaluator=None,
                cache_dir=None, poll_interval=0.05, eval_latency=0.0,
                batch=1, max_trials=None, stop=None, sleep=time.sleep,
-               client=None, sim_backend="auto", compile_cache_dir=None):
+               client=None):
     """Pull-evaluate-complete until every study on the service is done.
 
     ``evaluator`` defaults to a fresh :class:`Fig7Evaluator` backed by
@@ -153,18 +153,9 @@ def run_worker(base_url, worker_id="worker-0", evaluator=None,
     the service benchmark uses it to measure scheduling scalability
     independently of host core count.  ``stop`` (a ``threading.Event``)
     and ``max_trials`` bound the loop for tests.
-    ``compile_cache_dir`` points the process-wide code cache at a
-    directory shared by the whole fleet, so simulation-backed
-    evaluations bind tier-2/RTL code compiled by any other worker.
     """
-    if compile_cache_dir is not None:
-        from ..core.codecache import configure
-
-        configure(compile_cache_dir)
     if evaluator is None:
-        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),
-                                  sim_backend=sim_backend,
-                                  compile_cache=compile_cache_dir)
+        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir))
     if client is None:
         client = ServiceClient(base_url, worker_id=worker_id, sleep=sleep)
     stats = WorkerStats()
@@ -217,12 +208,10 @@ class WorkerFleet:
     """
 
     def __init__(self, base_url, workers=1, cache_dir=None, evaluator=None,
-                 poll_interval=0.05, eval_latency=0.0, sim_backend="auto",
-                 compile_cache_dir=None):
+                 poll_interval=0.05, eval_latency=0.0):
         self.base_url = base_url
         self.evaluator = evaluator or Fig7Evaluator(
-            cache=EvaluationCache(cache_dir), sim_backend=sim_backend,
-            compile_cache=compile_cache_dir)
+            cache=EvaluationCache(cache_dir))
         self.stop_event = threading.Event()
         self.stats = [WorkerStats() for _ in range(workers)]
         self._threads = []
@@ -346,8 +335,7 @@ def wait_for_studies(client, names, poll_interval=0.05, timeout=600.0,
 def run_fig7_service(service_url=None, trials_per_family=60, seed=0,
                      workers=1, batch=None, cache_dir=None, store_dir=None,
                      owner=FIG7_OWNER, prefix="", lease_seconds=None,
-                     sim_backend="auto", timeout=600.0,
-                     compile_cache_dir=None):
+                     timeout=600.0):
     """Reproduce Fig. 7 through the study service.
 
     With ``service_url`` the studies are submitted to a running server
@@ -371,8 +359,7 @@ def run_fig7_service(service_url=None, trials_per_family=60, seed=0,
         names = create_fig7_studies(client, trials_per_family, seed=seed,
                                     batch=batch, owner=owner, prefix=prefix)
         fleet = WorkerFleet(service_url, workers=workers,
-                            cache_dir=cache_dir, sim_backend=sim_backend,
-                            compile_cache_dir=compile_cache_dir)
+                            cache_dir=cache_dir)
         started = time.monotonic()
         fleet.start()
         statuses = wait_for_studies(client, names, timeout=timeout)

@@ -15,12 +15,7 @@ Public surface:
 """
 
 from .ast import Cat, Const, Mux, Repl, Signal, Value, make_signal, signed, to_signed, to_unsigned
-from .equiv import (
-    EquivalenceReport,
-    assert_modules_equivalent,
-    check_equivalence,
-    check_equivalence_batch,
-)
+from .equiv import EquivalenceReport, assert_modules_equivalent, check_equivalence
 from .fsm import FsmHandle, install_fsm_support
 from .lint import LintReport, LintWarning, find_comb_cycle, lint
 from .dsl import Assign, Memory, Module
@@ -29,26 +24,8 @@ from .compile import CompiledProgram, CompiledSimulator, CompileError, compile_m
 from .synth import ResourceReport, estimate
 from .verilog import emit as emit_verilog
 
-_BATCHED_EXPORTS = ("BatchSimulator", "BatchCompileError", "BatchProgram",
-                    "compile_module_batched")
-
-
-def __getattr__(name):
-    # Lazy: repro.rtl.batched pulls in NumPy, which the core RTL toolkit
-    # does not otherwise need.
-    if name in _BATCHED_EXPORTS:
-        from . import batched
-
-        return getattr(batched, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Assign",
-    "BatchCompileError",
-    "BatchProgram",
-    "BatchSimulator",
-    "compile_module_batched",
     "CompileError",
     "CompiledProgram",
     "CompiledSimulator",
@@ -58,7 +35,6 @@ __all__ = [
     "FsmHandle",
     "assert_modules_equivalent",
     "check_equivalence",
-    "check_equivalence_batch",
     "install_fsm_support",
     "LintReport",
     "LintWarning",

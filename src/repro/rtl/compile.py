@@ -59,10 +59,6 @@ class CompileError(RuntimeError):
     """The module uses a construct the compiled backend cannot schedule."""
 
 
-#: Bumped whenever the generated comb/tick source shape changes, so
-#: persistent cache entries from an older code generator read as misses.
-RTL_SCHEMA = 1
-
 #: Process-wide generator activity: modules actually code-generated vs
 #: bound from cached source (benchmarks read these to prove "compile
 #: once per firmware, ever").
@@ -93,20 +89,15 @@ def _expr_token(node, slot_of):
     return f"{kind}({extra};w{node.width}g{signed};{inner})"
 
 
-def _module_key(signals, slot_of, memories, comb_stmts, sync_stmts,
-                kind="rtl-module", schema=RTL_SCHEMA):
+def _module_key(signals, slot_of, memories, comb_stmts, sync_stmts):
     """Content-address a module's netlist structure (everything the
-    code generator reads), or None when it can't be serialized.
-
-    ``kind``/``schema`` namespace the cache entry per code generator:
-    the scalar and batched backends read the same netlist but emit
-    different source, so they must never share entries.
-    """
-    from ..core.codecache import code_key
+    code generator reads) and the generator's own source, or None when
+    the netlist can't be serialized."""
+    from ..core.codecache import code_key, generator_digest
 
     try:
         payload = {
-            "schema": schema,
+            "generator": generator_digest(__name__),
             "slots": [(sig.width, int(sig.signed), sig.reset)
                       for sig in signals],
             "comb": [(_expr_token(stmt.lhs, slot_of),
@@ -130,7 +121,7 @@ def _module_key(signals, slot_of, memories, comb_stmts, sync_stmts,
         }
     except (KeyError, AttributeError, TypeError):
         return None
-    return code_key(kind, payload)
+    return code_key("rtl-module", payload)
 
 
 def _reads(value):
@@ -351,30 +342,9 @@ def _schedule(comb_targets, deps_of):
     return order, levels
 
 
-class Netlist:
-    """One module's elaborated netlist: statements split by domain, the
-    slot table, and the memory list — everything both code generators
-    (scalar and batched) read.  Built once by :func:`_elaborate`."""
-
-    def __init__(self, module, signals, slot_of, memories, comb_stmts,
-                 sync_stmts, comb_driven, sync_driven):
-        self.module = module
-        self.signals = signals
-        self.slot_of = slot_of
-        self.memories = memories
-        self.comb_stmts = comb_stmts
-        self.sync_stmts = sync_stmts
-        self.comb_driven = comb_driven
-        self.sync_driven = sync_driven
-
-    def key(self, kind="rtl-module", schema=RTL_SCHEMA):
-        return _module_key(self.signals, self.slot_of, self.memories,
-                           self.comb_stmts, self.sync_stmts,
-                           kind=kind, schema=schema)
-
-
 def _elaborate(module):
-    """Split statements by domain and build the slot table."""
+    """Split statements by domain and build the slot table: everything
+    the code generator reads."""
     if not isinstance(module, Module):
         raise TypeError("compile_module requires a Module")
     comb_stmts, sync_stmts = [], []
@@ -411,16 +381,13 @@ def _elaborate(module):
         for wp in mem.write_ports:
             for value in (wp.en, wp.addr, wp.data):
                 slot_reads(value)
-    return Netlist(module, signals, slot_of, memories, comb_stmts,
-                   sync_stmts, comb_driven, sync_driven)
+    return (signals, slot_of, memories, comb_stmts, sync_stmts, comb_driven,
+            sync_driven)
 
 
 def _compile(module):
-    netlist = _elaborate(module)
-    signals, slot_of = netlist.signals, netlist.slot_of
-    memories = netlist.memories
-    comb_stmts, sync_stmts = netlist.comb_stmts, netlist.sync_stmts
-    comb_driven, sync_driven = netlist.comb_driven, netlist.sync_driven
+    (signals, slot_of, memories, comb_stmts, sync_stmts, comb_driven,
+     sync_driven) = _elaborate(module)
 
     # --- persistent source cache -------------------------------------------
     # The generated comb/tick source is a pure function of the netlist
@@ -456,7 +423,7 @@ def _compile(module):
 
 
 def _comb_schedule(module, memories, comb_stmts):
-    """Levelize the comb netlist; shared by both code generators.
+    """Levelize the comb netlist.
 
     Returns ``(order, stmts_of, comb_ports, levels)`` where ``order``
     is the scheduled target list, ``stmts_of`` maps ``id(target)`` to
@@ -668,12 +635,17 @@ class CompiledSimulator(Simulator):
         self._comb(self._vals, self._mems)
 
     def tick(self, cycles=1):
-        vals, mems = self._vals, self._mems
-        comb, sync = self._comb, self._tick
         for _ in range(cycles):
-            comb(vals, mems)
-            sync(vals, mems)
-            self.time += 1
-            comb(vals, mems)
-            for tracer in self._tracers:
-                tracer(self.time, self)
+            self._comb(self._vals, self._mems)
+            self._edge()
+
+    def _edge(self):
+        """One clock edge on already-settled state: ``tick()`` without
+        its leading comb pass, which would recompute the settled values
+        (``RtlCfuAdapter.execute`` settles before every edge)."""
+        vals, mems = self._vals, self._mems
+        self._tick(vals, mems)
+        self.time += 1
+        self._comb(vals, mems)
+        for tracer in self._tracers:
+            tracer(self.time, self)

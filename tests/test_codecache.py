@@ -181,3 +181,63 @@ def test_rtl_modules_compile_once_per_netlist(tmp_path):
             assert first.execute(0, 0, a, b) == second.execute(0, 0, a, b)
     finally:
         codecache._default_cache = original
+
+
+# --- entries are keyed by the generator's own source -----------------------------
+
+def _other_generator(module_name):
+    return "0" * 64  # the digest an edited generator would have
+
+
+def test_rtl_entry_from_another_generator_is_regenerated(tmp_path,
+                                                         monkeypatch):
+    """An entry an edited RTL code generator wrote is a miss: the module
+    is code-generated again, stored, and the new entry then binds."""
+    from repro.accel import SimdAddRtl
+    from repro.rtl import compile as rtl_compile
+
+    original = codecache._default_cache
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(codecache, "generator_digest", _other_generator,
+                          raising=False)
+            codecache.configure(str(tmp_path))
+            rtl_compile.compile_module(SimdAddRtl().module)
+
+        cache = codecache.configure(str(tmp_path))  # fresh "process"
+        before = rtl_compile.codegen_count
+        rtl_compile.compile_module(SimdAddRtl().module)
+        assert rtl_compile.codegen_count == before + 1
+        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+
+        codecache.configure(str(tmp_path))
+        binds_before = rtl_compile.cache_bind_count
+        rtl_compile.compile_module(SimdAddRtl().module)
+        assert rtl_compile.codegen_count == before + 1
+        assert rtl_compile.cache_bind_count == binds_before + 1
+    finally:
+        codecache._default_cache = original
+
+
+def test_tier2_entry_from_another_generator_is_regenerated(tmp_path,
+                                                           monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(codecache, "generator_digest", _other_generator,
+                      raising=False)
+        _run_hot(CodeCache(str(tmp_path)))
+
+    cache = CodeCache(str(tmp_path))
+    regenerated = _run_hot(cache)
+    assert regenerated.halted and regenerated.block_cache_loads == 0
+    assert cache.stats.disk_hits == 0 and cache.stats.stores > 0
+    assert _run_hot(CodeCache(str(tmp_path))).block_cache_loads > 0
+
+
+def test_generator_digest_hashes_the_module_source():
+    import hashlib
+
+    from repro.rtl import compile as rtl_compile
+
+    with open(rtl_compile.__file__, "rb") as handle:
+        expected = hashlib.sha256(handle.read()).hexdigest()
+    assert codecache.generator_digest("repro.rtl.compile") == expected

@@ -307,3 +307,54 @@ def test_fig7_evaluator_caches():
     first = evaluator.evaluate(point, "none")
     second = evaluator.evaluate(point, "none")
     assert first is second
+
+
+# --- CFU latency characterization --------------------------------------------
+
+def test_characterize_cfu_envelope():
+    from repro.accel.library import LIBRARY
+    from repro.dse.characterize import OPERAND_CLASSES, characterize_cfu
+
+    _, rtl_cls, opcodes = LIBRARY["popcount"]
+    envelope = characterize_cfu(rtl_cls(), opcodes, ops=6, seed=1)
+    assert envelope.lanes == len(opcodes) * len(OPERAND_CLASSES)
+    assert len(envelope.profiles) == envelope.lanes
+    for profile in envelope.profiles:
+        assert profile.ops == 6
+        assert 0 < profile.min_cycles <= profile.mean_cycles \
+            <= profile.max_cycles
+    # Reproducible: same seed, same envelope record.
+    again = characterize_cfu(rtl_cls(), opcodes, ops=6, seed=1)
+    assert again.to_record() == envelope.to_record()
+
+
+#: ``(funct3, funct7, operand class, min, max, total cycles)`` per
+#: (opcode, class) pair at ``ops=6, seed=1``, recorded from the
+#: lane-parallel backend before the scalar adapter took over.
+_ALL_CLASSES = ("zeros", "ones", "alternating", "small", "signed-extremes",
+                "random")
+PINNED_ENVELOPES = {
+    "kws-cfu2": [(f3, f7, name, 1, 1, 6)
+                 for f3, f7 in ((1, 0), (1, 1), (2, 0), (3, 0), (4, 0))
+                 for name in _ALL_CLASSES],
+    "mnv2-cfu1": [(6, f7, name, cycles, cycles, 6 * cycles)
+                  for f7, cycles in ((0, 7), (1, 7), (2, 22))
+                  for name in _ALL_CLASSES],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENVELOPES))
+def test_characterize_envelope_is_pinned(name):
+    from repro.dse.characterize import characterization_targets, \
+        characterize_cfu
+
+    target = characterization_targets()[name]
+    envelope = characterize_cfu(target.factory(), target.opcodes, ops=6,
+                                seed=1, setup=target.setup)
+    assert [(p.funct3, p.funct7, p.operand_class, p.min_cycles,
+             p.max_cycles, p.total_cycles)
+            for p in envelope.profiles] == PINNED_ENVELOPES[name]
+    record = envelope.to_record()
+    assert (record["cfu"], record["lanes"], record["ops_per_lane"],
+            record["data_dependent"]) == (name, len(envelope.profiles), 6,
+                                          False)

@@ -4,21 +4,26 @@ Every behaviour the interpreter exhibits — poke/settle/tick semantics,
 later-assignment-wins, comb fallback to reset, sign/width rules, memory
 read-before-write, tracer timing — must be reproduced bit for bit by
 ``backend="compiled"``.  This suite checks that on (a) every shipped
-gateware CFU and (b) a corpus of randomized generated netlists, plus
-the error-path contracts (comb loops, driven-signal pokes, backend
-selection) and the per-module program cache that makes
-``RtlCfuAdapter.reset()`` cheap.
+gateware CFU, call by call through :class:`RtlCfuAdapter` (whose
+compiled path runs each call as one transaction, while the interpreter
+keeps the poke-level handshake), and (b) a corpus of randomized
+generated netlists, plus the error-path contracts (comb loops,
+driven-signal pokes, handshake timeouts, backend selection) and the
+per-module program cache that makes ``RtlCfuAdapter.reset()`` cheap.
 """
 
 import random
 
 import pytest
 
-from repro.accel import Cfu1Rtl, KwsCfu2Rtl, Mac4Rtl, PostprocRtl
+from tests.test_accel_winograd import _directed_sequence, small_cfu
+
+from repro.accel import Cfu1Rtl, KwsCfu2Rtl, Mac4Rtl, PostprocRtl, WinogradRtl
 from repro.accel.kws import model as km
+from repro.accel.library import LIBRARY
 from repro.accel.mnv2 import model as cm
-from repro.cfu import RtlCfuAdapter
-from repro.cfu.rtl import CombinationalCfu
+from repro.cfu import CfuError, RtlCfuAdapter
+from repro.cfu.rtl import CombinationalCfu, RtlCfu
 from repro.rtl import (
     Cat,
     CombLoopError,
@@ -170,6 +175,106 @@ def test_gateware_cfu_differential(name, factory, make_seq):
         result_c = adapter_c.execute(*op)
         assert result_i == result_c, (name, index, op)
     _assert_state_parity(adapter_i.sim, adapter_c.sim, cfu.module, name)
+
+
+def _library_seq(opcodes):
+    def make(rng):
+        return [(f3, f7, rng.getrandbits(32), rng.getrandbits(32))
+                for f3, f7 in (rng.choice(opcodes) for _ in range(40))]
+    return make
+
+
+#: Every shipped gateware CFU: the paper's workload units, the Winograd
+#: CFU and the generic library.  simd-add, popcount and byte-reverse
+#: never read some handshake ports, so the compiled simulator keeps
+#: those pokes outside its slot list.
+SHIPPED = [g for g in GATEWARE if g[0] != "doubler"] + [
+    ("winograd", lambda: WinogradRtl(**small_cfu()),
+     lambda rng: _directed_sequence(rng.randrange(1 << 16), rounds=1)),
+] + [(name, rtl_cls, _library_seq(list(opcodes)))
+     for name, (_model, rtl_cls, opcodes) in LIBRARY.items()]
+
+
+def _assert_adapter_parity(adapter_i, adapter_c, context):
+    """Both adapters hold the same state: every handshake port (read by
+    the netlist or not), every netlist signal, memory, and the clock."""
+    for sig in adapter_c.ports.all():
+        assert adapter_i.sim.peek(sig) == adapter_c.sim.peek(sig), \
+            (context, sig.name)
+    _assert_state_parity(adapter_i.sim, adapter_c.sim,
+                         adapter_c.rtl.module, context)
+
+
+@pytest.mark.parametrize("name,factory,make_seq",
+                         SHIPPED, ids=[g[0] for g in SHIPPED])
+def test_adapter_lockstep_every_call(name, factory, make_seq):
+    """Interp and compiled adapters agree after every call, and again
+    after both restore a snapshot taken mid-sequence and replay it."""
+    cfu = factory()
+    adapter_i = RtlCfuAdapter(cfu, backend="interp")
+    adapter_c = RtlCfuAdapter(cfu, backend="compiled")
+    assert adapter_c.sim.backend == "compiled"
+    seq = make_seq(random.Random(11))
+    half = len(seq) // 2
+
+    def run(ops, start):
+        results = []
+        for index, op in enumerate(ops, start):
+            got = adapter_i.execute(*op)
+            assert adapter_c.execute(*op) == got, (name, index, op)
+            _assert_adapter_parity(adapter_i, adapter_c, (name, index))
+            results.append(got)
+        return results
+
+    run(seq[:half], 0)
+    assert adapter_c._slots is not None  # ran as one transaction
+    saved = (adapter_i.snapshot_state(), adapter_c.snapshot_state())
+    tail = run(seq[half:], half)
+    adapter_i.restore_state(saved[0])
+    adapter_c.restore_state(saved[1])
+    _assert_adapter_parity(adapter_i, adapter_c, (name, "restored"))
+    assert run(seq[half:], half) == tail
+
+
+class _NeverReadyRtl(RtlCfu):
+    """Never raises ``cmd_ready``."""
+
+    name = "never-ready"
+
+    def elaborate(self, m, ports):
+        m.d.comb += ports.cmd_ready.eq(0)
+        m.d.comb += ports.rsp_valid.eq(ports.cmd_valid)
+        m.d.comb += ports.rsp_out.eq(ports.cmd_in0)
+
+
+class _SilentRtl(RtlCfu):
+    """Accepts every command and never answers."""
+
+    name = "silent"
+
+    def elaborate(self, m, ports):
+        m.d.comb += ports.cmd_ready.eq(1)
+        m.d.comb += ports.rsp_valid.eq(0)
+        m.d.comb += ports.rsp_out.eq(ports.cmd_in0)
+
+
+@pytest.mark.parametrize("factory,message", [
+    (_NeverReadyRtl, "command never accepted"),
+    (_SilentRtl, "no response after 6 cycles"),
+])
+def test_handshake_timeouts_match(factory, message):
+    """Both timeouts raise after the same number of clocks (timeout + 1)
+    on both backends, leaving the same port state behind."""
+    adapters = [RtlCfuAdapter(factory(), timeout=5, backend=backend)
+                for backend in ("interp", "compiled")]
+    for adapter in adapters:
+        with pytest.raises(CfuError, match=message):
+            adapter.execute(3, 9, 0x12345678, 0x9ABCDEF0)
+        assert adapter.sim.time == 6, adapter.backend
+    interp, compiled = adapters
+    assert compiled._slots is not None  # ran as one transaction
+    for sig_i, sig_c in zip(interp.ports.all(), compiled.ports.all()):
+        assert interp.sim.peek(sig_i) == compiled.sim.peek(sig_c), sig_i.name
 
 
 # --- randomized generated netlists -------------------------------------------

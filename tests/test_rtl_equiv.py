@@ -10,7 +10,6 @@ from repro.rtl import (
     Signal,
     assert_modules_equivalent,
     check_equivalence,
-    check_equivalence_batch,
 )
 
 
@@ -155,38 +154,3 @@ def test_stimulus_order_contract():
         expected.append(rng.getrandbits(8))   # input 0 (a, biased hook)
         rng.getrandbits(8)                    # input 1 (b)
     assert observed == expected
-
-
-def test_batch_reports_match_sequential():
-    """check_equivalence_batch == a loop of check_equivalence, element
-    for element: cycles, mismatch records, truncation flags."""
-    m1, a1, b1, o1 = make_abs_diff_mux()
-    m2 = Module("wrong")
-    a2, b2 = Signal(8, name="a2"), Signal(8, name="b2")
-    o2 = Signal(8, name="o2")
-    m2.d.comb += o2.eq((a2 - b2)[0:8])  # diverges on about half the draws
-    seeds = [0, 1, 2, 3, 4]
-    kwargs = dict(inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)],
-                  cycles=40, max_mismatches=5)
-    batch = check_equivalence_batch(m1, m2, seeds=seeds, **kwargs)
-    for seed, report in zip(seeds, batch):
-        sequential = check_equivalence(m1, m2, seed=seed, **kwargs)
-        assert report.seed == sequential.seed == seed
-        assert report.cycles == sequential.cycles
-        assert report.truncated == sequential.truncated
-        assert [(m.cycle, m.signal_name, m.value_a, m.value_b)
-                for m in report.mismatches] == \
-               [(m.cycle, m.signal_name, m.value_a, m.value_b)
-                for m in sequential.mismatches]
-
-
-def test_batch_equivalent_modules_all_pass():
-    m1, a1, b1, o1 = make_abs_diff_mux()
-    m2, a2, b2, o2 = make_abs_diff_if()
-    reports = check_equivalence_batch(
-        m1, m2, inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)],
-        seeds=range(8), cycles=30)
-    assert len(reports) == 8
-    assert all(r.equivalent and r.cycles == 30 for r in reports)
-    assert check_equivalence_batch(m1, m2, inputs=[(a1, a2), (b1, b2)],
-                                   outputs=[(o1, o2)], seeds=[]) == []
