@@ -78,7 +78,7 @@ def service_stats(service):
     """Fold the per-study service counters the benchmark reports."""
     totals = {"lease_reclaims": 0, "duplicate_completions": 0,
               "stale_completions": 0, "store_unreadable_trials": 0}
-    for series in service.metrics.series():
+    for series in service.telemetry.series():
         for name in totals:
             if series.name == f"dse_{name}":
                 totals[name] += series.value
@@ -177,7 +177,7 @@ def _trial_setup(cache_dir):
 
     cache = CodeCache(cache_dir) if cache_dir else None
     started = time.perf_counter()
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="translated",
+    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto",
                         compile_cache=cache)
     emulator.machine.hot_threshold = 1
     emulator.load_assembly(_TRIAL_FIRMWARE, region="flash")

@@ -15,8 +15,8 @@ import os
 
 import pytest
 
-from repro.core.tracing import Tracer
-from repro.dse import CFU_FAMILIES, run_fig7, total_space_size
+from repro.core.telemetry import Telemetry
+from repro.dse import CFU_FAMILIES, run_fig7, total_space_size, trace_summary
 from repro.dse.pareto import pareto_front
 
 TRIALS_PER_FAMILY = int(os.environ.get("REPRO_FIG7_TRIALS", "90"))
@@ -24,17 +24,17 @@ WORKERS = int(os.environ.get("REPRO_FIG7_WORKERS", "1"))
 
 
 @pytest.fixture(scope="module")
-def dse_tracer():
-    return Tracer()
+def dse_telemetry():
+    return Telemetry()
 
 
 @pytest.fixture(scope="module")
-def dse_result(dse_tracer):
+def dse_result(dse_telemetry):
     return run_fig7(trials_per_family=TRIALS_PER_FAMILY, seed=7,
-                    workers=WORKERS, tracer=dse_tracer)
+                    workers=WORKERS, telemetry=dse_telemetry)
 
 
-def test_fig7_dse_pareto(benchmark, report, dse_result, dse_tracer):
+def test_fig7_dse_pareto(benchmark, report, dse_result, dse_telemetry):
     benchmark.pedantic(
         lambda: run_fig7(trials_per_family=25, seed=11),
         rounds=1, iterations=1,
@@ -73,7 +73,7 @@ def test_fig7_dse_pareto(benchmark, report, dse_result, dse_tracer):
     assert best_cfu < best_cpu_only / 2
 
     report("\nevaluation engine:")
-    report(dse_tracer.summary())
+    report(trace_summary(dse_telemetry))
 
 
 def test_fig7_richer_design_space(benchmark, report, dse_result):

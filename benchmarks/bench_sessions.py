@@ -67,7 +67,7 @@ forever:
     j forever
 """
 
-SPEC = {"board": "arty_a7_35t", "sim_backend": "translated"}
+SPEC = {"board": "arty_a7_35t", "sim_backend": "auto"}
 
 #: First page of ARTY main RAM; the scaling run dirties pages upward.
 RAM_BASE = 0x4000_0000

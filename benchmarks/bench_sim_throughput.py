@@ -178,7 +178,7 @@ def measure():
             fast_seconds, fast_machine = timed_run(build, mode,
                                                    backend="fast")
             trans_seconds, trans_machine = timed_run(build, mode,
-                                                     backend="translated")
+                                                     backend="auto")
             instructions = fast_machine.instret
             assert instructions == ref_machine.instret
             assert instructions == trans_machine.instret

@@ -154,14 +154,14 @@ class MeteredCfu:
         """Fraction of a run the CFU spent executing."""
         return self.busy_cycles / total_cycles if total_cycles else 0.0
 
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         """Feed invocation counts and busy cycles into a
-        :class:`~repro.core.metrics.MetricsRegistry`."""
+        :class:`~repro.core.telemetry.Telemetry`."""
         for (funct3, funct7) in sorted(self.invocations):
-            registry.counter("cfu_invocations", funct3=funct3, funct7=funct7,
-                             **labels).add(self.invocations[(funct3, funct7)])
-        registry.counter("cfu_busy_cycles", **labels).add(int(self.busy_cycles))
-        return registry
+            telemetry.counter("cfu_invocations", funct3=funct3, funct7=funct7,
+                              **labels).add(self.invocations[(funct3, funct7)])
+        telemetry.counter("cfu_busy_cycles", **labels).add(int(self.busy_cycles))
+        return telemetry
 
 
 class NullCfu(CfuModel):

@@ -53,12 +53,10 @@ def _cmd_profile(args):
             count = sim.export_folded(args.folded_out)
             print(f"wrote {count} folded stacks to {args.folded_out}")
         if args.metrics_out:
-            from .core.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            sim.export_metrics(registry, project=args.project)
-            count = registry.export_json(args.metrics_out)
-            print(f"wrote {count} metric series to {args.metrics_out}")
+            telemetry = project.playground.telemetry
+            sim.export_metrics(telemetry, project=args.project)
+            count = telemetry.export_jsonl(args.metrics_out)
+            print(f"wrote {count} telemetry records to {args.metrics_out}")
         return 0
     estimate = project.profile()
     print(estimate.summary(split_conv_1x1=True))
@@ -98,21 +96,21 @@ def _cmd_ladder(args):
 
 
 def _cmd_dse(args):
-    from .core.tracing import Tracer
-    from .dse import run_fig7, total_space_size
+    from .core.telemetry import Telemetry
+    from .dse import run_fig7, total_space_size, trace_summary
 
     print(f"design space: {total_space_size():,} points")
     if args.service_url:
         return _dse_via_service(args)
-    tracer = Tracer()
+    telemetry = Telemetry()
     result = run_fig7(trials_per_family=args.trials, seed=args.seed,
                       workers=args.workers, batch=args.batch,
-                      cache_dir=args.cache_dir, tracer=tracer)
+                      cache_dir=args.cache_dir, telemetry=telemetry)
     print(result.summary())
     print()
-    print(tracer.summary())
+    print(trace_summary(telemetry))
     if args.trace_out:
-        records = tracer.export_jsonl(args.trace_out)
+        records = telemetry.export_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out} ({records} records)")
     return 0
 
@@ -325,15 +323,16 @@ def build_parser():
                          help="write flamegraph folded stacks here "
                               "(with --simulate)")
     profile.add_argument("--metrics-out", default=None,
-                         help="write a metrics JSON snapshot here "
-                              "(with --simulate)")
+                         help="write the run's telemetry here as JSON "
+                              "Lines (with --simulate)")
     profile.add_argument(
         "--sim-backend", choices=SIM_BACKENDS, default="auto",
         help="ISA simulator execution tier: auto promotes hot basic "
              "blocks to generated code (falling back to the fast "
-             "dispatch loop on unsupported constructs), translated/fast "
-             "pin a tier, step is the reference interpreter; all tiers "
-             "are cycle-identical (mirrors the RTL backend= convention)")
+             "dispatch loop on unsupported constructs), fast pins the "
+             "dispatch loop, step is the reference interpreter; all "
+             "tiers are cycle-identical (mirrors the RTL backend= "
+             "convention)")
     profile.set_defaults(func=_cmd_profile)
 
     golden = sub.add_parser("golden", help="run a project's golden test")

@@ -20,18 +20,17 @@ from .ladders import (
     run_ladder,
 )
 from .menu import Menu, UartConsole, build_firmware_menu
-from .metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from .playground import BuildReport, Playground, PlaygroundError
 from .reporting import generate_report
 from .project import PROJECTS, BuildArtifacts, Project, ProjectSpec, list_projects, load_project
 from .simprofile import ProfileDriftError, SimulatedProfile, simulate_profile
-from .tracing import TRACE_SCHEMA_VERSION, Span, Tracer
+from .telemetry import TELEMETRY_SCHEMA_VERSION, Span, Telemetry
 
 __all__ = [
-    "BuildArtifacts", "BuildReport", "METRICS_SCHEMA_VERSION", "Menu",
-    "MetricsRegistry", "PROJECTS", "ProfileDriftError", "Project",
-    "ProjectSpec", "SimulatedProfile", "Span", "TRACE_SCHEMA_VERSION",
-    "Tracer", "UartConsole", "build_firmware_menu", "list_projects",
+    "BuildArtifacts", "BuildReport", "Menu", "PROJECTS",
+    "ProfileDriftError", "Project", "ProjectSpec", "SimulatedProfile",
+    "Span", "TELEMETRY_SCHEMA_VERSION", "Telemetry", "UartConsole",
+    "build_firmware_menu", "list_projects",
     "load_project", "generate_report", "DeploymentState", "FOMU_BASELINE_CPU", "LadderResult",
     "LadderStep", "Playground", "PlaygroundError", "golden_checksum",
     "golden_input", "kws_initial_state", "kws_ladder", "mnv2_1x1_filter",

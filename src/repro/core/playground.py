@@ -23,7 +23,7 @@ from ..kernels.reference import reference_variants
 from ..perf.estimator import estimate_inference
 from ..rtl.synth import ResourceReport
 from ..soc import Soc, link
-from .tracing import Tracer
+from .telemetry import Telemetry
 
 
 class PlaygroundError(RuntimeError):
@@ -52,10 +52,10 @@ class Playground:
     """One co-design session: a model deployed to a board."""
 
     def __init__(self, board, model, cpu_config=None, clock_hz=None,
-                 tracer=None):
+                 telemetry=None):
         self.board = board
         self.model = model
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.soc = Soc(board, cpu_config, clock_hz=clock_hz)
         self.variants = reference_variants()
         self.cfu = None
@@ -107,13 +107,13 @@ class Playground:
     # --- the loop -------------------------------------------------------------------
     def deploy(self, require_fit=True):
         """Link the image and fit the FPGA; the paper's 'Deploy' step."""
-        with self.tracer.span("deploy", model=self.model.name,
-                              board=self.board.name) as span:
+        with self.telemetry.span("deploy", model=self.model.name,
+                                 board=self.board.name) as span:
             layout = link(self.soc, self.model, self.placement)
             fit_result = self.fit()
             span.attrs["fit"] = fit_result.ok
             if require_fit and not fit_result.ok:
-                self.tracer.count("fit_reject")
+                self.telemetry.counter("playground_fit_rejects").inc()
                 raise PlaygroundError(
                     f"design does not fit:\n{fit_result.summary()}")
             self._deployed = True
@@ -136,10 +136,12 @@ class Playground:
         :data:`repro.cpu.machine.SIM_BACKENDS`); cycle counts are
         identical across tiers.
         """
-        with self.tracer.span("profile", model=self.model.name,
-                              checkpoint=checkpoint, simulate=simulate) as span:
+        with self.telemetry.span("profile", model=self.model.name,
+                                 checkpoint=checkpoint,
+                                 simulate=simulate) as span:
             estimate = estimate_inference(self.model, self.system(),
-                                          self.variants, tracer=self.tracer)
+                                          self.variants,
+                                          telemetry=self.telemetry)
             span.attrs["cycles"] = estimate.total_cycles
             if simulate:
                 from .simprofile import (DEFAULT_BUDGET, DEFAULT_DRIFT_BAND,
@@ -151,7 +153,7 @@ class Playground:
                     estimate=estimate, sim_backend=sim_backend)
                 span.attrs["simulated_cycles"] = result.total_cycles
                 span.attrs["drift"] = round(result.drift, 4)
-        self.tracer.count("profile")
+        self.telemetry.counter("playground_profiles").inc()
         result = result if simulate else estimate
         if checkpoint:
             self.history.append((checkpoint, result.total_cycles))
@@ -182,7 +184,7 @@ class Playground:
         from ..emu import Emulator
 
         return Emulator(self.soc, cfu=self.cfu, with_timing=with_timing,
-                        tracer=self.tracer)
+                        telemetry=self.telemetry)
 
     def speedup_history(self):
         if not self.history:

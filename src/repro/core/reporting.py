@@ -134,17 +134,17 @@ def generate_report(path=None, include_dse=False, dse_trials=45,
                  fig6_text, "", cmsis_section(fig6_results), "",
                  energy_section(fig6_results), ""]
     if include_dse:
-        from ..dse import run_fig7, total_space_size
-        from .tracing import Tracer
+        from ..dse import run_fig7, total_space_size, trace_summary
+        from .telemetry import Telemetry
 
-        tracer = Tracer()
+        telemetry = Telemetry()
         result = run_fig7(trials_per_family=dse_trials, workers=dse_workers,
-                          cache_dir=dse_cache_dir, tracer=tracer)
+                          cache_dir=dse_cache_dir, telemetry=telemetry)
         sections += [
             "## Figure 7 — design-space exploration", "",
             f"Space: {total_space_size():,} points.", "",
             "```", result.summary(), "```", "",
-            "```", tracer.summary(), "```", "",
+            "```", trace_summary(telemetry), "```", "",
         ]
     text = "\n".join(sections)
     if path is not None:

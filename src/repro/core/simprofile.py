@@ -418,17 +418,17 @@ class SimulatedProfile:
             handle.write("\n".join(lines) + "\n")
         return len(lines)
 
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         for sim in self.classes:
-            registry.counter("simprofile_estimated_cycles", cls=sim.name,
-                             **labels).add(int(sim.estimated_cycles))
-            registry.counter("simprofile_simulated_cycles", cls=sim.name,
-                             **labels).add(int(sim.simulated_cycles))
-            registry.counter("simprofile_instructions", cls=sim.name,
-                             **labels).add(int(sim.instructions))
-            registry.gauge("simprofile_drift", cls=sim.name,
-                           **labels).set(round(sim.drift, 4))
-        return registry
+            telemetry.counter("simprofile_estimated_cycles", cls=sim.name,
+                              **labels).add(int(sim.estimated_cycles))
+            telemetry.counter("simprofile_simulated_cycles", cls=sim.name,
+                              **labels).add(int(sim.simulated_cycles))
+            telemetry.counter("simprofile_instructions", cls=sim.name,
+                              **labels).add(int(sim.instructions))
+            telemetry.gauge("simprofile_drift", cls=sim.name,
+                            **labels).set(round(sim.drift, 4))
+        return telemetry
 
 
 def _class_key(cost, names_1x1):
@@ -438,8 +438,7 @@ def _class_key(cost, names_1x1):
 
 
 def _simulate_class(name, trace, instructions, code_section, estimated,
-                    playground, system, budget, tracer=None,
-                    sim_backend="auto"):
+                    playground, system, budget, sim_backend="auto"):
     """Synthesize + run + replay one opcode class; returns a ClassSim."""
     from ..emu import Emulator
 
@@ -540,7 +539,7 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
     result = SimulatedProfile(
         model_name=estimate.model_name, estimate=estimate, budget=budget,
         min_share=min_share, drift_band=drift_band)
-    tracer = getattr(playground, "tracer", None)
+    telemetry = getattr(playground, "telemetry", None)
     for name, estimated in by_class.items():
         if estimated / total < min_share:
             result.skipped[name] = estimated
@@ -557,8 +556,8 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
             trace = rep.trace
             instructions = rep.instructions
             code_section = rep.code_section
-        if tracer is not None:
-            with tracer.span("simprofile_class", cls=name) as span:
+        if telemetry is not None:
+            with telemetry.span("simprofile_class", cls=name) as span:
                 sim = _simulate_class(name, trace, instructions,
                                       code_section, estimated, playground,
                                       system, budget,

@@ -6,7 +6,8 @@ to the wire — no locks.  An *app* (``DseService``, ``SessionManager``)
 supplies ``routes()`` — ``[(method, pattern, name, handler)]``, where
 ``{...}`` segments of a pattern are passed to ``handler(body, *params)``
 and the handler returns the JSON answer, or an async generator that is
-streamed as chunked NDJSON — plus ``metrics``, the name of its per-route
+streamed as chunked NDJSON — plus ``telemetry`` (a
+:class:`~repro.core.telemetry.Telemetry`), the name of its per-route
 request counter (``http_counter``) and a :class:`FaultInjector`
 (``faults``).  A handler refuses with an :class:`HttpError` (any other
 exception is a 500 that keeps the connection loop alive).
@@ -199,7 +200,7 @@ class HttpServer:
         """Route and answer one request; False closes the connection."""
         app = self.app
         name, handler, params = self._match(method, target.partition("?")[0])
-        app.metrics.counter(app.http_counter, route=name).inc()
+        app.telemetry.counter(app.http_counter, route=name).inc()
         fault = app.faults.take(name)
         if fault is not None:
             kind, status = fault

@@ -16,7 +16,7 @@ Two execution paths share the same architectural semantics:
   execute one instruction.  Nothing is cached; this is the slow path
   the differential suite (``tests/test_sim_differential.py``) holds the
   fast path against.
-- :meth:`Machine.run` (default ``fast=True``) — the fast path: a
+- :meth:`Machine.run` (default ``backend="auto"``) — the fast path: a
   decoded-instruction cache keyed by physical address feeds a
   pre-specialized dispatch loop that keeps the hot state (pc, cycle and
   instruction counters, the register file) in locals.  ``isa.decode``
@@ -40,10 +40,17 @@ _MASK32 = 0xFFFFFFFF
 #: Simulator backend names accepted by :meth:`Machine.run` (and
 #: everything that forwards to it).  ``auto`` is the tiered mode:
 #: decoded-op dispatch with hot blocks promoted to the translation tier
-#: (falling back to tier 1 wherever translation is refused);
-#: ``translated`` is an alias for the same tiered mode, ``fast`` pins
-#: tier 1 only, ``step`` is the reference interpreter.
-SIM_BACKENDS = ("auto", "translated", "fast", "step")
+#: (falling back to tier 1 wherever translation is refused); ``fast``
+#: pins tier 1 only, ``step`` is the reference interpreter.
+SIM_BACKENDS = ("auto", "fast", "step")
+
+
+def check_backend(backend):
+    """Raise ValueError unless ``backend`` is one of :data:`SIM_BACKENDS`."""
+    if backend not in SIM_BACKENDS:
+        raise ValueError(
+            f"unknown sim backend {backend!r}"
+            f" (expected one of {', '.join(SIM_BACKENDS)})")
 
 
 def _sext32(value):
@@ -682,43 +689,43 @@ class Machine:
         return op
 
     # --- observability --------------------------------------------------------------
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         """Feed the machine's counters into a
-        :class:`~repro.core.metrics.MetricsRegistry`: retired
+        :class:`~repro.core.telemetry.Telemetry`: retired
         instructions and cycles, decode-cache health, and the timing
         model's trace-driven i/d-cache hit/miss counts."""
-        registry.counter("sim_instructions", **labels).add(self.instret)
-        registry.counter("sim_cycles", **labels).add(self.cycles)
-        registry.counter("sim_decodes", **labels).add(self.decode_count)
-        registry.counter("sim_decode_invalidations",
-                         **labels).add(self.invalidation_count)
+        telemetry.counter("sim_instructions", **labels).add(self.instret)
+        telemetry.counter("sim_cycles", **labels).add(self.cycles)
+        telemetry.counter("sim_decodes", **labels).add(self.decode_count)
+        telemetry.counter("sim_decode_invalidations",
+                          **labels).add(self.invalidation_count)
         # Cache-size gauges are labelled by the backend tier that last
         # ran, so a decode-cache count from a pure tier-1 run is never
-        # conflated with one from a tiered (translated) run.
+        # conflated with one from a tiered (auto) run.
         tier = self.last_run_backend or "none"
-        registry.gauge("sim_decode_cache_entries", tier=tier,
-                       **labels).set(self.decode_cache_entries)
-        registry.gauge("sim_block_cache_entries", tier=tier,
-                       **labels).set(self.block_cache_entries)
-        registry.counter("sim_block_promotions",
-                         **labels).add(self.block_promotions)
-        registry.counter("sim_block_invalidations",
-                         **labels).add(self.block_invalidation_count)
-        registry.counter("sim_block_cache_loads",
-                         **labels).add(self.block_cache_loads)
-        registry.counter("sim_snapshots", **labels).add(self.snapshot_count)
-        registry.counter("sim_restores", **labels).add(self.restore_count)
-        registry.counter("sim_pages_restored",
-                         **labels).add(self.pages_restored)
+        telemetry.gauge("sim_decode_cache_entries", tier=tier,
+                        **labels).set(self.decode_cache_entries)
+        telemetry.gauge("sim_block_cache_entries", tier=tier,
+                        **labels).set(self.block_cache_entries)
+        telemetry.counter("sim_block_promotions",
+                          **labels).add(self.block_promotions)
+        telemetry.counter("sim_block_invalidations",
+                          **labels).add(self.block_invalidation_count)
+        telemetry.counter("sim_block_cache_loads",
+                          **labels).add(self.block_cache_loads)
+        telemetry.counter("sim_snapshots", **labels).add(self.snapshot_count)
+        telemetry.counter("sim_restores", **labels).add(self.restore_count)
+        telemetry.counter("sim_pages_restored",
+                          **labels).add(self.pages_restored)
         if self.timing is not None:
             for cache in (self.timing.icache, self.timing.dcache):
                 if cache is None:
                     continue
-                registry.counter("sim_cache_hits", cache=cache.name,
-                                 **labels).add(cache.hits)
-                registry.counter("sim_cache_misses", cache=cache.name,
-                                 **labels).add(cache.misses)
-        return registry
+                telemetry.counter("sim_cache_hits", cache=cache.name,
+                                  **labels).add(cache.hits)
+                telemetry.counter("sim_cache_misses", cache=cache.name,
+                                  **labels).add(cache.misses)
+        return telemetry
 
     # --- program loading -----------------------------------------------------------
     def load_program(self, code, addr=0):
@@ -742,28 +749,20 @@ class Machine:
         return self.regs[index]
 
     # --- execution ------------------------------------------------------------------
-    def run(self, max_instructions=1_000_000, fast=True, backend=None):
+    def run(self, max_instructions=1_000_000, backend="auto"):
         """Execute until halt or the instruction budget is exhausted.
 
         ``backend`` picks the execution tier (see :data:`SIM_BACKENDS`):
-        ``"auto"``/``"translated"`` run the tiered loop (decoded-op
-        dispatch promoting hot basic blocks to generated code),
-        ``"fast"`` pins the tier-1 dispatch loop, ``"step"`` the
-        reference interpreter.  When ``backend`` is None it resolves
-        from the legacy ``fast`` flag: ``fast=True`` -> ``"auto"``,
-        ``fast=False`` -> ``"step"``.  All backends are architecturally
-        identical (the differential suite asserts it).  The budget
-        counts executed instructions: a program that halts *on* its
-        ``max_instructions``-th instruction completes normally; the
-        budget error is raised only when the machine is still running
-        after the budget is spent.
+        ``"auto"`` runs the tiered loop (decoded-op dispatch promoting
+        hot basic blocks to generated code), ``"fast"`` pins the tier-1
+        dispatch loop, ``"step"`` the reference interpreter.  All
+        backends are architecturally identical (the differential suite
+        asserts it).  The budget counts executed instructions: a program
+        that halts *on* its ``max_instructions``-th instruction completes
+        normally; the budget error is raised only when the machine is
+        still running after the budget is spent.
         """
-        if backend is None:
-            backend = "auto" if fast else "step"
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown sim backend {backend!r}"
-                f" (expected one of {', '.join(SIM_BACKENDS)})")
+        check_backend(backend)
         self.last_run_backend = backend
         if backend != "step":
             self._run_fast(max_instructions,

@@ -8,16 +8,17 @@ mcycle counter.
 
 Two collection paths produce bit-identical attributions:
 
-- ``run(fast=True)`` (default) piggybacks on the decoded-instruction
-  fast path: :meth:`Machine._run_fast` charges each dispatch's cycles
-  into a per-pc bucket (one dict lookup per instruction), and symbol
-  resolution happens once per *static* pc via bisect when the profile
-  is finalized.  Profiling cost is a small constant factor over the
-  unprofiled fast path (``benchmarks/bench_profile_overhead.py`` holds
-  it under 3x).
-- ``run(fast=False)`` wraps the reference ``step()`` loop, attributing
-  the machine's cycle delta around every single step — the original,
-  slow, trivially-correct collector the fast path is verified against.
+- ``run()`` (``backend="auto"`` or ``"fast"``) piggybacks on the
+  decoded-instruction fast path: :meth:`Machine._run_fast` charges each
+  dispatch's cycles into a per-pc bucket (one dict lookup per
+  instruction), and symbol resolution happens once per *static* pc via
+  bisect when the profile is finalized.  Profiling cost is a small
+  constant factor over the unprofiled fast path
+  (``benchmarks/bench_profile_overhead.py`` holds it under 3x).
+- ``run(backend="step")`` wraps the reference ``step()`` loop,
+  attributing the machine's cycle delta around every single step — the
+  original, slow, trivially-correct collector the fast path is verified
+  against.
 
 Exhausting the instruction budget no longer raises: the partial profile
 is returned with :attr:`Profile.truncated` set, so a too-short budget
@@ -30,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import isa
-from .machine import _specialize, classify_kind
+from .machine import _specialize, check_backend, classify_kind
 
 
 @dataclass
@@ -91,18 +92,18 @@ class Profile:
             handle.write("\n".join(lines) + "\n")
         return len(lines)
 
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         """Feed per-symbol cycles and the instruction mix into a
-        :class:`~repro.core.metrics.MetricsRegistry`."""
+        :class:`~repro.core.telemetry.Telemetry`."""
         for entry in self.top(len(self.entries)):
-            registry.counter("profile_cycles", symbol=entry.name,
-                             **labels).add(int(entry.cycles))
-            registry.counter("profile_instructions", symbol=entry.name,
-                             **labels).add(int(entry.instructions))
+            telemetry.counter("profile_cycles", symbol=entry.name,
+                              **labels).add(int(entry.cycles))
+            telemetry.counter("profile_instructions", symbol=entry.name,
+                              **labels).add(int(entry.instructions))
         for kind_class, count in sorted(self.instruction_mix.items()):
-            registry.counter("profile_mix", kind=kind_class,
-                             **labels).add(int(count))
-        return registry
+            telemetry.counter("profile_mix", kind=kind_class,
+                              **labels).add(int(count))
+        return telemetry
 
     def __getitem__(self, name):
         return self.entries[name]
@@ -140,26 +141,18 @@ class MachineProfiler:
         self.pc_buckets[pc] = bucket
         return bucket
 
-    def run(self, max_instructions=5_000_000, fast=True, backend=None):
+    def run(self, max_instructions=5_000_000, backend="auto"):
         """Run to halt (or budget) and return the :class:`Profile`.
 
         ``backend`` picks the execution tier exactly as in
-        :meth:`Machine.run <repro.cpu.machine.Machine.run>`; None
-        resolves from the legacy ``fast`` flag.  Attribution is
-        identical across tiers: translated blocks charge cycles to the
-        same pc buckets the dispatch loops would.
+        :meth:`Machine.run <repro.cpu.machine.Machine.run>`.
+        Attribution is identical across tiers: translated blocks charge
+        cycles to the same pc buckets the dispatch loops would.
 
         A budget exhaustion returns the partial profile with
         ``truncated=True`` instead of discarding it.
         """
-        from .machine import SIM_BACKENDS
-
-        if backend is None:
-            backend = "auto" if fast else "step"
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown sim backend {backend!r}"
-                f" (expected one of {', '.join(SIM_BACKENDS)})")
+        check_backend(backend)
         machine = self.machine
         machine.last_run_backend = backend
         if backend != "step":
@@ -220,12 +213,12 @@ class MachineProfiler:
 
 
 def profile_assembly(source, timing=None, cfu=None, region_base=0,
-                     max_instructions=5_000_000, fast=True, backend=None):
+                     max_instructions=5_000_000, backend="auto"):
     """Assemble, run, and profile a program in one call."""
     from .machine import Machine
 
     machine = Machine(cfu=cfu, timing=timing)
     symbols = machine.load_assembly(source, addr=region_base)
     profiler = MachineProfiler(machine, symbols)
-    profile = profiler.run(max_instructions, fast=fast, backend=backend)
+    profile = profiler.run(max_instructions, backend=backend)
     return profile, machine

@@ -33,6 +33,7 @@ from .runner import (
     evaluate_design,
     run_fig7,
     total_space_size,
+    trace_summary,
 )
 from .service import (
     DEFAULT_LEASE_SECONDS,
@@ -79,5 +80,6 @@ __all__ = [
     "evaluate_design", "fetch_result", "hypervolume_2d", "pareto_front",
     "pareto_front_indices", "point_to_cpu_config", "run_exhaustive_service",
     "run_fig7", "run_fig7_service", "run_worker", "search_regret", "serve",
-    "sweep", "total_space_size", "vexriscv_space", "wait_for_studies",
+    "sweep", "total_space_size", "trace_summary", "vexriscv_space",
+    "wait_for_studies",
 ]

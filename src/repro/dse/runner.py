@@ -19,7 +19,8 @@ are sharded across a :class:`~repro.dse.pool.WorkerPool`.  The batch
 size is deliberately independent of the worker count, so the same seed
 produces the same Pareto fronts whether the run is serial or parallel.
 Every trial is recorded as a span (family, cache-hit flag, fit outcome)
-on a :class:`~repro.core.tracing.Tracer`.
+on a :class:`~repro.core.telemetry.Telemetry`, and :func:`trace_summary`
+renders a run's cache hit rate and fit rejects.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from ..accel.kws.resources import cfu2_resources
 from ..accel.mnv2.resources import stage_resources
 from ..boards import ARTY_A7_35T, fit
-from ..core.tracing import Tracer
+from ..core.telemetry import Telemetry
 from ..kernels.conv1x1 import OverlapInput
 from ..kernels.kws import kws_variants
 from ..kernels.reference import reference_variants
@@ -229,16 +230,18 @@ class Fig7Evaluator:
     """Evaluates one (cpu point, family) to (cycles, cells); None = no fit.
 
     Backed by an :class:`EvaluationCache` (in-memory by default, or a
-    persistent directory) and a :class:`Tracer` that counts cache
-    hits/misses and fit rejections.
+    persistent directory) and a :class:`Telemetry` that counts cache
+    hits/misses (``dse_cache_hits``/``dse_cache_misses``) and fit
+    rejections (``dse_fit_rejects``).
     """
 
-    def __init__(self, model=None, board=ARTY_A7_35T, cache=None, tracer=None):
+    def __init__(self, model=None, board=ARTY_A7_35T, cache=None,
+                 telemetry=None):
         self.model = model or load("mobilenet_v2", width_multiplier=0.75,
                                    num_classes=100)
         self.board = board
         self.cache = cache if cache is not None else EvaluationCache()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     def cache_key(self, parameters, family):
         return cache_key(parameters, family,
@@ -262,7 +265,7 @@ class Fig7Evaluator:
                 # warm cache, or a duplicate of an earlier miss in this
                 # same batch: either way no new evaluation is spent
                 if cached is not MISS:
-                    self.tracer.count("cache_hit")
+                    self.telemetry.counter("dse_cache_hits").inc()
                     outcomes[index] = EvalOutcome(point=cached, cache_hit=True)
                 else:
                     pending[key].append(index)
@@ -279,14 +282,14 @@ class Fig7Evaluator:
             for key, (point, seconds) in zip(keys, results):
                 self.cache.put(key, point)
                 indices = pending[key]
-                self.tracer.count("cache_miss")
+                self.telemetry.counter("dse_cache_misses").inc()
                 if point is None:
-                    self.tracer.count("fit_reject")
+                    self.telemetry.counter("dse_fit_rejects").inc()
                 outcomes[indices[0]] = EvalOutcome(point=point,
                                                    cache_hit=False,
                                                    seconds=seconds)
                 for index in indices[1:]:  # in-batch duplicates
-                    self.tracer.count("cache_hit")
+                    self.telemetry.counter("dse_cache_hits").inc()
                     outcomes[index] = EvalOutcome(point=point, cache_hit=True)
         return outcomes
 
@@ -301,28 +304,28 @@ class Fig7Evaluator:
 
 def run_fig7(trials_per_family=120, seed=0, evaluator=None,
              algorithm_factory=None, workers=1, batch=None, cache_dir=None,
-             tracer=None):
+             telemetry=None):
     """Run the three studies and return a :class:`DseResult`.
 
     ``workers`` shards each suggestion batch across processes;
     ``batch`` (default :data:`DEFAULT_BATCH`) is fixed independently of
     ``workers`` so the same seed yields identical Pareto fronts serial
     or parallel.  ``cache_dir`` persists evaluations across runs — a
-    warm rerun performs zero fresh evaluations.  ``tracer`` (or the
+    warm rerun performs zero fresh evaluations.  ``telemetry`` (or the
     evaluator's own) collects per-trial spans, per-family progress
     events, and cache/fit counters.
     """
     if evaluator is None:
-        tracer = tracer if tracer is not None else Tracer()
+        telemetry = telemetry if telemetry is not None else Telemetry()
         evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),
-                                  tracer=tracer)
+                                  telemetry=telemetry)
     else:
         if cache_dir is not None:
             evaluator.cache = EvaluationCache(cache_dir)
-        if tracer is not None:
-            evaluator.tracer = tracer  # one tracer owns the whole run
+        if telemetry is not None:
+            evaluator.telemetry = telemetry  # one object owns the whole run
         else:
-            tracer = evaluator.tracer
+            telemetry = evaluator.telemetry
     algorithm_factory = algorithm_factory or (lambda: RegularizedEvolution())
     batch = DEFAULT_BATCH if batch is None else batch
     if batch < 1:
@@ -336,8 +339,8 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
                           initargs=(evaluator.model, evaluator.board))
     try:
         for family in CFU_FAMILIES:
-            tracer.event("family_start", family=family,
-                         budget=trials_per_family)
+            telemetry.event("family_start", family=family,
+                            budget=trials_per_family)
             study = Study(
                 space=vexriscv_space(),
                 goals=[MetricGoal("cycles"), MetricGoal("logic_cells")],
@@ -354,7 +357,7 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
                 )
                 for trial, outcome in zip(trials, outcomes):
                     point = outcome.point
-                    tracer.record_span(
+                    telemetry.record_span(
                         "trial", outcome.seconds, study=study.name,
                         trial=trial.trial_id, family=family,
                         cache_hit=outcome.cache_hit, fit=point is not None,
@@ -366,16 +369,35 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
                                         "logic_cells": point.logic_cells})
                         result.add(point)  # revisited configs count once
                     remaining -= 1
-                tracer.event("progress", family=family,
-                             completed=trials_per_family - remaining,
-                             budget=trials_per_family)
-            tracer.event("family_done", family=family,
-                         evaluated=len(result.family_points(family)),
-                         front=len(result.family_front(family)))
+                telemetry.event("progress", family=family,
+                                completed=trials_per_family - remaining,
+                                budget=trials_per_family)
+            telemetry.event("family_done", family=family,
+                            evaluated=len(result.family_points(family)),
+                            front=len(result.family_front(family)))
     finally:
         if pool is not None:
             pool.close()
     return result
+
+
+def trace_summary(telemetry):
+    """The human summary of a Fig. 7 run's telemetry: span and event
+    counts, the evaluation cache's hit rate, fit rejects and busy span
+    time."""
+    def total(name):
+        return sum(s.value for s in telemetry.series() if s.name == name)
+
+    hits, misses = total("dse_cache_hits"), total("dse_cache_misses")
+    lookups = hits + misses
+    rate = 100.0 * hits / lookups if lookups else 0.0
+    busy = sum(span.duration for span in telemetry.spans)
+    return "\n".join([
+        f"trace: {len(telemetry.spans)} spans, {len(telemetry.events)} events",
+        f"cache: {hits} hits / {misses} misses ({rate:.1f}% hit rate)",
+        f"fit rejects: {total('dse_fit_rejects')}",
+        f"span time: {busy:.3f}s over {telemetry.now():.3f}s elapsed",
+    ])
 
 
 def total_space_size():

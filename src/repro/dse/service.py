@@ -9,7 +9,7 @@ loop.  This module is that shape for the reproduction:
   .../trials/<id>/complete``, ``GET .../pareto`` and the chunked
   NDJSON ``GET .../pareto-stream``, study status/listing, and a
   ``GET /metrics`` snapshot of the shared
-  :class:`~repro.core.metrics.MetricsRegistry`.
+  :class:`~repro.core.telemetry.Telemetry`.
 
 - **Lease protocol** — a claimed trial carries a lease token and a
   wall-clock deadline.  Completion must present the token; an expired
@@ -48,7 +48,7 @@ import asyncio
 import time
 
 from ..core import wire
-from ..core.metrics import MetricsRegistry
+from ..core.telemetry import Telemetry
 from ..core.wire import FaultInjector, HttpError, ServerThread
 from .algorithms import GridSearch, RandomSearch, RegularizedEvolution, TpeLite
 from .pareto import pareto_front
@@ -196,7 +196,7 @@ class ServiceStudy:
         return self.config["batch"]
 
     def _counter(self, name):
-        return self.service.metrics.counter(name, study=self.study_id)
+        return self.service.telemetry.counter(name, study=self.study_id)
 
     def _persist_trial(self, record):
         self.service.store.write_trial(self.owner, self.study_id, record)
@@ -340,7 +340,7 @@ class ServiceStudy:
         hit_name = ("dse_worker_cache_hits" if record.cache_hit
                     else "dse_worker_cache_misses")
         self._counter(hit_name).inc()
-        self.service.metrics.histogram(
+        self.service.telemetry.histogram(
             "dse_trial_seconds", buckets=TRIAL_SECONDS_BUCKETS,
             study=self.study_id).observe(record.seconds)
         return {"ok": True, "duplicate": False}
@@ -363,10 +363,10 @@ class ServiceStudy:
             trial.complete(record.metrics)
 
     def _export_gauges(self):
-        metrics = self.service.metrics
-        metrics.gauge("dse_queue_depth", study=self.study_id) \
+        telemetry = self.service.telemetry
+        telemetry.gauge("dse_queue_depth", study=self.study_id) \
             .set(len(self.queue))
-        metrics.gauge("dse_inflight", study=self.study_id) \
+        telemetry.gauge("dse_inflight", study=self.study_id) \
             .set(self.inflight())
 
     # --- resume (replay) ----------------------------------------------------------
@@ -531,14 +531,14 @@ class ServiceStudy:
 
 
 class DseService:
-    """Many studies behind one store, one metrics registry, one pool."""
+    """Many studies behind one store, one telemetry object, one pool."""
 
     def __init__(self, store_dir=None, lease_seconds=DEFAULT_LEASE_SECONDS,
-                 clock=time.time, metrics=None):
+                 clock=time.time, telemetry=None):
         self.store = StudyStore(store_dir)
         self.lease_seconds = float(lease_seconds)
         self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.faults = FaultInjector()
         self.studies = {}
         self._rr = 0
@@ -549,7 +549,7 @@ class DseService:
         self._export_active()
 
     def _export_active(self):
-        self.metrics.gauge("dse_studies_active").set(
+        self.telemetry.gauge("dse_studies_active").set(
             sum(1 for s in self.studies.values() if s.state == ACTIVE))
 
     # --- study management ---------------------------------------------------------
@@ -612,7 +612,8 @@ class DseService:
         study, get = "studies/{owner}/{study_id}", self.get_study
         return [
             ("GET", "healthz", "healthz", lambda body: {"ok": True}),
-            ("GET", "metrics", "metrics", lambda body: self.metrics.snapshot()),
+            ("GET", "metrics", "metrics",
+             lambda body: self.telemetry.snapshot()),
             ("GET", "studies", "list", lambda body: {
                 "studies": self.list_statuses(), "done": self.all_done()}),
             ("POST", "studies", "create",

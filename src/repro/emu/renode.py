@@ -32,7 +32,7 @@ class Emulator:
     when the cache is directory-backed.
     """
 
-    def __init__(self, soc, cfu=None, with_timing=True, tracer=None,
+    def __init__(self, soc, cfu=None, with_timing=True, telemetry=None,
                  rtl_backend="auto", sim_backend="auto", compile_cache=None):
         if not isinstance(soc, Soc):
             raise TypeError("Emulator requires a Soc")
@@ -49,7 +49,7 @@ class Emulator:
                 cfu, (CfuModel, RtlCfuAdapter, MeteredCfu)):
             raise TypeError("cfu must be a CfuModel or RtlCfu(-Adapter)")
         self.cfu = cfu
-        self.tracer = tracer
+        self.telemetry = telemetry
         timing = (VexTiming(soc.cpu_config, soc.memory_map)
                   if with_timing else None)
         self.machine = Machine(memory=self.bus, cfu=cfu, timing=timing)
@@ -114,23 +114,19 @@ class Emulator:
         self.machine.discard_snapshot(snap["machine"])
 
     # --- execution ---------------------------------------------------------------
-    def _resolve_backend(self, fast, backend):
-        """None resolves to the emulator's default tier (``sim_backend``)
-        when ``fast``, the reference interpreter otherwise — so legacy
-        ``fast=False`` callers still get the step loop."""
-        if backend is not None:
-            return backend
-        return self.sim_backend if fast else "step"
-
-    def run(self, max_instructions=5_000_000, fast=True, backend=None):
+    def run(self, max_instructions=5_000_000, backend=None):
+        """Run the loaded program; ``backend`` defaults to the emulator's
+        ``sim_backend``.  With telemetry attached, records a ``sim_run``
+        span carrying this run's instructions and cycles."""
         machine = self.machine
-        backend = self._resolve_backend(fast, backend)
-        if self.tracer is None:
+        backend = self.sim_backend if backend is None else backend
+        if self.telemetry is None:
             return machine.run(max_instructions, backend=backend)
         instret0 = machine.instret
+        cycles0 = machine.cycles
         invalidations0 = machine.invalidation_count
         promotions0 = machine.block_promotions
-        with self.tracer.span("sim_run", backend=backend) as span:
+        with self.telemetry.span("sim_run", backend=backend) as span:
             start = time.perf_counter()
             try:
                 return machine.run(max_instructions, backend=backend)
@@ -138,7 +134,7 @@ class Emulator:
                 elapsed = time.perf_counter() - start
                 instructions = machine.instret - instret0
                 span.attrs["instructions"] = instructions
-                span.attrs["cycles"] = machine.cycles
+                span.attrs["cycles"] = machine.cycles - cycles0
                 span.attrs["instructions_per_second"] = (
                     round(instructions / elapsed) if elapsed > 0 else None)
                 span.attrs["decode_cache_entries"] = (
@@ -149,37 +145,35 @@ class Emulator:
                     machine.block_cache_entries)
                 span.attrs["block_promotions"] = (
                     machine.block_promotions - promotions0)
-                self.tracer.count("sim_instructions", instructions)
 
-    def profile(self, symbols, max_instructions=5_000_000, fast=True,
-                backend=None):
+    def profile(self, symbols, max_instructions=5_000_000, backend=None):
         """Run the loaded program under the cycle profiler.
 
         ``symbols`` is the name->address table :meth:`load_assembly`
         returned.  Returns the :class:`~repro.cpu.profiler.Profile`;
-        records a ``sim_profile`` span when a tracer is attached.
+        records a ``sim_profile`` span when telemetry is attached.
         """
         from ..cpu.profiler import MachineProfiler
 
-        backend = self._resolve_backend(fast, backend)
+        backend = self.sim_backend if backend is None else backend
         profiler = MachineProfiler(self.machine, symbols)
-        if self.tracer is None:
+        if self.telemetry is None:
             return profiler.run(max_instructions, backend=backend)
-        with self.tracer.span("sim_profile", backend=backend) as span:
+        with self.telemetry.span("sim_profile", backend=backend) as span:
             profile = profiler.run(max_instructions, backend=backend)
             span.attrs["cycles"] = profile.total_cycles
             span.attrs["symbols"] = len(profile.entries)
             span.attrs["truncated"] = profile.truncated
             return profile
 
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         """Feed machine, bus, and CFU counters into a
-        :class:`~repro.core.metrics.MetricsRegistry` in one call."""
-        self.machine.export_metrics(registry, **labels)
-        self.bus.export_metrics(registry, **labels)
+        :class:`~repro.core.telemetry.Telemetry` in one call."""
+        self.machine.export_metrics(telemetry, **labels)
+        self.bus.export_metrics(telemetry, **labels)
         if isinstance(self.cfu, MeteredCfu):
-            self.cfu.export_metrics(registry, **labels)
-        return registry
+            self.cfu.export_metrics(telemetry, **labels)
+        return telemetry
 
     @property
     def cycles(self):

@@ -38,7 +38,7 @@ import itertools
 import time
 
 from ..core import wire
-from ..core.metrics import MetricsRegistry
+from ..core.telemetry import Telemetry
 from ..core.wire import ClientError, FaultInjector, HttpError, JsonClient, ServerThread
 from ..soc.bus import BusError
 from .renode import Emulator, _resolve_compile_cache
@@ -187,7 +187,7 @@ class Session:
         started = time.perf_counter()
         self.snapshots[snapshot_id] = self.emulator.snapshot()
         elapsed = time.perf_counter() - started
-        self.manager.metrics.counter("session_snapshots").inc()
+        self.manager.telemetry.counter("session_snapshots").inc()
         return {"snapshot_id": snapshot_id, "seconds": elapsed}
 
     def restore(self, payload):
@@ -200,7 +200,7 @@ class Session:
         started = time.perf_counter()
         pages = self.emulator.restore(snap)
         elapsed = time.perf_counter() - started
-        self.manager.metrics.counter("session_restores").inc()
+        self.manager.telemetry.counter("session_restores").inc()
         return {"snapshot_id": snapshot_id, "pages_restored": pages,
                 "seconds": elapsed}
 
@@ -277,12 +277,12 @@ class SessionManager:
     """
 
     def __init__(self, max_sessions=DEFAULT_MAX_SESSIONS, compile_cache=True,
-                 metrics=None):
+                 telemetry=None):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
         self.max_sessions = max_sessions
         self.compile_cache = _resolve_compile_cache(compile_cache)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.faults = FaultInjector()
         self.sessions = {}            # insertion-ordered: LRU front-to-back
         self._ids = itertools.count(1)
@@ -302,12 +302,12 @@ class SessionManager:
         session = Session(self, session_id, spec)
         self.sessions[session_id] = session
         self._created[session_id] = next(self._created_seq)
-        self.metrics.counter("sessions_created").inc()
+        self.telemetry.counter("sessions_created").inc()
         while len(self.sessions) > self.max_sessions:
             evicted = next(iter(self.sessions))
             del self.sessions[evicted]
             del self._created[evicted]
-            self.metrics.counter("sessions_evicted").inc()
+            self.telemetry.counter("sessions_evicted").inc()
         self._export_gauges()
         return session
 
@@ -327,7 +327,7 @@ class SessionManager:
             raise SessionError(f"no session {session_id}",
                                status=404) from None
         del self._created[session_id]
-        self.metrics.counter("sessions_deleted").inc()
+        self.telemetry.counter("sessions_deleted").inc()
         self._export_gauges()
         return {"session_id": session_id, "deleted": True}
 
@@ -339,22 +339,22 @@ class SessionManager:
 
     # --- observability ------------------------------------------------------------
     def observe_run(self, seconds):
-        self.metrics.counter("session_runs").inc()
-        self.metrics.histogram("session_run_seconds",
-                               buckets=STEP_SECONDS_BUCKETS).observe(seconds)
+        self.telemetry.counter("session_runs").inc()
+        self.telemetry.histogram("session_run_seconds",
+                                 buckets=STEP_SECONDS_BUCKETS).observe(seconds)
 
     def _export_gauges(self):
-        self.metrics.gauge("sessions_active").set(len(self.sessions))
+        self.telemetry.gauge("sessions_active").set(len(self.sessions))
 
     def snapshot_metrics(self):
-        """The registry snapshot, with live compile-cache stats folded
+        """The series snapshot, with live compile-cache stats folded
         in as gauges (the cache is shared, so these are fleet-wide)."""
         if self.compile_cache is not None:
             stats = getattr(self.compile_cache, "stats", None)
             if stats is not None:
                 for name, value in stats.as_dict().items():
-                    self.metrics.gauge(f"codecache_{name}").set(value)
-        return self.metrics.snapshot()
+                    self.telemetry.gauge(f"codecache_{name}").set(value)
+        return self.telemetry.snapshot()
 
     # --- the wire (served by repro.core.wire) ---------------------------------------
     http_counter = "session_http_requests"

@@ -118,21 +118,23 @@ class FrameworkOverhead:
 
 
 def estimate_inference(model, system, variants=None, overhead=None,
-                       split_conv_1x1=True, tracer=None):
+                       split_conv_1x1=True, telemetry=None):
     """Estimate one inference; returns an :class:`InferenceEstimate`.
 
-    With ``tracer`` (a :class:`~repro.core.tracing.Tracer`) the whole
-    estimation is recorded as an ``estimate`` span carrying the model
-    name and total cycles, and an ``op_estimated`` counter per operator.
+    With ``telemetry`` (a :class:`~repro.core.telemetry.Telemetry`) the
+    whole estimation is recorded as an ``estimate`` span carrying the
+    model name and total cycles, and the ``perf_ops_estimated`` counter
+    grows by the operator count.
     """
     from ..kernels.reference import reference_variants
 
-    if tracer is not None:
-        with tracer.span("estimate", model=model.name) as span:
+    if telemetry is not None:
+        with telemetry.span("estimate", model=model.name) as span:
             estimate = estimate_inference(model, system, variants=variants,
                                           overhead=overhead,
                                           split_conv_1x1=split_conv_1x1)
-            tracer.count("op_estimated", len(estimate.op_costs))
+            telemetry.counter("perf_ops_estimated").add(
+                len(estimate.op_costs))
             span.attrs["cycles"] = estimate.total_cycles
             return estimate
 

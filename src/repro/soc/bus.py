@@ -198,15 +198,15 @@ class SocBus(CowPagesMixin):
             return {}
         return {key: tuple(value) for key, value in self._traffic.items()}
 
-    def export_metrics(self, registry, **labels):
+    def export_metrics(self, telemetry, **labels):
         """Feed the traffic counters into a
-        :class:`~repro.core.metrics.MetricsRegistry`."""
+        :class:`~repro.core.telemetry.Telemetry`."""
         for (region, direction), (count, nbytes) in sorted(self.traffic().items()):
-            registry.counter("bus_transactions", region=region,
-                             direction=direction, **labels).add(count)
-            registry.counter("bus_bytes", region=region,
-                             direction=direction, **labels).add(nbytes)
-        return registry
+            telemetry.counter("bus_transactions", region=region,
+                              direction=direction, **labels).add(count)
+            telemetry.counter("bus_bytes", region=region,
+                              direction=direction, **labels).add(nbytes)
+        return telemetry
 
     def load_bytes(self, addr, blob):
         """Write the bytes-like ``blob`` at ``addr`` as a program loader

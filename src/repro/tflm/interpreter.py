@@ -137,15 +137,15 @@ def reference_registry():
     })
 
 
-def metrics_listener(registry, estimate=None, **labels):
+def metrics_listener(telemetry, estimate=None, **labels):
     """Build an interpreter listener that feeds per-operator metrics.
 
-    Counts invocations and output elements per operator into ``registry``
-    (a :class:`~repro.core.metrics.MetricsRegistry`).  With ``estimate``
-    (an :class:`~repro.perf.estimator.InferenceEstimate`) each invocation
-    also charges the operator's estimated cycles, giving the same
-    per-operator cycle view the paper's on-board profiler prints — but
-    as mergeable metric series.
+    Counts invocations and output elements per operator into
+    ``telemetry`` (a :class:`~repro.core.telemetry.Telemetry`).  With
+    ``estimate`` (an :class:`~repro.perf.estimator.InferenceEstimate`)
+    each invocation also charges the operator's estimated cycles, giving
+    the same per-operator cycle view the paper's on-board profiler
+    prints — but as labelled counter series.
     """
     cycles_by_op = {}
     if estimate is not None:
@@ -153,14 +153,14 @@ def metrics_listener(registry, estimate=None, **labels):
             cycles_by_op[cost.op_name] = cost.cycles
 
     def listener(op, inputs, output):
-        registry.counter("tflm_op_invocations", op=op.name,
-                         opcode=op.opcode, **labels).inc()
-        registry.counter("tflm_output_elements", op=op.name,
-                         opcode=op.opcode, **labels).add(int(output.size))
+        telemetry.counter("tflm_op_invocations", op=op.name,
+                          opcode=op.opcode, **labels).inc()
+        telemetry.counter("tflm_output_elements", op=op.name,
+                          opcode=op.opcode, **labels).add(int(output.size))
         cycles = cycles_by_op.get(op.name)
         if cycles is not None:
-            registry.counter("tflm_op_cycles", op=op.name,
-                             opcode=op.opcode, **labels).add(int(cycles))
+            telemetry.counter("tflm_op_cycles", op=op.name,
+                              opcode=op.opcode, **labels).add(int(cycles))
 
     return listener
 

@@ -287,15 +287,15 @@ def test_translated_tier_lockstep():
     generic RUN path both cross the tier boundary)."""
     source = _winograd_firmware()
     results = {}
-    for backend in ("fast", "translated"):
+    for backend in ("fast", "auto"):
         machine = Machine(cfu=WinogradCfu(**small_cfu()))
         machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(max_instructions=200_000, backend=backend)
         results[backend] = machine.regs[10]
-        if backend == "translated":
+        if backend == "auto":
             assert machine.block_promotions > 0
-    assert results["fast"] == results["translated"]
+    assert results["fast"] == results["auto"]
     assert results["fast"] != 0
 
 

@@ -44,7 +44,7 @@ def run_translated(source, max_instructions=100_000, hot_threshold=1,
     machine = Machine(timing=timing, cfu=cfu)
     machine.hot_threshold = hot_threshold
     machine.load_assembly(source)
-    machine.run(max_instructions=max_instructions, backend="translated")
+    machine.run(max_instructions=max_instructions, backend="auto")
     return machine
 
 
@@ -136,7 +136,7 @@ def test_hot_loop_promotes_once():
     assert machine.block_promotions >= 1
     assert machine.block_cache_entries >= 1
     assert machine.block_compile_seconds > 0.0
-    assert machine.last_run_backend == "translated"
+    assert machine.last_run_backend == "auto"
 
 
 def test_fast_backend_never_promotes():
@@ -153,7 +153,7 @@ def test_unknown_backend_rejected():
     machine.load_assembly("    li a7, 93\n    ecall\n")
     with pytest.raises(ValueError, match="unknown sim backend"):
         machine.run(backend="warp")
-    assert sorted(SIM_BACKENDS) == ["auto", "fast", "step", "translated"]
+    assert sorted(SIM_BACKENDS) == ["auto", "fast", "step"]
 
 
 # --- invalidation contract --------------------------------------------------------
@@ -176,7 +176,7 @@ def test_straddling_store_invalidates_both_pages():
     page = 1 << _PAGE_BITS
     machine.load_assembly(COUNT_LOOP.format(iters=50), addr=page - 12)
     machine.hot_threshold = 1
-    machine.run(max_instructions=100_000, backend="translated")
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.block_cache_entries > 0
     # Code spans the page boundary; a 4-byte store straddling it must
     # drop blocks on both sides.
@@ -212,7 +212,7 @@ def test_timing_swap_flushes_blocks():
     # and constants from the old model, so identity change must flush.
     machine.timing = VexTiming(ARTY_DEFAULT)
     reset_for_rerun(machine)
-    machine.run(max_instructions=100_000, backend="translated")
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.regs[10] == 50
     assert machine.block_invalidation_count > before
     assert machine.block_promotions > promoted  # re-promoted after flush
@@ -224,7 +224,7 @@ def test_traffic_enable_flushes_blocks():
     emu.machine.hot_threshold = 1
     ram = soc.memory_map.get("main_ram").base
     emu.load_assembly(COUNT_LOOP.format(iters=50), region="main_ram")
-    emu.run(backend="translated")
+    emu.run(backend="auto")
     machine = emu.machine
     assert machine.block_cache_entries > 0
     before = machine.block_invalidation_count
@@ -236,7 +236,7 @@ def test_traffic_enable_flushes_blocks():
     machine.halted = False
     machine.exit_code = None
     machine.regs[:] = [0] * 32
-    machine.run(max_instructions=100_000, backend="translated")
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.block_invalidation_count > before
     assert machine.regs[10] == 50
 
@@ -270,7 +270,7 @@ def test_traffic_counters_identical_across_tiers():
     # The step loop refetches every instruction through the bus, so its
     # read counts include fetch traffic the decode-caching tiers only
     # pay once; the contract here is translated == fast exactly.
-    fast, translated = run("fast"), run("translated")
+    fast, translated = run("fast"), run("auto")
     assert fast == translated
     assert any(key[1] == "write" for key in translated)
 
@@ -287,7 +287,7 @@ def test_budget_refusal_at_block_entry():
         machine.hot_threshold = 1
         machine.load_assembly(COUNT_LOOP.format(iters=1000))
         with pytest.raises(RuntimeError, match="budget exhausted"):
-            machine.run(max_instructions=budget, backend="translated")
+            machine.run(max_instructions=budget, backend="auto")
         assert machine.instret == budget, f"budget={budget}"
 
 
@@ -299,7 +299,7 @@ def test_budget_exact_halt_completes():
     reference = Machine()
     reference.load_assembly(COUNT_LOOP.format(iters=20))
     reference.run(backend="step")
-    machine.run(max_instructions=reference.instret, backend="translated")
+    machine.run(max_instructions=reference.instret, backend="auto")
     assert machine.halted
     assert machine.instret == reference.instret
 
@@ -330,15 +330,15 @@ def _symbol_map(profile):
 @pytest.mark.parametrize("timing", [None, "arty"], ids=["functional", "timed"])
 def test_profiled_attribution_identical_across_tiers(timing):
     profiles = {}
-    for backend in ("step", "fast", "translated"):
+    for backend in ("step", "fast", "auto"):
         make_timing = VexTiming(ARTY_DEFAULT) if timing else None
         profile, machine = profile_assembly(
             PROFILED_SOURCE, timing=make_timing, backend=backend)
-        if backend == "translated":
+        if backend == "auto":
             assert machine.block_promotions > 0
         profiles[backend] = profile
     reference = profiles["step"]
-    for backend in ("fast", "translated"):
+    for backend in ("fast", "auto"):
         assert _symbol_map(profiles[backend]) == _symbol_map(reference)
         assert profiles[backend].total_cycles == reference.total_cycles
         assert (profiles[backend].instruction_mix
@@ -398,7 +398,7 @@ def test_metered_cfu_keeps_counting_in_blocks():
     # every invocation through the generic execute path — the metering
     # is the whole point of the wrapper.
     counts = {}
-    for backend in ("fast", "translated"):
+    for backend in ("fast", "auto"):
         cfu = MeteredCfu(KwsCfu())
         machine = Machine(cfu=cfu)
         machine.hot_threshold = 1
@@ -416,10 +416,10 @@ def test_metered_cfu_keeps_counting_in_blocks():
         """)
         machine.run(max_instructions=100_000, backend=backend)
         counts[backend] = dict(cfu.invocations)
-        if backend == "translated":
+        if backend == "auto":
             assert machine.block_promotions > 0
-    assert counts["translated"] == counts["fast"]
-    assert sum(counts["translated"].values()) == 61
+    assert counts["auto"] == counts["fast"]
+    assert sum(counts["auto"].values()) == 61
 
 
 def test_cfu_swap_rebinds_without_retranslation():
@@ -428,14 +428,14 @@ def test_cfu_swap_rebinds_without_retranslation():
     machine = Machine(cfu=Doubler())
     machine.hot_threshold = 1
     machine.load_assembly(CFU_LOOP)
-    machine.run(max_instructions=100_000, backend="translated")
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.regs[10] == (1 * 2 ** 40) & 0xFFFFFFFF
     promotions = machine.block_promotions
     assert promotions > 0
 
     machine.cfu = Tripler()
     reset_for_rerun(machine)
-    machine.run(max_instructions=100_000, backend="translated")
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.regs[10] == (3 ** 40) & 0xFFFFFFFF
     assert machine.block_promotions == promotions  # no re-translation
 
@@ -445,7 +445,7 @@ def test_no_cfu_error_from_inside_block():
     machine.hot_threshold = 1
     machine.load_assembly(CFU_LOOP)
     with pytest.raises(RuntimeError, match="no CFU"):
-        machine.run(max_instructions=100_000, backend="translated")
+        machine.run(max_instructions=100_000, backend="auto")
 
 
 # --- inlined memory and dcache paths ---------------------------------------------
@@ -470,13 +470,13 @@ def test_word_copy_loop_identical_memory():
         ecall
     """
     machines = {}
-    for backend in ("step", "translated"):
+    for backend in ("step", "auto"):
         machine = Machine()
         machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(max_instructions=100_000, backend=backend)
         machines[backend] = machine
-    step, translated = machines["step"], machines["translated"]
+    step, translated = machines["step"], machines["auto"]
     assert translated.regs == step.regs
     for addr in range(0x2000, 0x2000 + 128, 4):
         assert translated.memory.read32(addr) == step.memory.read32(addr)
@@ -518,7 +518,7 @@ def test_dcache_conflict_misses_identical():
         emu.run(backend=backend)
         return emu.machine
 
-    step, fast, translated = run("step"), run("fast"), run("translated")
+    step, fast, translated = run("step"), run("fast"), run("auto")
     assert translated.block_promotions > 0
     assert translated.cycles == fast.cycles == step.cycles
     for name in ("icache", "dcache"):
@@ -537,7 +537,7 @@ def test_page_accesses_inline_without_alignment_checks():
     page, so with alignment checks off they stay inline anywhere in a
     region, not only in its first page: the bus sees the same few word
     calls (instruction fetches, first touches) as with checks on."""
-    def run(checks, backend="translated"):
+    def run(checks, backend="auto"):
         cpu = dataclasses.replace(ARTY_DEFAULT, hw_error_checking=checks)
         soc = Soc(ARTY_A7_35T, cpu)
         emu = Emulator(soc, with_timing=True)

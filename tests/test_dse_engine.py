@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.core.tracing import Tracer
+from repro.core.telemetry import Telemetry
 from repro.dse import (
     CFU_FAMILIES,
     DsePoint,
@@ -45,46 +45,46 @@ def test_fig7_workers_do_not_change_the_fronts():
 
 def test_fig7_warm_cache_rerun_evaluates_nothing(tmp_path):
     cache_dir = tmp_path / "dse-cache"
-    cold_tracer = Tracer()
+    cold_telemetry = Telemetry()
     cold = run_fig7(trials_per_family=30, seed=0, cache_dir=cache_dir,
-                    tracer=cold_tracer)
-    assert cold_tracer.counters["cache_miss"] == 90
-    assert cold_tracer.counters.get("cache_hit", 0) == 0
+                    telemetry=cold_telemetry)
+    assert cold_telemetry.value("dse_cache_misses") == 90
+    assert "dse_cache_hits" not in cold_telemetry
 
-    warm_tracer = Tracer()
+    warm_telemetry = Telemetry()
     warm = run_fig7(trials_per_family=30, seed=0, cache_dir=cache_dir,
-                    tracer=warm_tracer)
-    assert warm_tracer.counters.get("cache_miss", 0) == 0  # zero evaluations
-    assert warm_tracer.counters["cache_hit"] == 90
+                    telemetry=warm_telemetry)
+    assert "dse_cache_misses" not in warm_telemetry  # zero evaluations
+    assert warm_telemetry.value("dse_cache_hits") == 90
     assert family_fronts(cold) == family_fronts(warm)
 
 
 def test_fig7_warm_cache_serves_parallel_runs_too(tmp_path):
     cache_dir = tmp_path / "dse-cache"
     cold = run_fig7(trials_per_family=12, seed=3, cache_dir=cache_dir)
-    tracer = Tracer()
+    telemetry = Telemetry()
     warm = run_fig7(trials_per_family=12, seed=3, cache_dir=cache_dir,
-                    workers=3, tracer=tracer)
-    assert tracer.counters.get("cache_miss", 0) == 0
+                    workers=3, telemetry=telemetry)
+    assert "dse_cache_misses" not in telemetry
     assert family_fronts(cold) == family_fronts(warm)
 
 
 def test_fig7_trace_has_per_trial_spans(tmp_path):
-    tracer = Tracer()
-    run_fig7(trials_per_family=10, seed=1, tracer=tracer)
-    trial_spans = [s for s in tracer.spans if s.name == "trial"]
+    telemetry = Telemetry()
+    run_fig7(trials_per_family=10, seed=1, telemetry=telemetry)
+    trial_spans = [s for s in telemetry.spans if s.name == "trial"]
     assert len(trial_spans) == 30
     for span in trial_spans:
         assert span.attrs["family"] in CFU_FAMILIES
         assert isinstance(span.attrs["cache_hit"], bool)
         assert isinstance(span.attrs["fit"], bool)
-    progress = [e for e in tracer.events if e["name"] == "progress"]
+    progress = [e for e in telemetry.events if e["name"] == "progress"]
     assert {e["family"] for e in progress} == set(CFU_FAMILIES)
-    assert {e["name"] for e in tracer.events} >= {"family_start",
-                                                 "family_done", "progress"}
+    assert {e["name"] for e in telemetry.events} >= {"family_start",
+                                                    "family_done", "progress"}
 
     path = tmp_path / "trace.jsonl"
-    tracer.export_jsonl(path)
+    telemetry.export_jsonl(path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     exported = [r for r in records if r.get("name") == "trial"]
     assert len(exported) == 30
@@ -246,15 +246,15 @@ def test_evaluator_returns_identical_object_on_memory_hit():
     first = evaluator.evaluate(point, "none")
     second = evaluator.evaluate(point, "none")
     assert first is second
-    assert evaluator.tracer.counters["cache_miss"] == 1
-    assert evaluator.tracer.counters["cache_hit"] == 1
+    assert evaluator.telemetry.value("dse_cache_misses") == 1
+    assert evaluator.telemetry.value("dse_cache_hits") == 1
 
 
 def test_evaluator_batch_dedups_within_one_batch():
     evaluator = Fig7Evaluator()
     point = vexriscv_space().sample(__import__("random").Random(1))
     outcomes = evaluator.evaluate_batch([(point, "none"), (point, "none")])
-    assert evaluator.tracer.counters["cache_miss"] == 1
+    assert evaluator.telemetry.value("dse_cache_misses") == 1
     assert outcomes[0].point is outcomes[1].point
     assert not outcomes[0].cache_hit and outcomes[1].cache_hit
 

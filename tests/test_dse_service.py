@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.core.metrics import MetricsRegistry
+from repro.core.telemetry import Telemetry
 from repro.dse import (
     ClientError,
     DseService,
@@ -239,7 +239,7 @@ def test_metrics_snapshot_round_trips(server, client):
     client.create_study(tiny_config(budget=8, batch=4))
     drive_study(client, "tests", "tiny")
     snapshot = client.metrics()
-    registry = MetricsRegistry.from_snapshot(snapshot)
+    registry = Telemetry.from_snapshot(snapshot)
     assert registry.value("dse_trials_completed", study="tiny") == 8
     assert registry.value("dse_trials_suggested", study="tiny") == 8
     assert registry.value("dse_queue_depth", study="tiny") == 0

@@ -61,10 +61,10 @@ def tiny_metrics(parameters):
     return {"a": float(x + y), "b": float((x - y) ** 2 + 1)}
 
 
-def counter_value(metrics, name, **labels):
+def counter_value(telemetry, name, **labels):
     """A counter's value, 0 when no event ever created the series."""
     try:
-        return metrics.value(name, **labels)
+        return telemetry.value(name, **labels)
     except KeyError:
         return 0
 
@@ -115,7 +115,7 @@ def test_expired_lease_is_reissued_exactly_once():
     assert reissued["trial_id"] == original["trial_id"]
     assert reissued["lease_token"] != original["lease_token"]
     assert reissued["parameters"] == original["parameters"]
-    assert service.metrics.value("dse_lease_reclaims", study="tiny") == 1
+    assert service.telemetry.value("dse_lease_reclaims", study="tiny") == 1
     # exactly once: no third copy exists while the new lease lives
     assert study.claim("third-worker", 1) == []
 
@@ -125,14 +125,14 @@ def test_expired_lease_is_reissued_exactly_once():
                        metrics=tiny_metrics(original["parameters"]))
     assert err.value.status == 409
     assert study.completed_count() == 0
-    assert service.metrics.value("dse_stale_completions", study="tiny") == 1
+    assert service.telemetry.value("dse_stale_completions", study="tiny") == 1
 
     # the live lease completes normally, once
     study.complete(reissued["trial_id"], reissued["lease_token"],
                    metrics=tiny_metrics(reissued["parameters"]))
     assert study.completed_count() == 1
     assert study.state == "DONE"
-    assert service.metrics.value("dse_trials_completed", study="tiny") == 1
+    assert service.telemetry.value("dse_trials_completed", study="tiny") == 1
 
 
 def test_stale_result_after_completion_is_rejected_not_double_counted():
@@ -151,7 +151,7 @@ def test_stale_result_after_completion_is_rejected_not_double_counted():
     assert err.value.status == 409
     record = study.records[original["trial_id"]]
     assert record.metrics == tiny_metrics(reissued["parameters"])
-    assert service.metrics.value("dse_trials_completed", study="tiny") == 1
+    assert service.telemetry.value("dse_trials_completed", study="tiny") == 1
 
 
 def test_live_lease_survives_server_restart(tmp_path):
@@ -189,7 +189,7 @@ def test_expired_lease_is_requeued_on_server_restart(tmp_path):
     rstudy = resumed.get_study("faults", "tiny")
     assert rstudy.inflight() == 0
     assert rstudy.records[claimed.trial_id].state == "PENDING"
-    assert resumed.metrics.value("dse_lease_reclaims", study="tiny") == 1
+    assert resumed.telemetry.value("dse_lease_reclaims", study="tiny") == 1
     reissued = rstudy.claim("fresh", 4)
     assert claimed.trial_id in [r.trial_id for r in reissued]
 
@@ -256,7 +256,7 @@ def test_torn_shards_recover_without_losing_completed_trials(tmp_path):
     rstudy = resumed.get_study("faults", "tiny")
     # every completed trial outside the two corrupted files survived
     assert rstudy.completed_count() == 6
-    assert resumed.metrics.value("dse_store_unreadable_trials",
+    assert resumed.telemetry.value("dse_store_unreadable_trials",
                                  study="tiny") == 3
     survivors = {r.trial_id for r in rstudy.completed_records()}
     assert torn_record["trial_id"] not in survivors
@@ -334,12 +334,12 @@ def test_worker_retry_backoff_converges_with_no_duplicates(tmp_path):
         assert all(nap > 0 for nap in napped)
         # lost completion responses were retried into idempotent
         # duplicate acknowledgments — never into double-counts
-        metrics = service.metrics
-        assert metrics.value("dse_trials_completed",
-                             study="flaky-net") == 6
-        assert metrics.value("dse_duplicate_completions",
-                             study="flaky-net") == 2
-        assert counter_value(metrics, "dse_stale_completions",
+        telemetry = service.telemetry
+        assert telemetry.value("dse_trials_completed",
+                               study="flaky-net") == 6
+        assert telemetry.value("dse_duplicate_completions",
+                               study="flaky-net") == 2
+        assert counter_value(telemetry, "dse_stale_completions",
                              study="flaky-net") == 0
         trials = study.completed_records()
         assert sorted(r.trial_id for r in trials) == [1, 2, 3, 4, 5, 6]

@@ -1,24 +1,23 @@
-"""The metrics registry and its cross-layer producers.
+"""Telemetry series and their cross-layer producers.
 
-Covers the registry primitives (counters/gauges/histograms, labels,
-merge associativity, snapshot round-trip) and every subsystem feed: the
-ISA machine, the timing caches, the SoC bus traffic accounting, the
-metered CFU, and the TFLM interpreter listener.
+Covers the series primitives of :class:`~repro.core.telemetry.Telemetry`
+(counters/gauges/histograms, labels, snapshot round-trip) and every
+subsystem feed: the ISA machine, the timing caches, the SoC bus traffic
+accounting, the metered CFU, and the TFLM interpreter listener.
 """
+
+import json
 
 import pytest
 
 from repro.cfu.interface import CfuModel, MeteredCfu
-from repro.core.metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-)
+from repro.core.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
 
 
-# --- registry primitives --------------------------------------------------------------
+# --- series primitives ----------------------------------------------------------------
 
 def test_counter_labels_and_values():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     reg.counter("ops", kind="alu").add(10)
     reg.counter("ops", kind="alu").inc()
     reg.counter("ops", kind="mul").add(3)
@@ -29,7 +28,7 @@ def test_counter_labels_and_values():
 
 
 def test_counter_rejects_negative_and_kind_conflicts():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     reg.counter("x").add(1)
     with pytest.raises(ValueError):
         reg.counter("x").add(-1)
@@ -38,21 +37,21 @@ def test_counter_rejects_negative_and_kind_conflicts():
 
 
 def test_label_order_is_irrelevant():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     reg.counter("t", a=1, b=2).add(5)
     assert reg.value("t", b=2, a=1) == 5
     assert len(reg) == 1
 
 
 def test_gauge_last_write_wins():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     reg.gauge("temp").set(10)
     reg.gauge("temp").set(7)
     assert reg.value("temp") == 7
 
 
 def test_histogram_buckets_and_mean():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     h = reg.histogram("lat", buckets=(10, 100))
     for v in (5, 50, 500, 7):
         h.observe(v)
@@ -61,73 +60,34 @@ def test_histogram_buckets_and_mean():
     assert h.mean == pytest.approx((5 + 50 + 500 + 7) / 4)
 
 
-def test_merge_adds_counters_and_histograms_gauge_wins():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("c", w="0").add(2)
-    b.counter("c", w="0").add(3)
-    b.counter("c", w="1").add(7)
-    a.gauge("g").set(1)
-    b.gauge("g").set(9)
-    a.histogram("h", buckets=(10,)).observe(4)
-    b.histogram("h", buckets=(10,)).observe(40)
-    a.merge(b)
-    assert a.value("c", w="0") == 5
-    assert a.value("c", w="1") == 7
-    assert a.value("g") == 9
-    h = a.histogram("h", buckets=(10,))
-    assert h.counts == [1, 1] and h.count == 2
-
-
-def test_merge_is_associative():
-    def worker(n):
-        reg = MetricsRegistry()
-        reg.counter("done").add(n)
-        return reg
-
-    left = worker(1).merge(worker(2).merge(worker(3)))
-    right = worker(1).merge(worker(2)).merge(worker(3))
-    assert left.value("done") == right.value("done") == 6
-
-
-def test_histogram_merge_rejects_mismatched_buckets():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.histogram("h", buckets=(1, 2)).observe(1)
-    b_h = b.histogram("h", buckets=(1, 3))
-    b_h.observe(1)
-    with pytest.raises(ValueError, match="bucket bounds differ"):
-        a.histogram("h", buckets=(1, 2))._merge(b_h)
-
-
-def test_snapshot_roundtrip_and_json(tmp_path):
-    reg = MetricsRegistry()
+def test_snapshot_roundtrip_and_json():
+    reg = Telemetry()
     reg.counter("c", x=1).add(5)
     reg.gauge("g").set(2.5)
     reg.histogram("h", buckets=(10,)).observe(3)
     snap = reg.snapshot()
-    assert snap["schema"] == METRICS_SCHEMA_VERSION
-    back = MetricsRegistry.from_snapshot(snap)
+    assert snap["schema"] == TELEMETRY_SCHEMA_VERSION
+    back = Telemetry.from_snapshot(snap)
     assert back.value("c", x=1) == 5
     assert back.value("g") == 2.5
     assert back.snapshot() == snap
-
-    path = tmp_path / "metrics.json"
-    assert reg.export_json(path) == 3
-    import json
-
-    assert json.loads(path.read_text())["schema"] == METRICS_SCHEMA_VERSION
+    # The snapshot is plain JSON: it survives a serialization round trip.
+    assert len(snap["series"]) == 3
+    assert Telemetry.from_snapshot(
+        json.loads(json.dumps(snap))).snapshot() == snap
 
 
 def test_from_snapshot_rejects_unknown_schema():
     with pytest.raises(ValueError, match="unsupported metrics schema"):
-        MetricsRegistry.from_snapshot({"schema": 999, "series": []})
+        Telemetry.from_snapshot({"schema": 999, "series": []})
 
 
 def test_summary_is_deterministic():
-    reg = MetricsRegistry()
+    reg = Telemetry()
     reg.counter("b").add(1)
     reg.counter("a", z=1).add(2)
     lines = reg.summary().splitlines()
-    assert lines[0] == "metrics: 2 series"
+    assert lines[0] == "telemetry: 2 series, 0 spans, 0 events"
     assert lines[1].strip().startswith("a{z=1}")
 
 
@@ -152,7 +112,7 @@ def test_metered_cfu_counts_and_passthrough():
     assert metered.total_invocations == 3
     assert metered.busy_cycles == 4 + 1 + 4
     assert metered.occupancy(90) == pytest.approx(9 / 90)
-    reg = MetricsRegistry()
+    reg = Telemetry()
     metered.export_metrics(reg, run="t")
     assert reg.value("cfu_invocations", funct3=1, funct7=2, run="t") == 2
     assert reg.value("cfu_busy_cycles", run="t") == 9
@@ -173,7 +133,7 @@ def test_machine_export_metrics():
         ebreak
     """)
     machine.run()
-    reg = MetricsRegistry()
+    reg = Telemetry()
     machine.export_metrics(reg)
     assert reg.value("sim_instructions") == machine.instret
     assert reg.value("sim_cycles") == machine.cycles
@@ -198,18 +158,18 @@ def test_machine_export_metrics_block_tier():
     machine = Machine()
     machine.hot_threshold = 4
     machine.load_assembly(src)
-    machine.run(backend="translated")
+    machine.run(backend="auto")
     assert machine.block_cache_entries >= 1
     assert machine.block_promotions >= 1
-    reg = MetricsRegistry()
+    reg = Telemetry()
     machine.export_metrics(reg)
     assert reg.value("sim_block_cache_entries",
-                     tier="translated") == machine.block_cache_entries
+                     tier="auto") == machine.block_cache_entries
     assert reg.value("sim_block_promotions") == machine.block_promotions
     assert reg.value("sim_block_invalidations") == \
         machine.block_invalidation_count
     assert reg.value("sim_decode_cache_entries",
-                     tier="translated") == machine.decode_cache_entries
+                     tier="auto") == machine.decode_cache_entries
 
     # A pure tier-1 run labels the same gauges with its own tier, so
     # the two backends' cache sizes are never conflated.
@@ -217,7 +177,7 @@ def test_machine_export_metrics_block_tier():
     other.load_assembly(src)
     other.run(backend="fast")
     assert other.block_cache_entries == 0
-    reg2 = MetricsRegistry()
+    reg2 = Telemetry()
     other.export_metrics(reg2)
     assert reg2.value("sim_decode_cache_entries",
                       tier="fast") == other.decode_cache_entries
@@ -236,7 +196,7 @@ def test_machine_block_invalidation_metrics():
         bnez t0, loop
         ebreak
     """)
-    machine.run(backend="translated")
+    machine.run(backend="auto")
     before = machine.block_invalidation_count
     assert machine.block_cache_entries >= 1
     # A store into the code page drops that page's blocks, exactly like
@@ -265,7 +225,7 @@ def test_bus_traffic_metrics():
     traffic = bus.traffic()
     assert traffic[("main_ram", "write")] == (1, 4)
     assert traffic[("main_ram", "read")] == (2, 5)
-    reg = MetricsRegistry()
+    reg = Telemetry()
     bus.export_metrics(reg)
     assert reg.value("bus_bytes", region="main_ram", direction="read") == 5
     assert reg.value("bus_transactions", region="main_ram",
@@ -284,7 +244,9 @@ def test_bus_csr_traffic_counted():
     assert bus.traffic()[("csr", "write")] == (1, 4)
 
 
-@pytest.mark.parametrize("via", ["bus", "step", "fast", "translated"])
+# With hot_threshold 1, the "auto" backend runs the translated tier.
+@pytest.mark.parametrize("via", ["bus", "step", "fast", "auto"],
+                         ids=["bus", "step", "fast", "translated"])
 def test_page_straddling_word_is_one_transaction(via):
     """A misaligned word inside one region is one 4-byte transaction,
     also where it straddles two of the region's 4 KiB pages: on the bus,
@@ -335,7 +297,7 @@ def test_tflm_metrics_listener():
 
     system = Soc(ARTY_A7_35T).system_config()
     estimate = estimate_inference(model, system)
-    reg = MetricsRegistry()
+    reg = Telemetry()
     interp = Interpreter(model,
                          listeners=[metrics_listener(reg, estimate=estimate)])
     rng = np.random.default_rng(0)
@@ -368,7 +330,7 @@ def test_emulator_combined_export():
         ebreak
     """, region="main_ram")
     emu.run()
-    reg = MetricsRegistry()
+    reg = Telemetry()
     emu.export_metrics(reg, board="arty")
     assert reg.value("sim_instructions", board="arty") == emu.machine.instret
     assert reg.value("cfu_invocations", funct3=0, funct7=0, board="arty") == 1

@@ -1,11 +1,13 @@
 """Project registry + CLI tests."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main
 from repro.core.project import PROJECTS, list_projects, load_project
+from repro.core.telemetry import Telemetry
 from repro.tflm.serialize import load_model_file
 
 
@@ -94,6 +96,32 @@ def test_cli_dse(capsys):
     out = capsys.readouterr().out
     assert "93,312" in out
     assert "Pareto-optimal" in out
+
+
+def test_cli_exports_are_json_lines(tmp_path, capsys):
+    """``dse --trace-out`` and ``profile --simulate --metrics-out`` write
+    one format: a header carrying the series, then spans and events."""
+    trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.jsonl"
+    assert main(["dse", "--trials", "6", "--trace-out", str(trace)]) == 0
+    assert main(["profile", "mnv2_first", "--simulate",
+                 "--metrics-out", str(metrics)]) == 0
+    exports = {}
+    for path in (trace, metrics):
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        header, body = records[0], records[1:]
+        assert header["type"] == "trace"
+        assert {record["type"] for record in body} <= {"span", "event"}
+        assert header["spans"] + header["events"] == len(body)
+        exports[path] = (Telemetry.from_snapshot(header), body)
+
+    dse, dse_body = exports[trace]
+    assert dse.value("dse_cache_misses") > 0
+    assert sum(r["name"] == "trial" for r in dse_body) == 18
+    profile, profile_body = exports[metrics]
+    assert "simprofile_simulated_cycles" in profile
+    assert profile.value("playground_profiles") == 1
+    assert {"profile", "simprofile_class"} <= {r["name"] for r in profile_body}
 
 
 def test_cli_menu(capsys):

@@ -426,7 +426,7 @@ def test_random_netlist_differential(seed):
 
 
 def test_random_netlist_tracer_parity():
-    """Tracers fire at the same times and observe the same values."""
+    """RTL tracers fire at the same times and observe the same values."""
     module, inputs, _ = _random_netlist(3)
     sim_i = Simulator(module, backend="interp")
     sim_c = Simulator(module, backend="compiled")

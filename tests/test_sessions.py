@@ -69,8 +69,8 @@ def test_manager_rejects_duplicate_session_id():
 
 def test_manager_shares_one_compile_cache(tmp_path):
     manager = SessionManager(compile_cache=str(tmp_path))
-    first = manager.create({"sim_backend": "translated"})
-    second = manager.create({"sim_backend": "translated"})
+    first = manager.create({"sim_backend": "auto"})
+    second = manager.create({"sim_backend": "auto"})
     assert first.emulator.machine.compile_cache \
         is second.emulator.machine.compile_cache
     for session in (first, second):

@@ -1,8 +1,8 @@
 """Differential equivalence across the three execution backends.
 
 Every backend of ``Machine.run`` — the reference interpreter
-(``step``), the decoded-op dispatch loop (``fast``), and the tier-2
-basic-block translation backend (``translated``) — must be
+(``step``), the decoded-op dispatch loop (``fast``), and the tiered
+loop that promotes hot basic blocks to translated code (``auto``) — must be
 architecturally bit-identical: same ``regs``, ``pc``, ``instret``,
 ``cycles``, memory contents, CFU state, halt state, and exit code —
 with and without a timing model, with and without a CFU attached.
@@ -34,7 +34,7 @@ from tests.test_integration_firmware import (
 )
 
 #: step first: it is the reference the others are diffed against.
-BACKENDS = ("step", "fast", "translated")
+BACKENDS = ("step", "fast", "auto")
 
 
 # --- state comparison -------------------------------------------------------------
@@ -208,7 +208,7 @@ def run_corpus(source, timing_config, with_cfu, backend):
     machine = Machine(
         cfu=KwsCfu() if with_cfu else None,
         timing=VexTiming(timing_config) if timing_config else None)
-    if backend == "translated":
+    if backend == "auto":
         machine.hot_threshold = 1
     machine.load_assembly(source)
     machine.run(max_instructions=100_000, backend=backend)
@@ -224,7 +224,7 @@ def test_random_corpus_differential(seed, timing_config):
                                     backend=backend)
                 for backend in BACKENDS}
     assert all(m.halted for m in machines.values())
-    assert machines["translated"].block_promotions > 0
+    assert machines["auto"].block_promotions > 0
     assert_all_identical(machines)
 
 
@@ -262,13 +262,13 @@ def test_dot_product_firmware_differential(seed, make_cfu, with_timing):
     emulators, exit_codes = {}, set()
     for backend in BACKENDS:
         emu = firmware_emulator(make_cfu(), seed, with_timing)
-        if backend == "translated":
+        if backend == "auto":
             emu.machine.hot_threshold = 1
         exit_codes.add(emu.run(backend=backend))
         assert emu.uart_output == "OK"
         emulators[backend] = emu
     assert len(exit_codes) == 1
-    assert emulators["translated"].machine.block_promotions > 0
+    assert emulators["auto"].machine.block_promotions > 0
     assert_all_identical({b: e.machine for b, e in emulators.items()})
 
 
@@ -425,7 +425,7 @@ def test_smc_rewrites_promoted_block():
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    translated = machines["translated"]
+    translated = machines["auto"]
     assert translated.regs[10] == 1 + 10 * 5
     assert translated.block_promotions > 0
     assert translated.block_invalidation_count > 0
@@ -464,7 +464,7 @@ def test_branch_target_lands_mid_block():
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    translated = machines["translated"]
+    translated = machines["auto"]
     assert translated.halted
     # phase 1: 20x(+1+100); phase 2: +100 at entry, then 9x(+1+100).
     assert translated.regs[10] == 20 * 101 + 100 + 9 * 101

@@ -22,12 +22,15 @@ from repro.accel import MinMaxCfu, SimdAddCfu, SimdAddRtl
 from repro.boards import ARTY_A7_35T
 from repro.cfu.interface import MeteredCfu
 from repro.cfu.rtl import RtlCfuAdapter
-from repro.core.metrics import MetricsRegistry
+from repro.core.telemetry import Telemetry
 from repro.cpu import Machine, SparseMemory
 from repro.emu import Emulator
 from repro.soc import Soc
 
-BACKENDS = ("step", "fast", "translated")
+#: The backend that runs each ISA tier: with ``hot_threshold = 1``,
+#: ``auto`` promotes every block to the translated tier.
+BACKENDS = ("step", "fast", "auto")
+TIERS = ("step", "fast", "translated")
 RTL_BACKENDS = ("interp", "compiled")
 
 #: A loop hot enough to promote under the default threshold, plus
@@ -81,7 +84,7 @@ def page_images(memory):
 
 
 def run_to_halt(machine, backend):
-    if backend == "translated":
+    if backend == "auto":
         machine.hot_threshold = 1
     machine.run(100_000, backend=backend)
     assert machine.halted
@@ -90,7 +93,7 @@ def run_to_halt(machine, backend):
 
 # --- machine-level bit identity ---------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=TIERS)
 def test_restore_replays_bit_identical(backend):
     reference = Machine()
     reference.load_assembly(LOOP_ASM)
@@ -109,7 +112,7 @@ def test_restore_replays_bit_identical(backend):
     assert page_images(machine.memory) == first_pages
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=TIERS)
 def test_self_modifying_store_to_snapshotted_page(backend):
     machine = Machine()
     machine.load_assembly(SMC_ASM)
@@ -163,14 +166,14 @@ def test_translated_blocks_survive_restore():
     machine.load_assembly(LOOP_ASM)
     machine.hot_threshold = 1
     snap = machine.snapshot()
-    machine.run(100_000, backend="translated")
+    machine.run(100_000, backend="auto")
     promoted = machine.block_cache_entries
     assert promoted > 0
     machine.restore(snap)
     # data pages rewind; the untouched code page keeps its blocks
     assert machine.block_cache_entries == promoted
     promotions_before = machine.block_promotions
-    machine.run(100_000, backend="translated")
+    machine.run(100_000, backend="auto")
     assert machine.block_promotions == promotions_before
     assert machine.halted
 
@@ -248,12 +251,12 @@ def emulator_state(emulator):
                 uart=emulator.uart_output)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=TIERS)
 def test_emulator_snapshot_all_tiers(backend):
     emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(),
                         sim_backend=backend)
     emulator.load_assembly(uart_asm(emulator.soc), region="flash")
-    if backend == "translated":
+    if backend == "auto":
         emulator.machine.hot_threshold = 1
     snap = emulator.snapshot()
     emulator.run(100_000)
@@ -316,7 +319,7 @@ loop:
 def test_reload_keeps_blocks_on_untouched_pages():
     """Reloading firmware into one region must not flush translated
     blocks for other pages (the old global flush_decode_cache())."""
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="translated")
+    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto")
     machine = emulator.machine
     machine.hot_threshold = 1
     emulator.load_assembly(LOOP_ASM.replace("0x2000", "0x40000100")
@@ -347,7 +350,7 @@ def test_export_metrics_tracks_snapshot_cycle():
     machine.restore(snap)
     machine.flush_block_cache()
 
-    registry = MetricsRegistry()
+    registry = Telemetry()
     machine.export_metrics(registry)
     values = {series.name: series.value for series in registry.series()}
     assert values["sim_snapshots"] == 1
@@ -358,7 +361,7 @@ def test_export_metrics_tracks_snapshot_cycle():
     # counters are cumulative: a second cycle moves them monotonically
     snap = machine.snapshot()
     machine.restore(snap)
-    registry2 = MetricsRegistry()
+    registry2 = Telemetry()
     machine.export_metrics(registry2)
     values2 = {series.name: series.value for series in registry2.series()}
     assert values2["sim_snapshots"] == 2
