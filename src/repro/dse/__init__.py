@@ -22,10 +22,9 @@ from .exhaustive import (
     sweep,
 )
 from .pareto import dominates, hypervolume_2d, pareto_front
-from .pool import MultiprocessingBackend, SerialBackend, WorkerPool, WorkerPoolError
+from .pool import WorkerPool, WorkerPoolError
 from .runner import (
     CFU_FAMILIES,
-    DEFAULT_BATCH,
     DsePoint,
     DseResult,
     EvalOutcome,
@@ -36,6 +35,7 @@ from .runner import (
     trace_summary,
 )
 from .service import (
+    DEFAULT_BATCH,
     DEFAULT_LEASE_SECONDS,
     DseService,
     FaultInjector,
@@ -69,10 +69,10 @@ __all__ = [
     "DseResult", "DseService", "EvalOutcome", "EvaluationCache",
     "ExhaustiveResult", "ExhaustiveSweeper", "FamilyPlane", "FaultInjector",
     "Fig7Evaluator", "GridSearch", "GridTensors", "MAXIMIZE", "MINIMIZE",
-    "MISS", "MetricGoal", "MultiprocessingBackend", "Parameter",
+    "MISS", "MetricGoal", "Parameter",
     "ParameterSpace", "RandomSearch", "RegularizedEvolution",
     "STORE_SCHEMA_VERSION", "VectorizedFit",
-    "SerialBackend", "ServiceClient", "ServiceError", "ServiceStudy",
+    "ServiceClient", "ServiceError", "ServiceStudy",
     "ServiceThread", "ServiceUnavailable", "StaleLeaseError", "Study",
     "StudyStore", "TpeLite", "Trial", "TrialRecord", "WorkerFleet",
     "WorkerPool",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from ..models import load
 from ..perf.vectorized import COST_AXES, BatchCostModel
 from ..soc import Soc
 from .pareto import hypervolume_2d
-from .runner import CFU_FAMILIES, DsePoint, DseResult, evaluate_design, family_extras
+from .runner import CFU_FAMILIES, DsePoint, evaluate_design, family_extras
+from .service import ServiceError, space_to_spec
 from .space import vexriscv_space
 
 #: Default number of trials streamed per service completion batch.
@@ -347,14 +349,6 @@ class ExhaustiveResult:
     def front_metrics(self, family):
         return self.planes[family].front_metrics()
 
-    def to_result(self):
-        """The fronts as a :class:`~repro.dse.runner.DseResult`."""
-        result = DseResult()
-        for family in self.planes:
-            for point in self.front_points(family):
-                result.add(point)
-        return result
-
     def summary(self):
         lines = [f"exhaustive sweep: {self.points_evaluated:,} points "
                  f"in {self.seconds:.2f}s "
@@ -419,19 +413,33 @@ def run_exhaustive_service(service, model=None, board=None,
 
     One study per family is created with the ``"exhaustive"`` (grid)
     algorithm; the vectorized planes are computed up front and then
-    completed through the normal lease protocol in chunks of ``chunk``
-    trials, so the sweep is persisted, resumable after a crash, and its
-    fronts are served by the standard pareto routes.  Returns
-    ``(ExhaustiveResult, [ServiceStudy, ...])``.
+    completed by :meth:`~repro.dse.service.ServiceStudy.run` in rounds
+    of ``chunk`` trials, so the sweep is persisted, resumable after a
+    crash, and its fronts are served by the standard pareto routes.
+    Returns ``(ExhaustiveResult, [ServiceStudy, ...])``.
     """
-    from .service import ACTIVE, ServiceError, space_to_spec
-
     sweeper = sweeper or ExhaustiveSweeper(model=model, board=board,
                                            space=space)
     result = sweep(sweeper=sweeper, families=families)
     studies = []
+
+    def complete_round(plane, records):
+        completions = []
+        for record in records:
+            index = sweeper.grid.flat_index(record.parameters)
+            item = {"trial_id": record.trial_id,
+                    "lease_token": record.lease_token}
+            if plane.fit_ok[index]:
+                item["metrics"] = {
+                    "cycles": float(plane.cycles[index]),
+                    "logic_cells": int(plane.logic_cells[index]),
+                }
+            else:
+                item["infeasible"] = True
+            completions.append(item)
+        return completions
+
     for family in families:
-        plane = result.planes[family]
         study_id = f"{study_prefix}-{family}"
         config = {
             "owner": owner, "study_id": study_id,
@@ -446,24 +454,7 @@ def run_exhaustive_service(service, model=None, board=None,
             if error.status != 409:
                 raise
             study = service.get_study(owner, study_id)  # resume
-        while study.state == ACTIVE:
-            granted = study.claim(worker_id, chunk)
-            if not granted:
-                break
-            completions = []
-            for record in granted:
-                index = sweeper.grid.flat_index(record.parameters)
-                item = {"trial_id": record.trial_id,
-                        "lease_token": record.lease_token,
-                        "worker_id": worker_id}
-                if plane.fit_ok[index]:
-                    item["metrics"] = {
-                        "cycles": float(plane.cycles[index]),
-                        "logic_cells": int(plane.logic_cells[index]),
-                    }
-                else:
-                    item["infeasible"] = True
-                completions.append(item)
-            study.complete_batch(completions)
-        studies.append(study)
+        studies.append(study.run(partial(complete_round,
+                                         result.planes[family]),
+                                 worker_id=worker_id))
     return result, studies

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 def dominates(a, b):
     """True if point ``a`` dominates ``b`` (all objectives minimized).
@@ -16,29 +18,26 @@ def dominates(a, b):
 def pareto_front(points, key=None):
     """Non-dominated subset of ``points`` (minimization).
 
-    ``key(point)`` extracts the metric tuple; defaults to identity.
-    Returns the front sorted by the full metric tuple — a value-based
-    order, so two runs that discover the same front in different
-    completion orders (serial vs parallel workers, or a resumed service
-    study) render it identically.
+    ``key(point)`` extracts the metric tuple; defaults to identity, and
+    runs once per point.  Returns the front sorted by the full metric
+    tuple, ties in input order — a value-based order, so two runs that
+    discover the same front in different completion orders (serial vs
+    parallel workers, or a resumed service study) render it
+    identically.  Metric ties are all kept.
+
+    A dominating point sorts lexicographically before every point it
+    dominates, so one pass over the sorted points that keeps each point
+    no kept point dominates yields exactly the front.
     """
     key = key or (lambda p: p)
-    front = []
-    for candidate in points:
-        candidate_metrics = key(candidate)
-        dominated = False
-        survivors = []
-        for existing in front:
-            existing_metrics = key(existing)
-            if dominates(existing_metrics, candidate_metrics):
-                dominated = True
-                survivors.append(existing)
-            elif not dominates(candidate_metrics, existing_metrics):
-                survivors.append(existing)
-        if not dominated:
-            survivors.append(candidate)
-            front = survivors
-    return sorted(front, key=key)
+    ranked = sorted(((key(point), point) for point in points),
+                    key=itemgetter(0))
+    kept = []
+    for metrics, point in ranked:
+        if not any(dominates(front_metrics, metrics)
+                   for front_metrics, _ in kept):
+            kept.append((metrics, point))
+    return [point for _, point in kept]
 
 
 def hypervolume_2d(front, reference):

@@ -1,17 +1,14 @@
 """Worker pools: shard evaluation batches across processes.
 
-Two backends behind one ``map(fn, items)`` interface:
-
-- :class:`SerialBackend` — in-process, zero overhead; what
-  ``workers=1`` means.
-- :class:`MultiprocessingBackend` — a forking :mod:`multiprocessing`
-  pool; ``fn`` must be a module-level (picklable) function and the
-  optional ``initializer`` seeds per-process state once.
+:class:`WorkerPool` runs ``map(fn, items)`` in-process for
+``workers=1`` and on a forking :mod:`multiprocessing` pool otherwise;
+there ``fn`` must be a module-level (picklable) function, and the
+optional ``initializer`` seeds per-process state once.
 
 Either way a worker exception fails the whole batch loudly with a
 :class:`WorkerPoolError` naming the failed item — no hang, no partial
-silent result — and a failed multiprocessing pool is terminated so no
-orphan workers linger.
+silent result — and a failed process pool is terminated so no orphan
+workers linger.
 """
 
 from __future__ import annotations
@@ -23,29 +20,6 @@ class WorkerPoolError(RuntimeError):
     """A worker failed while evaluating a batch."""
 
 
-class SerialBackend:
-    """In-process execution with the same contract as the process pool."""
-
-    def __init__(self, initializer=None, initargs=()):
-        if initializer is not None:
-            initializer(*initargs)
-
-    def map(self, fn, items):
-        items = list(items)
-        results = []
-        for index, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as error:
-                raise WorkerPoolError(
-                    f"worker failed on item {index + 1}/{len(items)}: "
-                    f"{error!r}") from error
-        return results
-
-    def close(self):
-        pass
-
-
 def _context():
     # fork shares the parent's loaded model/board state for free; fall
     # back to spawn where fork does not exist (non-POSIX platforms).
@@ -53,31 +27,6 @@ def _context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platform dependent
         return multiprocessing.get_context("spawn")
-
-
-class MultiprocessingBackend:
-    """A process pool; exceptions are re-raised as WorkerPoolError and
-    the pool is torn down (never left hanging half-failed)."""
-
-    def __init__(self, workers, initializer=None, initargs=()):
-        self.workers = workers
-        self._pool = _context().Pool(processes=workers,
-                                     initializer=initializer,
-                                     initargs=initargs)
-
-    def map(self, fn, items):
-        items = list(items)
-        try:
-            return self._pool.map(fn, items)
-        except Exception as error:
-            self.close()
-            raise WorkerPoolError(
-                f"worker failed while evaluating a batch of {len(items)}: "
-                f"{error!r}") from error
-
-    def close(self):
-        self._pool.terminate()
-        self._pool.join()
 
 
 class WorkerPool:
@@ -90,19 +39,40 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        if workers == 1:
-            self._backend = SerialBackend(initializer, initargs)
-        else:
-            self._backend = MultiprocessingBackend(workers, initializer,
-                                                   initargs)
+        self._pool = None
+        if workers > 1:
+            self._pool = _context().Pool(processes=workers,
+                                         initializer=initializer,
+                                         initargs=initargs)
+        elif initializer is not None:
+            initializer(*initargs)
 
     def map(self, fn, items):
         """Apply ``fn`` to every item; order-preserving.  Raises
         :class:`WorkerPoolError` if any worker raises."""
-        return self._backend.map(fn, items)
+        items = list(items)
+        if self._pool is not None:
+            try:
+                return self._pool.map(fn, items)
+            except Exception as error:
+                self.close()
+                raise WorkerPoolError(
+                    f"worker failed while evaluating a batch of "
+                    f"{len(items)}: {error!r}") from error
+        results = []
+        for index, item in enumerate(items):
+            try:
+                results.append(fn(item))
+            except Exception as error:
+                raise WorkerPoolError(
+                    f"worker failed on item {index + 1}/{len(items)}: "
+                    f"{error!r}") from error
+        return results
 
     def close(self):
-        self._backend.close()
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
 
     def __enter__(self):
         return self

@@ -12,21 +12,25 @@ resources from the netlist estimator (the yosys stand-in), exactly the
 two oracles the paper wires into Vizier.  The total space is
 3 x 31,104 = 93,312 points ("approximately 93,000").
 
-Evaluation runs on the parallel engine: trials are suggested in
-fixed-size batches, served from a content-addressed
-:class:`~repro.dse.cache.EvaluationCache` when warm, and cache misses
-are sharded across a :class:`~repro.dse.pool.WorkerPool`.  The batch
-size is deliberately independent of the worker count, so the same seed
-produces the same Pareto fronts whether the run is serial or parallel.
-Every trial is recorded as a span (family, cache-hit flag, fit outcome)
-on a :class:`~repro.core.telemetry.Telemetry`, and :func:`trace_summary`
-renders a run's cache hit rate and fit rejects.
+Each family is one study on an in-memory
+:class:`~repro.dse.service.DseService`, whose determinism barrier
+suggests trials in fixed-size rounds.  A round is served from a
+content-addressed :class:`~repro.dse.cache.EvaluationCache` when warm,
+and its cache misses are sharded across a
+:class:`~repro.dse.pool.WorkerPool`.  The round size is deliberately
+independent of the worker count, so the same seed produces the same
+Pareto fronts whether the run is serial, parallel, or served to remote
+workers.  Every trial is recorded as a span (family, cache-hit flag,
+fit outcome) on a :class:`~repro.core.telemetry.Telemetry`, and
+:func:`trace_summary` renders a run's cache hit rate and fit rejects.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..accel.kws.resources import cfu2_resources
 from ..accel.mnv2.resources import stage_resources
@@ -38,12 +42,11 @@ from ..kernels.reference import reference_variants
 from ..models import load
 from ..perf.estimator import estimate_inference
 from ..soc import Soc
-from .algorithms import RegularizedEvolution
 from .cache import MISS, EvaluationCache, cache_key
 from .pareto import pareto_front
 from .pool import WorkerPool
+from .service import DEFAULT_BATCH, DseService
 from .space import point_to_cpu_config, vexriscv_space
-from .study import MetricGoal, Study
 
 CFU_FAMILIES = ("none", "cfu1", "cfu2")
 
@@ -53,10 +56,8 @@ CFU_FAMILIES = ("none", "cfu1", "cfu2")
 # Winograd ladder on the same axes as the stock curves.
 ALL_CFU_FAMILIES = CFU_FAMILIES + ("winograd",)
 
-# Trials suggested (and evaluated) per scheduling round.  Fixed — NOT a
-# function of the worker count — so serial and parallel runs see the
-# same algorithm state at every suggestion and stay bit-identical.
-DEFAULT_BATCH = 8
+#: Study owner used by the Fig. 7 reproduction studies.
+FIG7_OWNER = "fig7"
 
 
 def family_extras(family):
@@ -115,6 +116,15 @@ class EvalOutcome:
     point: object
     cache_hit: bool
     seconds: float = 0.0
+
+    def completion(self):
+        """The outcome's completion fields, as the study service takes
+        them."""
+        point = self.point
+        return {"metrics": None if point is None else {
+                    "cycles": point.cycles, "logic_cells": point.logic_cells},
+                "infeasible": point is None, "cache_hit": self.cache_hit,
+                "seconds": self.seconds}
 
 
 @dataclass
@@ -298,17 +308,37 @@ class Fig7Evaluator:
         point = evaluate_design(self.model, self.board, parameters, family)
         return point, time.monotonic() - start
 
-    def _evaluate(self, parameters, family):
-        return evaluate_design(self.model, self.board, parameters, family)
+
+def fig7_study_configs(trials_per_family, seed=0, batch=None,
+                       owner=FIG7_OWNER, prefix=""):
+    """The three Fig. 7 study configs (one per CFU family)."""
+    batch = DEFAULT_BATCH if batch is None else batch
+    return [
+        {
+            "owner": owner,
+            "study_id": f"{prefix}fig7-{family}",
+            "family": family,
+            "space": "vexriscv",
+            "goals": ["cycles", "logic_cells"],
+            "algorithm": "regularized_evolution",
+            "seed": seed,
+            "budget": trials_per_family,
+            "batch": batch,
+        }
+        for family in CFU_FAMILIES
+    ]
 
 
-def run_fig7(trials_per_family=120, seed=0, evaluator=None,
-             algorithm_factory=None, workers=1, batch=None, cache_dir=None,
-             telemetry=None):
+def run_fig7(trials_per_family=120, seed=0, evaluator=None, workers=1,
+             batch=None, cache_dir=None, telemetry=None):
     """Run the three studies and return a :class:`DseResult`.
 
-    ``workers`` shards each suggestion batch across processes;
-    ``batch`` (default :data:`DEFAULT_BATCH`) is fixed independently of
+    The :func:`fig7_study_configs` studies run on an in-memory
+    :class:`~repro.dse.service.DseService` (no store, no HTTP, leases
+    that never expire), each driven to its end by
+    :meth:`~repro.dse.service.ServiceStudy.run`.  ``workers`` shards
+    each round's cache misses across processes; ``batch`` (default
+    :data:`~repro.dse.service.DEFAULT_BATCH`) is fixed independently of
     ``workers`` so the same seed yields identical Pareto fronts serial
     or parallel.  ``cache_dir`` persists evaluations across runs — a
     warm rerun performs zero fresh evaluations.  ``telemetry`` (or the
@@ -326,52 +356,47 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
             evaluator.telemetry = telemetry  # one object owns the whole run
         else:
             telemetry = evaluator.telemetry
-    algorithm_factory = algorithm_factory or (lambda: RegularizedEvolution())
-    batch = DEFAULT_BATCH if batch is None else batch
-    if batch < 1:
+    if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    result = DseResult()
+    service = DseService(lease_seconds=math.inf)
+    studies = [service.create_study(config) for config in
+               fig7_study_configs(trials_per_family, seed=seed, batch=batch)]
     pool = None
     if workers > 1:
         pool = WorkerPool(workers, initializer=_init_fig7_worker,
                           initargs=(evaluator.model, evaluator.board))
+    result = DseResult()
+
+    def evaluate_round(study, records):
+        family = study.config["family"]
+        outcomes = evaluator.evaluate_batch(
+            [(record.parameters, family) for record in records], pool=pool)
+        completions = []
+        for record, outcome in zip(records, outcomes):
+            point = outcome.point
+            telemetry.record_span(
+                "trial", outcome.seconds, study=study.study_id,
+                trial=record.trial_id, family=family,
+                cache_hit=outcome.cache_hit, fit=point is not None,
+            )
+            completions.append({"trial_id": record.trial_id,
+                                "lease_token": record.lease_token,
+                                **outcome.completion()})
+            if point is not None:
+                result.add(point)  # revisited configs count once
+        telemetry.event("progress", family=family,
+                        completed=study.completed_count() + len(records),
+                        budget=trials_per_family)
+        return completions
+
     try:
-        for family in CFU_FAMILIES:
+        for study in studies:
+            family = study.config["family"]
             telemetry.event("family_start", family=family,
                             budget=trials_per_family)
-            study = Study(
-                space=vexriscv_space(),
-                goals=[MetricGoal("cycles"), MetricGoal("logic_cells")],
-                algorithm=algorithm_factory(),
-                name=f"fig7-{family}",
-                seed=seed,
-            )
-            remaining = trials_per_family
-            while remaining > 0:
-                trials = study.suggest(min(batch, remaining))
-                outcomes = evaluator.evaluate_batch(
-                    [(trial.parameters, family) for trial in trials],
-                    pool=pool,
-                )
-                for trial, outcome in zip(trials, outcomes):
-                    point = outcome.point
-                    telemetry.record_span(
-                        "trial", outcome.seconds, study=study.name,
-                        trial=trial.trial_id, family=family,
-                        cache_hit=outcome.cache_hit, fit=point is not None,
-                    )
-                    if point is None:
-                        trial.complete(infeasible=True)
-                    else:
-                        trial.complete({"cycles": point.cycles,
-                                        "logic_cells": point.logic_cells})
-                        result.add(point)  # revisited configs count once
-                    remaining -= 1
-                telemetry.event("progress", family=family,
-                                completed=trials_per_family - remaining,
-                                budget=trials_per_family)
+            study.run(partial(evaluate_round, study))
             telemetry.event("family_done", family=family,
                             evaluated=len(result.family_points(family)),
                             front=len(result.family_front(family)))

@@ -18,12 +18,13 @@ loop.  This module is that shape for the reproduction:
   late completion is rejected as stale rather than double-counted.
 
 - **Determinism barrier** — trials are suggested in fixed rounds of
-  ``batch`` (the engine's :data:`~repro.dse.runner.DEFAULT_BATCH`
-  discipline): round *N+1* is only suggested once round *N* is fully
-  complete.  Suggestion-time algorithm state is therefore identical to
-  the in-process engine regardless of worker count or completion
-  order, which is what makes the service's Pareto fronts golden-equal
-  to ``run_fig7``.
+  ``batch`` (default :data:`DEFAULT_BATCH`): round *N+1* is only
+  suggested once round *N* is fully complete.  Suggestion-time
+  algorithm state is therefore the same regardless of worker count or
+  completion order.  This barrier is the one scheduler behind every
+  Fig. 7 flow: ``run_fig7`` drives in-memory studies through
+  :meth:`ServiceStudy.run`, so a served study's Pareto fronts are
+  golden-equal to ``run_fig7``'s.
 
 - **Crash-safe resume** — every suggestion, claim, and completion is
   persisted to a :class:`~repro.dse.store.StudyStore` before it is
@@ -52,7 +53,6 @@ from ..core.telemetry import Telemetry
 from ..core.wire import FaultInjector, HttpError, ServerThread
 from .algorithms import GridSearch, RandomSearch, RegularizedEvolution, TpeLite
 from .pareto import pareto_front
-from .runner import DEFAULT_BATCH
 from .space import Parameter, ParameterSpace, vexriscv_space
 from .store import CLAIMED, COMPLETED, PENDING, StudyStore, TrialRecord
 from .study import MetricGoal, Study
@@ -61,6 +61,11 @@ SERVICE_SCHEMA_VERSION = 1
 
 #: Seconds a worker holds a claimed trial before it is re-issued.
 DEFAULT_LEASE_SECONDS = 60.0
+
+#: Trials suggested per scheduling round.  Fixed — NOT a function of
+#: the worker count — so serial and parallel runs see the same
+#: algorithm state at every suggestion and stay bit-identical.
+DEFAULT_BATCH = 8
 
 #: Study lifecycle states.
 ACTIVE = "ACTIVE"
@@ -134,11 +139,15 @@ def normalize_config(config):
     ]
     config.setdefault("algorithm", "regularized_evolution")
     config.setdefault("seed", 0)
-    config["batch"] = int(config.get("batch") or DEFAULT_BATCH)
-    if config["batch"] < 1:
-        raise ServiceError(f"batch must be >= 1, got {config['batch']}")
-    config["max_inflight"] = int(config.get("max_inflight")
-                                 or config["batch"])
+    # a default fills only a missing or null value: 0 is an error
+    batch = config.get("batch")
+    config["batch"] = DEFAULT_BATCH if batch is None else int(batch)
+    inflight = config.get("max_inflight")
+    config["max_inflight"] = (config["batch"] if inflight is None
+                              else int(inflight))
+    for name in ("batch", "max_inflight"):
+        if config[name] < 1:
+            raise ServiceError(f"{name} must be >= 1, got {config[name]}")
     config.setdefault("state", ACTIVE)
     # eagerly validate the references so creation fails fast
     build_space(config["space"])
@@ -258,10 +267,11 @@ class ServiceStudy:
             self._started_mono = time.monotonic()
         self._reclaim_expired()
         self._ensure_round()
-        granted = []
-        while (self.queue and len(granted) < count
-               and self.inflight() < self.config["max_inflight"]):
-            record = self.records[self.queue.pop(0)]
+        slots = max(0, min(count,
+                           self.config["max_inflight"] - self.inflight()))
+        granted = [self.records[trial_id] for trial_id in self.queue[:slots]]
+        del self.queue[:slots]
+        for record in granted:
             self._claims += 1
             record.state = CLAIMED
             record.worker = str(worker_id)
@@ -269,9 +279,19 @@ class ServiceStudy:
             record.lease_deadline = (self.service.clock()
                                      + self.service.lease_seconds)
             self._persist_trial(record)
-            granted.append(record)
         self._export_gauges()
         return granted
+
+    def run(self, evaluate, worker_id="in-process"):
+        """Drive the study to its end in-process: claim each round,
+        turn it into completion items with ``evaluate(records)`` (the
+        :meth:`complete_batch` form), and complete them together."""
+        while self.state == ACTIVE:
+            granted = self.claim(worker_id, self.batch)
+            if not granted:
+                break
+            self.complete_batch(evaluate(granted))
+        return self
 
     def complete(self, trial_id, lease_token, metrics=None, infeasible=False,
                  cache_hit=False, seconds=0.0, worker_id=""):
@@ -283,15 +303,15 @@ class ServiceStudy:
         return result
 
     def complete_batch(self, completions):
-        """Apply many completions; the front is published once at the end.
+        """Apply many completions; the done-check (and the front, for
+        stream subscribers) runs once at the end.
 
         Each item is ``{"trial_id", "lease_token", "metrics"?,
         "infeasible"?, "cache_hit"?, "seconds"?, "worker_id"?}``.  Items
         are independent: a stale or unknown lease yields a per-item
         ``{"ok": False, ...}`` entry instead of failing the batch.  This
-        is the streaming path of the exhaustive sweep — completing a
-        whole chunk per front recomputation instead of paying an
-        O(completed) front scan per trial.
+        is the path of :meth:`run`, which completes a whole round per
+        call.
         """
         results = []
         for item in completions:
@@ -427,7 +447,6 @@ class ServiceStudy:
                 and self.state == ACTIVE):
             self.state = DONE
             self._persist_state()
-        self._front_keys = self._current_front_keys()
         self._export_gauges()
         return self
 
@@ -442,20 +461,21 @@ class ServiceStudy:
                                   key=lambda r: r.trial_id)
                 if r.state == COMPLETED]
 
-    def _metric_tuple(self, record):
-        return tuple(MetricGoal(g["name"], g.get("goal", "minimize"))
-                     .canonical(record.metrics[g["name"]])
-                     for g in self.config["goals"])
+    def _front_records(self):
+        """The current Pareto front over feasible completed trials.
+        Built on each call: only readers (status, the pareto routes,
+        stream subscribers) pay for it, never a completion."""
+        return pareto_front(self.feasible_records(),
+                            key=self.study.metric_tuple)
 
-    def front(self):
-        """The current Pareto front over feasible completed trials."""
-        records = pareto_front(self.feasible_records(),
-                               key=self._metric_tuple)
+    @staticmethod
+    def _front_wire(records):
         return [{"trial_id": r.trial_id, "parameters": dict(r.parameters),
                  "metrics": dict(r.metrics)} for r in records]
 
-    def _current_front_keys(self):
-        return {(r["trial_id"]) for r in self.front()}
+    def front(self):
+        """The current Pareto front, in its wire form."""
+        return self._front_wire(self._front_records())
 
     def trials_per_second(self):
         completed = self.completed_count()
@@ -479,7 +499,7 @@ class ServiceStudy:
                               if r.state == COMPLETED and r.infeasible),
             "claimed": self.inflight(),
             "queue_depth": len(self.queue),
-            "front_size": len(self.front()),
+            "front_size": len(self._front_records()),
             "trials_per_sec": round(self.trials_per_second(), 3),
         }
 
@@ -488,7 +508,10 @@ class ServiceStudy:
         """The current front, then one item per front change, ending
         with the study (the pareto-stream route streams these)."""
         queue = asyncio.Queue()
-        queue.put_nowait(self._stream_item())
+        front = self._front_records()
+        # with no subscriber the last published front went stale
+        self._front_keys = {r.trial_id for r in front}
+        queue.put_nowait(self._stream_item(front))
         self._subscribers.append(queue)
         try:
             while True:
@@ -499,22 +522,30 @@ class ServiceStudy:
         finally:
             self._subscribers.remove(queue)
 
-    def _stream_item(self):
+    def _stream_item(self, front):
         return {"study": self.resource_name,
                 "completed": self.completed_count(),
-                "front": self.front(),
+                "front": self._front_wire(front),
                 "done": self.state in (DONE, STOPPED)}
 
-    def _notify(self):
-        item = self._stream_item()
+    def _notify(self, front=None):
+        if not self._subscribers:
+            return
+        item = self._stream_item(self._front_records() if front is None
+                                 else front)
         for queue in self._subscribers:
             queue.put_nowait(item)
 
     def _publish_front(self):
-        keys = self._current_front_keys()
+        """Stream the front to subscribers if it changed; with none,
+        nothing is built."""
+        if not self._subscribers:
+            return
+        front = self._front_records()
+        keys = {r.trial_id for r in front}
         if keys != self._front_keys:
             self._front_keys = keys
-            self._notify()
+            self._notify(front)
 
     # --- wire forms ---------------------------------------------------------------
     def trial_wire(self, record):

@@ -25,15 +25,6 @@ class Parameter:
     def sample(self, rng):
         return rng.choice(self.values)
 
-    def neighbors(self, value):
-        index = self.values.index(value)
-        result = []
-        if index > 0:
-            result.append(self.values[index - 1])
-        if index < len(self.values) - 1:
-            result.append(self.values[index + 1])
-        return result or [value]
-
 
 class ParameterSpace:
     """An ordered set of parameters; a *point* is a name->value dict."""

@@ -32,10 +32,8 @@ import time
 # ServiceUnavailable is re-exported: the client raises it once retries run out.
 from ..core.wire import ClientError, JsonClient, ServiceUnavailable
 from .cache import EvaluationCache
-from .runner import CFU_FAMILIES, DEFAULT_BATCH, DsePoint, DseResult, Fig7Evaluator
-
-#: Study owner used by the Fig. 7 reproduction studies.
-FIG7_OWNER = "fig7"
+from .runner import (FIG7_OWNER, DsePoint, DseResult, Fig7Evaluator,
+                     fig7_study_configs)
 
 
 class StaleLeaseError(ClientError):
@@ -176,14 +174,8 @@ def run_worker(base_url, worker_id="worker-0", evaluator=None,
                     [(trial["parameters"], trial["family"])])[0]
                 if eval_latency:
                     sleep(eval_latency)
-                point = outcome.point
-                metrics = None if point is None else {
-                    "cycles": point.cycles, "logic_cells": point.logic_cells}
                 try:
-                    client.complete(trial, metrics=metrics,
-                                    infeasible=point is None,
-                                    cache_hit=outcome.cache_hit,
-                                    seconds=outcome.seconds)
+                    client.complete(trial, **outcome.completion())
                 except StaleLeaseError:
                     # the lease expired mid-evaluation and the trial was
                     # re-issued; drop the result — exactly-once
@@ -193,7 +185,7 @@ def run_worker(base_url, worker_id="worker-0", evaluator=None,
                 stats.completed += 1
                 if outcome.cache_hit:
                     stats.cache_hits += 1
-                if point is None:
+                if outcome.point is None:
                     stats.infeasible += 1
     finally:
         client.close()
@@ -256,26 +248,6 @@ class WorkerFleet:
 # --------------------------------------------------------------------------------
 # Fig. 7 over the wire
 # --------------------------------------------------------------------------------
-
-def fig7_study_configs(trials_per_family, seed=0, batch=None,
-                       owner=FIG7_OWNER, prefix=""):
-    """The three Fig. 7 study configs (one per CFU family)."""
-    batch = DEFAULT_BATCH if batch is None else batch
-    return [
-        {
-            "owner": owner,
-            "study_id": f"{prefix}fig7-{family}",
-            "family": family,
-            "space": "vexriscv",
-            "goals": ["cycles", "logic_cells"],
-            "algorithm": "regularized_evolution",
-            "seed": seed,
-            "budget": trials_per_family,
-            "batch": batch,
-        }
-        for family in CFU_FAMILIES
-    ]
-
 
 def create_fig7_studies(client, trials_per_family, seed=0, batch=None,
                         owner=FIG7_OWNER, prefix=""):

@@ -73,6 +73,30 @@ def test_pareto_front_is_idempotent(pts):
     assert pareto_front(front) == front
 
 
+@st.composite
+def labelled_points(draw):
+    """``(metrics, label)`` pairs with 1-3 goals over a small value range,
+    plus exact repeats, so metric ties and duplicates are common; the
+    label tells apart points with equal metrics."""
+    goals = draw(st.integers(1, 3))
+    metrics = draw(st.lists(st.tuples(*[st.integers(0, 6)] * goals),
+                            min_size=0, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(metrics), max_size=10)
+                   if metrics else st.just([]))
+    return [(m, label) for label, m in enumerate(metrics + repeats)]
+
+
+@given(pts=labelled_points())
+def test_pareto_front_matches_the_definition(pts):
+    def metrics(point):
+        return point[0]
+
+    # every point no other point dominates, stable-sorted by key
+    expected = [p for p in sorted(pts, key=metrics)
+                if not any(dominates(q[0], p[0]) for q in pts)]
+    assert pareto_front(pts, key=metrics) == expected
+
+
 # --- cache key canonicalization ------------------------------------------------------
 
 param_dicts = st.dictionaries(

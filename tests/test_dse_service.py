@@ -17,7 +17,7 @@ from repro.dse import (
     StaleLeaseError,
 )
 from repro.dse.pareto import dominates
-from repro.dse.service import normalize_config
+from repro.dse.service import DEFAULT_BATCH, normalize_config
 
 
 def tiny_config(study_id="tiny", owner="tests", budget=12, batch=4, **extra):
@@ -305,3 +305,87 @@ def test_cli_parsers_cover_service_commands():
                                   "--service-url", "http://127.0.0.1:9000"])
     assert run_args.service_url == "http://127.0.0.1:9000"
     assert run_args.dse_command is None
+
+
+def test_batch_zero_is_400(server, client):
+    # 0 is a bad value, not a missing one: no silent default
+    with pytest.raises(ClientError) as err:
+        client.create_study(tiny_config(batch=0))
+    assert err.value.status == 400
+    assert client.list_studies()["studies"] == []
+
+
+@pytest.mark.parametrize("max_inflight", [0, -1])
+def test_max_inflight_below_one_is_400(server, client, max_inflight):
+    # such a study could never lease a trial to any worker
+    with pytest.raises(ClientError) as err:
+        client.create_study(tiny_config(max_inflight=max_inflight))
+    assert err.value.status == 400
+    assert client.list_studies()["studies"] == []
+
+
+def test_null_scheduling_values_take_the_defaults():
+    config = normalize_config({"owner": "o", "study_id": "s", "budget": 4,
+                               "batch": None, "max_inflight": None})
+    assert config["batch"] == DEFAULT_BATCH
+    assert config["max_inflight"] == DEFAULT_BATCH
+
+
+def test_pareto_stream_subscriber_attaching_late(server, client):
+    """A subscriber that attaches after some completions gets the
+    current front, then one item per later front change, then done."""
+    client.create_study(tiny_config(budget=12, batch=4))
+    completed = []
+
+    def complete_next():
+        trial = client.suggest("tests", "tiny", count=1)["trials"][0]
+        metrics = tiny_metrics(trial["parameters"])
+        client.complete(trial, metrics=metrics)
+        completed.append({"trial_id": trial["trial_id"],
+                          "parameters": trial["parameters"],
+                          "metrics": metrics})
+
+    def front():
+        # the definition: non-dominated trials, sorted by metrics, ties
+        # in trial order
+        def key(t):
+            return (t["metrics"]["a"], t["metrics"]["b"])
+        return [t for t in sorted(completed, key=key)
+                if not any(dominates(key(o), key(t)) for o in completed)]
+
+    for _ in range(5):
+        complete_next()
+    stream = client.stream_pareto("tests", "tiny")
+    first = next(stream)
+    assert (first["completed"], first["front"], first["done"]) == \
+        (5, front(), False)
+    changes = []
+    while len(completed) < 12:
+        before = front()
+        complete_next()
+        if front() != before:
+            changes.append((len(completed), front(), False))
+    rest = [(item["completed"], item["front"], item["done"])
+            for item in stream]
+    assert rest == changes + [(12, front(), True)]
+
+
+def test_in_process_run_builds_no_front_until_one_is_read(monkeypatch):
+    import repro.dse.service as service_module
+
+    built = []
+    real_front = service_module.pareto_front
+
+    def counting_front(*args, **kwargs):
+        built.append(1)
+        return real_front(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "pareto_front", counting_front)
+    study = DseService().create_study(tiny_config())
+    study.run(lambda records: [
+        {"trial_id": r.trial_id, "lease_token": r.lease_token,
+         "metrics": tiny_metrics(r.parameters)} for r in records])
+    assert study.state == "DONE"
+    assert study.status()["completed"] == 12
+    assert len(built) == 1  # status() is the first reader
+    assert study.status()["front_size"] == len(study.front())
