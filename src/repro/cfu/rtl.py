@@ -68,8 +68,10 @@ class RtlCfuAdapter:
     from command acceptance to response.
 
     On the compiled backend each call runs as one transaction straight
-    on the program's slot list; the interpreter keeps the poke-level
-    handshake (:meth:`_handshake`), which is the transaction's oracle.
+    on the program's slot list, generated for its funct3 once that is
+    hot (:meth:`~repro.rtl.compile.CompiledProgram.transaction`); the
+    interpreter keeps the poke-level handshake (:meth:`_handshake`),
+    which is the transactions' oracle.
     """
 
     def __init__(self, rtl_cfu, timeout=4096, backend="auto"):
@@ -90,6 +92,8 @@ class RtlCfuAdapter:
         """Capture the live simulator state (both backends)."""
         sim = self.sim
         if hasattr(sim, "_vals"):  # compiled backend: flat slot list
+            if sim._stale:
+                sim.settle()
             return {"backend": "compiled", "vals": list(sim._vals),
                     "extra": dict(sim._extra),
                     "mems": [list(state) for state in sim._mems],
@@ -107,6 +111,7 @@ class RtlCfuAdapter:
             if not hasattr(sim, "_vals"):
                 raise ValueError("snapshot was taken on the compiled backend")
             sim._vals[:] = state["vals"]
+            sim._stale = False  # snapshots hold settled slots
             sim._extra.clear()
             sim._extra.update(state["extra"])
             for live, saved in zip(sim._mems, state["mems"]):
@@ -152,18 +157,35 @@ class RtlCfuAdapter:
             return self._handshake(funct3, funct7, a, b)
         # _handshake() as one transaction on the compiled program.  Each
         # clock edge follows a settle with nothing poked since, so it
-        # skips the comb pass tick() runs before its sync update.
+        # skips the comb pass tick() runs before its sync update, and
+        # the settle that ends the call is deferred (the simulator
+        # marks its comb slots stale): the next call's settle subsumes
+        # it.  A funct3 called often enough runs its generated
+        # transaction instead, falling back to the generic one below
+        # when the CFU is busy or answers after more than one cycle.
         ((valid, valid_key), (f3, f3_key), (f7, f7_key), (in0, in0_key),
          (in1, in1_key), (ready, ready_key), cmd_ready, rsp_valid,
          rsp_out) = self._slots
-        vals, mems, comb, edge = sim._vals, sim._mems, sim._comb, sim._edge
+        funct3 = int(funct3 & 0x7)
         valid[valid_key] = 1
-        f3[f3_key] = int(funct3 & 0x7)
+        f3[f3_key] = funct3
         f7[f7_key] = int(funct7 & 0x7F)
         in0[in0_key] = int(a & 0xFFFFFFFF)
         in1[in1_key] = int(b & 0xFFFFFFFF)
         ready[ready_key] = 1
-        comb(vals, mems)
+        vals = sim._vals
+        program = sim.program
+        transact = (program.transactions[funct3]
+                    or program.transaction(funct3, self.ports))
+        if transact is not None:
+            result = transact(vals, sim._mems)
+            if result is not None:
+                sim._clocked()
+                valid[valid_key] = 0
+                sim._stale = True
+                return result, 1
+        edge = sim._edge
+        sim.settle()  # settles what the previous call deferred, too
         waited = 0
         while not vals[cmd_ready]:
             edge()
@@ -172,11 +194,12 @@ class RtlCfuAdapter:
                 raise CfuError(f"{self.name}: command never accepted")
         cycles = 1
         answered, result = vals[rsp_valid], vals[rsp_out]
-        edge()  # latch the command, or retire the answer
+        edge(False)  # latch the command, or retire the answer
         valid[valid_key] = 0
-        comb(vals, mems)
         if answered:
+            sim._stale = True
             return result, cycles
+        sim.settle()
         while not vals[rsp_valid]:
             edge()
             cycles += 1
@@ -184,7 +207,7 @@ class RtlCfuAdapter:
                 raise CfuError(f"{self.name}: no response after {cycles} cycles")
         cycles += 1
         result = vals[rsp_out]
-        edge()  # response consumed
+        edge(False)  # response consumed
         return result, cycles
 
     def _handshake(self, funct3, funct7, a, b):

@@ -233,20 +233,29 @@ def _cmd_dse_work(args):
     return 0
 
 
-def _cmd_sessions_serve(args):
-    from .emu.sessions import SessionManager, serve
+def _session_manager(args):
+    """The fleet ``repro sessions serve`` serves.  ``--compile-cache-dir``
+    points the process-wide code cache at its directory, so tier-2
+    blocks, RTL modules and their transactions share one store."""
+    from .core import codecache
+    from .emu.sessions import SessionManager
 
-    if args.no_compile_cache:
-        compile_cache = None
-    elif args.compile_cache_dir:
-        compile_cache = args.compile_cache_dir
-    else:
+    compile_cache = None
+    if not args.no_compile_cache:
+        if args.compile_cache_dir:
+            codecache.configure(args.compile_cache_dir)
         compile_cache = True
-    manager = SessionManager(max_sessions=args.max_sessions,
-                             compile_cache=compile_cache)
+    return SessionManager(max_sessions=args.max_sessions,
+                          compile_cache=compile_cache)
+
+
+def _cmd_sessions_serve(args):
+    from .emu.sessions import serve
+
+    manager = _session_manager(args)
     cache = manager.compile_cache
     cache_label = ("disabled" if cache is None
-                   else getattr(cache, "cache_dir", "shared"))
+                   else cache.cache_dir or "in-memory")
     print(f"serving the emulation session fleet on "
           f"http://{args.host}:{args.port} "
           f"(max {args.max_sessions} sessions, "

@@ -40,6 +40,8 @@ import time
 from ..core import wire
 from ..core.telemetry import Telemetry
 from ..core.wire import ClientError, FaultInjector, HttpError, JsonClient, ServerThread
+from ..cpu.machine import check_backend
+from ..rtl.sim import BACKENDS as RTL_BACKENDS
 from ..soc.bus import BusError
 from .renode import Emulator, _resolve_compile_cache
 
@@ -81,6 +83,29 @@ def _build_cfu(name, impl):
                        f"(expected one of {', '.join(known)})")
 
 
+def _check_sim_backend(backend):
+    """An ISA execution tier from a wire payload, or a 400."""
+    try:
+        check_backend(backend)
+    except ValueError as error:
+        raise SessionError(str(error)) from None
+    return backend
+
+
+def _run_args(payload):
+    """``(max_instructions, backend)`` of a run/step/profile payload."""
+    try:
+        budget = int(payload.get("max_instructions", 1_000_000))
+    except (TypeError, ValueError):
+        raise SessionError(
+            f"max_instructions must be an integer, got "
+            f"{payload.get('max_instructions')!r}") from None
+    if budget < 1:
+        raise SessionError(f"max_instructions must be >= 1, got {budget}")
+    backend = payload.get("backend")
+    return budget, None if backend is None else _check_sim_backend(backend)
+
+
 def _build_emulator(spec, compile_cache):
     from ..boards import get_board
     from ..soc.soc import Soc
@@ -89,12 +114,17 @@ def _build_emulator(spec, compile_cache):
         board = get_board(spec.get("board", "arty_a7_35t"))
     except KeyError as error:
         raise SessionError(str(error)) from None
+    rtl_backend = spec.get("rtl_backend", "auto")
+    if rtl_backend not in RTL_BACKENDS:
+        raise SessionError(f"unknown rtl backend {rtl_backend!r} "
+                           f"(expected one of {', '.join(RTL_BACKENDS)})")
+    sim_backend = _check_sim_backend(spec.get("sim_backend", "auto"))
     cfu = _build_cfu(spec.get("cfu"), spec.get("cfu_impl", "model"))
     return Emulator(
         Soc(board), cfu=cfu,
         with_timing=bool(spec.get("with_timing", True)),
-        rtl_backend=spec.get("rtl_backend", "auto"),
-        sim_backend=spec.get("sim_backend", "auto"),
+        rtl_backend=rtl_backend,
+        sim_backend=sim_backend,
         compile_cache=compile_cache,
     )
 
@@ -150,10 +180,7 @@ class Session:
 
     def run(self, payload):
         """Execute up to ``max_instructions`` from the current state."""
-        budget = int(payload.get("max_instructions", 1_000_000))
-        if budget < 1:
-            raise SessionError(f"max_instructions must be >= 1, got {budget}")
-        backend = payload.get("backend")
+        budget, backend = _run_args(payload)
         machine = self.emulator.machine
         before = machine.instret
         started = time.perf_counter()
@@ -219,8 +246,7 @@ class Session:
         if not self.symbols:
             raise SessionError(
                 "profile needs assembly-loaded firmware (no symbol table)")
-        budget = int(payload.get("max_instructions", 1_000_000))
-        backend = payload.get("backend")
+        budget, backend = _run_args(payload)
         machine = self.emulator.machine
         # Profile the loaded program from its entry point, not from
         # wherever the last run left the pc (that would measure the

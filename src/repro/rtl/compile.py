@@ -19,7 +19,8 @@ Python functions:
 memory backing stores.  Widths, masks, shift amounts, sign-extension
 constants, and memory depths are baked into the generated source as
 integer literals; guards become plain ``if`` statements; shared
-subexpressions become shared temporaries.  nMigen semantics — later
+subexpressions become shared temporaries; any subexpression over
+literals only is evaluated at codegen time.  nMigen semantics — later
 assignment wins, comb falls back to reset, sign/width rules — are
 preserved bit for bit (:mod:`tests.test_rtl_compile` is the
 differential proof).
@@ -27,6 +28,11 @@ differential proof).
 The generated program is exec'd once and cached per module, so
 rebuilding a simulator (e.g. :meth:`RtlCfuAdapter.reset`) costs a
 slot-list copy instead of a re-elaboration and re-settle from scratch.
+
+A CFU funct3 called :data:`SPECIALIZE_AFTER` times on a program also
+gets its own ``transact(V, M)``: one accepted, single-cycle call with
+the handshake's constant ports folded in (see
+:meth:`CompiledProgram.transaction`).
 
 Netlists with combinational cycles cannot be levelized:
 ``backend="auto"`` falls back to the interpreter (which can still
@@ -36,6 +42,7 @@ settle a guard-false pseudo-latch), while ``backend="compiled"`` raises
 
 from __future__ import annotations
 
+import re
 import weakref
 from collections import deque
 
@@ -48,6 +55,7 @@ from .ast import (
     Signal,
     Slice,
     Repl,
+    to_signed,
     to_unsigned,
 )
 from .dsl import Module
@@ -59,11 +67,30 @@ class CompileError(RuntimeError):
     """The module uses a construct the compiled backend cannot schedule."""
 
 
-#: Process-wide generator activity: modules actually code-generated vs
-#: bound from cached source (benchmarks read these to prove "compile
-#: once per firmware, ever").
+#: Process-wide generator activity: modules and transactions actually
+#: code-generated vs bound from cached source (benchmarks read these to
+#: prove "compile once per firmware, ever").
 codegen_count = 0
 cache_bind_count = 0
+
+#: Calls of one funct3 on a program before it gets a generated
+#: transaction.  A transaction costs its codegen once and then saves
+#: time on every call, so it pays off after codegen ms ÷ µs saved per
+#: call.  Measured on a 2-vCPU Xeon VM over the 20 single-cycle opcodes
+#: of the shipped CFUs, that breakeven runs from 48 calls (kws-cfu2
+#: READ_ACC: 0.5 ms ÷ 10.6 µs) to 1,844 (popcount: 1.6 ms ÷ 0.85 µs),
+#: median ~470; kws-cfu2's MAC4 breaks even at 1.1 ms ÷ 8.7 µs ≈ 126.
+#: 1,024 clears 16 of the 20, keeps the 400-op RTL throughput benchmark
+#: from paying codegen it cannot earn back, and is crossed in the first
+#: run by both of session-rtl's hot opcodes (18,000 MAC4 and 2,000
+#: READ_ACC calls per run).
+SPECIALIZE_AFTER = 1024
+
+#: Generated runtime names: slot reads ``V[i]`` and locals, which all
+#: start with an underscore (``_t``, ``_v``, ``_m``).  An expression
+#: without either is literals only and folds at codegen time.
+_RUNTIME = re.compile(r"V\[|_")
+_ATOM = re.compile(r"(?:V\[\d+\]|_\w+)\Z")
 
 
 def _expr_token(node, slot_of):
@@ -141,30 +168,66 @@ def _reads(value):
 class _Codegen:
     """Lowers expression trees to straight-line three-address statements.
 
-    Every lowered node yields an *atom* — a temp name, a ``V[i]`` slot
-    read, or an integer literal — holding the node's unsigned bit
-    pattern (exactly what the interpreter's ``_eval`` returns).  Atoms
-    are memoized by node identity, so expression objects shared between
-    statements (guard conjunctions, the ``accepted`` strobe, a reused
-    datapath) are computed once per generated function.  All temps are
-    emitted at function top level, never under a guard, so memoized
-    atoms are always in scope for later statements.
+    Every lowered node yields an *atom* — an ``int`` literal known at
+    codegen time, a temp name, or a ``V[i]`` slot read — holding the
+    node's unsigned bit pattern (exactly what the interpreter's ``_eval``
+    returns).  A node whose operands are all literals is folded by
+    evaluating its generated expression on them, so folding runs the
+    very arithmetic the generated code would.  Atoms are memoized by
+    node identity, so expression objects shared between statements
+    (guard conjunctions, the ``accepted`` strobe, a reused datapath) are
+    computed once per generated function, and temps by expression text,
+    so structurally equal expressions share one too: a generated
+    function writes each ``V`` slot before any read of it (comb
+    targets) or after every read (the clock edge's commit), and memory
+    only after every read.  All temps are emitted at function top level,
+    never under a guard, so memoized atoms are always in scope for later
+    statements.
     """
 
     def __init__(self, slot_of):
         self.slot_of = slot_of  # id(signal) -> V index
         self.lines = []
         self._memo = {}
+        self._temps = {}  # expression text -> temp name
         self._counter = 0
 
     def emit(self, line):
         self.lines.append("    " + line)
 
+    def function(self, name):
+        """Source of ``def name(V, M)`` over the emitted body, binding
+        the memories the body uses."""
+        body = self.lines or ["    pass"]
+        used = sorted({int(index) for index in
+                       re.findall(r"_m(\d+)\[", "\n".join(body))})
+        head = [f"def {name}(V, M):"] + [f"    _m{index} = M[{index}]"
+                                         for index in used]
+        return "\n".join(head + body) + "\n"
+
+    @staticmethod
+    def fold(expr):
+        """``expr`` evaluated now when it is made of literals only."""
+        if isinstance(expr, int) or _RUNTIME.search(expr):
+            return expr
+        return eval(expr, {"__builtins__": {"bin": bin}})
+
     def temp(self, expr):
-        name = f"_t{self._counter}"
-        self._counter += 1
-        self.emit(f"{name} = {expr}")
+        value = self.fold(expr)
+        if isinstance(value, int):
+            return value
+        name = self._temps.get(expr)
+        if name is None:
+            name = self._temps[expr] = f"_t{self._counter}"
+            self._counter += 1
+            self.emit(f"{name} = {expr}")
         return name
+
+    def atom(self, expr):
+        """``expr`` as an atom, through a temp unless it already is one."""
+        if isinstance(expr, int) or _ATOM.match(expr):
+            return expr
+        return self.temp(expr)
 
     def read(self, signal):
         return f"V[{self.slot_of[id(signal)]}]"
@@ -183,19 +246,25 @@ class _Codegen:
         raw = self.u(node)
         if not node.signed:
             return raw
+        if isinstance(raw, int):
+            return to_signed(raw, node.width)
         sign_bit = 1 << (node.width - 1)
         modulus = 1 << node.width
         return f"({raw} - {modulus} if {raw} & {sign_bit} else {raw})"
 
     def _unsigned_at(self, operand, width):
-        """to_unsigned(num(operand), width) — sign-extend or pass through."""
-        if not operand.signed and operand.width <= width:
-            return self.u(operand)
-        return f"({self.num(operand)}) & {(1 << width) - 1}"
+        """to_unsigned(num(operand), width): truncate, sign-extend or
+        pass through."""
+        mask = (1 << width) - 1
+        if operand.width > width:
+            return self.fold(f"{self.u(operand)} & {mask}")
+        if operand.signed and operand.width < width:
+            return self.fold(f"({self.num(operand)}) & {mask}")
+        return self.u(operand)
 
     def _lower(self, node):
         if isinstance(node, Const):
-            return repr(node.value)
+            return node.value
         if isinstance(node, Signal):
             return self.read(node)
         if isinstance(node, Reinterpret):
@@ -214,22 +283,20 @@ class _Codegen:
                 atom = self.u(part)
                 parts.append(atom if shift == 0 else f"({atom} << {shift})")
                 shift += part.width
-            return self.temp(" | ".join(parts)) if parts else "0"
+            return self.temp(" | ".join(map(str, parts))) if parts else 0
         if isinstance(node, Repl):
             atom = self.u(node.value)
             parts = [atom if i == 0 else f"({atom} << {i * node.value.width})"
                      for i in range(node.count)]
-            return self.temp(" | ".join(parts)) if parts else "0"
+            return self.temp(" | ".join(map(str, parts))) if parts else 0
         if isinstance(node, Mux):
             sel = self.u(node.sel)
-            arms = []
-            for arm in (node.if_true, node.if_false):
-                if arm.signed:
-                    arms.append(f"({self.num(arm)}) & "
-                                f"{(1 << node.width) - 1}")
-                else:  # node.width >= arm.width, pattern already in range
-                    arms.append(self.u(arm))
-            return self.temp(f"({arms[0]}) if {sel} else ({arms[1]})")
+            if isinstance(sel, int):  # constant select: the chosen arm
+                arm = node.if_true if sel else node.if_false
+                return self.atom(self._unsigned_at(arm, node.width))
+            if_true = self._unsigned_at(node.if_true, node.width)
+            if_false = self._unsigned_at(node.if_false, node.width)
+            return self.temp(f"({if_true}) if {sel} else ({if_false})")
         if isinstance(node, Operator):
             return self._lower_operator(node)
         raise CompileError(f"cannot compile expression node {node!r}")
@@ -246,7 +313,21 @@ class _Codegen:
             return self.temp(f"(~{self.u(ops[0])}) & {mask}")
         if op in ("&", "|", "^"):
             a = self._unsigned_at(ops[0], node.width)
+            if op == "^":
+                return self.temp(f"({a}) ^ "
+                                 f"({self._unsigned_at(ops[1], node.width)})")
+            # 0 and the full mask absorb or pass the other operand, so a
+            # false guard term never lowers the term it masks.
+            absorbing, identity = (0, mask) if op == "&" else (mask, 0)
+            if a == absorbing:
+                return absorbing
             b = self._unsigned_at(ops[1], node.width)
+            if b == absorbing:
+                return absorbing
+            if a == identity:
+                return self.atom(b)
+            if b == identity:
+                return self.atom(a)
             return self.temp(f"({a}) {op} ({b})")
         if op == "<<":
             return self.temp(f"(({self.num(ops[0])}) << "
@@ -258,6 +339,8 @@ class _Codegen:
             return self.temp(f"1 if ({self.num(ops[0])}) {op} "
                              f"({self.num(ops[1])}) else 0")
         if op == "b":
+            if ops[0].width == 1:
+                return self.u(ops[0])
             return self.temp(f"1 if {self.u(ops[0])} else 0")
         if op == "r&":
             return self.temp(f"1 if {self.u(ops[0])} == "
@@ -269,42 +352,120 @@ class _Codegen:
     # --- statement lowering ----------------------------------------------------
     def value_of(self, stmt):
         """The value an assignment writes, masked to the lhs width."""
-        rhs = stmt.rhs
-        lhs_mask = (1 << stmt.lhs.width) - 1
-        if rhs.signed:
-            return f"({self.num(rhs)}) & {lhs_mask}"
-        if rhs.width > stmt.lhs.width:
-            return f"{self.u(rhs)} & {lhs_mask}"
-        return self.u(rhs)
+        return self._unsigned_at(stmt.rhs, stmt.lhs.width)
 
-    def apply(self, stmt, acc):
-        """Emit one guarded assignment into the accumulator variable.
+    def assign(self, value, stmts, acc):
+        """Apply one target's guarded assignments, later ones winning,
+        to its starting ``value``; returns the final value.
 
-        The guard atom and the value temps are materialized at top level
-        first (harmless when the guard is false: expressions are pure),
-        so only the accumulator update sits under the ``if``.
+        A literal-false guard drops its assignment, datapath and all; a
+        literal-true one applies it unconditionally.  Only a runtime
+        guard materializes the accumulator variable ``acc``, and only
+        its update sits under the ``if`` (the guard atom and the value
+        temps are emitted at top level first: expressions are pure).
         """
-        value = self.value_of(stmt)
-        if isinstance(stmt.lhs, Slice):
-            mask = ((1 << stmt.lhs.width) - 1) << stmt.lhs.start
-            shifted = value if stmt.lhs.start == 0 else \
-                f"(({value}) << {stmt.lhs.start})"
-            update = f"{acc} = ({acc} & {~mask}) | {shifted}"
+        for stmt in stmts:
+            guard = None if stmt.guard is None else self.u(stmt.guard)
+            if guard == 0:
+                continue
+            new = self.value_of(stmt)
+            if isinstance(stmt.lhs, Slice):
+                start = stmt.lhs.start
+                mask = ((1 << stmt.lhs.width) - 1) << start
+                shifted = new if start == 0 else f"(({new}) << {start})"
+                new = f"(({value}) & {~mask}) | {shifted}"
+            if isinstance(guard, str):
+                if value != acc:
+                    self.emit(f"{acc} = {value}")
+                    value = acc
+                self.emit(f"if {guard}:")
+                self.emit(f"    {acc} = {new}")
+            elif value == acc:
+                self.emit(f"{acc} = {new}")
+            else:
+                value = self.fold(new)
+        return value
+
+    def comb_value(self, target, stmts, ports):
+        """Emit one comb target's logic; returns its value.  Comb falls
+        back to reset, then to the comb read ports driving it."""
+        value = target.reset
+        for mem_index, rp in ports:
+            addr = self.u(rp.addr)
+            value = self.temp(f"_m{mem_index}[{addr} % {rp.memory.depth}]")
+        return self.assign(value, stmts, f"_v{self.slot_of[id(target)]}")
+
+
+class _TransactionCodegen(_Codegen):
+    """Lowering for one funct3's transaction.
+
+    The command ports the handshake holds constant are literals, and a
+    comb signal is lowered where something first reads it: only the
+    cone the outputs, the sync update and the memory ports read is
+    emitted, into locals that are never written back to ``V``.
+    """
+
+    def __init__(self, slot_of, consts, comb_of):
+        super().__init__(slot_of)
+        self.consts = consts    # id(port) -> literal
+        self.comb_of = comb_of  # see _comb_groups
+
+    def read(self, signal):
+        const = self.consts.get(id(signal))
+        if const is not None:
+            return const
+        comb = self.comb_of.get(id(signal))
+        if comb is None:
+            return super().read(signal)
+        return self.atom(self.comb_value(*comb))
+
+
+def _emit_sync(gen, memories, sync_targets, sync_stmts_of):
+    """Emit one clock edge: next register values, sync read ports and
+    memory writes evaluated against the current state, then committed
+    (read-before-write; sync port data wins over register updates)."""
+    commits, writes = [], []
+    for target in sync_targets:
+        slot = gen.slot_of[id(target)]
+        current = f"V[{slot}]"
+        value = gen.assign(current, sync_stmts_of[id(target)], f"_n{slot}")
+        if value == current:
+            continue  # no assignment applies: the register holds
+        value = gen.atom(value)
+        if isinstance(value, str) and value.startswith("V["):
+            value = gen.temp(value)  # read before any commit
+        commits.append((slot, value))
+    for mem_index, mem in enumerate(memories):
+        for rp in mem.read_ports:
+            if rp.domain == "sync":
+                addr = gen.u(rp.addr)
+                commits.append((gen.slot_of[id(rp.data)], gen.temp(
+                    f"_m{mem_index}[{addr} % {mem.depth}]")))
+        for wp in mem.write_ports:
+            enable = gen.u(wp.en)
+            if enable != 0:
+                writes.append((enable,
+                               f"_m{mem_index}[{gen.u(wp.addr)} % "
+                               f"{mem.depth}] = {gen.u(wp.data)} & "
+                               f"{(1 << mem.width) - 1}"))
+    for enable, write in writes:
+        if isinstance(enable, int):
+            gen.emit(write)
         else:
-            update = f"{acc} = {value}"
-        if stmt.guard is None:
-            self.emit(update)
-        else:
-            guard = self.u(stmt.guard)
-            self.emit(f"if {guard}:")
-            self.emit("    " + update)
+            gen.emit(f"if {enable}:")
+            gen.emit("    " + write)
+    for slot, value in commits:
+        gen.emit(f"V[{slot}] = {value}")
 
 
 class CompiledProgram:
-    """The exec'd per-module schedule: slots, memories, comb/tick fns."""
+    """The exec'd per-module schedule: slots, memories, comb/tick fns,
+    and the generated per-funct3 transactions with their call counts
+    (shared by every simulator and adapter on the module)."""
 
     def __init__(self, module, signals, slot_of, memories, driven_ids,
-                 comb_fn, tick_fn, source, levels):
+                 comb_fn, tick_fn, source, levels, key, comb_stmts,
+                 sync_stmts):
         self.module = module
         self.signals = signals
         self.slot_of = slot_of
@@ -315,6 +476,42 @@ class CompiledProgram:
         self.tick_fn = tick_fn
         self.source = source
         self.levels = levels  # comb logic depth after levelization
+        self.key = key        # code-cache key, None if unserializable
+        self.comb_stmts = comb_stmts
+        self.sync_stmts = sync_stmts
+        self.transactions = [None] * 8  # per funct3, once generated
+        self.calls = [0] * 8            # per funct3, until then
+        self._groups = None
+
+    def groups(self):
+        """``(comb_of, sync_targets, sync_stmts_of)``: statements per
+        target, grouped once per program."""
+        if self._groups is None:
+            comb_of = _comb_groups(self.memories, self.comb_stmts)
+            self._groups = (comb_of,) + _sync_groups(self.sync_stmts)
+        return self._groups
+
+    def transaction(self, funct3, ports):
+        """Count one call of ``funct3``; from its
+        :data:`SPECIALIZE_AFTER`-th call on, return its transaction.
+
+        ``transact(V, M)`` runs one call whose command ports (``ports``,
+        a :class:`~repro.cfu.rtl.CfuPorts`) already hold their values:
+        ``cmd_valid``, ``rsp_ready`` and ``cmd_funct3`` are literals in
+        it, while ``funct7`` and the operands stay slot reads.  When the
+        command is accepted and answered in its first cycle it commits
+        the clock edge and returns the response; otherwise it returns
+        None having changed nothing, and the caller runs the generic
+        handshake.  It computes the comb cone in locals and never
+        writes a comb slot, so after it the caller marks them stale.
+        """
+        calls = self.calls
+        calls[funct3] += 1
+        if calls[funct3] < SPECIALIZE_AFTER:
+            return None
+        transact = self.transactions[funct3] = _bind_transaction(
+            self, funct3, ports)
+        return transact
 
 
 def _schedule(comb_targets, deps_of):
@@ -381,97 +578,100 @@ def _elaborate(module):
         for wp in mem.write_ports:
             for value in (wp.en, wp.addr, wp.data):
                 slot_reads(value)
-    return (signals, slot_of, memories, comb_stmts, sync_stmts, comb_driven,
-            sync_driven)
+    driven_ids = {id(sig) for sig in comb_driven | sync_driven}
+    return signals, slot_of, memories, comb_stmts, sync_stmts, driven_ids
 
 
-def _compile(module):
-    (signals, slot_of, memories, comb_stmts, sync_stmts, comb_driven,
-     sync_driven) = _elaborate(module)
+def _cached_entry(key, generate, valid):
+    """The code-cache entry (a dict) under ``key`` when ``valid``
+    accepts it, else ``generate()``'s, stored under ``key``.
 
-    # --- persistent source cache -------------------------------------------
-    # The generated comb/tick source is a pure function of the netlist
-    # structure: content-address it and skip the lowering passes when
-    # another process (or an earlier module with identical structure)
-    # already generated it.  Re-``exec`` always happens here — only
-    # source text is shared, never code objects.
+    Generated source is a pure function of what its key addresses, so
+    another process (or an earlier module with identical structure) may
+    already have generated it.  Only source text is shared, never code
+    objects: every consumer re-``exec``s it.
+    """
     from ..core.codecache import MISS, default_cache
 
     global codegen_count, cache_bind_count
-    key = _module_key(signals, slot_of, memories, comb_stmts, sync_stmts)
-    cached = MISS
-    if key is not None:
-        cached = default_cache().get(key)
-        if cached is not MISS and cached.get("slots") != len(signals):
-            cached = MISS  # foreign/torn entry: regenerate
-    if cached is not MISS:
-        source, levels = cached["source"], cached["levels"]
+    cached = MISS if key is None else default_cache().get(key)
+    if isinstance(cached, dict) and valid(cached):
         cache_bind_count += 1
-    else:
+        return cached
+    entry = generate()
+    codegen_count += 1
+    if key is not None:
+        default_cache().put(key, entry)
+    return entry
+
+
+def _compile(module):
+    (signals, slot_of, memories, comb_stmts, sync_stmts,
+     driven_ids) = _elaborate(module)
+    key = _module_key(signals, slot_of, memories, comb_stmts, sync_stmts)
+
+    def generate():
         source, levels = _codegen_module(module, slot_of, memories,
-                                         comb_stmts, sync_stmts, comb_driven)
-        codegen_count += 1
-        if key is not None:
-            default_cache().put(key, {"source": source, "levels": levels,
-                                      "slots": len(signals)})
+                                         comb_stmts, sync_stmts)
+        return {"source": source, "levels": levels, "slots": len(signals)}
+
+    # A foreign or torn entry is regenerated.
+    entry = _cached_entry(key, generate,
+                          lambda cached: cached.get("slots") == len(signals))
     namespace = {}
-    exec(compile(source, f"<rtl-compiled:{module.name}>", "exec"), namespace)
-    driven_ids = {id(sig) for sig in comb_driven | sync_driven}
+    exec(compile(entry["source"], f"<rtl-compiled:{module.name}>", "exec"),
+         namespace)
     return CompiledProgram(module, signals, slot_of, memories, driven_ids,
-                           namespace["comb"], namespace["tick"], source,
-                           levels)
+                           namespace["comb"], namespace["tick"],
+                           entry["source"], entry["levels"], key, comb_stmts,
+                           sync_stmts)
+
+
+def _comb_groups(memories, comb_stmts):
+    """Comb targets by id, in first-seen order: each maps to
+    ``(target, statement work list, [(memory index, comb read port)])``."""
+    comb_of = {}
+
+    def group(target):
+        return comb_of.setdefault(id(target), (target, [], []))
+
+    for stmt in comb_stmts:
+        group(stmt.target_signal())[1].append(stmt)
+    for index, mem in enumerate(memories):
+        for rp in mem.read_ports:
+            if rp.domain == "comb":
+                group(rp.data)[2].append((index, rp))
+    return comb_of
 
 
 def _comb_schedule(module, memories, comb_stmts):
     """Levelize the comb netlist.
 
-    Returns ``(order, stmts_of, comb_ports, levels)`` where ``order``
-    is the scheduled target list, ``stmts_of`` maps ``id(target)`` to
-    its statement work list, and ``comb_ports`` maps ``id(data)`` to
-    ``[(memory index, read port)]``.  Raises :class:`CompileError`
-    naming the loop when the netlist has a combinational cycle.
+    Returns ``(order, comb_of, levels)`` where ``order`` is the
+    scheduled target list and ``comb_of`` is :func:`_comb_groups`.
+    Raises :class:`CompileError` naming the loop when the netlist has a
+    combinational cycle.
     """
-    comb_ports = {}  # id(data signal) -> [(memory index, read port)]
-    for index, mem in enumerate(memories):
-        for rp in mem.read_ports:
-            if rp.domain == "comb":
-                comb_ports.setdefault(id(rp.data), []).append((index, rp))
-
-    comb_targets, target_ids = [], set()
-    stmts_of = {}
-
-    def add_target(sig):
-        if id(sig) not in target_ids:
-            target_ids.add(id(sig))
-            comb_targets.append(sig)
-
-    for stmt in comb_stmts:
-        target = stmt.target_signal()
-        add_target(target)
-        stmts_of.setdefault(id(target), []).append(stmt)
-    for index, mem in enumerate(memories):
-        for rp in mem.read_ports:
-            if rp.domain == "comb":
-                add_target(rp.data)
-
+    comb_of = _comb_groups(memories, comb_stmts)
     deps_of = {}
-    for target in comb_targets:
+    for key, (_, stmts, ports) in comb_of.items():
         dep_list, seen = [], set()
 
         def note(value):
             for sig in _reads(value):
-                if id(sig) in target_ids and id(sig) not in seen:
+                if id(sig) in comb_of and id(sig) not in seen:
                     seen.add(id(sig))
                     dep_list.append(sig)
 
-        for _, rp in comb_ports.get(id(target), ()):
+        for _, rp in ports:
             note(rp.addr)
-        for stmt in stmts_of.get(id(target), ()):
+        for stmt in stmts:
             note(stmt.rhs)
             if stmt.guard is not None:
                 note(stmt.guard)
-        deps_of[id(target)] = dep_list
+        deps_of[key] = dep_list
 
+    comb_targets = [target for target, _, _ in comb_of.values()]
     order, levels = _schedule(comb_targets, deps_of)
     if len(order) != len(comb_targets):
         cycle = find_comb_cycle(module)
@@ -480,7 +680,7 @@ def _comb_schedule(module, memories, comb_stmts):
         raise CompileError(
             f"module {module.name}: cannot levelize the comb netlist "
             f"(combinational cycle: {path})")
-    return order, stmts_of, comb_ports, levels
+    return order, comb_of, levels
 
 
 def _sync_groups(sync_stmts):
@@ -495,80 +695,69 @@ def _sync_groups(sync_stmts):
     return sync_targets, sync_stmts_of
 
 
-def _codegen_module(module, slot_of, memories, comb_stmts, sync_stmts,
-                    comb_driven):
+def _codegen_module(module, slot_of, memories, comb_stmts, sync_stmts):
     """Lower one module's netlist to ``comb``/``tick`` source; returns
     ``(source, levels)``.  Deterministic given the slot table."""
-    order, stmts_of, comb_ports, levels = _comb_schedule(
-        module, memories, comb_stmts)
+    order, comb_of, levels = _comb_schedule(module, memories, comb_stmts)
 
-    # --- emit comb(V, M): one scheduled pass --------------------------------
-    comb_driven_ids = {id(sig) for sig in comb_driven}
+    # --- comb(V, M): one scheduled pass --------------------------------------
     gen = _Codegen(slot_of)
-    gen.lines.append("def comb(V, M):")
-    for index in range(len(memories)):
-        gen.emit(f"_m{index} = M[{index}]")
     for target in order:
-        ports = comb_ports.get(id(target), ())
-        stmts = stmts_of.get(id(target), ())
-        target_slot = slot_of[id(target)]
-        if len(stmts) == 1 and not ports and stmts[0].guard is None \
-                and not isinstance(stmts[0].lhs, Slice):
-            gen.emit(f"V[{target_slot}] = {gen.value_of(stmts[0])}")
-            continue
-        acc = f"_v{target_slot}"
-        initialized = False
-        if id(target) in comb_driven_ids:  # comb falls back to reset
-            gen.emit(f"{acc} = {target.reset}")
-            initialized = True
-        for mem_index, rp in ports:
-            addr = gen.u(rp.addr)
-            gen.emit(f"{acc} = _m{mem_index}[{addr} % {rp.memory.depth}]")
-            initialized = True
-        if not initialized:
-            gen.emit(f"{acc} = {target.reset}")
-        for stmt in stmts:
-            gen.apply(stmt, acc)
-        gen.emit(f"V[{target_slot}] = {acc}")
-    if len(gen.lines) == 1:
-        gen.emit("pass")
+        value = gen.comb_value(*comb_of[id(target)])
+        gen.emit(f"V[{slot_of[id(target)]}] = {value}")
 
-    # --- emit tick(V, M): sync update + memory cycle, then commit -----------
+    # --- tick(V, M): sync update + memory cycle, then commit ----------------
     gen2 = _Codegen(slot_of)
-    gen2.lines.append("def tick(V, M):")
-    for index in range(len(memories)):
-        gen2.emit(f"_m{index} = M[{index}]")
-    sync_targets, sync_stmts_of = _sync_groups(sync_stmts)
-    for target in sync_targets:
-        acc = f"_n{slot_of[id(target)]}"
-        gen2.emit(f"{acc} = V[{slot_of[id(target)]}]")
-        for stmt in sync_stmts_of[id(target)]:
-            gen2.apply(stmt, acc)
-    sync_reads = []  # (read temp, data signal)
-    for mem_index, mem in enumerate(memories):
-        # Sync read ports observe pre-write contents (read-before-write).
-        for rp in mem.read_ports:
-            if rp.domain != "sync":
-                continue
-            addr = gen2.u(rp.addr)
-            name = gen2.temp(f"_m{mem_index}[{addr} % {mem.depth}]")
-            sync_reads.append((name, rp.data))
-        for wp in mem.write_ports:
-            enable = gen2.u(wp.en)
-            addr = gen2.u(wp.addr)
-            data = gen2.u(wp.data)
-            gen2.emit(f"if {enable}:")
-            gen2.emit(f"    _m{mem_index}[{addr} % {mem.depth}] = "
-                      f"{data} & {(1 << mem.width) - 1}")
-    for target in sync_targets:
-        gen2.emit(f"V[{slot_of[id(target)]}] = _n{slot_of[id(target)]}")
-    for name, data in sync_reads:  # after registers: port data wins
-        gen2.emit(f"V[{slot_of[id(data)]}] = {name}")
-    if len(gen2.lines) == 1:
-        gen2.emit("pass")
+    _emit_sync(gen2, memories, *_sync_groups(sync_stmts))
+    return gen.function("comb") + "\n" + gen2.function("tick"), levels
 
-    source = "\n".join(gen.lines + [""] + gen2.lines + [""])
-    return source, levels
+
+def _codegen_transaction(program, funct3, ports):
+    """Source of one funct3's ``transact(V, M)`` (see
+    :meth:`CompiledProgram.transaction`)."""
+    comb_of, sync_targets, sync_stmts_of = program.groups()
+    consts = {id(ports.cmd_valid): 1, id(ports.rsp_ready): 1,
+              id(ports.cmd_funct3): funct3}
+    gen = _TransactionCodegen(program.slot_of, consts, comb_of)
+    for flag in (ports.cmd_ready, ports.rsp_valid):
+        atom = gen.u(flag)
+        if atom == 0:  # never accepted and answered in one cycle
+            gen.emit("return None")
+            return gen.function("transact")
+        if not isinstance(atom, int):
+            gen.emit(f"if not {atom}:")
+            gen.emit("    return None")
+    result = gen.u(ports.rsp_out)
+    if isinstance(result, str) and result.startswith("V["):
+        result = gen.temp(result)  # the response predates the edge
+    _emit_sync(gen, program.memories, sync_targets, sync_stmts_of)
+    gen.emit(f"return {result}")
+    return gen.function("transact")
+
+
+def _transaction_key(program, funct3, ports):
+    """Code-cache key of one funct3's transaction source: the module's
+    key (which carries the generator digest), the funct3 and the port
+    slots; None when the module has no key."""
+    from ..core.codecache import code_key
+
+    if program.key is None:
+        return None
+    return code_key("rtl-transaction", {
+        "module": program.key, "funct3": funct3,
+        "ports": [program.slot_of.get(id(sig)) for sig in ports.all()]})
+
+
+def _bind_transaction(program, funct3, ports):
+    """Generate (or bind from the code cache) one funct3's transaction."""
+    entry = _cached_entry(
+        _transaction_key(program, funct3, ports),
+        lambda: {"source": _codegen_transaction(program, funct3, ports)},
+        lambda cached: isinstance(cached.get("source"), str))
+    namespace = {}
+    exec(compile(entry["source"], f"<rtl-transaction:{program.module.name}:"
+                                  f"{funct3}>", "exec"), namespace)
+    return namespace["transact"]
 
 
 _PROGRAM_CACHE = weakref.WeakKeyDictionary()
@@ -591,6 +780,12 @@ class CompiledSimulator(Simulator):
     Public API (poke/peek/settle/tick/memory/tracers/run_until) matches
     the interpreter bit for bit; state lives in a flat slot list instead
     of a signal-keyed dict.
+
+    A CFU transaction ends on a comb pass nobody may look at before the
+    next call poked new inputs and settled again, so it leaves the comb
+    slots *stale* instead of running it.  Everything that observes
+    state — ``peek``, ``memory``, ``poke``, ``tick``, the tracers and
+    :meth:`RtlCfuAdapter.snapshot_state` — settles stale slots first.
     """
 
     def __init__(self, module, backend="auto"):
@@ -613,12 +808,15 @@ class CompiledSimulator(Simulator):
             self._mems.append(state)
         self._comb = program.comb_fn
         self._tick = program.tick_fn
+        self._stale = False
         self._comb(self._vals, self._mems)
 
     # --- public API ------------------------------------------------------------
     def poke(self, signal, value):
         if id(signal) in self.program.driven_ids:
             raise ValueError(f"cannot poke driven signal {signal.name}")
+        if self._stale:  # settle with the inputs the call left behind
+            self.settle()
         index = self._slot_of.get(id(signal))
         if index is None:
             self._extra[id(signal)] = to_unsigned(int(value), signal.width)
@@ -626,26 +824,43 @@ class CompiledSimulator(Simulator):
             self._vals[index] = to_unsigned(int(value), signal.width)
 
     def peek(self, signal):
+        if self._stale:
+            self.settle()
         index = self._slot_of.get(id(signal))
         if index is not None:
             return self._vals[index]
         return self._extra.get(id(signal), signal.reset)
 
+    def memory(self, mem):
+        if self._stale:  # a caller may write it before peeking
+            self.settle()
+        return self.mem_state[mem]
+
     def settle(self):
+        self._stale = False
         self._comb(self._vals, self._mems)
 
     def tick(self, cycles=1):
         for _ in range(cycles):
-            self._comb(self._vals, self._mems)
+            self.settle()
             self._edge()
 
-    def _edge(self):
+    def _edge(self, settle=True):
         """One clock edge on already-settled state: ``tick()`` without
         its leading comb pass, which would recompute the settled values
-        (``RtlCfuAdapter.execute`` settles before every edge)."""
-        vals, mems = self._vals, self._mems
-        self._tick(vals, mems)
+        (``RtlCfuAdapter.execute`` settles before every edge).  With
+        ``settle`` false the trailing comb pass is deferred."""
+        self._tick(self._vals, self._mems)
+        self._clocked(settle)
+
+    def _clocked(self, settle=False):
+        """Finish a clock edge whose sync update is committed: advance
+        time, then settle now or defer it (tracers always see settled
+        state)."""
         self.time += 1
-        self._comb(vals, mems)
-        for tracer in self._tracers:
-            tracer(self.time, self)
+        if settle or self._tracers:
+            self.settle()
+            for tracer in self._tracers:
+                tracer(self.time, self)
+        else:
+            self._stale = True

@@ -35,6 +35,9 @@ from .dsl import Module
 
 _MAX_SETTLE_PASSES = 64
 
+#: The ``backend=`` choices of :class:`Simulator`.
+BACKENDS = ("auto", "compiled", "interp")
+
 
 class CombLoopError(RuntimeError):
     """Raised when combinational logic fails to reach a fixpoint.
@@ -56,7 +59,7 @@ class Simulator:
     """Drives a module: ``poke`` inputs, ``settle`` or ``tick``, ``peek``."""
 
     def __new__(cls, module, backend="auto"):
-        if backend not in ("auto", "compiled", "interp"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown simulator backend {backend!r}")
         if cls is Simulator and backend != "interp":
             if not isinstance(module, Module):

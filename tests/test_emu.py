@@ -1,13 +1,18 @@
 """Renode-style emulation tests: programs on the SoC, CFU co-sim, VCD."""
 
+import random
+
 import pytest
+
+from tests.test_rtl_compile import SHIPPED, _module_signals
 
 from repro.accel import KwsCfu, KwsCfu2Rtl, Mnv2Cfu
 from repro.accel.kws import model as km
 from repro.boards import ARTY_A7_35T, FOMU
 from repro.cpu.vexriscv import ARTY_DEFAULT, FOMU_MINIMAL
 from repro.emu import Emulator, VcdWriter, capture_cfu_waveform
-from repro.rtl import Module, Signal, Simulator
+from repro.rtl import Module, Signal, Simulator, compile_module
+from repro.rtl import compile as rtl_compile
 from repro.soc import Soc
 
 
@@ -166,5 +171,28 @@ def test_vcd_identical_across_rtl_backends():
         KwsCfu2Rtl(), ops, backend="interp")
     vcd_compiled, results_compiled = capture_cfu_waveform(
         KwsCfu2Rtl(), ops, backend="compiled")
+    assert results_interp == results_compiled
+    assert vcd_interp == vcd_compiled
+
+
+@pytest.mark.parametrize("name,factory,make_seq",
+                         SHIPPED, ids=[g[0] for g in SHIPPED])
+def test_vcd_identical_on_every_shipped_cfu(name, factory, make_seq,
+                                            monkeypatch):
+    """The same byte-for-byte VCD on every shipped CFU, tracing every
+    netlist signal, with each funct3 running its generated transaction
+    from its first call: the deferred settle and the generated clock
+    edge hand tracers the interpreter's state."""
+    monkeypatch.setattr(rtl_compile, "SPECIALIZE_AFTER", 1)
+    cfu = factory()
+    ops = make_seq(random.Random(5))
+    ports = {id(sig) for sig in cfu.ports.all()}
+    internal = [sig for sig in _module_signals(cfu.module)
+                if id(sig) not in ports]
+    vcd_interp, results_interp = capture_cfu_waveform(
+        cfu, ops, extra_signals=internal, backend="interp")
+    vcd_compiled, results_compiled = capture_cfu_waveform(
+        cfu, ops, extra_signals=internal, backend="compiled")
+    assert any(compile_module(cfu.module).transactions)
     assert results_interp == results_compiled
     assert vcd_interp == vcd_compiled

@@ -33,10 +33,12 @@ from repro.rtl import (
     Memory,
     Module,
     Mux,
+    Repl,
     Signal,
     Simulator,
     compile_module,
 )
+from repro.rtl import compile as rtl_compile
 
 
 # --- helpers -----------------------------------------------------------------
@@ -205,35 +207,76 @@ def _assert_adapter_parity(adapter_i, adapter_c, context):
                          adapter_c.rtl.module, context)
 
 
-@pytest.mark.parametrize("name,factory,make_seq",
-                         SHIPPED, ids=[g[0] for g in SHIPPED])
-def test_adapter_lockstep_every_call(name, factory, make_seq):
-    """Interp and compiled adapters agree after every call, and again
-    after both restore a snapshot taken mid-sequence and replay it."""
-    cfu = factory()
+def _with_gate(cases, ids):
+    """Each case at the default specialisation gate (under its own id)
+    and with every funct3 specialised on first use (``-gate1``)."""
+    return ([pytest.param(*case, None, id=case_id)
+             for case, case_id in zip(cases, ids)]
+            + [pytest.param(*case, 1, id=f"{case_id}-gate1")
+               for case, case_id in zip(cases, ids)])
+
+
+def _assert_gate_held(program):
+    """Exactly the funct3 values called SPECIALIZE_AFTER times have a
+    generated transaction."""
+    for funct3, (transact, calls) in enumerate(
+            zip(program.transactions, program.calls)):
+        assert (transact is not None) == \
+            (calls >= rtl_compile.SPECIALIZE_AFTER), funct3
+
+
+def _lockstep(cfu, seq, context):
+    """Run ``seq`` on interp and compiled adapters in lockstep: both
+    agree after every call, and again after both restore a snapshot
+    taken mid-sequence and replay it.  Returns the compiled adapter."""
     adapter_i = RtlCfuAdapter(cfu, backend="interp")
     adapter_c = RtlCfuAdapter(cfu, backend="compiled")
+    adapters = (adapter_i, adapter_c)
     assert adapter_c.sim.backend == "compiled"
-    seq = make_seq(random.Random(11))
     half = len(seq) // 2
 
     def run(ops, start):
         results = []
         for index, op in enumerate(ops, start):
             got = adapter_i.execute(*op)
-            assert adapter_c.execute(*op) == got, (name, index, op)
-            _assert_adapter_parity(adapter_i, adapter_c, (name, index))
+            assert adapter_c.execute(*op) == got, (context, index, op)
+            _assert_adapter_parity(adapter_i, adapter_c, (context, index))
             results.append(got)
         return results
 
     run(seq[:half], 0)
     assert adapter_c._slots is not None  # ran as one transaction
-    saved = (adapter_i.snapshot_state(), adapter_c.snapshot_state())
-    tail = run(seq[half:], half)
-    adapter_i.restore_state(saved[0])
-    adapter_c.restore_state(saved[1])
-    _assert_adapter_parity(adapter_i, adapter_c, (name, "restored"))
-    assert run(seq[half:], half) == tail
+    # Snapshot straight after a call, before anything settles its state.
+    got = adapter_i.execute(*seq[half])
+    assert adapter_c.execute(*seq[half]) == got, (context, half)
+    saved = [each.snapshot_state() for each in adapters]
+    tail = run(seq[half + 1:], half + 1)
+    for each, state in zip(adapters, saved):
+        each.restore_state(state)
+    _assert_adapter_parity(adapter_i, adapter_c, (context, "restored"))
+    assert run(seq[half + 1:], half + 1) == tail
+    # Writes through memory() land on the state the last call left.
+    adapter_i.execute(*seq[-1])
+    adapter_c.execute(*seq[-1])
+    for each in adapters:
+        for mem in cfu.module.all_memories():
+            each.sim.memory(mem)[0] ^= 1
+    _assert_adapter_parity(adapter_i, adapter_c, (context, "memory"))
+    return adapter_c
+
+
+@pytest.mark.parametrize("name,factory,make_seq,gate",
+                         _with_gate(SHIPPED, [g[0] for g in SHIPPED]))
+def test_adapter_lockstep_every_call(name, factory, make_seq, gate,
+                                     monkeypatch):
+    """Interp and compiled adapters agree after every call, and again
+    after both restore a snapshot taken mid-sequence and replay it."""
+    if gate is not None:
+        monkeypatch.setattr(rtl_compile, "SPECIALIZE_AFTER", gate)
+    seq = make_seq(random.Random(11))
+    program = _lockstep(factory(), seq, name).sim.program
+    _assert_gate_held(program)
+    assert any(program.transactions) or gate is None
 
 
 class _NeverReadyRtl(RtlCfu):
@@ -258,23 +301,215 @@ class _SilentRtl(RtlCfu):
         m.d.comb += ports.rsp_out.eq(ports.cmd_in0)
 
 
-@pytest.mark.parametrize("factory,message", [
-    (_NeverReadyRtl, "command never accepted"),
-    (_SilentRtl, "no response after 6 cycles"),
-])
-def test_handshake_timeouts_match(factory, message):
+_TIMEOUTS = [(_NeverReadyRtl, "command never accepted"),
+             (_SilentRtl, "no response after 6 cycles")]
+
+
+@pytest.mark.parametrize("factory,message,gate", _with_gate(
+    _TIMEOUTS, [f"{f.__name__}-{message}" for f, message in _TIMEOUTS]))
+def test_handshake_timeouts_match(factory, message, gate, monkeypatch):
     """Both timeouts raise after the same number of clocks (timeout + 1)
-    on both backends, leaving the same port state behind."""
+    on both backends, leaving the same port state behind; a generated
+    transaction that cannot answer in one cycle falls back to the same
+    wait loops."""
+    if gate is not None:
+        monkeypatch.setattr(rtl_compile, "SPECIALIZE_AFTER", gate)
     adapters = [RtlCfuAdapter(factory(), timeout=5, backend=backend)
                 for backend in ("interp", "compiled")]
     for adapter in adapters:
-        with pytest.raises(CfuError, match=message):
-            adapter.execute(3, 9, 0x12345678, 0x9ABCDEF0)
-        assert adapter.sim.time == 6, adapter.backend
+        for call in range(2):
+            with pytest.raises(CfuError, match=message):
+                adapter.execute(3, 9, 0x12345678, 0x9ABCDEF0)
+            assert adapter.sim.time == 6 * (call + 1), adapter.backend
     interp, compiled = adapters
     assert compiled._slots is not None  # ran as one transaction
+    _assert_gate_held(compiled.sim.program)
     for sig_i, sig_c in zip(interp.ports.all(), compiled.ports.all()):
         assert interp.sim.peek(sig_i) == compiled.sim.peek(sig_c), sig_i.name
+
+
+# --- generated per-funct3 transactions ---------------------------------------
+
+class _FuzzCfu(RtlCfu):
+    """A seeded random CFU whose ``cmd_funct3``/``cmd_funct7`` feed every
+    construct the transaction generator folds: If/Elif/Else and
+    Switch/Case guards, Mux selects, slices, Cat/Repl, signed compares,
+    shifts, ``r&``/``r^``, memory write enables and comb/sync read
+    ports.  An FSM answers one funct3 after several cycles and, in some
+    netlists, refuses commands for a cycle after answering."""
+
+    name = "fuzz"
+
+    def __init__(self, seed):
+        self.seed = seed
+        super().__init__()
+
+    def elaborate(self, m, ports):
+        rng = random.Random(self.seed)
+        f3, f7 = ports.cmd_funct3, ports.cmd_funct7
+        regs = [Signal(rng.choice([3, 8, 16, 32]), name=f"fz_r{i}",
+                       signed=rng.random() < 0.4, reset=rng.getrandbits(8))
+                for i in range(3)]
+        mem = m.add_memory(Memory(width=rng.choice([8, 16]), depth=8,
+                                  name="fz_mem",
+                                  init=[rng.getrandbits(8) for _ in range(5)]))
+        comb_rp, sync_rp = mem.read_port("comb"), mem.read_port("sync")
+        write = mem.write_port()
+        pool = [f3, f7, ports.cmd_in0, ports.cmd_in1, sync_rp.data] + regs
+
+        def expr(depth=0):
+            if depth >= 2 or rng.random() < 0.25:
+                if rng.random() < 0.15:
+                    return Const(rng.getrandbits(6), 6)
+                return rng.choice(pool)
+            a, b = expr(depth + 1), expr(depth + 1)
+            kind = rng.randrange(12)
+            if kind == 0:
+                return a + b if rng.random() < 0.5 else a - b
+            if kind == 1:
+                return a * b[0:min(8, b.width)]
+            if kind == 2:
+                return rng.choice([a & b, a | b, a ^ ~b])
+            if kind == 3:
+                return Mux(f3 == rng.randrange(8), a, b)
+            if kind == 4:
+                return Mux(f7[rng.randrange(7)], a.as_signed(), b)
+            if kind == 5:
+                return Cat(a[0:min(5, a.width)], f3, Repl(f7[0:2], 3))
+            if kind == 6:
+                return Cat(a.as_signed() < b.as_signed(), a.all(), b.xor(),
+                           a >= f7, f7 != rng.randrange(128))
+            if kind == 7:
+                return a << f3
+            if kind == 8:
+                return a.as_signed() >> f7[0:2]
+            if kind == 9:
+                start = rng.randrange(a.width)
+                return a[start:rng.randrange(start + 1, a.width + 1)]
+            if kind == 10:
+                return Mux(f3[rng.randrange(3)] & b.any(), b, a)
+            return (f3 == rng.randrange(8)) | (f7 == rng.randrange(4))
+
+        # The comb port's address must not read its own data.
+        m.d.comb += comb_rp.addr.eq(expr())
+        pool.append(comb_rp.data)
+
+        for i in range(rng.randrange(3, 6)):
+            width = rng.choice([4, 8, 16, 32])
+            sig = Signal(width, name=f"fz_c{i}", signed=rng.random() < 0.3,
+                         reset=rng.getrandbits(4))
+            style = rng.randrange(3)
+            if style == 0:
+                m.d.comb += sig.eq(expr())
+            elif style == 1:
+                with m.Switch(f3):
+                    for value in rng.sample(range(8), 3):
+                        with m.Case(value):
+                            m.d.comb += sig.eq(expr())
+                    if rng.random() < 0.5:
+                        with m.Case():
+                            m.d.comb += sig.eq(expr())
+            else:
+                m.d.comb += sig[0:width // 2].eq(expr())
+                with m.If((f7 == rng.randrange(4)) | f3[0]):
+                    m.d.comb += sig[width // 2:width].eq(expr())
+            pool.append(sig)
+
+        # FSM: the slow funct3 answers 2-5 cycles after it is latched.
+        state = Signal(2, name="fz_state")  # idle, busy, done, cooling
+        count = Signal(2, name="fz_count")
+        out = Signal(32, name="fz_out")
+        idle = state == 0
+        refuses = rng.random() < 0.7  # cmd_ready is idle, not 1
+        m.d.comb += ports.cmd_ready.eq(idle if refuses else 1)
+        accepted = ports.cmd_valid & ports.cmd_ready & ports.rsp_ready
+        slow = rng.randrange(8)
+        with m.If(accepted & idle & (f3 == slow)):
+            m.d.sync += [state.eq(1), count.eq(f7[0:2]), out.eq(expr())]
+        with m.Elif(state == 1):
+            with m.If(count == 0):
+                m.d.sync += state.eq(2)
+            with m.Else():
+                m.d.sync += count.eq(count - 1)
+        with m.Elif((state == 2) & ports.rsp_ready):
+            m.d.sync += state.eq(3 if refuses and rng.random() < 0.5 else 0)
+        with m.Elif(state == 3):
+            m.d.sync += state.eq(0)
+
+        for reg in regs:
+            with m.If(accepted & (f3 == rng.randrange(8))):
+                m.d.sync += reg.eq(expr())
+            with m.Elif(accepted & f7[rng.randrange(7)]):
+                m.d.sync += reg[0:min(4, reg.width)].eq(expr())
+            if rng.random() < 0.5:
+                with m.Else():
+                    m.d.sync += reg.eq(reg + 1)
+        # A pipeline stage copies a register updated in the same edge.
+        pipe = Signal(regs[0].width, name="fz_pipe")
+        m.d.sync += pipe.eq(regs[0])
+        pool.append(pipe)
+
+        m.d.comb += sync_rp.addr.eq(expr())
+        m.d.comb += write.addr.eq(expr())
+        m.d.comb += write.data.eq(expr())
+        m.d.comb += write.en.eq(accepted & (f3 == rng.randrange(8))
+                                & f7[rng.randrange(7)])
+
+        result = Signal(32, name="fz_result")
+        with m.Switch(f3):
+            for value in range(8):
+                with m.Case(value):
+                    m.d.comb += result.eq(expr())
+        m.d.comb += ports.rsp_valid.eq(
+            (ports.cmd_valid & idle & (f3 != slow)) | (state == 2))
+        m.d.comb += ports.rsp_out.eq(Mux(state == 2, out, result))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transaction_fuzz_lockstep(seed, monkeypatch):
+    """Random CFUs with every funct3 specialised on first use: results,
+    cycles, every port, signal and memory and the clock match the
+    interpreter after every call, across a snapshot and restore."""
+    monkeypatch.setattr(rtl_compile, "SPECIALIZE_AFTER", 1)
+    rng = random.Random(seed + 500)
+    funct3s = list(range(8)) * 12
+    rng.shuffle(funct3s)
+    seq = [(f3, rng.getrandbits(7), rng.getrandbits(32), rng.getrandbits(32))
+           for f3 in funct3s]
+    adapter = _lockstep(_FuzzCfu(seed), seq, f"fuzz{seed}")
+    assert all(adapter.sim.program.transactions)
+
+
+def test_specialisation_gate_and_reuse():
+    """A funct3 is specialised on its SPECIALIZE_AFTER-th call, never
+    before; ``reset()`` and a second adapter on the same module reuse
+    the program's transaction without generating or binding again."""
+    gate = rtl_compile.SPECIALIZE_AFTER
+    cfu = KwsCfu2Rtl()
+    adapter = RtlCfuAdapter(cfu, backend="compiled")
+    program = adapter.sim.program
+    mac4 = (km.F3_MAC4, 0, 0x01020304, 0x01010101)
+    for _ in range(gate - 1):
+        adapter.execute(*mac4)
+    assert not any(program.transactions)
+    assert program.calls[km.F3_MAC4] == gate - 1
+
+    def activity():
+        return rtl_compile.codegen_count + rtl_compile.cache_bind_count
+
+    before = activity()
+    assert adapter.execute(*mac4) == (10 * gate & 0xFFFFFFFF, 1)
+    assert program.transactions[km.F3_MAC4] is not None
+    assert sum(map(bool, program.transactions)) == 1
+    assert activity() == before + 1
+
+    adapter.reset()
+    second = RtlCfuAdapter(cfu, backend="compiled")
+    for used in (adapter, second):
+        assert used.sim.program is program
+        assert used.execute(*mac4) == (10, 1)
+        assert used.execute(*mac4) == (20, 1)
+    assert activity() == before + 1
 
 
 # --- randomized generated netlists -------------------------------------------

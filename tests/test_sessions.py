@@ -228,3 +228,77 @@ def test_uart_round_trips_the_wire():
     assert session.status()["uart"] == "OK"
     session.restore({"snapshot_id": snap["snapshot_id"]})
     assert session.status()["uart"] == ""
+
+
+# --- payload validation -------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    {"cfu": "simd-add", "cfu_impl": "rtl", "rtl_backend": "bogus"},
+    {"sim_backend": "bogus"},
+], ids=["rtl_backend", "sim_backend"])
+def test_create_rejects_unknown_backends(fleet, spec):
+    """A bad backend in a session spec is the client's error (400), and
+    no session that would fail every later run is left behind."""
+    _, client = fleet
+    with pytest.raises(SessionClientError) as error:
+        client.create(spec)
+    assert error.value.status == 400
+    assert "bogus" in str(error.value)
+    assert client.list()["sessions"] == []
+
+
+@pytest.mark.parametrize("payload", [
+    {"max_instructions": "x"},
+    {"backend": "bogus"},
+], ids=["max_instructions", "backend"])
+def test_run_rejects_bad_payloads(fleet, payload):
+    """A malformed run payload is a 400 that leaves the session usable."""
+    _, client = fleet
+    sid = client.create({})["session_id"]
+    client.load(sid, assembly=COUNT_ASM, region="flash")
+    with pytest.raises(SessionClientError) as error:
+        client.run(sid, **payload)
+    assert error.value.status == 400
+    assert client.run(sid, max_instructions=100_000)["halted"]
+
+
+# --- the served fleet's compile cache -------------------------------------------
+
+def test_serve_compile_cache_dir_holds_rtl_modules_and_transactions(
+        tmp_path, monkeypatch):
+    """``repro sessions serve --compile-cache-dir DIR`` persists RTL
+    source, not just tier-2 blocks: an RTL session run past the
+    specialisation gate leaves its module and its MAC4 transaction in
+    DIR, where a fresh cache (a new process) finds them."""
+    from repro import cli
+    from repro.accel.kws import model as km
+    from repro.core import codecache
+    from repro.rtl import compile as rtl_compile
+
+    monkeypatch.setattr(codecache, "_default_cache", codecache._default_cache)
+    args = cli.build_parser().parse_args(
+        ["sessions", "serve", "--compile-cache-dir", str(tmp_path)])
+    manager = cli._session_manager(args)
+    calls = rtl_compile.SPECIALIZE_AFTER + 100
+    session = manager.create({"cfu": "kws", "cfu_impl": "rtl"})
+    session.load({"assembly": f"""
+        li a1, {calls}
+        li a2, 0x01010101
+        li a0, 0
+    loop:
+        cfu 0, {km.F3_MAC4}, a0, a2, a2
+        addi a1, a1, -1
+        bnez a1, loop
+        li a7, 93
+        ecall
+    """, "region": "flash"})
+    outcome = session.run({"max_instructions": 10 * calls})
+    assert outcome["halted"] and outcome["exit_code"] == 4 * calls
+
+    adapter = session.emulator.cfu
+    program = adapter.sim.program
+    assert program.transactions[km.F3_MAC4] is not None
+    fresh = codecache.CodeCache(str(tmp_path))
+    assert fresh.get(program.key) is not codecache.MISS
+    assert fresh.get(rtl_compile._transaction_key(
+        program, km.F3_MAC4, adapter.ports)) is not codecache.MISS
