@@ -7,8 +7,6 @@ cycles and cells — showing diminishing returns (the basis for picking
 4 kB before spending the rest on the CFU).
 """
 
-import pytest
-
 from repro.boards import FOMU, fit
 from repro.core.ladders import FOMU_BASELINE_CPU
 from repro.models import load
@@ -34,8 +32,8 @@ def sweep():
     return rows
 
 
-def test_ablation_icache_sweep(benchmark, report):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_icache_sweep(report):
+    rows = sweep()
     report("Ablation — icache size vs KWS cycles (Fomu, QSPI, fast mult)")
     report(f"{'icache':>8s} {'cycles':>14s} {'cells':>7s} {'EBR':>5s}")
     for size, cycles, cells, ebr in rows:
@@ -54,10 +52,9 @@ def test_ablation_icache_sweep(benchmark, report):
     assert rows[-1][2] >= rows[0][2]
 
 
-def test_ablation_dcache_tradeoff(benchmark, report):
+def test_ablation_dcache_tradeoff(report):
     """A dcache competes with the CFU for the same logic budget."""
     model = load("dscnn_kws")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = []
     for dcache in (0, 2048, 8192):
         cpu = FOMU_BASELINE_CPU.evolve(dcache_bytes=dcache,

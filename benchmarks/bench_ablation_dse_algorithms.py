@@ -7,8 +7,6 @@ CPU-only study, measuring the 2-D hypervolume of the Pareto front each
 reaches under the same trial budget.
 """
 
-import pytest
-
 from repro.dse import (
     Fig7Evaluator,
     MetricGoal,
@@ -44,7 +42,7 @@ def front_hypervolume(study, reference):
     return hypervolume_2d(metrics, reference)
 
 
-def test_ablation_dse_algorithms(benchmark, report):
+def test_ablation_dse_algorithms(report):
     evaluator = Fig7Evaluator()
     reference = (5e10, 20_000)
 
@@ -63,7 +61,7 @@ def test_ablation_dse_algorithms(benchmark, report):
             scores[name] = sum(volumes) / len(volumes)
         return scores
 
-    scores = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    scores = run_all()
     report(f"Ablation — DSE algorithms, {BUDGET} trials x {len(SEEDS)} seeds "
            "(CPU-only study, hypervolume higher=better)")
     for name, volume in sorted(scores.items(), key=lambda kv: -kv[1]):

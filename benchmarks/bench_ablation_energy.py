@@ -18,12 +18,9 @@ def fig6():
     return run_ladder(kws_ladder(), kws_initial_state())
 
 
-def test_ablation_energy_ladder(benchmark, report, fig6):
+def test_ablation_energy_ladder(report, fig6):
     model = EnergyModel()
-    energies = benchmark.pedantic(
-        lambda: [model.estimate(r.estimate, r.fit) for r in fig6],
-        rounds=1, iterations=1,
-    )
+    energies = [model.estimate(r.estimate, r.fit) for r in fig6]
     report("Energy per inference along the Fig. 6 ladder (Fomu)")
     report(f"{'step':16s} {'total uJ':>12s} {'static':>10s} {'memory':>10s} "
            f"{'compute':>10s} {'cfu':>8s} {'power mW':>9s}")
@@ -52,10 +49,9 @@ def test_ablation_energy_ladder(benchmark, report, fig6):
     assert mac_conv[1].total_uj < fast_mult[1].total_uj
 
 
-def test_ablation_energy_vs_latency_tradeoff(benchmark, report, fig6):
+def test_ablation_energy_vs_latency_tradeoff(report, fig6):
     """Energy-delay product: the co-designed endpoint wins on both axes."""
     model = EnergyModel()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     base = fig6[0]
     final = fig6[-1]
     clock = base.estimate.system.clock_hz

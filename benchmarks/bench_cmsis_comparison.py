@@ -22,10 +22,9 @@ def fig6():
     return run_ladder(kws_ladder(), kws_initial_state())
 
 
-def test_cmsis_nn_comparison(benchmark, report, fig6):
+def test_cmsis_nn_comparison(report, fig6):
     kws = load("dscnn_kws")
-    m4_cycles = benchmark.pedantic(lambda: cmsis_nn_cycles(kws),
-                                   rounds=1, iterations=1)
+    m4_cycles = cmsis_nn_cycles(kws)
     baseline, final = fig6[0], fig6[-1]
 
     report("KWS vs Cortex-M4 + CMSIS-NN (clock-normalized cycle counts)")

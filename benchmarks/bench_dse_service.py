@@ -1,20 +1,21 @@
 """DSE study-service benchmark: throughput, warm resume, scaling.
 
 Three measurements at Fig. 7 shape (three CFU families over the
-VexRiscv space), landed in ``BENCH_dse.json`` at the repo root:
+VexRiscv space), landed in the ``service`` section of ``BENCH_dse.json``:
 
 - **throughput** — a cold 2-worker service run with real evaluations:
   end-to-end trials/sec over the wire (suggest + evaluate + complete +
   store round-trips), cache hit rate, and golden-equality against the
-  in-process ``run_fig7`` engine;
+  in-process ``run_fig7`` engine (bar 25 trials/sec);
 - **warm resume** — the same studies rerun against the shared
   content-addressed evaluation cache: the run must re-simulate
   *nothing* (zero evaluations, 100% cache hits);
 - **scaling** — 1 vs 4 workers under a fixed-latency evaluation model
-  (each trial sleeps ``REPRO_DSE_EVAL_LATENCY``), which isolates the
+  (each trial sleeps :data:`EVAL_LATENCY`), which isolates the
   *scheduler's* ability to overlap in-flight trials from the host's
   core count — the paper's Vizier fleet scales by adding evaluation
-  hosts, and single-core CI must still prove the overlap.
+  hosts, and single-core CI must still prove the overlap (median of
+  :data:`REPEATS` interleaved pairs, bar 2x).
 
 A fourth measurement, **warm compile cache**, times the *per-trial
 simulation setup* (fresh emulator + firmware + tier-2 promotion of
@@ -22,27 +23,11 @@ every hot block) across a multi-process worker pool, with and without
 a shared persistent :class:`~repro.core.codecache.CodeCache`: with the
 cache on, every worker must bind the firmware's translated blocks from
 disk with **zero redundant code generations** fleet-wide.
-
-Knobs:
-- ``REPRO_DSE_TRIALS``        trials per family, throughput/warm runs
-                              (default 40)
-- ``REPRO_DSE_SETUP_TRIALS``  per-trial-setup measurements per cache
-                              mode in the warm-compile-cache run
-                              (default 6)
-- ``REPRO_DSE_SCALING_TRIALS``trials per family, scaling runs
-                              (default 16)
-- ``REPRO_DSE_EVAL_LATENCY``  modeled seconds per trial in the scaling
-                              runs (default 0.015)
-- ``REPRO_DSE_TPS_MIN``       trials/sec floor for the cold run
-                              (default 25.0)
-- ``REPRO_DSE_SCALING_MIN``   4-worker-over-1-worker speedup floor
-                              (default 2.0)
 """
 
-import os
 import time
 
-from common import merge_preserve
+from common import REPEATS, check, median_run, row, write_section
 
 from repro.dse import (
     CFU_FAMILIES,
@@ -57,13 +42,12 @@ from repro.dse import (
 )
 from repro.dse.pool import WorkerPool
 
-TRIALS = int(os.environ.get("REPRO_DSE_TRIALS", "40"))
-SETUP_TRIALS = int(os.environ.get("REPRO_DSE_SETUP_TRIALS", "6"))
-SCALING_TRIALS = int(os.environ.get("REPRO_DSE_SCALING_TRIALS", "16"))
-EVAL_LATENCY = float(os.environ.get("REPRO_DSE_EVAL_LATENCY", "0.015"))
-TPS_MIN = float(os.environ.get("REPRO_DSE_TPS_MIN", "25.0"))
-SCALING_MIN = float(os.environ.get("REPRO_DSE_SCALING_MIN", "2.0"))
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_dse.json")
+TRIALS = 40             # trials per family, throughput and warm runs
+SETUP_TRIALS = 6        # per-trial setups per cache mode
+SCALING_TRIALS = 16     # trials per family, scaling runs
+EVAL_LATENCY = 0.015    # modeled seconds per trial in the scaling runs
+TPS_MIN = 25.0          # cold-run trials/sec
+SCALING_MIN = 2.0       # 4-worker over 1-worker speedup
 
 SEED = 0
 
@@ -118,7 +102,6 @@ def measure_warm_resume(cache_dir, golden):
         "cache_hit_rate": round(hit_rate, 4),
         "trials_per_sec": round(info["trials_per_sec"], 1),
         "golden_equal": fingerprint(result) == golden,
-        "passed": info["evaluations"] == 0 and hit_rate == 1.0,
     }
 
 
@@ -148,6 +131,14 @@ def measure_scaling_point(workers):
         "elapsed_seconds": round(elapsed, 4),
         "trials_per_sec": round(completed / elapsed, 1),
     }
+
+
+def measure_scaling():
+    """One interleaved pair: 1 worker, then 4."""
+    points = [measure_scaling_point(workers) for workers in (1, 4)]
+    return {"points": points,
+            "speedup_4_over_1": round(points[0]["elapsed_seconds"]
+                                      / points[1]["elapsed_seconds"], 2)}
 
 
 # --- warm compile cache: per-trial simulation setup cost --------------------------
@@ -221,7 +212,6 @@ def measure_warm_compile_cache(tmp_path):
         "warm_blocks_bound": sum(t["block_cache_loads"] for t in on),
         "redundant_compiles": redundant,
         "bit_identical": len(cycles) == 1,
-        "passed": redundant == 0 and len(cycles) == 1,
     }
 
 
@@ -232,53 +222,39 @@ def test_dse_service_benchmark(report, tmp_path):
     throughput = measure_throughput(cache_dir, golden)
     warm = measure_warm_resume(cache_dir, golden)
     warm_compile = measure_warm_compile_cache(tmp_path)
-    points = [measure_scaling_point(workers) for workers in (1, 4)]
-    speedup = round(points[0]["elapsed_seconds"]
-                    / points[1]["elapsed_seconds"], 2)
-
-    payload = {
-        "benchmark": "dse_service",
-        "generated_by": "benchmarks/bench_dse_service.py",
-        "trials_per_family": TRIALS,
-        "families": len(CFU_FAMILIES),
-        "throughput": dict(throughput,
-                           threshold_trials_per_sec=TPS_MIN,
-                           passed=(throughput["trials_per_sec"] >= TPS_MIN
-                                   and throughput["golden_equal"])),
-        "warm_resume": warm,
-        "warm_compile_cache": warm_compile,
-        "scaling": {
-            "description": ("fixed-latency evaluation model "
-                            "(eval_latency sleep per trial) so the "
-                            "measured speedup is scheduler overlap, "
-                            "not host core count"),
-            "trials_per_family": SCALING_TRIALS,
-            "eval_latency_seconds": EVAL_LATENCY,
-            "points": points,
-            "speedup_4_over_1": speedup,
-            "threshold": SCALING_MIN,
-            "passed": speedup >= SCALING_MIN,
-        },
-        "headline": {
-            "description": ("cold 2-worker service throughput over the "
-                            "wire; warm resume must re-simulate "
-                            "nothing; 4-worker overlap speedup under "
-                            "the fixed-latency model"),
-            "trials_per_sec": throughput["trials_per_sec"],
-            "warm_evaluations": warm["evaluations"],
-            "warm_cache_hit_rate": warm["cache_hit_rate"],
-            "scaling_speedup": speedup,
-            "compile_setup_speedup": warm_compile["setup_speedup"],
-            "redundant_compiles": warm_compile["redundant_compiles"],
-            "passed": (throughput["trials_per_sec"] >= TPS_MIN
-                       and throughput["golden_equal"]
-                       and warm["passed"] and warm["golden_equal"]
-                       and warm_compile["passed"]
-                       and speedup >= SCALING_MIN),
-        },
-    }
-    # Preserve sections owned by other benchmarks (bench_dse_exhaustive).
-    merge_preserve(BENCH_PATH, payload)
+    scaling = [measure_scaling() for _ in range(REPEATS)]
+    rows = [
+        row("cold 2-worker service throughput", "trials/s", "higher",
+            [throughput["trials_per_sec"]], TPS_MIN),
+        row("warm resume evaluations", "count", "lower",
+            [warm["evaluations"]], 0),
+        row("warm resume cache hit rate", "ratio", "higher",
+            [warm["cache_hit_rate"]], 1.0),
+        row("shared compile cache redundant compiles", "count", "lower",
+            [warm_compile["redundant_compiles"]], 0),
+        row("4-worker over 1-worker overlap", "ratio", "higher",
+            [s["speedup_4_over_1"] for s in scaling], SCALING_MIN),
+    ]
+    broken = [message for ok, message in (
+        (throughput["golden_equal"],
+         "service run diverged from the in-process engine"),
+        (warm["golden_equal"],
+         "warm resume diverged from the in-process engine"),
+        (warm_compile["bit_identical"],
+         "cache-bound trials diverged from cache-off trials"),
+    ) if not ok]
+    overlap = median_run(scaling, "speedup_4_over_1")
+    write_section(
+        "dse", "service", rows,
+        trials_per_family=TRIALS, families=len(CFU_FAMILIES),
+        throughput=throughput, warm_resume=warm,
+        warm_compile_cache=warm_compile,
+        scaling={"description": ("fixed-latency evaluation model "
+                                 "(eval_latency sleep per trial) so the "
+                                 "measured speedup is scheduler overlap, "
+                                 "not host core count"),
+                 "trials_per_family": SCALING_TRIALS,
+                 "eval_latency_seconds": EVAL_LATENCY, **overlap})
 
     report(f"DSE service benchmark ({TRIALS} trials/family x "
            f"{len(CFU_FAMILIES)} families)")
@@ -295,31 +271,9 @@ def test_dse_service_benchmark(report, tmp_path):
            f"{warm_compile['per_trial_setup_seconds_on']*1000:.1f}ms "
            f"shared cache on ({warm_compile['setup_speedup']}x, "
            f"{warm_compile['redundant_compiles']} redundant compiles)")
-    for point in points:
+    for point in overlap["points"]:
         report(f"scaling {point['workers']} worker(s): "
                f"{point['elapsed_seconds']:>8.3f}s for "
                f"{point['trials_completed']} modeled-latency trials "
                f"({point['trials_per_sec']:.1f}/sec)")
-    report(f"overlap speedup   : {speedup:.2f}x "
-           f"(threshold {SCALING_MIN:.1f}x)")
-    report(f"[BENCH_dse.json written to {os.path.abspath(BENCH_PATH)}]")
-
-    assert throughput["golden_equal"], \
-        "service run diverged from the in-process engine"
-    assert warm["golden_equal"], \
-        "warm resume diverged from the in-process engine"
-    assert warm["evaluations"] == 0, (
-        f"warm resume re-simulated {warm['evaluations']} trials "
-        f"(must be 0)")
-    assert throughput["trials_per_sec"] >= TPS_MIN, (
-        f"cold service throughput {throughput['trials_per_sec']} "
-        f"trials/sec (needs >= {TPS_MIN})")
-    assert warm_compile["redundant_compiles"] == 0, (
-        f"shared compile cache still code-generated "
-        f"{warm_compile['redundant_compiles']} blocks across the pool "
-        f"(must be 0)")
-    assert warm_compile["bit_identical"], \
-        "cache-bound trials diverged from cache-off trials"
-    assert speedup >= SCALING_MIN, (
-        f"4-worker overlap speedup only {speedup}x "
-        f"(needs >= {SCALING_MIN}x)")
+    check(report, rows, broken)

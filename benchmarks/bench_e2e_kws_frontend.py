@@ -23,13 +23,12 @@ def fig6():
     return run_ladder(kws_ladder(), kws_initial_state())
 
 
-def test_e2e_kws_with_frontend(benchmark, report, fig6):
+def test_e2e_kws_with_frontend(report, fig6):
     # Functional path: audio -> MFCC -> int8 features -> DS-CNN.
     t = np.arange(16_000) / 16_000
     audio = 0.4 * np.sin(2 * np.pi * 700 * t)
     model = load("dscnn_kws")
-    features = benchmark.pedantic(lambda: preprocess_audio(audio),
-                                  rounds=1, iterations=1)
+    features = preprocess_audio(audio)
     output = Interpreter(model).invoke(features)
     assert output.shape == (1, 12)
 
@@ -59,11 +58,10 @@ def test_e2e_kws_with_frontend(benchmark, report, fig6):
     assert final_share > 3 * base_share
 
 
-def test_e2e_speedup_is_less_than_kernel_speedup(benchmark, report, fig6):
+def test_e2e_speedup_is_less_than_kernel_speedup(report, fig6):
     """Amdahl: counting pre-processing, the end-to-end win is smaller
     than the inference-only 75x-class number."""
     clock = fig6[0].estimate.system.clock_hz
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     base = fig6[0]
     final = fig6[-1]
     e2e_speedup = ((frontend_cycles(base.estimate.system) + base.cycles)

@@ -32,16 +32,8 @@ def ladder_results():
                       op_filter=mnv2_1x1_filter(state.model)), state
 
 
-def test_fig4_mnv2_ladder(benchmark, report, ladder_results):
+def test_fig4_mnv2_ladder(report, ladder_results):
     results, state = ladder_results
-
-    def regenerate():
-        fresh = mnv2_initial_state(state.model)
-        return run_ladder(mnv2_ladder(), fresh,
-                          op_filter=mnv2_1x1_filter(state.model))
-
-    benchmark.pedantic(regenerate, rounds=1, iterations=1)
-
     macs_1x1 = sum(op.macs for op in state.model.operators
                    if op.opcode == "CONV_2D"
                    and op.params.get("kernel") == (1, 1))
@@ -78,11 +70,10 @@ def test_fig4_mnv2_ladder(benchmark, report, ladder_results):
     assert cells[-1] < max(cells)  # usage falls after the mid-ladder peak
 
 
-def test_fig4_text_deltas(benchmark, report, ladder_results):
+def test_fig4_text_deltas(report, ladder_results):
     """The quoted per-step observations from the Section III-A text."""
     results, state = ladder_results
-    by_name = benchmark.pedantic(
-        lambda: {r.step.name: r for r in results}, rounds=1, iterations=1)
+    by_name = {r.step.name: r for r in results}
     filt = mnv2_1x1_filter(state.model)
     outputs = sum(
         op.macs // state.model.tensor(op.inputs[0]).shape[-1]

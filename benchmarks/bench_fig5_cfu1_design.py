@@ -21,11 +21,7 @@ def cfu1():
     return Cfu1Rtl(channels=16, filter_words=128, input_words=32)
 
 
-def test_fig5_cfu1_design(benchmark, report, cfu1):
-    benchmark.pedantic(
-        lambda: Cfu1Rtl(channels=16, filter_words=128, input_words=32),
-        rounds=1, iterations=1,
-    )
+def test_fig5_cfu1_design(report, cfu1):
     verilog = cfu1.verilog()
     resources = estimate(cfu1.module)
     report("Figure 5 — CFU1 (MNV2) datapath, elaborated from the RTL DSL")
@@ -48,7 +44,7 @@ def test_fig5_cfu1_design(benchmark, report, cfu1):
     assert full.bram_bits >= 4096 * 32
 
 
-def test_fig5_datapath_golden(benchmark, report, cfu1):
+def test_fig5_datapath_golden(report, cfu1):
     """Random program over the full op set, gateware vs emulation."""
     rng = random.Random(2024)
     depth = 4
@@ -69,8 +65,7 @@ def test_fig5_datapath_golden(benchmark, report, cfu1):
         seq.append((cm.F3_WRITE_INPUT, 0, rng.getrandbits(32), 0))
     for mode in (cm.RUN_RAW, cm.RUN_POSTPROC, cm.RUN_PACK4, cm.RUN_PACK4):
         seq.append((cm.F3_RUN1, mode, 0, 0))
-    result = benchmark.pedantic(lambda: run_sequence(cfu1, Mnv2Cfu(), seq),
-                                rounds=1, iterations=1)
+    result = run_sequence(cfu1, Mnv2Cfu(), seq)
     report(f"golden program: {result.total} ops, "
            f"rtl {result.rtl_cycles} cycles vs model {result.model_cycles}")
     assert result.passed

@@ -29,13 +29,8 @@ def ladder_results():
     return run_ladder(kws_ladder(), kws_initial_state())
 
 
-def test_fig6_kws_ladder(benchmark, report, ladder_results):
+def test_fig6_kws_ladder(report, ladder_results):
     results = ladder_results
-    benchmark.pedantic(
-        lambda: run_ladder(kws_ladder(), kws_initial_state()),
-        rounds=1, iterations=1,
-    )
-
     clock = results[0].estimate.system.clock_hz
     report("Figure 6 — KWS speedup & resource usage (Fomu, iCE40UP5k)")
     report(f"baseline: {results[0].cycles:,.0f} cycles = "
@@ -66,7 +61,7 @@ def test_fig6_kws_ladder(benchmark, report, ladder_results):
     assert final.fit.usage.dsps == FOMU.dsp_blocks
 
 
-def test_fig6_fitting_narrative(benchmark, report):
+def test_fig6_fitting_narrative(report):
     """'The minimal VexRiscv configuration does not fit on Fomu' until
     SoC features and error checking are stripped."""
     minimal = VexRiscvConfig(
@@ -74,8 +69,7 @@ def test_fig6_fitting_narrative(benchmark, report):
         divider="none", shifter="iterative", icache_bytes=0, dcache_bytes=0,
     )
     stock = Soc(FOMU, minimal)
-    stock_fit = benchmark.pedantic(
-        lambda: fit(FOMU, stock.resources()), rounds=1, iterations=1)
+    stock_fit = fit(FOMU, stock.resources())
     report("stock LiteX SoC + minimal VexRiscv:")
     report(stock_fit.summary())
     assert not stock_fit.ok
@@ -91,13 +85,11 @@ def test_fig6_fitting_narrative(benchmark, report):
     assert diet_fit.ok
 
 
-def test_fig6_cfu_attribution(benchmark, report, ladder_results):
+def test_fig6_cfu_attribution(report, ladder_results):
     """'Only 3x of the speedup was directly attributed to the small CFU.
     The other 25x was derived from optimizing the CPU, software, memory
     accesses, and system interfaces.'"""
-    by_name = benchmark.pedantic(
-        lambda: {r.step.name: r.speedup for r in ladder_results},
-        rounds=1, iterations=1)
+    by_name = {r.step.name: r.speedup for r in ladder_results}
     cfu_direct = by_name["post-proc"] / by_name["fast-mult"]
     system_side = by_name["fast-mult"] * (by_name["sw-spec"] / by_name["post-proc"])
     report(f"CFU-direct factor: {cfu_direct:.2f}x (paper: ~3x)")

@@ -4,14 +4,11 @@ Regenerates the three Pareto fronts (CPU alone, CPU+CFU1, CPU+CFU2) over
 the ~93,000-point CPU-configuration x CFU space on the MNV2 workload,
 starring the overall Pareto-optimal points like the paper's figure.
 
-Runs on the parallel evaluation engine; ``REPRO_FIG7_TRIALS`` and
-``REPRO_FIG7_WORKERS`` override the per-family budget and worker count
-(the CI smoke job uses a tiny budget).  Membership in the overall front
-is checked by value (``DsePoint.key``), never ``id()`` — points may
-round-trip through worker processes or the persistent cache.
+Runs on the evaluation engine at :data:`TRIALS_PER_FAMILY` trials per
+family.  Membership in the overall front is checked by value
+(``DsePoint.key``), never ``id()`` — points may round-trip through
+worker processes or the persistent cache.
 """
-
-import os
 
 import pytest
 
@@ -19,8 +16,7 @@ from repro.core.telemetry import Telemetry
 from repro.dse import CFU_FAMILIES, run_fig7, total_space_size, trace_summary
 from repro.dse.pareto import pareto_front
 
-TRIALS_PER_FAMILY = int(os.environ.get("REPRO_FIG7_TRIALS", "90"))
-WORKERS = int(os.environ.get("REPRO_FIG7_WORKERS", "1"))
+TRIALS_PER_FAMILY = 90
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +27,10 @@ def dse_telemetry():
 @pytest.fixture(scope="module")
 def dse_result(dse_telemetry):
     return run_fig7(trials_per_family=TRIALS_PER_FAMILY, seed=7,
-                    workers=WORKERS, telemetry=dse_telemetry)
+                    telemetry=dse_telemetry)
 
 
-def test_fig7_dse_pareto(benchmark, report, dse_result, dse_telemetry):
-    benchmark.pedantic(
-        lambda: run_fig7(trials_per_family=25, seed=11),
-        rounds=1, iterations=1,
-    )
+def test_fig7_dse_pareto(report, dse_result, dse_telemetry):
     result = dse_result
     report("Figure 7 — DSE of CPU vs CFU with the Vizier stand-in (MNV2)")
     report(f"design space: {total_space_size():,} points "
@@ -76,14 +68,12 @@ def test_fig7_dse_pareto(benchmark, report, dse_result, dse_telemetry):
     report(trace_summary(dse_telemetry))
 
 
-def test_fig7_richer_design_space(benchmark, report, dse_result):
+def test_fig7_richer_design_space(report, dse_result):
     """'CFU designs can create a richer design space, leading to more
     optimal configurations': the combined front must contain points no
     CPU-only design dominates."""
     result = dse_result
-    cpu_front = benchmark.pedantic(
-        lambda: [p.metrics for p in result.family_front("none")],
-        rounds=1, iterations=1)
+    cpu_front = [p.metrics for p in result.family_front("none")]
     cfu_points = [p for p in result.points if p.family != "none"]
     undominated = [
         p for p in cfu_points
@@ -95,16 +85,13 @@ def test_fig7_richer_design_space(benchmark, report, dse_result):
     assert undominated
 
 
-def test_fig7_front_consistency(benchmark, dse_result):
-    def check():
-        for family in CFU_FAMILIES:
-            metrics = [p.metrics for p in dse_result.family_front(family)]
-            assert metrics == pareto_front(metrics)
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_fig7_front_consistency(dse_result):
+    for family in CFU_FAMILIES:
+        metrics = [p.metrics for p in dse_result.family_front(family)]
+        assert metrics == pareto_front(metrics)
 
 
-def test_fig7_engine_parallel_determinism(benchmark, report):
+def test_fig7_engine_parallel_determinism(report):
     """The engine acceptance check, benchmark-sized: a parallel run and a
     warm-cache rerun both reproduce the serial fronts exactly."""
     def fronts(result):
@@ -112,9 +99,7 @@ def test_fig7_engine_parallel_determinism(benchmark, report):
                 for f in CFU_FAMILIES}
 
     serial = run_fig7(trials_per_family=20, seed=7)
-    parallel = benchmark.pedantic(
-        lambda: run_fig7(trials_per_family=20, seed=7, workers=4),
-        rounds=1, iterations=1)
+    parallel = run_fig7(trials_per_family=20, seed=7, workers=4)
     assert fronts(serial) == fronts(parallel)
     report("Fig. 7 engine: workers=4 reproduces workers=1 fronts exactly "
            f"({sum(len(f) for f in fronts(serial).values())} front points)")

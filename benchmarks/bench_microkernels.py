@@ -8,7 +8,6 @@ model builds on — and the CFU column shows the MAC4 win at ISA level.
 """
 
 import numpy as np
-import pytest
 
 from repro.accel import KwsCfu
 from repro.accel.kws import model as km
@@ -114,16 +113,10 @@ def run_kernel(source, config, with_cfu):
     return machine, result
 
 
-def test_microkernel_table(benchmark, report):
-    rows = benchmark.pedantic(
-        lambda: [
-            (kname, cname,
-             run_kernel(src, cfg, cfu)[0])
+def test_microkernel_table(report):
+    rows = [(kname, cname, run_kernel(src, cfg, cfu)[0])
             for kname, src, cfu in KERNELS
-            for cname, cfg in CONFIGS
-        ],
-        rounds=1, iterations=1,
-    )
+            for cname, cfg in CONFIGS]
     report("Microkernels on the ISA machine (instruction-level ground truth)")
     report(f"{'kernel':18s} {'config':12s} {'cycles':>8s} {'instr':>7s} "
            f"{'CPI':>6s}")

@@ -7,8 +7,6 @@ plus a feasibility column for Fomu (only KWS fits the 2 MB flash +
 128 kB SRAM envelope — exactly why the KWS study uses Fomu).
 """
 
-import pytest
-
 from repro.boards import ARTY_A7_35T, FOMU
 from repro.core.ladders import FOMU_BASELINE_CPU
 from repro.cpu.vexriscv import ARTY_DEFAULT
@@ -47,8 +45,8 @@ def sweep():
     return rows
 
 
-def test_mlperf_tiny_suite(benchmark, report):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_mlperf_tiny_suite(report):
+    rows = sweep()
     report("MLPerf-Tiny-style sweep (reference kernels)")
     report(f"{'model':18s} {'task':28s} {'MACs':>12s} "
            f"{'Arty ms':>9s} {'fits Fomu':>10s}")

@@ -34,7 +34,7 @@ def setup():
     return model, system
 
 
-def test_mnv2_overall_extension(benchmark, report, setup):
+def test_mnv2_overall_extension(report, setup):
     model, system = setup
 
     def run_all():
@@ -48,8 +48,7 @@ def test_mnv2_overall_extension(benchmark, report, setup):
         combined = estimate_inference(model, system, combined_variants)
         return baseline, cfu1_only, combined
 
-    baseline, cfu1_only, combined = benchmark.pedantic(run_all, rounds=1,
-                                                       iterations=1)
+    baseline, cfu1_only, combined = run_all()
     report("MNV2 overall speedup: the footnote-2 extension")
     rows = [("reference kernels", baseline),
             ("+ CFU1 (paper endpoint)", cfu1_only),
@@ -81,11 +80,10 @@ def test_mnv2_overall_extension(benchmark, report, setup):
     assert both.ok
 
 
-def test_amdahl_structure(benchmark, report, setup):
+def test_amdahl_structure(report, setup):
     """Sanity: the 1x1-only endpoint is Amdahl-limited by the unmoved
     operators; speeding them up must unlock most of the remainder."""
     model, system = setup
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     baseline = estimate_inference(model, system)
     cfu1_only = estimate_inference(
         model, system, reference_variants().extended(OverlapInput()))

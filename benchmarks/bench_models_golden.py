@@ -20,11 +20,11 @@ MODEL_KWARGS = {
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_models_golden(benchmark, report, name):
+def test_models_golden(report, name):
     model = load(name, **MODEL_KWARGS.get(name, {}))
     x = golden_input(model)
     interpreter = Interpreter(model)
-    benchmark.pedantic(lambda: interpreter.invoke(x), rounds=1, iterations=1)
+    interpreter.invoke(x)
 
     checksum = golden_checksum(model)
     plan = plan_arena(model)
@@ -36,13 +36,12 @@ def test_models_golden(benchmark, report, name):
     assert checksum == golden_checksum(load(name, **MODEL_KWARGS.get(name, {})))
 
 
-def test_golden_with_optimized_kernels(benchmark, report):
+def test_golden_with_optimized_kernels(report):
     """Optimized-kernel inference must match the golden outputs exactly."""
     kws = load("dscnn_kws")
     variants = reference_variants().extended(
         *kws_variants(postproc=True, specialized=True))
-    benchmark.pedantic(lambda: run_golden_inference(kws, variants),
-                       rounds=1, iterations=1)
+    run_golden_inference(kws, variants)
     report("dscnn_kws golden PASS with CFU2 kernel variants")
 
     mnv2 = load("mobilenet_v2", width_multiplier=0.35, num_classes=10)

@@ -20,7 +20,7 @@ import pytest
 from repro.accel.audio import cfu3_resources
 from repro.accel.kws.resources import cfu2_resources
 from repro.boards import FOMU, ORANGECRAB, fit
-from repro.core.ladders import FOMU_BASELINE_CPU, kws_initial_state, kws_ladder, run_ladder
+from repro.core.ladders import kws_initial_state, kws_ladder, run_ladder
 from repro.cpu.vexriscv import VexRiscvConfig
 from repro.kernels.kws import kws_variants
 from repro.kernels.reference import reference_variants
@@ -35,12 +35,9 @@ def fig6():
     return run_ladder(kws_ladder(), kws_initial_state())
 
 
-def test_next_iteration_hits_fomu_resource_wall(benchmark, report, fig6):
+def test_next_iteration_hits_fomu_resource_wall(report, fig6):
     final = fig6[-1]
-    attempt = benchmark.pedantic(
-        lambda: fit(FOMU, final.fit.usage, cfu3_resources()),
-        rounds=1, iterations=1,
-    )
+    attempt = fit(FOMU, final.fit.usage, cfu3_resources())
     report("Next loop iteration: add CFU3 (FFT butterfly) to the Fomu design")
     report(attempt.summary())
     report("-> NO-FIT: the KWS endpoint already uses 8/8 DSP tiles and "
@@ -51,7 +48,7 @@ def test_next_iteration_hits_fomu_resource_wall(benchmark, report, fig6):
     assert final.fit.usage.dsps + cfu3_resources().dsps > FOMU.dsp_blocks
 
 
-def test_next_iteration_on_orangecrab(benchmark, report, fig6):
+def test_next_iteration_on_orangecrab(report, fig6):
     """Scale up one board (Section II-C: 'the system is inherently
     scalable') and take the frontend win."""
     kws = load("dscnn_kws")
@@ -62,11 +59,8 @@ def test_next_iteration_on_orangecrab(benchmark, report, fig6):
         icache_bytes=4096, dcache_bytes=4096, hw_error_checking=False,
     )
     soc = Soc(ORANGECRAB, cpu)
-    usage = benchmark.pedantic(
-        lambda: fit(ORANGECRAB, soc.resources(), cfu2_resources(),
-                    cfu3_resources()),
-        rounds=1, iterations=1,
-    )
+    usage = fit(ORANGECRAB, soc.resources(), cfu2_resources(),
+                cfu3_resources())
     report("CFU2 + CFU3 on OrangeCrab (ECP5-25F):")
     report(usage.summary())
     assert usage.ok
@@ -90,10 +84,9 @@ def test_next_iteration_on_orangecrab(benchmark, report, fig6):
     assert e2e_before / e2e_after > 1.05
 
 
-def test_next_iteration_dsp_accounting(benchmark, report):
+def test_next_iteration_dsp_accounting(report):
     """The wall is specifically DSP tiles, mirroring Section III-B's
     4 (fast mult) + 4 (SIMD MAC) budget."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     cpu_dsps = 4  # single-cycle multiplier
     budget = FOMU.dsp_blocks
     used = cpu_dsps + cfu2_resources().dsps

@@ -4,25 +4,22 @@ Two claims back the reworked profiler:
 
 1. **Overhead** — attaching the :class:`~repro.cpu.profiler.MachineProfiler`
    to the decoded-instruction fast path costs a small constant factor
-   (headline: profiled fast path ≤ 3x the unprofiled fast path), while
-   producing *bit-identical* per-symbol attribution to the reference
-   ``step()`` collector.  Measured on the KWS dot-product firmware and
-   the MNV2 1x1-convolution firmware, CFUs attached.
+   (profiled fast path ≤ 3x the unprofiled fast path, median of
+   :data:`REPEATS` interleaved repeats), while producing *bit-identical*
+   per-symbol attribution to the reference ``step()`` collector in every
+   repeat.  Measured on the KWS dot-product firmware and the MNV2
+   1x1-convolution firmware, CFUs attached.
 2. **Drift** — ``Playground.profile(simulate=True)`` on the Section
    III-A MobileNetV2 profile stays inside the calibrated
    simulated/analytic drift band for every dominant opcode class.
 
-Results land in ``BENCH_profile.json`` at the repo root.
-
-Knobs:
-- ``REPRO_PROFILE_BENCH_REPS``    firmware outer repetitions (default 2000)
-- ``REPRO_PROFILE_OVERHEAD_MAX``  headline threshold (default 3.0)
-- ``REPRO_PROFILE_SIM_BUDGET``    simulate-profile budget (default 20000)
+Both land in the ``overhead`` section of ``BENCH_profile.json``: one
+row per firmware, the median repeat's timings, and the drift table.
 """
 
-import json
-import os
 import time
+
+from common import REPEATS, check, median_run, row, write_section
 
 from repro.accel import KwsCfu, Mnv2Cfu
 from repro.accel.kws import model as km
@@ -36,11 +33,9 @@ from repro.emu import Emulator
 from repro.models import load
 from repro.soc import Soc
 
-REPS = int(os.environ.get("REPRO_PROFILE_BENCH_REPS", "2000"))
-OVERHEAD_MAX = float(os.environ.get("REPRO_PROFILE_OVERHEAD_MAX", "3.0"))
-SIM_BUDGET = int(os.environ.get("REPRO_PROFILE_SIM_BUDGET", "20000"))
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..",
-                          "BENCH_profile.json")
+REPS = 2000             # firmware outer repetitions
+OVERHEAD_MAX = 3.0      # profiled fast path over the unprofiled one
+SIM_BUDGET = 20000      # simulate-profile instruction budget
 
 N = 32
 
@@ -208,7 +203,7 @@ def measure_drift():
     model = load("mobilenet_v2", width_multiplier=0.75, num_classes=100)
     pg = Playground(ARTY_A7_35T, model, cpu_config=ARTY_DEFAULT)
     sim = pg.profile(simulate=True, budget=SIM_BUDGET)
-    return sim, {
+    return {
         "model": sim.model_name,
         "budget": SIM_BUDGET,
         "drift_band": list(DEFAULT_DRIFT_BAND),
@@ -228,34 +223,24 @@ def measure_drift():
 
 
 def test_profile_overhead_and_drift(report):
-    overhead = measure_overhead()
-    worst = max(overhead, key=lambda r: r["overhead"])
-    sim, drift = measure_drift()
+    repeats = [measure_overhead() for _ in range(REPEATS)]
+    rows, overhead, broken = [], [], []
+    for runs in zip(*repeats):
+        firmware = runs[0]["firmware"]
+        overhead.append(median_run(runs, "overhead"))
+        rows.append(row(f"{firmware} profiled vs unprofiled fast path",
+                        "ratio", "lower", [r["overhead"] for r in runs],
+                        OVERHEAD_MAX))
+        if not all(r["identical_attribution"] for r in runs):
+            broken.append(f"{firmware}: attribution diverged")
+    drift = measure_drift()
     lo, hi = DEFAULT_DRIFT_BAND
-    drift_ok = all(lo <= c["drift"] <= hi for c in drift["classes"])
-    payload = {
-        "benchmark": "profile_overhead",
-        "generated_by": "benchmarks/bench_profile_overhead.py",
-        "reps": REPS,
-        "overhead": overhead,
-        "simulate": drift,
-        "headline": {
-            "description": ("max profiled-fast-path slowdown over the "
-                            "unprofiled fast path (attribution "
-                            "bit-identical to the reference collector)"),
-            "firmware": worst["firmware"],
-            "overhead": worst["overhead"],
-            "threshold": OVERHEAD_MAX,
-            "passed": (worst["overhead"] <= OVERHEAD_MAX
-                       and all(r["identical_attribution"] for r in overhead)
-                       and drift_ok),
-        },
-    }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    broken += [f"{c['class']}: drift {c['drift']} outside {lo}-{hi}"
+               for c in drift["classes"] if not lo <= c["drift"] <= hi]
+    write_section("profile", "overhead", rows, reps=REPS,
+                  overhead=overhead, simulate=drift)
 
-    report(f"Profiler overhead (reps={REPS})")
+    report(f"Profiler overhead (reps={REPS}, median of {REPEATS})")
     report(f"{'firmware':<8} {'instr':>10} {'unprof':>8} {'prof-fast':>10} "
            f"{'prof-ref':>9} {'overhead':>9}  attribution")
     for r in overhead:
@@ -272,13 +257,4 @@ def test_profile_overhead_and_drift(report):
                f"sim {c['simulated_cycles']:>12,}  drift {c['drift']:.2f}")
     report(f"  overall drift {drift['overall_drift']:.2f} "
            f"(band {lo}-{hi})")
-    report(f"headline: {worst['firmware']} {worst['overhead']:.2f}x "
-           f"(threshold {OVERHEAD_MAX}x)")
-    report(f"[BENCH_profile.json written to {os.path.abspath(BENCH_PATH)}]")
-
-    for r in overhead:
-        assert r["identical_attribution"], f"{r['firmware']} diverged"
-    assert worst["overhead"] <= OVERHEAD_MAX, (
-        f"profiled fast path {worst['overhead']}x on {worst['firmware']} "
-        f"(needs ≤{OVERHEAD_MAX}x)")
-    assert drift_ok, f"drift outside band: {drift['classes']}"
+    check(report, rows, broken)

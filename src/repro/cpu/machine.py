@@ -117,7 +117,8 @@ class CowPagesMixin:
             cache.pop(index, None)
 
     def snapshot(self):
-        """O(1) copy-on-write snapshot of the current memory image."""
+        """Copy-on-write snapshot of the current memory image: protects
+        the allocated pages and copies none of them."""
         snap = MemorySnapshot()
         self._snapshots.append(snap)
         self._cow_protected.update(self._cow_all_pages())

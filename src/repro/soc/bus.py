@@ -32,15 +32,17 @@ class RamBacking:
     ``data`` is the ``{page index: bytearray}`` dict, created on the
     region's first access; ``materialized`` says whether that happened
     without causing it.  Page bytes outside the region (a region that is
-    not page aligned) stay zero.
+    not page aligned) stay zero.  ``on_allocate(index)`` runs just
+    before a page is allocated, while it is still absent.
     """
 
-    __slots__ = ("region", "writable", "_data")
+    __slots__ = ("region", "writable", "_data", "on_allocate")
 
-    def __init__(self, region, writable=True):
+    def __init__(self, region, writable, on_allocate):
         self.region = region
         self.writable = writable
         self._data = None
+        self.on_allocate = on_allocate
 
     @property
     def materialized(self):
@@ -58,6 +60,7 @@ class RamBacking:
         pages = self.data
         page = pages.get(index)
         if page is None:
+            self.on_allocate(index)
             page = pages[index] = bytearray(_PAGE_SIZE)
         return page
 
@@ -103,7 +106,10 @@ class SocBus(CowPagesMixin):
     Copy-on-write snapshots (:class:`~repro.cpu.machine.CowPagesMixin`)
     index pages in *address* space, the same ``addr >> 12`` that keys
     the backings' pages, so a page image is the page of each backing
-    overlapping it (region-boundary pages snapshot correctly).
+    overlapping it (region-boundary pages snapshot correctly).  A
+    snapshot protects only allocated pages; a page allocated under a
+    live snapshot records its zero pre-image first, as
+    :class:`~repro.cpu.machine.SparseMemory` does.
     CSR/peripheral state is not memory and is captured at the
     :class:`~repro.emu.renode.Emulator` level.
     """
@@ -112,7 +118,9 @@ class SocBus(CowPagesMixin):
         self.memory_map = memory_map
         self.csr_bank = csr_bank
         self.backings = {
-            region.name: RamBacking(region, writable=region.name not in rom_regions)
+            region.name: RamBacking(region,
+                                    writable=region.name not in rom_regions,
+                                    on_allocate=self._cow_allocate)
             for region in memory_map
         }
         self._init_cow()
@@ -145,10 +153,16 @@ class SocBus(CowPagesMixin):
     def _cow_all_pages(self):
         pages = set()
         for backing in self.backings.values():
-            region = backing.region
-            pages.update(range(region.base >> _PAGE_BITS,
-                               ((region.end - 1) >> _PAGE_BITS) + 1))
+            if backing.materialized:
+                pages.update(backing.data)
         return pages
+
+    def _cow_allocate(self, index):
+        """Every backing's allocation hook: a page allocated under a
+        live snapshot was zero when the snapshot was taken, so record
+        that image before the page exists."""
+        if self._snapshots:
+            self._cow_record(index)
 
     def _cow_page_image(self, index):
         lo = index << _PAGE_BITS

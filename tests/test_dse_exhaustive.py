@@ -10,9 +10,13 @@ exact enumeration routine (fractions of a second), so Fig. 7's sampled
 fronts are checked against ground truth, not against plausibility.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.dse import (
+    CFU_FAMILIES,
     DseService,
     Fig7Evaluator,
     MetricGoal,
@@ -23,6 +27,7 @@ from repro.dse import (
     pareto_front,
     run_exhaustive_service,
     search_regret,
+    sweep,
 )
 from repro.dse.exhaustive import ExhaustiveSweeper, pareto_front_indices
 from repro.dse.service import space_to_spec
@@ -266,3 +271,18 @@ def test_run_exhaustive_service_streams_the_exact_front(tmp_path, evaluator,
         owner="tests", study_prefix="exact")
     assert resumed.state == "DONE"
     assert resumed.completed_count() == REDUCED_SPACE.size()
+
+
+def test_whole_space_distinct_fronts_match_committed_bench():
+    """``BENCH_dse.json`` commits each family's exact front as its
+    sorted distinct (cycles, logic cells) points, and perfbench's
+    fig7-exhaustive check compares a fresh sweep against them."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "BENCH_dse.json")
+    with open(path) as handle:
+        families = json.load(handle)["exhaustive"]["families"]
+    result = sweep()
+    for family in CFU_FAMILIES:
+        committed = [(entry["cycles"], entry["logic_cells"])
+                     for entry in families[family]["front"]]
+        assert sorted(set(result.front_metrics(family))) == committed

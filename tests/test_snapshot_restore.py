@@ -314,6 +314,38 @@ loop:
     assert emulator_state(emulator) == first
 
 
+@pytest.mark.parametrize("backend", BACKENDS, ids=TIERS)
+def test_emulator_page_first_written_after_snapshot_restores_to_zero(backend):
+    """A main_ram page the firmware first touches after the snapshot:
+    the load allocates it, so on the translated tier the stores after
+    it run inline in the block.  Restore must still zero the page."""
+    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend=backend)
+    emulator.machine.hot_threshold = 1
+    data = emulator.soc.memory_map.get("main_ram").base + 0x20000
+    emulator.load_assembly(f"""
+        li x5, {data}
+        li a1, 64
+    loop:
+        lw a0, 0(x5)
+        add a0, a0, a1
+        sw a0, 0(x5)
+        sw a1, 4(x5)
+        addi x5, x5, 8
+        addi a1, a1, -1
+        bnez a1, loop
+        li a7, 93
+        ecall
+    """, region="flash")
+    snap = emulator.snapshot()
+    emulator.run(100_000)
+    page = emulator.bus.backing("main_ram").data[data >> 12]
+    assert any(page)
+    assert emulator.restore(snap) == 1
+    assert not any(page)
+    emulator.run(100_000)
+    assert any(page)
+
+
 # --- cache warmth across loads (the flush regression) -----------------------------
 
 def test_reload_keeps_blocks_on_untouched_pages():

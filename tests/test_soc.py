@@ -59,7 +59,7 @@ def test_ram_backings_materialize_lazily(arty_soc):
     ram = bus.backing("main_ram")
     assert not ram.materialized
 
-    snap = bus.snapshot()                # protects every page: no alloc
+    snap = bus.snapshot()                # nothing allocated: no alloc
     assert not ram.materialized
 
     base = arty_soc.memory_map.get("main_ram").base
@@ -94,6 +94,38 @@ def test_ram_backings_materialize_lazily(arty_soc):
     assert sorted(ram.data) == touched
     assert not any(any(page) for page in ram.data.values())
     assert not emulator.bus.backing("flash").materialized
+
+
+def test_soc_snapshot_protects_only_allocated_pages(arty_soc):
+    """A snapshot costs O(pages allocated), not O(pages mapped): the
+    Arty map spans ~70k pages, of which this bus has allocated two."""
+    bus = arty_soc.bus()
+    base = arty_soc.memory_map.get("main_ram").base
+    bus.write32(base, 1)
+    bus.read32(base + 0x3000)            # a read allocates a page too
+    snap = bus.snapshot()
+    assert bus._cow_protected == {base >> 12, (base + 0x3000) >> 12}
+    bus.discard_snapshot(snap)
+    assert not bus._cow_protected
+
+
+def test_page_first_written_after_snapshot_restores_to_zero(arty_soc):
+    """Bus stores to pages allocated under live snapshots: each
+    snapshot rewinds them to what it saw, zeros included."""
+    bus = arty_soc.bus()
+    base = arty_soc.memory_map.get("main_ram").base
+    first, second = base + 0x5000, base + 0x9000
+    outer = bus.snapshot()
+    bus.write32(first, 0xDEADBEEF)       # allocated under `outer`
+    inner = bus.snapshot()
+    bus.write32(first, 0x0BADF00D)
+    bus.write32(second + 4094, 0xFFFFFFFF)  # straddles two fresh pages
+    assert bus.restore(inner) == [first >> 12, second >> 12,
+                                  (second >> 12) + 1]
+    assert bus.read32(first) == 0xDEADBEEF
+    assert bus.read32(second + 4094) == 0
+    bus.restore(outer)
+    assert bus.read32(first) == 0
 
 
 def test_load_past_region_end_is_rejected(fomu_soc):
