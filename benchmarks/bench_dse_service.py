@@ -18,8 +18,8 @@ VexRiscv space), landed in the ``service`` section of ``BENCH_dse.json``:
   :data:`REPEATS` interleaved pairs, bar 2x).
 
 A fourth measurement, **warm compile cache**, times the *per-trial
-simulation setup* (fresh emulator + firmware + tier-2 promotion of
-every hot block) across a multi-process worker pool, with and without
+simulation setup* (fresh emulator + firmware + translation of every
+block) across a multi-process worker pool, with and without
 a shared persistent :class:`~repro.core.codecache.CodeCache`: with the
 cache on, every worker must bind the firmware's translated blocks from
 disk with **zero redundant code generations** fleet-wide.
@@ -143,7 +143,7 @@ def measure_scaling():
 
 # --- warm compile cache: per-trial simulation setup cost --------------------------
 
-#: A firmware with many promotable blocks, shared by every "trial".
+#: A firmware with many blocks, shared by every "trial".
 _TRIAL_FIRMWARE = "\n".join(
     ["    li a0, 0", "    li a1, 40", "outer:"]
     + [line
@@ -159,8 +159,8 @@ _TRIAL_FIRMWARE = "\n".join(
 
 def _trial_setup(cache_dir):
     """One trial's simulation setup, as a DSE worker would pay it:
-    fresh emulator, shared firmware, every hot block promoted to
-    tier-2.  Module-level so the process pool can pickle it."""
+    fresh emulator, shared firmware, every block translated.
+    Module-level so the process pool can pickle it."""
     from repro.boards import ARTY_A7_35T
     from repro.core.codecache import CodeCache
     from repro.emu import Emulator
@@ -170,7 +170,6 @@ def _trial_setup(cache_dir):
     started = time.perf_counter()
     emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto",
                         compile_cache=cache)
-    emulator.machine.hot_threshold = 1
     emulator.load_assembly(_TRIAL_FIRMWARE, region="flash")
     emulator.run(1_000_000)
     elapsed = time.perf_counter() - started
@@ -202,7 +201,7 @@ def measure_warm_compile_cache(tmp_path):
     cycles = {t["cycles"] for t in off + on} | {prime["cycles"]}
     return {
         "description": ("per-trial simulation setup (emulator + "
-                        "firmware + tier-2 promotion) across a "
+                        "firmware + block translation) across a "
                         "2-process pool, shared compile cache off/on"),
         "setup_trials": SETUP_TRIALS,
         "per_trial_setup_seconds_off": round(off_avg, 4),

@@ -4,8 +4,8 @@ Four measurements, landed in the ``fleet`` section of
 ``BENCH_sessions.json``:
 
 - **trial setup, cold vs warm** — a *cold* trial builds everything
-  from scratch (SoC + emulator + assemble + tier-2 promotion of every
-  hot block); a *warm* trial reuses a live session via COW
+  from scratch (SoC + emulator + assemble + translation of every
+  block); a *warm* trial reuses a live session via COW
   snapshot/restore, so all of that state stays hot.  Over
   :data:`REPEATS` interleaved repeats, warm setup must be at least 5x
   faster in the median.
@@ -36,7 +36,7 @@ FLEET = 16              # sessions created in the capacity run
 SETUP_MIN = 5.0         # warm-over-cold setup speedup
 
 #: Block-heavy, iteration-light firmware: setup cost is dominated by
-#: SoC construction + assembly + tier-2 code generation, the state the
+#: SoC construction + assembly + block code generation, the state the
 #: warm path keeps.
 FIRMWARE = "\n".join(
     ["    li a0, 0", "    li a1, 4", "outer:"]
@@ -71,7 +71,6 @@ def percentile(values, fraction):
 
 
 def run_trial(session):
-    session.emulator.machine.hot_threshold = 1
     session.load({"assembly": FIRMWARE, "region": "flash"})
     return session.run({"max_instructions": 1_000_000})
 
@@ -90,11 +89,10 @@ def measure_trial_setup(cache_dir):
 
     manager = SessionManager(compile_cache=cache_dir)
     session = manager.create(SPEC)
-    session.emulator.machine.hot_threshold = 1
     session.load({"assembly": FIRMWARE, "region": "flash"})
     anchor = session.snapshot()["snapshot_id"]
-    # Prime once, unmeasured: the first run from the anchor promotes the
-    # hot blocks; that is the cold cost warm trials exist to avoid.
+    # Prime once, unmeasured: the first run from the anchor translates
+    # the blocks; that is the cold cost warm trials exist to avoid.
     session.run({"max_instructions": 1_000_000})
     warm_seconds = []
     for _ in range(TRIALS):
@@ -170,7 +168,7 @@ def measure_step_latency():
     manager = SessionManager(compile_cache=None)
     with SessionServerThread(manager) as handle:
         with SessionClient(handle.url) as client:
-            sid = client.create(dict(SPEC, sim_backend="fast"))["session_id"]
+            sid = client.create(SPEC)["session_id"]
             client.load(sid, assembly=STEP_FIRMWARE, region="flash")
             latencies = []
             for _ in range(STEPS):

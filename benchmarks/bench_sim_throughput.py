@@ -1,16 +1,14 @@
-"""Simulator throughput across the three execution tiers: the reference
-``step()`` interpreter, the decoded-op dispatch loop (``fast``), and the
-basic-block translation backend (``translated``).
+"""Simulator throughput on both execution paths: the reference
+``step()`` interpreter and translated basic blocks (``auto``).
 
 Firmware integration workloads (the dot-product CFU firmware and a
 memcpy/UART firmware, both on the full SoC bus) plus a bare-machine ALU
-loop run through every backend of ``Machine.run``, :data:`REPEATS` times
-interleaved.  The ``throughput`` section of ``BENCH_sim.json`` gates, per
-firmware row, the median fast-vs-reference ratio (functional mode, bar
-5x), translated-vs-fast (bar 3x) and translated-vs-reference (bar 15x),
-all three tiers bit-identical in every repeat.  Beside the rows sits the
+loop run through both backends of ``Machine.run``, :data:`REPEATS` times
+interleaved.  The ``throughput`` section of ``BENCH_sim.json`` gates,
+per firmware row, the median translated-vs-reference ratio (bar 15x),
+both paths bit-identical in every repeat.  Beside the rows sits the
 per-workload detail of the median repeat: instructions/sec, wall-clock
-and block promotion/compile overhead (reported separately from
+and block translation/compile overhead (reported separately from
 steady-state throughput).
 """
 
@@ -27,8 +25,6 @@ from repro.emu import Emulator
 from repro.soc import Soc
 
 REPS = 2000             # outer repetitions per firmware run
-SPEEDUP_MIN = 5.0       # fast vs reference, functional firmware rows
-TRANSLATED_MIN = 3.0    # translated vs fast, every firmware row
 TRANSLATED_REF_MIN = 15.0  # translated vs reference, every firmware row
 
 N = 32  # dot-product length per repetition
@@ -166,16 +162,12 @@ def measure():
         modes = ["functional", "timed"] if is_firmware else ["functional"]
         for mode in modes:
             ref_seconds, ref_machine = timed_run(build, mode, backend="step")
-            fast_seconds, fast_machine = timed_run(build, mode,
-                                                   backend="fast")
             trans_seconds, trans_machine = timed_run(build, mode,
                                                      backend="auto")
-            instructions = fast_machine.instret
-            assert instructions == ref_machine.instret
+            instructions = ref_machine.instret
             assert instructions == trans_machine.instret
-            identical = (arch_state(fast_machine) == arch_state(ref_machine)
-                         == arch_state(trans_machine))
-            # Promotion/compile overhead is one-time work; steady-state
+            identical = arch_state(trans_machine) == arch_state(ref_machine)
+            # Translation/compile overhead is one-time work; steady-state
             # throughput excludes it so the two numbers stay separable.
             compile_seconds = trans_machine.block_compile_seconds
             steady_seconds = max(trans_seconds - compile_seconds, 1e-9)
@@ -190,28 +182,19 @@ def measure():
                     "instructions_per_second": round(
                         instructions / ref_seconds),
                 },
-                "fast": {
-                    "seconds": round(fast_seconds, 4),
-                    "instructions_per_second": round(
-                        instructions / fast_seconds),
-                    "decode_cache_entries":
-                        fast_machine.decode_cache_entries,
-                    "cache_invalidations": fast_machine.invalidation_count,
-                },
                 "translated": {
                     "seconds": round(trans_seconds, 4),
                     "compile_seconds": round(compile_seconds, 4),
                     "steady_seconds": round(steady_seconds, 4),
                     "instructions_per_second": round(translated_ips),
+                    "decode_cache_entries":
+                        trans_machine.decode_cache_entries,
                     "block_cache_entries":
                         trans_machine.block_cache_entries,
                     "block_promotions": trans_machine.block_promotions,
                     "block_invalidations":
                         trans_machine.block_invalidation_count,
                 },
-                "speedup": round(ref_seconds / fast_seconds, 2),
-                "translated_speedup_vs_fast": round(
-                    fast_seconds / steady_seconds, 2),
                 "translated_speedup_vs_reference": round(
                     ref_seconds / steady_seconds, 2),
                 "identical_state": identical,
@@ -225,31 +208,24 @@ def test_sim_throughput(report):
     for runs in zip(*repeats):
         first = runs[0]
         label = f"{first['workload']}/{first['mode']}"
-        workloads.append(median_run(runs, "translated_speedup_vs_fast"))
+        workloads.append(median_run(runs, "translated_speedup_vs_reference"))
         if not all(r["identical_state"] for r in runs):
-            broken.append(f"{label}: the three tiers diverged")
-        if not first["firmware"]:
-            continue
-        gates = [("translated_speedup_vs_fast", "translated vs fast",
-                  TRANSLATED_MIN),
-                 ("translated_speedup_vs_reference",
-                  "translated vs reference", TRANSLATED_REF_MIN)]
-        if first["mode"] == "functional":
-            gates.insert(0, ("speedup", "fast vs reference", SPEEDUP_MIN))
-        rows += [row(f"{label} {name}", "ratio", "higher",
-                     [r[key] for r in runs], bar)
-                 for key, name, bar in gates]
+            broken.append(f"{label}: the two paths diverged")
+        if first["firmware"]:
+            rows.append(row(f"{label} translated vs reference", "ratio",
+                            "higher",
+                            [r["translated_speedup_vs_reference"]
+                             for r in runs], TRANSLATED_REF_MIN))
     write_section("sim", "throughput", rows, reps=REPS, workloads=workloads)
 
     report(f"Simulator throughput (reps={REPS}, median of {REPEATS})")
-    report(f"{'workload':<18} {'mode':<11} {'ref ips':>10} {'fast ips':>10} "
-           f"{'xlat ips':>10} {'vs fast':>8} {'compile':>8}  state")
+    report(f"{'workload':<18} {'mode':<11} {'ref ips':>10} "
+           f"{'xlat ips':>10} {'vs ref':>8} {'compile':>8}  state")
     for r in workloads:
         report(f"{r['workload']:<18} {r['mode']:<11} "
                f"{r['reference']['instructions_per_second']:>10,} "
-               f"{r['fast']['instructions_per_second']:>10,} "
                f"{r['translated']['instructions_per_second']:>10,} "
-               f"{r['translated_speedup_vs_fast']:>7.2f}x "
+               f"{r['translated_speedup_vs_reference']:>7.2f}x "
                f"{r['translated']['compile_seconds']:>7.4f}s  "
                f"{'identical' if r['identical_state'] else 'MISMATCH'}")
     check(report, rows, broken)

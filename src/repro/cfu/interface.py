@@ -59,7 +59,7 @@ class CfuModel:
         return result & _MASK32, self.latency(funct3, funct7)
 
     def fast_call(self, funct3, funct7):
-        """Optional single-latency fast path for the translation tier.
+        """Optional single-latency fast path for translated blocks.
 
         Return a callable ``f(a, b) -> result`` equivalent to
         ``execute(funct3, funct7, a, b)`` for this fixed opcode pair —

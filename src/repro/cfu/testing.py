@@ -116,10 +116,10 @@ def run_firmware(soc_factory, cfu, source, region="sram",
 
     ``soc_factory`` builds the SoC (a fresh one per run, so two runs
     never share peripheral or RAM state).  ``sim_backend`` picks the ISA
-    execution tier (see :data:`repro.cpu.machine.SIM_BACKENDS`).
+    execution path (see :data:`repro.cpu.machine.SIM_BACKENDS`).
     ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
     directory path, or ``True`` for the process default) lets repeated
-    runs of the same firmware skip tier-2 code generation.
+    runs of the same firmware skip block code generation.
     """
     from ..emu import Emulator
 
@@ -148,7 +148,7 @@ def assert_firmware_equivalent(soc_factory, rtl_cfu, model, source,
     register file, and UART output.  Cycle counts are reported on the
     returned pair but not asserted (model latencies may legitimately
     differ from gateware).  ``sim_backend`` applies to both runs, so the
-    harness itself can be exercised on any execution tier.
+    harness itself can be exercised on either execution path.
     """
     if isinstance(rtl_cfu, RtlCfu):
         rtl_cfu = RtlCfuAdapter(rtl_cfu, backend=backend)

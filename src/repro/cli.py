@@ -235,7 +235,7 @@ def _cmd_dse_work(args):
 
 def _session_manager(args):
     """The fleet ``repro sessions serve`` serves.  ``--compile-cache-dir``
-    points the process-wide code cache at its directory, so tier-2
+    points the process-wide code cache at its directory, so translated
     blocks, RTL modules and their transactions share one store."""
     from .core import codecache
     from .emu.sessions import SessionManager
@@ -336,12 +336,10 @@ def build_parser():
                               "Lines (with --simulate)")
     profile.add_argument(
         "--sim-backend", choices=SIM_BACKENDS, default="auto",
-        help="ISA simulator execution tier: auto promotes hot basic "
-             "blocks to generated code (falling back to the fast "
-             "dispatch loop on unsupported constructs), fast pins the "
-             "dispatch loop, step is the reference interpreter; all "
-             "tiers are cycle-identical (mirrors the RTL backend= "
-             "convention)")
+        help="ISA simulator execution path: auto runs every basic "
+             "block as generated code (stepping what a block cannot "
+             "cover), step is the reference interpreter; both are "
+             "cycle-identical (mirrors the RTL backend= convention)")
     profile.set_defaults(func=_cmd_profile)
 
     golden = sub.add_parser("golden", help="run a project's golden test")
@@ -456,9 +454,12 @@ def build_parser():
                                 help="live sessions kept resident before "
                                      "LRU eviction")
     sessions_serve.add_argument("--compile-cache-dir", default=None,
-                                help="persistent tier-2/RTL compile cache "
+                                help="persistent block/RTL compile cache "
                                      "directory (default: the process-wide "
-                                     "cache, REPRO_CODECACHE_DIR-aware)")
+                                     "cache, REPRO_CODECACHE_DIR-aware); "
+                                     "its entries are exec'd, so it is "
+                                     "trusted as code: use a directory "
+                                     "only you can write")
     sessions_serve.add_argument("--no-compile-cache", action="store_true",
                                 help="disable persistent compile reuse")
     sessions_serve.set_defaults(func=_cmd_sessions_serve)

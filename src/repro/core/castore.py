@@ -9,8 +9,9 @@ differ only in how they derive a key and encode a value.  They share:
   documents hash equally whatever their dict insertion order;
 - :func:`atomic_write_json` — temp file + rename, so a crash or a
   concurrent reader never observes a half-written file;
-- :func:`read_json` — missing, torn, garbage, non-object and
-  foreign-schema files all read as :data:`MISS`, never as an exception;
+- :func:`read_json` — missing, torn, garbage, too deeply nested,
+  non-object and foreign-schema files all read as :data:`MISS`, never
+  as an exception;
 - :class:`ContentStore` — an in-memory dict in front of sharded files
   ``root/<key[:2]>/<key>.json``, with hit/miss/store tallies.  A
   directory that cannot be written degrades the store to memory only:
@@ -59,11 +60,12 @@ def atomic_write_json(path, payload):
 
 def read_json(path, schema):
     """The JSON object at ``path`` if it carries ``schema``; MISS for a
-    missing, torn, garbage, non-object or foreign-schema file."""
+    missing, torn, garbage, too deeply nested, non-object or
+    foreign-schema file."""
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return MISS
     if not isinstance(document, dict) or document.get("schema") != schema:
         return MISS

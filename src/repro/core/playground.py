@@ -132,9 +132,9 @@ class Playground:
         :exc:`~repro.core.simprofile.ProfileDriftError` if estimator and
         simulator disagree beyond ``drift_band``.  Returns a
         :class:`~repro.core.simprofile.SimulatedProfile` in that case.
-        ``sim_backend`` selects the simulator's execution tier (see
+        ``sim_backend`` selects the simulator's execution path (see
         :data:`repro.cpu.machine.SIM_BACKENDS`); cycle counts are
-        identical across tiers.
+        identical across paths.
         """
         with self.telemetry.span("profile", model=self.model.name,
                                  checkpoint=checkpoint,

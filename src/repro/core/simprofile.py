@@ -519,8 +519,8 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
     cycles gets a synthesized firmware run of about ``budget``
     instructions.  ``check=True`` raises :exc:`ProfileDriftError` when
     any class's simulated/analytic ratio leaves ``drift_band``.
-    ``sim_backend`` selects the ISA execution tier (see
-    :data:`repro.cpu.machine.SIM_BACKENDS`); all tiers produce identical
+    ``sim_backend`` selects the ISA execution path (see
+    :data:`repro.cpu.machine.SIM_BACKENDS`); both produce identical
     cycle counts, so this only trades wall-clock for warm-up cost.
     """
     if estimate is None:

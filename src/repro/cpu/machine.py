@@ -16,14 +16,15 @@ Two execution paths share the same architectural semantics:
   execute one instruction.  Nothing is cached; this is the slow path
   the differential suite (``tests/test_sim_differential.py``) holds the
   fast path against.
-- :meth:`Machine.run` (default ``backend="auto"``) — the fast path: a
-  decoded-instruction cache keyed by physical address feeds a
-  pre-specialized dispatch loop that keeps the hot state (pc, cycle and
-  instruction counters, the register file) in locals.  ``isa.decode``
-  runs once per *static* instruction; each decoded instruction is bound
-  to a dispatch kind with its operand fields already extracted (and
-  pc-relative targets precomputed).  Stores invalidate the cache at
-  page granularity, so self-modifying code stays correct.
+- :meth:`Machine.run` (default ``backend="auto"``) — the fast path:
+  every dispatch pc runs a translated basic block
+  (:mod:`repro.cpu.translate`), generated on the pc's first dispatch
+  from a decoded-instruction cache keyed by physical address, with the
+  hot state (pc, cycle and instruction counters, hazard bookkeeping)
+  kept in locals between blocks.  A pc no block covers — a system
+  instruction, a translation refusal, or a remaining budget shorter
+  than the block — runs on ``step()``.  Stores invalidate decodes and
+  blocks at page granularity, so self-modifying code stays correct.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ _PAGE_SIZE = 1 << _PAGE_BITS
 _MASK32 = 0xFFFFFFFF
 
 #: Simulator backend names accepted by :meth:`Machine.run` (and
-#: everything that forwards to it).  ``auto`` is the tiered mode:
-#: decoded-op dispatch with hot blocks promoted to the translation tier
-#: (falling back to tier 1 wherever translation is refused); ``fast``
-#: pins tier 1 only, ``step`` is the reference interpreter.
-SIM_BACKENDS = ("auto", "fast", "step")
+#: everything that forwards to it).  ``auto`` runs translated blocks,
+#: stepping whatever a block cannot cover; ``step`` is the reference
+#: interpreter.
+SIM_BACKENDS = ("auto", "step")
 
 
 def check_backend(backend):
@@ -82,8 +82,8 @@ class MemorySnapshot:
 class CowPagesMixin:
     """The copy-on-write bookkeeping shared by :class:`SparseMemory`
     and the SoC bus: live snapshots, the protected-page set, and the
-    registered page caches (tier-2 blocks bake page lookups — they must
-    be evicted whenever a page's writability or identity changes).
+    registered page caches (translated blocks bake page lookups — they
+    must be evicted whenever a page's writability or identity changes).
 
     The protected set's *identity* is load-bearing: generated code and
     resolver closures capture it directly, so it is only ever mutated
@@ -257,11 +257,11 @@ class SparseMemory(CowPagesMixin):
 # --- decoded-instruction dispatch kinds -------------------------------------------
 #
 # Each cached entry is a 7-tuple ``(kind, a, b, c, d, ins, reads)``:
-# ``kind`` selects the handler in the fast loop, ``a``..``d`` carry the
-# pre-extracted operand fields (meaning depends on the kind), ``ins`` is
-# the full decoded :class:`~repro.cpu.isa.Instruction`, and ``reads`` is
-# the register-read tuple the timing model's hazard interlock checks.
-# Kind numbering is grouped so the fast loop can dispatch on ranges:
+# ``kind`` selects what the block translator emits, ``a``..``d`` carry
+# the pre-extracted operand fields (meaning depends on the kind),
+# ``ins`` is the full decoded :class:`~repro.cpu.isa.Instruction`, and
+# ``reads`` is the register-read tuple the timing model's hazard
+# interlock checks.  Kind numbering is grouped so code can test ranges:
 #   0..12   simple ALU (no extra timing cost)
 #   14..19  shifts          20..23 multiplies        24..27 divides
 #   32..36  loads           40..42 stores            64..69 branches
@@ -326,28 +326,6 @@ def _hazard_reads(ins):
                       OPCODE_CUSTOM0):
         reads = reads + (ins.rs2,)
     return reads
-
-
-def _muldiv_kind(kind, rs1, rs2):
-    """M-extension arithmetic for the fast loop (timing cost is the
-    caller's job)."""
-    s1 = rs1 - (1 << 32) if rs1 & 0x80000000 else rs1
-    s2 = rs2 - (1 << 32) if rs2 & 0x80000000 else rs2
-    if kind == _K_MUL:
-        return s1 * s2
-    if kind == _K_MULH:
-        return (s1 * s2) >> 32
-    if kind == _K_MULHSU:
-        return (s1 * rs2) >> 32
-    if kind == _K_MULHU:
-        return (rs1 * rs2) >> 32
-    if kind == _K_DIV:
-        return -1 if s2 == 0 else _div_trunc(s1, s2)
-    if kind == _K_DIVU:
-        return _MASK32 if rs2 == 0 else rs1 // rs2
-    if kind == _K_REM:
-        return s1 if s2 == 0 else s1 - _div_trunc(s1, s2) * s2
-    return rs1 if rs2 == 0 else rs1 % rs2
 
 
 def _specialize(pc, ins):
@@ -484,18 +462,16 @@ class Machine:
         self._decode_pages = {}
         self.decode_count = 0          # static decodes performed
         self.invalidation_count = 0    # pages invalidated by stores/flushes
-        # Tier-2 block cache (repro.cpu.translate): pc -> BlockEntry,
-        # plus the page -> [entry pc] map mirroring the decode cache's
+        # Block cache (repro.cpu.translate): pc -> BlockEntry, plus the
+        # page -> [entry pc] map mirroring the decode cache's
         # invalidation contract.  NOTE: generated blocks bake direct
         # references to _decode_pages/_block_pages — mutate those dicts
         # in place, never rebind them.
         self._blocks = {}
         self._block_pages = {}
-        self._block_hot = {}           # pc -> dispatch count until promotion
         self._block_fault = [0, 0, -1]  # (pc, cycles, instrs) at in-block fault
         self._block_timing = None      # timing model the blocks were baked for
         self._block_traffic = False    # bus traffic accounting at bake time
-        self.hot_threshold = 16        # block-entry dispatches before promotion
         self.block_promotions = 0      # successful block translations
         self.block_invalidation_count = 0
         self.block_compile_seconds = 0.0
@@ -538,20 +514,18 @@ class Machine:
             cache.pop(pc, None)
         self.invalidation_count += 1
 
-    # --- block (tier-2) cache -------------------------------------------------------
+    # --- block cache ----------------------------------------------------------------
     @property
     def block_cache_entries(self):
         """Translated blocks currently cached (sentinels excluded)."""
-        return sum(1 for entry in self._blocks.values()
-                   if entry.fn is not None)
+        return sum(1 for entry in self._blocks.values() if entry.length)
 
     def flush_block_cache(self):
-        """Drop every translated block (and the promotion counters)."""
+        """Drop every translated block."""
         if self._block_pages:
             self.block_invalidation_count += len(self._block_pages)
         self._blocks.clear()
         self._block_pages.clear()
-        self._block_hot.clear()
         self._data_page_cache.clear()
         self._page_resolver = None  # timing/traffic may have changed
 
@@ -565,7 +539,7 @@ class Machine:
         """Invalidate decode + block caches for a store to ``addr``
         (called from inside generated blocks).  Returns True when
         anything was dropped, telling the block to bail back to the
-        dispatch loop."""
+        run loop."""
         hit = False
         page = addr >> _PAGE_BITS
         if page in self._decode_pages:
@@ -662,18 +636,24 @@ class Machine:
         longer be restored)."""
         self.memory.discard_snapshot(snap["memory"])
 
-    def _promote(self, pc):
-        """Translate the block at ``pc`` and install it (or a sentinel
-        on refusal, so tier 1 keeps handling this pc)."""
+    def _promote(self, pc, profiled=False):
+        """Translate the block at ``pc`` with the variant a run needs
+        and install it (a sentinel on refusal: the run loop steps this
+        pc), or compile that variant for a block an earlier run
+        translated."""
         from .translate import translate_block
 
         started = perf_counter()
-        entry = translate_block(self, pc)
+        entry = self._blocks.get(pc)
+        if entry is None:
+            entry = translate_block(self, pc, profiled)
+            self._blocks[pc] = entry
+            self._block_pages.setdefault(pc >> _PAGE_BITS, []).append(pc)
+            if entry.length:
+                self.block_promotions += 1
+        else:
+            entry.variant(self, profiled)
         self.block_compile_seconds += perf_counter() - started
-        self._blocks[pc] = entry
-        self._block_pages.setdefault(pc >> _PAGE_BITS, []).append(pc)
-        if entry.fn is not None:
-            self.block_promotions += 1
         return entry
 
     def _decode_pc(self, pc):
@@ -700,9 +680,9 @@ class Machine:
         telemetry.counter("sim_decodes", **labels).add(self.decode_count)
         telemetry.counter("sim_decode_invalidations",
                           **labels).add(self.invalidation_count)
-        # Cache-size gauges are labelled by the backend tier that last
-        # ran, so a decode-cache count from a pure tier-1 run is never
-        # conflated with one from a tiered (auto) run.
+        # Cache-size gauges are labelled by the backend that last ran,
+        # so a step run's empty caches are never conflated with an
+        # auto run's.
         tier = self.last_run_backend or "none"
         telemetry.gauge("sim_decode_cache_entries", tier=tier,
                         **labels).set(self.decode_cache_entries)
@@ -753,21 +733,19 @@ class Machine:
     def run(self, max_instructions=1_000_000, backend="auto"):
         """Execute until halt or the instruction budget is exhausted.
 
-        ``backend`` picks the execution tier (see :data:`SIM_BACKENDS`):
-        ``"auto"`` runs the tiered loop (decoded-op dispatch promoting
-        hot basic blocks to generated code), ``"fast"`` pins the tier-1
-        dispatch loop, ``"step"`` the reference interpreter.  All
-        backends are architecturally identical (the differential suite
-        asserts it).  The budget counts executed instructions: a program
-        that halts *on* its ``max_instructions``-th instruction completes
-        normally; the budget error is raised only when the machine is
-        still running after the budget is spent.
+        ``backend`` picks the execution path (see :data:`SIM_BACKENDS`):
+        ``"auto"`` runs translated blocks, ``"step"`` the reference
+        interpreter.  Both are architecturally identical (the
+        differential suite asserts it).  The budget counts executed
+        instructions: a program that halts *on* its
+        ``max_instructions``-th instruction completes normally; the
+        budget error is raised only when the machine is still running
+        after the budget is spent.
         """
         check_backend(backend)
         self.last_run_backend = backend
-        if backend != "step":
-            self._run_fast(max_instructions,
-                           translate=backend != "fast")
+        if backend == "auto":
+            self._run_blocks(max_instructions)
         else:
             executed = 0
             while executed < max_instructions and not self.halted:
@@ -777,45 +755,40 @@ class Machine:
             raise RuntimeError(f"instruction budget exhausted at pc=0x{self.pc:08x}")
         return self.exit_code
 
-    def _run_fast(self, max_instructions, profile=None, translate=False):
-        """The fast path: cached decode + pre-specialized dispatch with
-        hot state in locals.  Bit-identical to the ``step()`` loop,
-        timing model and CFU included.
-
-        ``translate=True`` adds the tier-2 block layer: block-entry pcs
-        (targets of control transfers) are counted, promoted to
-        generated code (:mod:`repro.cpu.translate`) once hot, and
-        dispatched whole; everything else stays on the tier-1 loop.
+    def _run_blocks(self, max_instructions, profile=None):
+        """The fast path: run the translated block at every dispatch pc,
+        translating it on first dispatch, with the hot state in locals.
+        A pc no block covers runs on :meth:`step`: one instruction at a
+        sentinel (a system instruction or a translation refusal), and
+        the rest of the budget when it is shorter than the block, so
+        truncation is instruction-exact.  Bit-identical to the
+        ``step()`` loop, timing model and CFU included.
 
         ``profile`` (a :class:`~repro.cpu.profiler.MachineProfiler`, or
-        anything exposing ``pc_buckets``/``bucket_for_pc``) enables
-        in-loop cycle attribution: every cycle spent between two
-        dispatches — fetch stalls, hazard interlocks, and execution cost
-        alike — is charged to the pc that was dispatched, exactly as the
-        reference ``step()``-based profiler attributes it.  A faulting
-        instruction's partial cycles stay unattributed on both paths.
-        The cost when profiling is one dict lookup per instruction; when
-        not profiling, a single local-bool branch."""
-        memory = self.memory
-        regs = self.regs
+        anything exposing ``pc_buckets``/``bucket_for_pc``) runs each
+        block's attribution-instrumented variant and charges each
+        ``step()``'s cycles to its pc, exactly as the reference
+        ``step()``-based profiler does.  A faulting instruction's
+        partial cycles stay unattributed on both paths."""
         timing = self.timing
-        timed = timing is not None
+        # Blocks bake the timing model's identity and the bus
+        # traffic-accounting mode; if either moved under us, the cache
+        # is for a different machine configuration.
+        traffic_now = getattr(self.memory, "_traffic", None) is not None
+        if self._block_timing is not timing or \
+                self._block_traffic != traffic_now:
+            self.flush_block_cache()
+            self._block_timing = timing
+            self._block_traffic = traffic_now
+        regs = self.regs
         cfu = self.cfu
-        cache = self._decode_cache
-        cache_get = cache.get
-        cache_pages = self._decode_pages
-        block_pages = self._block_pages
-        decode_pc = self._decode_pc
-        read8 = memory.read8
-        read16 = memory.read16
-        read32 = memory.read32
-        write8 = memory.write8
-        write16 = memory.write16
-        write32 = memory.write32
-        # Mirrors _check_align: alignment faults unless a timing model
-        # says the hardware error checking was removed.
-        check_align = not timed or timing.checks_alignment()
-        M = _MASK32
+        step = self.step
+        promote = self._promote
+        blocks_get = self._blocks.get
+        fault_box = self._block_fault
+        profiled = profile is not None
+        buckets_get = profile.pc_buckets.get if profiled else None
+        new_bucket = profile.bucket_for_pc if profiled else None
         pc = self.pc
         instret = self.instret
         cycles = self.cycles
@@ -823,406 +796,65 @@ class Machine:
         pending_is_load = self._pending_is_load
         halted = self.halted
         executed = 0
-        profiling = profile is not None
-        if profiling:
-            buckets_get = profile.pc_buckets.get
-            new_bucket = profile.bucket_for_pc
-        last_pc = 0
-        last_cycles = cycles
-        pending = False
-        if translate:
-            # Blocks bake the timing model's identity and the bus
-            # traffic-accounting mode; if either moved under us, the
-            # cache is for a different machine configuration.
-            traffic_now = getattr(memory, "_traffic", None) is not None
-            if self._block_timing is not timing or \
-                    self._block_traffic != traffic_now:
-                self.flush_block_cache()
-                self._block_timing = timing
-                self._block_traffic = traffic_now
-            blocks_get = self._blocks.get
-            hot = self._block_hot
-            hot_get = hot.get
-            threshold = self.hot_threshold
-            fault_box = self._block_fault
-            # Pretend we arrived by jump so the entry pc counts as a
-            # block leader.
-            prev_k = _K_JAL
         try:
             while executed < max_instructions and not halted:
-                if translate:
-                    entry = blocks_get(pc)
-                    if entry is not None:
-                        fn = entry.fn
-                        if fn is not None and \
-                                executed + entry.length <= max_instructions:
-                            if profiling:
-                                if pending:
-                                    bucket = buckets_get(last_pc)
-                                    if bucket is None:
-                                        bucket = new_bucket(last_pc)
-                                    bucket[0] += cycles - last_cycles
-                                    bucket[1] += 1
-                                    pending = False
-                                fn = entry.fn_prof
-                                if fn is None:
-                                    fn = entry.ensure_profiled(self)
-                                fault_box[2] = -1
-                                pc, cycles, n, pending_rd, pending_is_load = \
-                                    fn(regs, cycles, pending_rd,
-                                       pending_is_load, cfu,
-                                       max_instructions - executed,
-                                       buckets_get, new_bucket)
-                            else:
-                                fault_box[2] = -1
-                                pc, cycles, n, pending_rd, pending_is_load = \
-                                    fn(regs, cycles, pending_rd,
-                                       pending_is_load, cfu,
-                                       max_instructions - executed)
-                            instret += n
-                            executed += n
-                            prev_k = _K_JAL
-                            continue
-                    # Count block leaders only: pcs reached through a
-                    # control transfer (or a block exit).  Sequential
-                    # pcs inside a would-be block never promote on
-                    # their own.
-                    elif 64 <= prev_k < 96 or prev_k == _K_ECALL:
-                        count = hot_get(pc, 0) + 1
-                        if count >= threshold:
-                            hot.pop(pc, None)
-                            self._promote(pc)
-                            continue
-                        hot[pc] = count
-                op = cache_get(pc)
-                if op is None:
-                    op = decode_pc(pc)
-                if translate:
-                    prev_k = op[0]
-                if profiling:
-                    if pending:
-                        bucket = buckets_get(last_pc)
-                        if bucket is None:
-                            bucket = new_bucket(last_pc)
-                        bucket[0] += cycles - last_cycles
-                        bucket[1] += 1
-                    last_pc = pc
-                    last_cycles = cycles
-                    pending = True
-                k = op[0]
-                if timed:
-                    cycles += timing.fetch(pc)
-                    if pending_rd and pending_rd in op[6]:
-                        cycles += timing.hazard_cycles(pending_is_load)
-                if k < 14:  # simple ALU + precomputed constants
-                    if k == _K_ADDI:
-                        v = regs[op[2]] + op[3]
-                    elif k == _K_ADD:
-                        v = regs[op[2]] + regs[op[3]]
-                    elif k == _K_ANDI:
-                        v = regs[op[2]] & op[3]
-                    elif k == _K_AND:
-                        v = regs[op[2]] & regs[op[3]]
-                    elif k == _K_ORI:
-                        v = regs[op[2]] | op[3]
-                    elif k == _K_OR:
-                        v = regs[op[2]] | regs[op[3]]
-                    elif k == _K_XORI:
-                        v = regs[op[2]] ^ op[3]
-                    elif k == _K_XOR:
-                        v = regs[op[2]] ^ regs[op[3]]
-                    elif k == _K_SUB:
-                        v = regs[op[2]] - regs[op[3]]
-                    elif k == _K_CONST:
-                        v = op[3]
-                    elif k == _K_SLTIU:
-                        v = 1 if regs[op[2]] < op[3] else 0
-                    elif k == _K_SLTU:
-                        v = 1 if regs[op[2]] < regs[op[3]] else 0
-                    elif k == _K_SLTI:
-                        r = regs[op[2]]
-                        v = 1 if (r - (1 << 32) if r & 0x80000000 else r) < op[3] else 0
-                    else:  # _K_SLT
-                        r = regs[op[2]]
-                        s = regs[op[3]]
-                        v = 1 if ((r - (1 << 32) if r & 0x80000000 else r)
-                                  < (s - (1 << 32) if s & 0x80000000 else s)) else 0
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = v & M
-                    if timed:
-                        pending_rd = 0 if k == _K_CONST else rd
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
+                entry = blocks_get(pc)
+                if entry is not None:
+                    fn = entry.fn_prof if profiled else entry.fn
+                if entry is None or fn is None and entry.length:
+                    entry = promote(pc, profiled)
+                    fn = entry.fn_prof if profiled else entry.fn
+                if fn is not None and \
+                        executed + entry.length <= max_instructions:
+                    fault_box[2] = -1
+                    pc, cycles, n, pending_rd, pending_is_load = \
+                        fn(regs, cycles, pending_rd, pending_is_load, cfu,
+                           max_instructions - executed, buckets_get,
+                           new_bucket)
+                    instret += n
+                    executed += n
                     continue
-                if k < 37:  # shifts, mul/div, loads
-                    rd = op[1]
-                    if k < 20:  # shifts
-                        if k < 17:
-                            shamt = op[3]
+                count = 1 if fn is None else max_instructions - executed
+                self.pc = pc
+                self.instret = instret
+                self.cycles = cycles
+                self._pending_rd = pending_rd
+                self._pending_is_load = pending_is_load
+                try:
+                    while count and not self.halted:
+                        if profiled:
+                            stepped, before = self.pc, self.cycles
+                            step()
+                            bucket = buckets_get(stepped)
+                            if bucket is None:
+                                bucket = new_bucket(stepped)
+                            bucket[0] += self.cycles - before
+                            bucket[1] += 1
                         else:
-                            shamt = regs[op[3]] & 0x1F
-                        r = regs[op[2]]
-                        if k == _K_SLLI or k == _K_SLL:
-                            v = r << shamt
-                        elif k == _K_SRLI or k == _K_SRL:
-                            v = r >> shamt
-                        else:  # srai/sra
-                            v = (r - (1 << 32) if r & 0x80000000 else r) >> shamt
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += timing.shift_cycles(shamt)
-                            pending_rd = rd
-                            pending_is_load = False
-                        else:
-                            cycles += 1
-                    elif k < 32:  # mul/div
-                        v = _muldiv_kind(k, regs[op[2]], regs[op[3]])
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += (timing.mul_cycles() if k < 24
-                                       else timing.div_cycles())
-                            pending_rd = rd
-                            pending_is_load = False
-                        else:
-                            cycles += 1
-                    else:  # loads
-                        addr = (regs[op[2]] + op[3]) & M
-                        if k == _K_LW:
-                            if check_align and addr & 3:
-                                raise MemoryAccessError(
-                                    f"misaligned 4-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read32(addr)
-                        elif k == _K_LBU:
-                            v = read8(addr)
-                        elif k == _K_LB:
-                            v = read8(addr)
-                            if v & 0x80:
-                                v -= 256
-                        elif k == _K_LHU:
-                            if check_align and addr & 1:
-                                raise MemoryAccessError(
-                                    f"misaligned 2-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read16(addr)
-                        else:  # _K_LH
-                            if check_align and addr & 1:
-                                raise MemoryAccessError(
-                                    f"misaligned 2-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read16(addr)
-                            if v & 0x8000:
-                                v -= 65536
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += timing.load_cycles(addr)
-                            pending_rd = rd
-                            pending_is_load = True
-                        else:
-                            cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k < 64:  # stores
-                    addr = (regs[op[1]] + op[3]) & M
-                    v = regs[op[2]]
-                    if k == _K_SW:
-                        if check_align and addr & 3:
-                            raise MemoryAccessError(
-                                f"misaligned 4-byte access at 0x{addr:08x}"
-                                f" (pc=0x{pc:08x})")
-                        write32(addr, v)
-                        span = 3
-                    elif k == _K_SB:
-                        write8(addr, v)
-                        span = 0
-                    else:  # _K_SH
-                        if check_align and addr & 1:
-                            raise MemoryAccessError(
-                                f"misaligned 2-byte access at 0x{addr:08x}"
-                                f" (pc=0x{pc:08x})")
-                        write16(addr, v)
-                        span = 1
-                    page = addr >> _PAGE_BITS
-                    if page in cache_pages:
-                        self._invalidate_page(page)
-                    if page in block_pages:
-                        self._invalidate_block_page(page)
-                    last = (addr + span) >> _PAGE_BITS
-                    if last != page:
-                        if last in cache_pages:
-                            self._invalidate_page(last)
-                        if last in block_pages:
-                            self._invalidate_block_page(last)
-                    if timed:
-                        cycles += timing.store_cycles(addr)
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k < 80:  # branches
-                    a = regs[op[1]]
-                    b = regs[op[2]]
-                    if k == _K_BNE:
-                        taken = a != b
-                    elif k == _K_BEQ:
-                        taken = a == b
-                    elif k == _K_BLTU:
-                        taken = a < b
-                    elif k == _K_BGEU:
-                        taken = a >= b
-                    else:
-                        sa = a - (1 << 32) if a & 0x80000000 else a
-                        sb = b - (1 << 32) if b & 0x80000000 else b
-                        taken = sa < sb if k == _K_BLT else sa >= sb
-                    if timed:
-                        cycles += 1 + timing.branch_penalty(pc, taken, op[4])
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = op[3] if taken else pc + 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_JAL:
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = op[2]
-                    if timed:
-                        cycles += 1 + timing.jump_penalty(direct=True)
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = op[3]
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_JALR:
-                    target = (regs[op[2]] + op[3]) & ~1 & M
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = op[4]
-                    if timed:
-                        cycles += 1 + timing.jump_penalty(direct=False)
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = target
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_CFU:
-                    if cfu is None:
-                        raise RuntimeError(
-                            f"CFU instruction at pc=0x{pc:08x} but no CFU attached"
-                        )
-                    f3, f7 = op[4]
-                    result, latency = cfu.execute(f3, f7, regs[op[2]], regs[op[3]])
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = result & M
-                    if timed:
-                        cycles += 1 + max(0, latency - 1)
-                        pending_rd = rd
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_EBREAK:
-                    self.halted = True
-                    halted = True
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_ECALL:
-                    # The handler may inspect machine state: sync first.
-                    self.pc = pc
-                    self.instret = instret
-                    self.cycles = cycles
-                    self._pending_rd = pending_rd
-                    self._pending_is_load = pending_is_load
-                    pc = self.ecall_handler(pc + 4)
+                            step()
+                        count -= 1
+                        executed += 1
+                finally:
+                    # A step() that raised left its committed state
+                    # (fetch cycles included) on the machine.
+                    pc = self.pc
+                    instret = self.instret
+                    cycles = self.cycles
+                    pending_rd = self._pending_rd
+                    pending_is_load = self._pending_is_load
                     halted = self.halted
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_CSR:
-                    csr = op[3]
-                    if csr == 0xB00 or csr == 0xC00:
-                        v = cycles
-                    elif csr == 0xC02 or csr == 0xB02:
-                        v = instret
-                    else:
-                        v = 0
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = v & M
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_FENCE:
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                raise RuntimeError(op[3])  # _K_RAISE
-            # Attribute the final instruction.  This sits inside the
-            # try (not the finally) on purpose: a faulting instruction
-            # never reaches here, matching the reference profiler where
-            # a raising step() is not attributed either.
-            if profiling and pending:
-                bucket = buckets_get(last_pc)
-                if bucket is None:
-                    bucket = new_bucket(last_pc)
-                bucket[0] += cycles - last_cycles
-                bucket[1] += 1
         except BaseException:
-            if translate and fault_box[2] >= 0:
+            if fault_box[2] >= 0:
                 # The fault happened inside a generated block, which
                 # left the committed-so-far state in the fault box.
+                # step() clears the hazard bookkeeping before dispatch,
+                # so a faulting instruction leaves no pending writeback.
                 pc = fault_box[0]
                 cycles = fault_box[1]
                 instret += fault_box[2]
                 fault_box[2] = -1
-            # step() clears the hazard bookkeeping before dispatch, so a
-            # faulting instruction leaves no pending writeback behind.
-            pending_rd = 0
-            pending_is_load = False
+                pending_rd = 0
+                pending_is_load = False
             raise
         finally:
             self.pc = pc

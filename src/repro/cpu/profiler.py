@@ -8,12 +8,13 @@ mcycle counter.
 
 Two collection paths produce bit-identical attributions:
 
-- ``run()`` (``backend="auto"`` or ``"fast"``) piggybacks on the
-  decoded-instruction fast path: :meth:`Machine._run_fast` charges each
-  dispatch's cycles into a per-pc bucket (one dict lookup per
-  instruction), and symbol resolution happens once per *static* pc via
-  bisect when the profile is finalized.  Profiling cost is a small
-  constant factor over the unprofiled fast path
+- ``run()`` (``backend="auto"``) piggybacks on the translated-block fast
+  path: :meth:`Machine._run_blocks` runs each block's
+  attribution-instrumented variant, which charges every instruction's
+  cycles into a per-pc bucket, and charges each instruction it runs on
+  ``step()`` the same way; symbol resolution happens once per *static*
+  pc via bisect when the profile is finalized.  Profiling cost is a
+  small constant factor over the unprofiled fast path
   (``benchmarks/bench_profile_overhead.py`` holds it under 3x).
 - ``run(backend="step")`` wraps the reference ``step()`` loop,
   attributing the machine's cycle delta around every single step — the
@@ -136,7 +137,7 @@ class MachineProfiler:
 
     def bucket_for_pc(self, pc):
         """Slow-path bucket creation: called once per static pc by the
-        fast loop (via the decode-cache-style get-or-create pattern)."""
+        fast path (via the decode-cache-style get-or-create pattern)."""
         bucket = [0, 0]
         self.pc_buckets[pc] = bucket
         return bucket
@@ -144,10 +145,10 @@ class MachineProfiler:
     def run(self, max_instructions=5_000_000, backend="auto"):
         """Run to halt (or budget) and return the :class:`Profile`.
 
-        ``backend`` picks the execution tier exactly as in
+        ``backend`` picks the execution path exactly as in
         :meth:`Machine.run <repro.cpu.machine.Machine.run>`.
-        Attribution is identical across tiers: translated blocks charge
-        cycles to the same pc buckets the dispatch loops would.
+        Attribution is identical across paths: translated blocks charge
+        cycles to the same pc buckets the ``step()`` loop does.
 
         A budget exhaustion returns the partial profile with
         ``truncated=True`` instead of discarding it.
@@ -155,9 +156,8 @@ class MachineProfiler:
         check_backend(backend)
         machine = self.machine
         machine.last_run_backend = backend
-        if backend != "step":
-            machine._run_fast(max_instructions, profile=self,
-                              translate=backend != "fast")
+        if backend == "auto":
+            machine._run_blocks(max_instructions, profile=self)
         else:
             remaining = max_instructions
             buckets = self.pc_buckets

@@ -2,7 +2,7 @@
 
 A worker is a plain loop: pull a suggestion batch from the service
 (``POST /work`` — round-robined across every active study), evaluate
-each trial with the tiered-simulator-backed :class:`Fig7Evaluator`
+each trial with the simulator-backed :class:`Fig7Evaluator`
 (served from the content-addressed evaluation cache when warm), and
 complete the trial over the wire.  Workers are deliberately stateless:
 any number can run in threads, processes, or on other hosts, a killed

@@ -27,7 +27,7 @@ class Emulator:
 
     ``compile_cache`` accepts a :class:`~repro.core.codecache.CodeCache`
     (or a directory path, or ``True`` for the process-wide default): the
-    machine then binds tier-2 translated blocks from cached generated
+    machine then binds translated blocks from cached generated
     source instead of re-running the code generator — across processes
     when the cache is directory-backed.
     """
@@ -39,7 +39,7 @@ class Emulator:
         self.soc = soc
         self.bus = soc.bus()
         self.rtl_backend = rtl_backend
-        #: default ISA execution tier for run()/profile(); see
+        #: default ISA execution path for run()/profile(); see
         #: :data:`repro.cpu.machine.SIM_BACKENDS`.
         self.sim_backend = sim_backend
         if isinstance(cfu, RtlCfu):

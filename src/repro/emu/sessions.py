@@ -2,9 +2,9 @@
 
 Interactive TinyML bring-up (Section II-E) is a loop — load firmware,
 run, inspect, tweak, run again — and the expensive parts of each lap
-are *setup*: building the SoC, decoding firmware, promoting hot blocks
-to tier-2 translated code, compiling the CFU's RTL.  This module keeps
-all of that warm across laps:
+are *setup*: building the SoC, decoding firmware, translating its
+basic blocks to generated code, compiling the CFU's RTL.  This module
+keeps all of that warm across laps:
 
 - **Sessions** — each session is a live :class:`~repro.emu.Emulator`
   (board + CPU + optional CFU) that persists between requests, so the
@@ -16,7 +16,7 @@ all of that warm across laps:
   losing a single cached decode or translated block for untouched
   pages.
 
-- **Shared persistent compile cache** — every session binds tier-2
+- **Shared persistent compile cache** — every session binds translated
   blocks and compiled RTL modules from one process-wide
   :class:`~repro.core.codecache.CodeCache`, so a firmware compiles
   once, ever, no matter how many sessions (or processes, when the
@@ -84,7 +84,7 @@ def _build_cfu(name, impl):
 
 
 def _check_sim_backend(backend):
-    """An ISA execution tier from a wire payload, or a 400."""
+    """An ISA execution path from a wire payload, or a 400."""
     try:
         check_backend(backend)
     except ValueError as error:

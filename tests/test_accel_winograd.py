@@ -282,21 +282,20 @@ def _winograd_firmware(iters=20):
 
 
 def test_translated_tier_lockstep():
-    """The DW loop produces identical results on the fast interpreter
-    and inside promoted translated blocks (fast_call uploads and the
-    generic RUN path both cross the tier boundary)."""
+    """The DW loop produces identical results on the reference
+    interpreter and inside translated blocks (fast_call uploads and the
+    generic RUN path both run in-block)."""
     source = _winograd_firmware()
     results = {}
-    for backend in ("fast", "auto"):
+    for backend in ("step", "auto"):
         machine = Machine(cfu=WinogradCfu(**small_cfu()))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(max_instructions=200_000, backend=backend)
         results[backend] = machine.regs[10]
         if backend == "auto":
             assert machine.block_promotions > 0
-    assert results["fast"] == results["auto"]
-    assert results["fast"] != 0
+    assert results["step"] == results["auto"]
+    assert results["step"] != 0
 
 
 # --- resources ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """CodeCache unit tests: content addressing, layering, crash safety —
-plus the two consumers (tier-2 translation, compiled RTL) proving the
-"compile once per firmware/netlist, ever" contract across processes.
+plus the two consumers (block translation, compiled RTL) proving the
+"generate once per firmware/netlist, ever" contract across processes,
+that a malformed entry is regenerated, and that each distinct source
+compiles once per process.
 """
 
 import json
@@ -119,7 +121,6 @@ def _run_hot(cache):
 
     machine = Machine()
     machine.compile_cache = cache
-    machine.hot_threshold = 1
     machine.load_assembly(HOT_LOOP)
     machine.run(100_000, backend="auto")
     return machine
@@ -149,7 +150,6 @@ def test_tier2_key_depends_on_timing_config(tmp_path):
         emulator = Emulator(Soc(ARTY_A7_35T), with_timing=with_timing,
                             sim_backend="auto",
                             compile_cache=cache)
-        emulator.machine.hot_threshold = 1
         emulator.load_assembly(HOT_LOOP, region="flash")
         emulator.run(100_000)
     # timed and untimed variants are distinct entries, never shared
@@ -157,25 +157,81 @@ def test_tier2_key_depends_on_timing_config(tmp_path):
     assert cache.stats.disk_hits == 0
 
 
+#: Ways a persisted block entry can be malformed; each reads as a miss.
+MALFORMED = {
+    "not-a-dict": lambda value: "not-a-dict",
+    "no-source": lambda value: {key: item for key, item in value.items()
+                                if key != "source"},
+    "need-not-a-list": lambda value: dict(value, need="_mr8"),
+    "unknown-need": lambda value: dict(value, need=value["need"] + ["_x"]),
+    "cfu-sites-not-an-int": lambda value: dict(value, cfu_sites="0"),
+}
+
+
+def _malform_entries(root, malform):
+    paths = sorted(root.glob("*/*.json"))
+    for path in paths:
+        document = json.loads(path.read_text())
+        document["value"] = malform(document["value"])
+        path.write_text(json.dumps(document))
+    return len(paths)
+
+
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=list(MALFORMED))
+def test_tier2_malformed_entry_is_regenerated(tmp_path, malform):
+    clean = _run_hot(CodeCache(str(tmp_path)))
+    entries = _malform_entries(tmp_path, malform)
+    assert entries == clean.block_promotions > 0
+
+    cache = CodeCache(str(tmp_path))
+    machine = _run_hot(cache)
+    assert machine.block_promotions == clean.block_promotions
+    assert machine.block_cache_loads == 0
+    # every entry was read, rejected, regenerated and stored again
+    assert cache.stats.disk_hits == cache.stats.stores == entries
+    assert (machine.regs, machine.cycles, machine.instret) == \
+        (clean.regs, clean.cycles, clean.instret)
+    assert _run_hot(CodeCache(str(tmp_path))).block_cache_loads == entries
+
+
+def test_each_distinct_source_compiles_once_per_process(monkeypatch):
+    import builtins
+
+    compiled = []
+    real_compile = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<generated>":
+            compiled.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    codecache._compile_source.cache_clear()
+    monkeypatch.setattr(builtins, "compile", counting)
+    # No compile cache: both machines generate every block's source.
+    machines = [_run_hot(None), _run_hot(None)]
+    sources = [entry.source for machine in machines
+               for entry in machine._blocks.values() if entry.length]
+    assert len(sources) == 2 * len(set(sources)) > 0
+    assert sorted(compiled) == sorted(set(sources))
+
+
 # --- consumer: compiled RTL modules -----------------------------------------------
 
 def test_rtl_modules_compile_once_per_netlist(tmp_path):
     from repro.accel import SimdAddRtl
     from repro.cfu.rtl import RtlCfuAdapter
-    from repro.rtl import compile as rtl_compile
 
     original = codecache._default_cache
     try:
-        codecache.configure(str(tmp_path))
-        before = rtl_compile.codegen_count
+        cache = codecache.configure(str(tmp_path))
         first = RtlCfuAdapter(SimdAddRtl(), backend="compiled")
-        assert rtl_compile.codegen_count == before + 1
+        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
 
-        codecache.configure(str(tmp_path))  # fresh "process" memory layer
-        binds_before = rtl_compile.cache_bind_count
+        cache = codecache.configure(str(tmp_path))  # fresh "process"
         second = RtlCfuAdapter(SimdAddRtl(), backend="compiled")
-        assert rtl_compile.codegen_count == before + 1  # zero re-codegens
-        assert rtl_compile.cache_bind_count == binds_before + 1
+        # zero re-codegens: the one module binds from disk
+        assert cache.stats.as_dict() == {"memory_hits": 0, "disk_hits": 1,
+                                         "misses": 0, "stores": 0}
 
         for a, b in ((0x01020304, 0x10203040), (0xFFFFFFFF, 0x01010101)):
             assert first.execute(0, 0, a, b) == second.execute(0, 0, a, b)
@@ -205,16 +261,37 @@ def test_rtl_entry_from_another_generator_is_regenerated(tmp_path,
             rtl_compile.compile_module(SimdAddRtl().module)
 
         cache = codecache.configure(str(tmp_path))  # fresh "process"
-        before = rtl_compile.codegen_count
         rtl_compile.compile_module(SimdAddRtl().module)
-        assert rtl_compile.codegen_count == before + 1
         assert (cache.stats.misses, cache.stats.stores) == (1, 1)
 
-        codecache.configure(str(tmp_path))
-        binds_before = rtl_compile.cache_bind_count
+        cache = codecache.configure(str(tmp_path))
         rtl_compile.compile_module(SimdAddRtl().module)
-        assert rtl_compile.codegen_count == before + 1
-        assert rtl_compile.cache_bind_count == binds_before + 1
+        assert (cache.stats.disk_hits, cache.stats.stores) == (1, 0)
+    finally:
+        codecache._default_cache = original
+
+
+@pytest.mark.parametrize("malform", [
+    lambda value: "not-a-dict",
+    lambda value: {"levels": value["levels"], "slots": value["slots"]},
+    lambda value: dict(value, levels=str(value["levels"])),
+], ids=["not-a-dict", "no-source", "levels-not-an-int"])
+def test_rtl_malformed_module_entry_is_regenerated(tmp_path, malform):
+    from repro.accel import SimdAddRtl
+    from repro.cfu.rtl import RtlCfuAdapter
+
+    original = codecache._default_cache
+    try:
+        codecache.configure(str(tmp_path))
+        clean = RtlCfuAdapter(SimdAddRtl(), backend="compiled")
+        assert _malform_entries(tmp_path, malform) == 1
+
+        cache = codecache.configure(str(tmp_path))  # fresh "process"
+        regenerated = RtlCfuAdapter(SimdAddRtl(), backend="compiled")
+        assert (cache.stats.disk_hits, cache.stats.stores) == (1, 1)
+        assert regenerated.sim.program.levels == clean.sim.program.levels
+        for a, b in ((0x01020304, 0x10203040), (0xFFFFFFFF, 0x01010101)):
+            assert regenerated.execute(0, 0, a, b) == clean.execute(0, 0, a, b)
     finally:
         codecache._default_cache = original
 

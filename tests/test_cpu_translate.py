@@ -1,13 +1,13 @@
-"""Unit tests for the tier-2 basic-block translation backend.
+"""Unit tests for basic-block translation, the ISA fast path.
 
-The differential suite (``tests/test_sim_differential.py``) proves the
-translated tier bit-identical to the other backends on whole programs;
-this file pins the *mechanics* underneath that guarantee: block
-discovery shapes, the promotion threshold, the invalidation contract
-(stores, image loads, timing/traffic configuration swaps), budget
-refusal at block entry, profiler attribution parity, the CFU
-``fast_call`` protocol and per-CFU re-resolution, and the inlined
-memory/dcache paths.
+The differential suite (``tests/test_sim_differential.py``) proves
+translated blocks bit-identical to the reference ``step()`` loop on
+whole programs; this file pins the *mechanics* underneath that
+guarantee: block discovery shapes, translation on first dispatch and
+lazily compiled variants, the invalidation contract (stores, image
+loads, timing/traffic configuration swaps), budget refusal at block
+entry, profiler attribution parity, the CFU ``fast_call`` protocol and
+per-CFU re-resolution, and the inlined memory/dcache paths.
 """
 
 import dataclasses
@@ -39,10 +39,8 @@ loop:
 """
 
 
-def run_translated(source, max_instructions=100_000, hot_threshold=1,
-                   timing=None, cfu=None):
+def run_translated(source, max_instructions=100_000, timing=None, cfu=None):
     machine = Machine(timing=timing, cfu=cfu)
-    machine.hot_threshold = hot_threshold
     machine.load_assembly(source)
     machine.run(max_instructions=max_instructions, backend="auto")
     return machine
@@ -120,40 +118,49 @@ def test_sentinel_excluded_from_cache_entries():
     assert machine.block_promotions == 0
 
 
-# --- promotion threshold ----------------------------------------------------------
-
-
-def test_cold_loop_never_promotes():
-    machine = run_translated(COUNT_LOOP.format(iters=5), hot_threshold=16)
-    assert machine.regs[10] == 5
-    assert machine.block_promotions == 0
-    assert machine.block_cache_entries == 0
+# --- translation on first dispatch -----------------------------------------------
 
 
 def test_hot_loop_promotes_once():
-    machine = run_translated(COUNT_LOOP.format(iters=200), hot_threshold=16)
+    machine = Machine()
+    symbols = machine.load_assembly(COUNT_LOOP.format(iters=200))
+    machine.run(max_instructions=100_000, backend="auto")
     assert machine.regs[10] == 200
-    assert machine.block_promotions >= 1
-    assert machine.block_cache_entries >= 1
+    loop = machine._blocks[symbols["loop"]]
+    assert loop.length == 3 and loop.fn is not None
+    # Every dispatch pc got a block on its first dispatch: the loop
+    # body once, however many times it ran, plus the set-up block and
+    # the tail block; the ecall is a sentinel the loop steps.
+    assert machine.block_promotions == 3
+    assert machine.block_cache_entries == 3
     assert machine.block_compile_seconds > 0.0
     assert machine.last_run_backend == "auto"
 
 
-def test_fast_backend_never_promotes():
-    machine = Machine()
-    machine.hot_threshold = 1
-    machine.load_assembly(COUNT_LOOP.format(iters=200))
-    machine.run(max_instructions=100_000, backend="fast")
-    assert machine.block_promotions == 0
-    assert machine.block_cache_entries == 0
+def test_code_generation_failure_runs_on_step(monkeypatch):
+    from repro.cpu import translate
+
+    def refuse(*args):
+        raise RuntimeError("no code for this block")
+
+    monkeypatch.setattr(translate, "_emit", refuse)
+    machine = run_translated(COUNT_LOOP.format(iters=50))
+    reference = Machine()
+    reference.load_assembly(COUNT_LOOP.format(iters=50))
+    reference.run(backend="step")
+    # Every pc is a refusal (a sentinel), so step() runs the program.
+    assert (machine.regs, machine.instret, machine.cycles) == \
+        (reference.regs, reference.instret, reference.cycles)
+    assert machine.block_promotions == machine.block_cache_entries == 0
 
 
 def test_unknown_backend_rejected():
     machine = Machine()
     machine.load_assembly("    li a7, 93\n    ecall\n")
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        machine.run(backend="warp")
-    assert sorted(SIM_BACKENDS) == ["auto", "fast", "step"]
+    for backend in ("warp", "fast"):
+        with pytest.raises(ValueError, match="unknown sim backend"):
+            machine.run(backend=backend)
+    assert sorted(SIM_BACKENDS) == ["auto", "step"]
 
 
 # --- invalidation contract --------------------------------------------------------
@@ -175,7 +182,6 @@ def test_straddling_store_invalidates_both_pages():
     machine = Machine()
     page = 1 << _PAGE_BITS
     machine.load_assembly(COUNT_LOOP.format(iters=50), addr=page - 12)
-    machine.hot_threshold = 1
     machine.run(max_instructions=100_000, backend="auto")
     assert machine.block_cache_entries > 0
     # Code spans the page boundary; a 4-byte store straddling it must
@@ -221,7 +227,6 @@ def test_timing_swap_flushes_blocks():
 def test_traffic_enable_flushes_blocks():
     soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
     emu = Emulator(soc, with_timing=False)
-    emu.machine.hot_threshold = 1
     ram = soc.memory_map.get("main_ram").base
     emu.load_assembly(COUNT_LOOP.format(iters=50), region="main_ram")
     emu.run(backend="auto")
@@ -245,7 +250,6 @@ def test_traffic_counters_identical_across_tiers():
     def run(backend):
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc, with_timing=True)
-        emu.machine.hot_threshold = 1
         emu.bus.enable_traffic_metrics()
         ram = soc.memory_map.get("main_ram").base
         data = ram + 0x4000
@@ -263,38 +267,40 @@ def test_traffic_counters_identical_across_tiers():
             bnez t2, loop
             li   a7, 93
             ecall
-        """, region="main_ram")
+        """, region="flash")           # fetches count against flash
         emu.run(backend=backend)
-        return emu.bus.traffic()
+        return {key: value for key, value in emu.bus.traffic().items()
+                if key[0] == "main_ram"}
 
-    # The step loop refetches every instruction through the bus, so its
-    # read counts include fetch traffic the decode-caching tiers only
-    # pay once; the contract here is translated == fast exactly.
-    fast, translated = run("fast"), run("auto")
-    assert fast == translated
-    assert any(key[1] == "write" for key in translated)
+    # The step loop refetches every instruction through the bus, while
+    # blocks fetch each static instruction once, so only flash reads
+    # differ; the data traffic in main_ram is identical exactly.
+    step, translated = run("step"), run("auto")
+    assert translated == step
+    assert set(translated) == {("main_ram", "read"), ("main_ram", "write")}
 
 
 # --- budget handling --------------------------------------------------------------
 
 
 def test_budget_refusal_at_block_entry():
-    # hot loop promoted; a budget that lands mid-block must make the
-    # dispatch loop refuse the whole-block call and fall back to tier 1
-    # so the truncation point is instruction-exact.
+    # A budget that lands mid-block must make the run loop refuse the
+    # whole-block call and finish on step() so the truncation point is
+    # instruction-exact.
     for budget in (31, 32, 33, 50):
         machine = Machine()
-        machine.hot_threshold = 1
         machine.load_assembly(COUNT_LOOP.format(iters=1000))
         with pytest.raises(RuntimeError, match="budget exhausted"):
             machine.run(max_instructions=budget, backend="auto")
         assert machine.instret == budget, f"budget={budget}"
+        # step() ran the rest of the budget: no mid-block pc got a
+        # block of its own.
+        assert machine.block_promotions == 2, f"budget={budget}"
 
 
 def test_budget_exact_halt_completes():
     # Halting exactly on the budget's last instruction is a normal exit.
     machine = Machine()
-    machine.hot_threshold = 1
     machine.load_assembly(COUNT_LOOP.format(iters=20))
     reference = Machine()
     reference.load_assembly(COUNT_LOOP.format(iters=20))
@@ -330,19 +336,32 @@ def _symbol_map(profile):
 @pytest.mark.parametrize("timing", [None, "arty"], ids=["functional", "timed"])
 def test_profiled_attribution_identical_across_tiers(timing):
     profiles = {}
-    for backend in ("step", "fast", "auto"):
+    for backend in ("step", "auto"):
         make_timing = VexTiming(ARTY_DEFAULT) if timing else None
         profile, machine = profile_assembly(
             PROFILED_SOURCE, timing=make_timing, backend=backend)
         if backend == "auto":
             assert machine.block_promotions > 0
         profiles[backend] = profile
-    reference = profiles["step"]
-    for backend in ("fast", "auto"):
-        assert _symbol_map(profiles[backend]) == _symbol_map(reference)
-        assert profiles[backend].total_cycles == reference.total_cycles
-        assert (profiles[backend].instruction_mix
-                == reference.instruction_mix)
+    translated, reference = profiles["auto"], profiles["step"]
+    assert _symbol_map(translated) == _symbol_map(reference)
+    assert translated.total_cycles == reference.total_cycles
+    assert translated.instruction_mix == reference.instruction_mix
+
+
+def test_profiled_run_leaves_plain_variant_uncompiled():
+    _, machine = profile_assembly(PROFILED_SOURCE)
+    entries = [entry for entry in machine._blocks.values() if entry.length]
+    assert entries
+    assert all(entry.fn is None and entry.fn_prof is not None
+               for entry in entries)
+    # A later unprofiled run compiles the plain variant it needs, on
+    # the blocks already translated.
+    promotions = machine.block_promotions
+    reset_for_rerun(machine)
+    machine.run(max_instructions=100_000, backend="auto")
+    assert machine.block_promotions == promotions
+    assert all(entry.fn is not None for entry in entries)
 
 
 # --- CFU protocol -----------------------------------------------------------------
@@ -398,10 +417,9 @@ def test_metered_cfu_keeps_counting_in_blocks():
     # every invocation through the generic execute path — the metering
     # is the whole point of the wrapper.
     counts = {}
-    for backend in ("fast", "auto"):
+    for backend in ("step", "auto"):
         cfu = MeteredCfu(KwsCfu())
         machine = Machine(cfu=cfu)
-        machine.hot_threshold = 1
         machine.load_assembly(f"""
             li   t0, 30
             li   t1, 0x01010101
@@ -418,7 +436,7 @@ def test_metered_cfu_keeps_counting_in_blocks():
         counts[backend] = dict(cfu.invocations)
         if backend == "auto":
             assert machine.block_promotions > 0
-    assert counts["auto"] == counts["fast"]
+    assert counts["auto"] == counts["step"]
     assert sum(counts["auto"].values()) == 61
 
 
@@ -426,7 +444,6 @@ def test_cfu_swap_rebinds_without_retranslation():
     # Generated blocks resolve the bound CFU per invocation (identity
     # check), so swapping the model mid-life reuses the same code.
     machine = Machine(cfu=Doubler())
-    machine.hot_threshold = 1
     machine.load_assembly(CFU_LOOP)
     machine.run(max_instructions=100_000, backend="auto")
     assert machine.regs[10] == (1 * 2 ** 40) & 0xFFFFFFFF
@@ -442,7 +459,6 @@ def test_cfu_swap_rebinds_without_retranslation():
 
 def test_no_cfu_error_from_inside_block():
     machine = Machine()  # no CFU attached
-    machine.hot_threshold = 1
     machine.load_assembly(CFU_LOOP)
     with pytest.raises(RuntimeError, match="no CFU"):
         machine.run(max_instructions=100_000, backend="auto")
@@ -472,7 +488,6 @@ def test_word_copy_loop_identical_memory():
     machines = {}
     for backend in ("step", "auto"):
         machine = Machine()
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(max_instructions=100_000, backend=backend)
         machines[backend] = machine
@@ -492,7 +507,6 @@ def test_dcache_conflict_misses_identical():
     def run(backend):
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc, with_timing=True)
-        emu.machine.hot_threshold = 1
         ram = soc.memory_map.get("main_ram").base
         data = ram + 0x10000
         emu.bus.load_bytes(data, bytes((i * 13 + 5) & 0xFF
@@ -518,11 +532,11 @@ def test_dcache_conflict_misses_identical():
         emu.run(backend=backend)
         return emu.machine
 
-    step, fast, translated = run("step"), run("fast"), run("auto")
+    step, translated = run("step"), run("auto")
     assert translated.block_promotions > 0
-    assert translated.cycles == fast.cycles == step.cycles
+    assert translated.cycles == step.cycles
     for name in ("icache", "dcache"):
-        caches = [getattr(m.timing, name) for m in (step, fast, translated)]
+        caches = [getattr(m.timing, name) for m in (step, translated)]
         if caches[0] is None:
             continue
         hits = {cache.hits for cache in caches}

@@ -19,7 +19,7 @@ import os
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.castore import MISS
 from repro.core.codecache import CodeCache, code_key
@@ -145,6 +145,21 @@ def test_atomic_write_never_leaves_temp_files(tmp_path):
     leftovers = [name for name in os.listdir(os.path.dirname(target))
                  if name.endswith(".tmp")]
     assert leftovers == []
+
+
+#: A JSON document nested deeper than the parser's recursion limit.
+DEEPLY_NESTED = b"[" * 200_000
+
+
+def test_list_studies_skips_a_deeply_nested_study_file(tmp_path):
+    store = StudyStore(str(tmp_path))
+    store.write_study({"owner": "o", "study_id": "good", "budget": 1})
+    skey = study_key("o", "nested")
+    study_dir = tmp_path / skey[:2] / skey
+    study_dir.mkdir(parents=True)
+    (study_dir / "study.json").write_bytes(DEEPLY_NESTED)
+    assert [config["study_id"] for config in store.list_studies()] == ["good"]
+    assert store.load_study("o", "nested") is None
 
 
 def test_memory_store_is_a_quiet_noop():
@@ -279,11 +294,12 @@ def test_store_reads_a_torn_file_as_a_miss(tmp_path_factory, store, cut):
 @by_name
 @settings(max_examples=25, deadline=None)
 @given(garbage=st.binary(max_size=64))
+@example(garbage=DEEPLY_NESTED)
 def test_store_reads_a_garbage_file_as_a_miss(tmp_path_factory, store,
                                               garbage):
     try:
         assume(json.loads(garbage.decode("utf-8")).get("schema") != 1)
-    except (ValueError, AttributeError):
+    except (ValueError, AttributeError, RecursionError):
         pass  # not a JSON object: garbage by construction
     root = tmp_path_factory.mktemp("store")
     store.write(str(root), store.value)

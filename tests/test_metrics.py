@@ -137,8 +137,8 @@ def test_machine_export_metrics():
     machine.export_metrics(reg)
     assert reg.value("sim_instructions") == machine.instret
     assert reg.value("sim_cycles") == machine.cycles
-    # Cache-size gauges are labelled by the backend tier that produced
-    # them; run() defaults to the tiered "auto" backend.
+    # Cache-size gauges are labelled by the backend that produced them;
+    # run() defaults to the "auto" backend.
     assert reg.value("sim_decode_cache_entries",
                      tier="auto") == machine.decode_cache_entries
     assert reg.value("sim_block_cache_entries",
@@ -156,7 +156,6 @@ def test_machine_export_metrics_block_tier():
         ebreak
     """
     machine = Machine()
-    machine.hot_threshold = 4
     machine.load_assembly(src)
     machine.run(backend="auto")
     assert machine.block_cache_entries >= 1
@@ -171,24 +170,23 @@ def test_machine_export_metrics_block_tier():
     assert reg.value("sim_decode_cache_entries",
                      tier="auto") == machine.decode_cache_entries
 
-    # A pure tier-1 run labels the same gauges with its own tier, so
-    # the two backends' cache sizes are never conflated.
+    # A step run labels the same gauges with its own backend, so the
+    # two backends' cache sizes are never conflated.
     other = Machine()
     other.load_assembly(src)
-    other.run(backend="fast")
+    other.run(backend="step")
     assert other.block_cache_entries == 0
     reg2 = Telemetry()
     other.export_metrics(reg2)
     assert reg2.value("sim_decode_cache_entries",
-                      tier="fast") == other.decode_cache_entries
-    assert reg2.value("sim_block_cache_entries", tier="fast") == 0
+                      tier="step") == other.decode_cache_entries == 0
+    assert reg2.value("sim_block_cache_entries", tier="step") == 0
 
 
 def test_machine_block_invalidation_metrics():
     from repro.cpu.machine import Machine
 
     machine = Machine()
-    machine.hot_threshold = 1
     machine.load_assembly("""
         li t0, 50
     loop:
@@ -244,9 +242,8 @@ def test_bus_csr_traffic_counted():
     assert bus.traffic()[("csr", "write")] == (1, 4)
 
 
-# With hot_threshold 1, the "auto" backend runs the translated tier.
-@pytest.mark.parametrize("via", ["bus", "step", "fast", "auto"],
-                         ids=["bus", "step", "fast", "translated"])
+@pytest.mark.parametrize("via", ["bus", "step", "auto"],
+                         ids=["bus", "step", "translated"])
 def test_page_straddling_word_is_one_transaction(via):
     """A misaligned word inside one region is one 4-byte transaction,
     also where it straddles two of the region's 4 KiB pages: on the bus,
@@ -267,7 +264,6 @@ def test_page_straddling_word_is_one_transaction(via):
         assert bus.read32(addr) == 0x1234_5678
     else:
         emulator = Emulator(soc)
-        emulator.machine.hot_threshold = 1
         bus = emulator.bus.enable_traffic_metrics()
         emulator.load_assembly(f"""
             li   t0, {addr}

@@ -2,7 +2,8 @@
 bit-identical to the reference step() collector.
 
 This is the core guarantee of the reworked profiler: ``run(backend="auto")``
-(cycle attribution inside :meth:`Machine._run_fast`) and ``run(backend="step")``
+(cycle attribution inside translated blocks, see
+:meth:`Machine._run_blocks`) and ``run(backend="step")``
 (cycle deltas around every reference ``step()``) produce the *same*
 per-symbol cycle and instruction maps, on real firmware images — the KWS
 dot-product firmware and the MNV2 1x1-convolution firmware, with their

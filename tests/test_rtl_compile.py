@@ -24,6 +24,7 @@ from repro.accel.library import LIBRARY
 from repro.accel.mnv2 import model as cm
 from repro.cfu import CfuError, RtlCfuAdapter
 from repro.cfu.rtl import CombinationalCfu, RtlCfu
+from repro.core import codecache
 from repro.rtl import (
     Cat,
     CombLoopError,
@@ -494,8 +495,9 @@ def test_specialisation_gate_and_reuse():
     assert not any(program.transactions)
     assert program.calls[km.F3_MAC4] == gate - 1
 
-    def activity():
-        return rtl_compile.codegen_count + rtl_compile.cache_bind_count
+    def activity():  # code-cache lookups: one per generated or bound program
+        stats = codecache.default_cache().stats
+        return stats.hits + stats.misses
 
     before = activity()
     assert adapter.execute(*mac4) == (10 * gate & 0xFFFFFFFF, 1)

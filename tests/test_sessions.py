@@ -74,7 +74,6 @@ def test_manager_shares_one_compile_cache(tmp_path):
     assert first.emulator.machine.compile_cache \
         is second.emulator.machine.compile_cache
     for session in (first, second):
-        session.emulator.machine.hot_threshold = 1
         session.load({"assembly": COUNT_ASM, "region": "flash"})
         session.run({"max_instructions": 100_000})
     # the second session bound the first session's translated blocks

@@ -1,19 +1,15 @@
-"""Differential equivalence across the three execution backends.
+"""Differential equivalence across the two execution backends.
 
-Every backend of ``Machine.run`` — the reference interpreter
-(``step``), the decoded-op dispatch loop (``fast``), and the tiered
-loop that promotes hot basic blocks to translated code (``auto``) — must be
-architecturally bit-identical: same ``regs``, ``pc``, ``instret``,
-``cycles``, memory contents, CFU state, halt state, and exit code —
-with and without a timing model, with and without a CFU attached.
-Every firmware image from ``tests.test_integration_firmware`` and a
-randomized RV32IM corpus run through all backends here, plus the nasty
-cases: self-modifying code rewriting an already-promoted block, a
-branch target landing mid-block, and budget truncation.
-
-Translated runs pin ``hot_threshold = 1`` so every block promotes
-immediately — the corpus then exercises generated code rather than
-quietly staying on tier 1.
+Both backends of ``Machine.run`` — the reference interpreter (``step``)
+and translated basic blocks (``auto``, every block translated on its
+first dispatch) — must be architecturally bit-identical: same ``regs``,
+``pc``, ``instret``, ``cycles``, memory contents, CFU state, halt
+state, and exit code — with and without a timing model, with and
+without a CFU attached.  Every firmware image from
+``tests.test_integration_firmware`` and a randomized RV32IM corpus run
+through both backends here, plus the nasty cases: self-modifying code
+rewriting an already-promoted block, a branch target landing
+mid-block, and budget truncation.
 """
 
 import numpy as np
@@ -34,7 +30,7 @@ from tests.test_integration_firmware import (
 )
 
 #: step first: it is the reference the others are diffed against.
-BACKENDS = ("step", "fast", "auto")
+BACKENDS = ("step", "auto")
 
 
 # --- state comparison -------------------------------------------------------------
@@ -208,8 +204,6 @@ def run_corpus(source, timing_config, with_cfu, backend):
     machine = Machine(
         cfu=KwsCfu() if with_cfu else None,
         timing=VexTiming(timing_config) if timing_config else None)
-    if backend == "auto":
-        machine.hot_threshold = 1
     machine.load_assembly(source)
     machine.run(max_instructions=100_000, backend=backend)
     return machine
@@ -262,8 +256,6 @@ def test_dot_product_firmware_differential(seed, make_cfu, with_timing):
     emulators, exit_codes = {}, set()
     for backend in BACKENDS:
         emu = firmware_emulator(make_cfu(), seed, with_timing)
-        if backend == "auto":
-            emu.machine.hot_threshold = 1
         exit_codes.add(emu.run(backend=backend))
         assert emu.uart_output == "OK"
         emulators[backend] = emu
@@ -278,7 +270,6 @@ def test_postproc_firmware_differential():
     for backend in BACKENDS:
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc, cfu=KwsCfu2Rtl())
-        emu.machine.hot_threshold = 1
         emu.load_assembly(postproc_firmware(mult, shift, zp, bias),
                           region="main_ram")
         emu.run(backend=backend)
@@ -293,7 +284,6 @@ def test_misuse_firmware_differential():
     for backend in BACKENDS:
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc)
-        emu.machine.hot_threshold = 1
         emu.load_assembly("cfu 0, 0, a0, a1, a2", region="main_ram")
         with pytest.raises(RuntimeError, match="no CFU attached") as err:
             emu.run(backend=backend)
@@ -313,7 +303,6 @@ def test_misaligned_load_fails_identically():
     states, machines = [], []
     for backend in BACKENDS:
         machine = Machine()
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         with pytest.raises(Exception) as err:
             machine.run(backend=backend)
@@ -325,14 +314,43 @@ def test_misaligned_load_fails_identically():
         assert_same_memory(machine.memory, machines[0].memory)
 
 
+# --- M-extension corner cases -----------------------------------------------------
+
+MULDIV = ["mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"]
+CORNERS = [0, 1, -1, 7, -7, 0x7FFFFFFF, -0x80000000]
+
+
+@pytest.mark.parametrize("timing_config", [None, ARTY_DEFAULT],
+                         ids=["functional", "arty"])
+def test_muldiv_corner_cases_differential(timing_config):
+    """Division by zero, the signed-overflow quotient and every sign
+    mix, for each M-extension op, through blocks and ``step()``."""
+    lines = [f"    li x5, {DATA_BASE}"]
+    offset = 0
+    for a in CORNERS:
+        for b in CORNERS:
+            lines += [f"    li x6, {a}", f"    li x7, {b}"]
+            for op in MULDIV:
+                lines += [f"    {op} x8, x6, x7", f"    sw x8, {offset}(x5)"]
+                offset += 4
+    lines += ["    li a7, 93", "    li a0, 0", "    ecall"]
+    source = "\n".join(lines)
+    machines = {backend: run_corpus(source, timing_config, with_cfu=False,
+                                    backend=backend)
+                for backend in BACKENDS}
+    assert machines["auto"].block_promotions > 0
+    assert_all_identical(machines)
+    assert machines["step"].memory.read32(DATA_BASE + 4 * 4) == 0xFFFFFFFF
+
+
 # --- budget truncation -------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", [7, 50, 101, 250])
 def test_budget_truncation_differential(budget):
     """Exhausting the instruction budget mid-loop leaves identical
     partial state on every backend — including budgets that land in the
-    middle of a promoted block, where the translated tier must refuse
-    the whole-block dispatch and finish on tier 1."""
+    middle of a promoted block, where the run loop must refuse the
+    whole-block call and finish on ``step()``."""
     source = """
         li t0, 1000
         li t1, 0
@@ -345,7 +363,6 @@ def test_budget_truncation_differential(budget):
     states = []
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         with pytest.raises(RuntimeError, match="budget exhausted"):
             machine.run(max_instructions=budget, backend=backend)
@@ -382,22 +399,21 @@ def test_self_modifying_code_differential():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    assert machines["fast"].regs[10] == 1 + 2 * 4
-    assert machines["fast"].invalidation_count > 0
+    assert machines["auto"].regs[10] == 1 + 2 * 4
+    assert machines["auto"].invalidation_count > 0
     assert_all_identical(machines)
 
 
 def test_smc_rewrites_promoted_block():
     """Self-modifying code that patches a block *after* it has been
-    promoted to generated code: iteration 1 runs (and promotes, with
-    hot_threshold=1) the original block; its store then rewrites an
-    instruction inside that very block, so the translated tier must
-    invalidate the generated function and re-translate — landing on the
-    same architectural results as the reference interpreter."""
+    promoted to generated code: iteration 1 runs (and promotes) the
+    original block; its store then rewrites an instruction inside that
+    very block, so the run loop must invalidate the generated function
+    and re-translate — landing on the same architectural results as the
+    reference interpreter."""
     from repro.cpu.assembler import assemble
 
     patched, _ = assemble("addi x6, x6, 10")
@@ -421,7 +437,6 @@ def test_smc_rewrites_promoted_block():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
@@ -435,9 +450,9 @@ def test_smc_rewrites_promoted_block():
 def test_branch_target_lands_mid_block():
     """A jump target in the *middle* of an already-promoted block: the
     first phase promotes the whole loop body; the second phase enters at
-    ``mid``, which never headed a block before.  The translated tier
-    must treat the mid-block pc as a fresh block leader (or fall back to
-    tier 1) — never execute the containing block from its old entry."""
+    ``mid``, which never headed a block before.  The run loop must
+    translate the mid-block pc as a block of its own — never execute
+    the containing block from its old entry."""
     source = """
         li   t0, 20
         li   t1, 0
@@ -460,7 +475,6 @@ def test_branch_target_lands_mid_block():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
