@@ -11,7 +11,8 @@ differ only in how they derive a key and encode a value.  They share:
   concurrent reader never observes a half-written file;
 - :func:`read_json` — missing, torn, garbage, too deeply nested,
   non-object and foreign-schema files all read as :data:`MISS`, never
-  as an exception;
+  as an exception, and so does anything that is not a regular file of
+  at most :data:`MAX_DOCUMENT_BYTES` (a FIFO, a device, a directory);
 - :class:`ContentStore` — an in-memory dict in front of sharded files
   ``root/<key[:2]>/<key>.json``, with hit/miss/store tallies.  A
   directory that cannot be written degrades the store to memory only:
@@ -25,10 +26,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import tempfile
 
 #: Sentinel distinguishing "no entry" from a stored falsy value.
 MISS = object()
+
+#: The largest file :func:`read_json` reads: the wire's body cap
+#: (``repro.core.wire.MAX_BODY_BYTES``), restated because the stores sit
+#: below the wire and do not import it.
+MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
 
 
 def canonical_json(payload):
@@ -58,13 +65,36 @@ def atomic_write_json(path, payload):
         raise
 
 
+def _read_document_bytes(path):
+    """The bytes of the regular file at ``path``, or None for anything
+    else or anything over :data:`MAX_DOCUMENT_BYTES`.
+
+    ``O_NONBLOCK`` keeps the open from waiting for a FIFO's writer, and
+    the descriptor's own ``fstat`` decides, so a path swapped between
+    the check and the read cannot slip a device or a FIFO past it.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_size > MAX_DOCUMENT_BYTES:
+            return None
+        with open(fd, "rb", closefd=False) as handle:
+            data = handle.read(MAX_DOCUMENT_BYTES + 1)  # it may have grown
+    finally:
+        os.close(fd)
+    return data if len(data) <= MAX_DOCUMENT_BYTES else None
+
+
 def read_json(path, schema):
     """The JSON object at ``path`` if it carries ``schema``; MISS for a
     missing, torn, garbage, too deeply nested, non-object or
-    foreign-schema file."""
+    foreign-schema file, and for anything that is not a regular file of
+    at most :data:`MAX_DOCUMENT_BYTES`."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+        data = _read_document_bytes(path)
+        if data is None:
+            return MISS
+        document = json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError):
         return MISS
     if not isinstance(document, dict) or document.get("schema") != schema:

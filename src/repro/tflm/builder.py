@@ -67,17 +67,31 @@ class ModelBuilder:
         )
         return self._add_tensor(tensor)
 
-    def _calibrate_output(self, acc_real, relu):
-        """Choose output quantization from real-valued sample accumulators."""
-        max_abs = float(np.max(np.abs(acc_real))) or 1.0
+    def _calibrate_output(self, real_min, real_max, relu):
+        """Choose output quantization from the sample's real-valued range."""
+        max_abs = max(-real_min, real_max) or 1.0
         if relu:
             # Post-ReLU range is [0, max]; use the full int8 span.
-            scale = max(float(acc_real.max()), 1e-6) / 255.0
+            scale = max(real_max, 1e-6) / 255.0
             zero_point = -128
         else:
             scale = max_abs / 127.0
             zero_point = 0
         return QuantParams(scale=scale, zero_point=zero_point)
+
+    def _calibrate_accumulators(self, acc, scales, relu):
+        """Output quantization of bias-added accumulators ``acc`` whose
+        real values are ``acc * scales`` (per channel, last axis).
+
+        Converting an integer to float64, multiplying by a positive
+        scale and rounding the product are all monotone, so the extremes
+        of the real values are exactly each channel's integer max/min
+        times its scale: no float64 plane of the accumulators is needed.
+        """
+        channels = acc.reshape(-1, acc.shape[-1])
+        real_max = float((channels.max(axis=0) * scales).max())
+        real_min = float((channels.min(axis=0) * scales).min())
+        return self._calibrate_output(real_min, real_max, relu)
 
     def _finish_op(self, opcode, op_name, inputs, out_tensor, params, sample):
         self._add_tensor(out_tensor, sample)
@@ -126,9 +140,10 @@ class ModelBuilder:
         sample_in = self.samples[self.tip]
         acc = conv_ops.conv2d_accumulate(
             sample_in, in_tensor.quant.zero_point, filters, stride, padding
-        ) + bias
-        acc_real = acc * (in_tensor.quant.scale * channel_scales)
-        out_quant = self._calibrate_output(acc_real, relu)
+        )
+        acc += bias
+        out_quant = self._calibrate_accumulators(
+            acc, in_tensor.quant.scale * channel_scales, relu)
         mults, shifts = output_multipliers(
             in_tensor.quant.scale, channel_scales, out_quant.scale
         )
@@ -177,9 +192,10 @@ class ModelBuilder:
         acc = dw_ops.depthwise_accumulate(
             sample_in, in_tensor.quant.zero_point, filters, stride, padding,
             depth_multiplier,
-        ) + bias
-        acc_real = acc * (in_tensor.quant.scale * channel_scales)
-        out_quant = self._calibrate_output(acc_real, relu)
+        )
+        acc += bias
+        out_quant = self._calibrate_accumulators(
+            acc, in_tensor.quant.scale * channel_scales, relu)
         mults, shifts = output_multipliers(
             in_tensor.quant.scale, channel_scales, out_quant.scale
         )
@@ -221,9 +237,10 @@ class ModelBuilder:
         sample_in = self.samples[self.tip]
         acc = dense_ops.fully_connected_accumulate(
             sample_in, in_tensor.quant.zero_point, weights
-        ) + bias
-        acc_real = acc * (in_tensor.quant.scale * w_scale)
-        out_quant = self._calibrate_output(acc_real, relu)
+        )
+        acc += bias
+        out_quant = self._calibrate_accumulators(
+            acc, in_tensor.quant.scale * w_scale, relu)
         mult, shift = quantize_multiplier(
             in_tensor.quant.scale * w_scale / out_quant.scale
         )
@@ -294,7 +311,8 @@ class ModelBuilder:
         s1 = self.samples[self.tip]
         s2 = self.samples[other_name]
         real = in1.quant.dequantize(s1) + in2.quant.dequantize(s2)
-        out_quant = self._calibrate_output(real, relu)
+        out_quant = self._calibrate_output(float(real.min()),
+                                           float(real.max()), relu)
         params = ew_ops.add_parameters(
             in1.quant.scale, in1.quant.zero_point,
             in2.quant.scale, in2.quant.zero_point,

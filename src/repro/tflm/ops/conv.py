@@ -64,7 +64,7 @@ def conv2d_accumulate(input_data, input_zero_point, filters, stride, padding):
         input_data, (kh, kw), stride, padding, pad_value=input_zero_point
     )
     patches = extract_patches(padded, (kh, kw), stride, out_hw)
-    patches = patches - int(input_zero_point)
+    patches -= int(input_zero_point)
     weights = filters.reshape(out_ch, -1)
     return int_matmul(patches, weights.T)  # (N, OH, OW, out_ch)
 
@@ -75,7 +75,7 @@ def conv2d_reference(input_data, input_zero_point, filters, bias, stride,
     """Full int8 CONV_2D: accumulate, add bias, requantize, clamp."""
     acc = conv2d_accumulate(input_data, input_zero_point, filters, stride, padding)
     if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.int64)
+        acc += np.asarray(bias, dtype=np.int64)
     return requantize(
         acc, out_multipliers, out_shifts, output_zero_point,
         activation_min, activation_max,

@@ -19,7 +19,7 @@ def fully_connected_reference(input_data, input_zero_point, weights, bias,
                               activation_min=-128, activation_max=127):
     acc = fully_connected_accumulate(input_data, input_zero_point, weights)
     if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.int64)
+        acc += np.asarray(bias, dtype=np.int64)
     return requantize(
         acc, out_multiplier, out_shift, output_zero_point,
         activation_min, activation_max,

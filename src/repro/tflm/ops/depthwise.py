@@ -25,7 +25,8 @@ def depthwise_accumulate(input_data, input_zero_point, filters, stride,
     )
     sh, sw = stride
     acc = np.zeros((n, oh, ow, out_ch), dtype=np.int64)
-    centered = padded.astype(np.int64) - int(input_zero_point)
+    centered = padded.astype(np.int64)
+    centered -= int(input_zero_point)
     weights = filters[0].astype(np.int64)  # (KH, KW, out_ch)
     for ky in range(kh):
         for kx in range(kw):
@@ -44,7 +45,7 @@ def depthwise_reference(input_data, input_zero_point, filters, bias, stride,
         input_data, input_zero_point, filters, stride, padding, depth_multiplier
     )
     if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.int64)
+        acc += np.asarray(bias, dtype=np.int64)
     return requantize(
         acc, out_multipliers, out_shifts, output_zero_point,
         activation_min, activation_max,

@@ -6,8 +6,10 @@ Hypothesis drives three obligations the example-based suites can't pin:
   empty strings) round-trip through the sharded JSON store bit-exactly;
 - all three content-addressed stores (the evaluation cache, the compile
   cache and the study store) read torn, garbage and foreign-schema
-  files as misses, publish atomically without leftover temp files, keep
-  their keys and read files in the format they have always written;
+  files as misses, and so a FIFO, a symlink to ``/dev/zero``, a
+  directory or an oversized file at an entry's path, publish atomically
+  without leftover temp files, keep their keys and read files in the
+  format they have always written;
 - under *any* interleaving of claims, completions, stale retries, and
   clock advances, the lease bookkeeping holds its invariants: every
   trial completes exactly once, stale tokens never win, and the number
@@ -17,11 +19,13 @@ Hypothesis drives three obligations the example-based suites can't pin:
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.core.castore import MISS
+from repro.core.castore import MAX_DOCUMENT_BYTES, MISS, read_json
 from repro.core.codecache import CodeCache, code_key
 from repro.dse import DseService, ServiceError
 from repro.dse.cache import EvaluationCache, cache_key
@@ -359,6 +363,96 @@ def test_store_unwritable_directory_policy(tmp_path, store):
         backing = store.open(root)
         store.put(backing, store.value)  # must not raise
         assert store.get(backing) == store.value
+
+
+def make_oversized(path):
+    """A sparse file one byte over the read cap."""
+    with open(path, "wb") as handle:
+        handle.truncate(MAX_DOCUMENT_BYTES + 1)
+
+
+#: Non-documents at an entry's path.  Read naively, the FIFO blocks
+#: forever (no writer) and the ``/dev/zero`` symlink reads until memory
+#: runs out.
+HOSTILE_PATHS = {
+    "fifo": lambda path: os.mkfifo(path),
+    "dev-zero-symlink": lambda path: os.symlink("/dev/zero", path),
+    "directory": os.mkdir,
+    "oversized": make_oversized,
+}
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Prefix of every child script: cap the child at 1 GiB of address
+#: space, so a read that never ends fails with MemoryError instead of
+#: exhausting the host.
+CAPPED_CHILD = """\
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+
+posix_only = pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                reason="FIFOs, /dev/zero and RLIMIT_AS are POSIX")
+
+
+def run_capped(code, *args, timeout=60):
+    """Standard output of ``code`` run in a fresh, address-space-capped
+    interpreter; a read that hangs times out and fails the test rather
+    than hanging the suite."""
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD + code, *args], cwd=REPO_ROOT,
+        capture_output=True, text=True, timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@posix_only
+@by_name
+def test_store_reads_a_hostile_path_as_a_miss(tmp_path, store):
+    roots = {}
+    for name, make in HOSTILE_PATHS.items():
+        root = tmp_path / name
+        store.write(str(root), store.value)
+        (root / store.path).unlink()
+        make(str(root / store.path))
+        roots[str(root)] = name
+    verdicts = run_capped(
+        "from tests.test_dse_store_properties import MISS, STORES\n"
+        "store = next(s for s in STORES if type(s).__name__ == sys.argv[1])\n"
+        "for root in sys.argv[2:]:\n"
+        "    print(store.read(root) is MISS, flush=True)\n",
+        type(store).__name__, *roots)
+    assert dict(zip(roots.values(), verdicts.split())) == \
+        dict.fromkeys(roots.values(), "True")
+
+
+@posix_only
+def test_load_trials_counts_a_fifo_and_keeps_the_rest(tmp_path):
+    store = StudyStore(str(tmp_path))
+    store.write_trial("o", "s", TrialRecord(trial_id=1, parameters={"x": 1}))
+    skey = study_key("o", "s")
+    shard = tmp_path / skey[:2] / skey / "trials" / "00"
+    shard.mkdir(parents=True, exist_ok=True)
+    os.mkfifo(shard / "fifo.json")
+    loaded = run_capped(
+        "from repro.dse.store import StudyStore\n"
+        "records, unreadable = StudyStore(sys.argv[1]).load_trials('o', 's')\n"
+        "print(sorted(records), unreadable)\n",
+        str(tmp_path))
+    assert loaded.split() == ["[1]", "1"]
+
+
+def test_read_json_caps_a_document_at_max_document_bytes(tmp_path):
+    """A valid document padded to the cap reads; one more byte is a miss."""
+    path = tmp_path / "padded.json"
+    document = json.dumps({"schema": 1, "ok": True}).encode()
+    path.write_bytes(document.ljust(MAX_DOCUMENT_BYTES))
+    assert read_json(str(path), 1) == {"schema": 1, "ok": True}
+    with open(path, "ab") as handle:
+        handle.write(b" ")
+    assert read_json(str(path), 1) is MISS
 
 
 # --------------------------------------------------------------------------------

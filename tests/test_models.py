@@ -1,6 +1,7 @@
 """Model zoo tests: topology, op mixes, golden stability."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -210,6 +211,26 @@ def test_build_accumulates_each_layer_once(monkeypatch):
     assert calls == {"conv2d_accumulate": layers["CONV_2D"],
                      "depthwise_accumulate": layers["DEPTHWISE_CONV_2D"],
                      "fully_connected_accumulate": layers["FULLY_CONNECTED"]}
+
+
+def test_build_traced_peak_is_bounded():
+    """A cold MobileNetV2 build holds about one accumulator-sized
+    temporary per layer: requantization runs in place on one copy and
+    calibration reads integer extremes, not a float64 plane.  The bound
+    sits between its ~6 MiB peak and the ~14.5 MiB that a copy per
+    requantization step costs; the model itself keeps 2.5 MiB."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - baseline < 8 * 2**20
 
 
 def test_width_multiplier_scales_macs():

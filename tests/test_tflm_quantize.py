@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tflm.quantize import (
@@ -40,7 +40,70 @@ def rdbpot_scalar(x, exponent):
     return (x >> exponent) + (1 if remainder > threshold else 0)
 
 
+def requantize_scalar(x, multiplier, shift, zero_point, lo, hi):
+    """One output element through the scalar transliterations: SRDHM,
+    then RDBP, then the zero point, then the clamp."""
+    high = srdhm_scalar(x * (1 << max(shift, 0)), multiplier)
+    out = rdbpot_scalar(high, max(-shift, 0)) + zero_point
+    return min(max(out, lo), hi)
+
+
+@st.composite
+def requantize_cases(draw):
+    """``(acc rows, multipliers, shifts, per_channel, zero point, lo, hi)``.
+
+    Each accumulator lies where TFLM defines the product: ``x * 2^left``
+    within int32, for its channel's left shift.  Without ``per_channel``
+    one multiplier/shift pair applies to a flat accumulator vector.
+    """
+    per_channel = draw(st.booleans())
+    channels = draw(st.integers(1, 4)) if per_channel else 1
+    multipliers = draw(st.lists(i32, min_size=channels, max_size=channels))
+    shifts = draw(st.lists(st.integers(-31, 30), min_size=channels,
+                           max_size=channels))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(INT32_MIN >> max(shift, 0),
+                                INT32_MAX >> max(shift, 0))
+                    for shift in shifts)),
+        min_size=1, max_size=4))
+    zero_point = draw(st.integers(-128, 127))
+    lo = draw(st.integers(-128, 127))
+    hi = draw(st.integers(lo, 127))
+    return rows, multipliers, shifts, per_channel, zero_point, lo, hi
+
+
+@settings(max_examples=300)
+@given(case=requantize_cases())
+@example(case=([(INT32_MIN, INT32_MIN, -1, 1)],
+               [INT32_MIN, 1 << 30, INT32_MIN, INT32_MAX], [0, 0, -31, 30],
+               True, 0, -128, 127))
+@example(case=([(INT32_MIN,), (INT32_MAX,), (-1,)], [INT32_MIN], [0],
+               False, -128, -128, 127))
+def test_requantize_matches_the_scalar_pipeline(case):
+    """The in-place array path equals, element by element, the scalar
+    SRDHM -> RDBP -> zero point -> clamp, and leaves its input alone."""
+    rows, multipliers, shifts, per_channel, zero_point, lo, hi = case
+    acc = np.array(rows, dtype=np.int64)
+    if per_channel:
+        multiplier, shift = np.array(multipliers), np.array(shifts)
+    else:
+        acc = acc[:, 0]
+        (multiplier,), (shift,) = multipliers, shifts
+    before = acc.copy()
+    out = requantize(acc, multiplier, shift, zero_point, lo, hi)
+    assert np.array_equal(acc, before)
+    assert out.dtype == np.int8 and out.shape == acc.shape
+    expected = [[requantize_scalar(x, m, s, zero_point, lo, hi)
+                 for x, m, s in zip(row, multipliers, shifts)]
+                for row in rows]
+    if not per_channel:
+        expected = [row[0] for row in expected]
+    assert out.tolist() == expected
+
+
 @given(a=i32, b=i32)
+@example(a=-(1 << 30) - 1, b=1)  # the nudged product is exactly -2^31
+@example(a=INT32_MIN, b=INT32_MIN)
 def test_srdhm_matches_gemmlowp(a, b):
     assert int(saturating_rounding_doubling_high_mul(a, b)) == srdhm_scalar(a, b)
 
