@@ -136,8 +136,7 @@ def _dse_via_service(args):
 def _cmd_dse_exhaustive(args):
     from .dse import CFU_FAMILIES, search_regret, sweep
 
-    families = tuple(args.families.split(",")) if args.families \
-        else CFU_FAMILIES
+    families = args.families or CFU_FAMILIES
     result = sweep(families=families)
     print(result.summary())
     if args.store_dir:
@@ -155,10 +154,15 @@ def _cmd_dse_exhaustive(args):
     if args.regret_trials:
         from .dse import run_fig7
 
-        search = run_fig7(trials_per_family=args.regret_trials,
-                          seed=args.seed)
+        searched = [family for family in families if family in CFU_FAMILIES]
+        search = (run_fig7(trials_per_family=args.regret_trials,
+                           seed=args.seed) if searched else None)
         print()
         for family in families:
+            if family not in searched:
+                print(f"{family}: no regret, RegularizedEvolution "
+                      f"searches only {', '.join(CFU_FAMILIES)}")
+                continue
             exact = result.front_metrics(family)
             found = [(p.cycles, p.logic_cells)
                      for p in search.family_front(family)]
@@ -294,6 +298,19 @@ def _cmd_menu(args):
     return 0
 
 
+def _family_list(text):
+    from .dse.runner import ALL_CFU_FAMILIES
+
+    families = tuple(text.split(","))
+    unknown = [family for family in families
+               if family not in ALL_CFU_FAMILIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown CFU families {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(ALL_CFU_FAMILIES)}")
+    return families
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -382,8 +399,9 @@ def build_parser():
         "exhaustive",
         help="tensorized whole-space sweep: exact Fig. 7 Pareto fronts")
     dse_exhaustive.add_argument(
-        "--families", default=None,
-        help="comma-separated CFU families (default: all three)")
+        "--families", type=_family_list, default=None,
+        help="comma-separated CFU families (default: none,cfu1,cfu2; "
+             "winograd is opt-in)")
     dse_exhaustive.add_argument(
         "--store-dir", default=None,
         help="also stream the sweep through a study service store "
@@ -394,7 +412,8 @@ def build_parser():
     dse_exhaustive.add_argument(
         "--regret-trials", type=int, default=0,
         help="also run RegularizedEvolution with this budget per family "
-             "and report its hypervolume regret vs the exact front")
+             "and report its hypervolume regret vs the exact front "
+             "(not for winograd, which it does not search)")
     dse_exhaustive.add_argument("--seed", type=int, default=0,
                                 help="seed for the --regret-trials search")
     dse_exhaustive.set_defaults(func=_cmd_dse_exhaustive)

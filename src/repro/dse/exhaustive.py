@@ -6,18 +6,23 @@ objectives are closed-form in the CPU-config axes — cycles from the
 analytic cost model, logic cells from the netlist estimator — so the
 *whole* cartesian grid can be evaluated at once:
 
-- :class:`GridTensors` turns a :class:`~repro.dse.space.ParameterSpace`
-  into per-axis index arrays over the flat C-order grid (the same order
-  as ``ParameterSpace.grid()``); no per-point dicts exist anywhere.
+- :class:`GridTensors` maps a :class:`~repro.dse.space.ParameterSpace`
+  onto the flat C-order grid (the same order as
+  ``ParameterSpace.grid()``) and spreads a table over a few axes onto
+  the grid's shape; no per-point dicts or index arrays exist anywhere.
 - :class:`~repro.perf.vectorized.BatchCostModel` replays the captured
-  cost trace over the cost-relevant sub-grid and the result is gathered
-  back onto the full grid (``hw_error_checking`` and ``icache_ways``
-  affect only resources, an 8x reduction of the cycle plane).
+  cost trace over the 3,888-combo cost-relevant sub-grid
+  (``hw_error_checking`` and ``icache_ways`` affect only resources, an
+  8x reduction of the cycle plane), and that table is broadcast onto
+  the full grid.
 - :class:`VectorizedFit` evaluates ``cpu_resources`` + board ``fit()``
-  as sums of per-option contributions probed from the real functions,
-  yielding a fit *mask* instead of per-point exceptions.
+  as sums of per-option contributions probed from the real functions
+  (the 192-combo core and the icache and dcache deltas), broadcast onto
+  the grid, yielding a fit *mask* instead of per-point exceptions.
 - :func:`pareto_front_indices` extracts the exact front in O(n log n).
 
+Each plane is written once, as a flat C-order array over the whole
+grid; the sweep otherwise holds only those small per-axis tables.
 Every per-point (cycles, logic_cells, fit) triple is bit-identical to
 the scalar :func:`~repro.dse.runner.evaluate_design`, which stays
 untouched as the reference oracle.  :func:`run_exhaustive_service`
@@ -29,6 +34,7 @@ recorded, resumable, and queryable like any other study.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -59,52 +65,61 @@ _DCACHE_AXES = ("dcache_bytes",)
 
 @dataclass
 class GridTensors:
-    """A ParameterSpace as flat-grid index tensors.
+    """A ParameterSpace as a flat C-order grid.
 
     Flat index ``k`` corresponds to the ``k``-th point of
-    ``space.grid()`` (C order, last parameter fastest); ``indices``
-    maps each parameter name to its per-point value index.
+    ``space.grid()`` (C order, last parameter fastest).  Nothing here
+    is per point: :meth:`spread` lays a table over a few axes onto the
+    grid's shape, and :meth:`flat` writes the flat plane once.
     """
 
     names: tuple
     values: tuple
     shape: tuple
     size: int
-    indices: dict
 
     @classmethod
     def from_space(cls, space):
         names = tuple(p.name for p in space.parameters)
         values = tuple(tuple(p.values) for p in space.parameters)
         shape = tuple(len(v) for v in values)
-        size = 1
-        for extent in shape:
-            size *= extent
-        unravel = np.unravel_index(np.arange(size), shape)
-        indices = {name: axis.astype(np.intp)
-                   for name, axis in zip(names, unravel)}
-        return cls(names=names, values=values, shape=shape, size=size,
-                   indices=indices)
+        return cls(names=names, values=values, shape=shape,
+                   size=math.prod(shape))
 
     def _extent(self, name):
         return len(self.values[self.names.index(name)])
 
-    def fold(self, axis_names):
-        """Flat combo index over a subset of axes (C order over subset)."""
-        flat = np.zeros(self.size, dtype=np.intp)
-        for name in axis_names:
-            flat = flat * self._extent(name) + self.indices[name]
-        return flat
-
     def axis_subgrid(self, axis_names):
         """Index arrays enumerating just ``axis_names``' own grid."""
         shape = tuple(self._extent(name) for name in axis_names)
-        size = 1
-        for extent in shape:
-            size *= extent
+        size = math.prod(shape)
         unravel = np.unravel_index(np.arange(size), shape)
         return {name: axis.astype(np.intp)
                 for name, axis in zip(axis_names, unravel)}, size
+
+    def spread(self, table, axis_names):
+        """``table`` as an array that broadcasts onto the grid's shape.
+
+        ``table`` is flat in C order over ``axis_names``' own grid (the
+        order :meth:`axis_subgrid` enumerates).  Its axes are transposed
+        to the order in which the space declares them, and every other
+        axis gets extent 1.
+        """
+        positions = [self.names.index(name) for name in axis_names]
+        table = np.reshape(table, [self.shape[p] for p in positions])
+        table = table.transpose(np.argsort(positions))
+        shape = [1] * len(self.shape)
+        for position in positions:
+            shape[position] = self.shape[position]
+        return table.reshape(shape)
+
+    def flat(self, array):
+        """A flat C-order plane of an array that broadcasts onto the
+        grid's shape; a C-contiguous full-shape array comes back as a
+        view."""
+        if array.shape != self.shape:
+            array = np.broadcast_to(array, self.shape).copy()
+        return array.reshape(-1)
 
     def point(self, flat_index):
         """The parameter dict at a flat grid index."""
@@ -168,7 +183,8 @@ class VectorizedFit:
     separable), and each cache axis contributes an additive delta.  The
     probes keep the vectorized plane automatically in sync with the
     scalar coefficients; structural drift (a cache option that changed
-    ffs or dsps) fails loudly at construction.
+    ffs or dsps) fails loudly at construction.  Only these tables are
+    kept; :meth:`evaluate` broadcasts them onto the grid.
     """
 
     def __init__(self, board, grid):
@@ -198,10 +214,6 @@ class VectorizedFit:
             anchor, _DCACHE_AXES, values,
             lambda size: VexRiscvConfig(icache_bytes=0, dcache_bytes=size))
 
-        self._core_idx = grid.fold(_CORE_AXES)
-        self._icache_idx = grid.fold(_ICACHE_AXES)
-        self._dcache_idx = grid.fold(_DCACHE_AXES)
-
         #: Board-constant SoC fabric (peripherals, CSR bank, interconnect,
         #: flash controller): everything in Soc.resources() except the CPU.
         anchor_cpu = VexRiscvConfig()
@@ -225,22 +237,23 @@ class VectorizedFit:
                 np.array(dbram, dtype=np.int64))
 
     def evaluate(self, cfu_report):
-        """(logic_cells, fit_ok) arrays for the grid + one CFU report."""
-        const_luts = self._fabric[0] + cfu_report.luts
-        const_ffs = self._fabric[1] + cfu_report.ffs
-        const_dsps = self._fabric[2] + cfu_report.dsps
-        const_bram = self._fabric[3] + cfu_report.bram_bits
+        """(logic_cells, fit_ok) flat planes for the grid + one CFU report."""
+        grid = self.grid
+        fabric_luts, fabric_ffs, fabric_dsps, fabric_bram = self._fabric
 
-        luts = (np.take(self._core_luts, self._core_idx)
-                + np.take(self._icache_dluts, self._icache_idx)
-                + np.take(self._dcache_dluts, self._dcache_idx)
-                + const_luts)
-        ffs = np.take(self._core_ffs, self._core_idx) + const_ffs
-        dsps = np.take(self._core_dsps, self._core_idx) + const_dsps
-        bram = (np.take(self._core_bram, self._core_idx)
-                + np.take(self._icache_dbram, self._icache_idx)
-                + np.take(self._dcache_dbram, self._dcache_idx)
-                + const_bram)
+        def core(table, const):
+            return grid.spread(table + const, _CORE_AXES)
+
+        def caches(icache, dcache):
+            return (grid.spread(icache, _ICACHE_AXES)
+                    + grid.spread(dcache, _DCACHE_AXES))
+
+        luts = (core(self._core_luts, fabric_luts + cfu_report.luts)
+                + caches(self._icache_dluts, self._dcache_dluts))
+        ffs = core(self._core_ffs, fabric_ffs + cfu_report.ffs)
+        dsps = core(self._core_dsps, fabric_dsps + cfu_report.dsps)
+        bram = (core(self._core_bram, fabric_bram + cfu_report.bram_bits)
+                + caches(self._icache_dbram, self._dcache_dbram))
 
         paired = np.minimum(luts, ffs)
         logic_cells = np.maximum(luts, ffs) + paired // 4
@@ -248,7 +261,7 @@ class VectorizedFit:
         fit_ok = ~((logic_cells > UTILIZATION_LIMIT * board.logic_cells)
                    | (dsps > board.dsp_blocks)
                    | (bram > board.bram_bits))
-        return logic_cells, fit_ok
+        return grid.flat(logic_cells), grid.flat(fit_ok)
 
 
 @dataclass
@@ -288,7 +301,6 @@ class ExhaustiveSweeper:
         # the per-point CPU is swapped in by the batch cost model.
         self._system = Soc(self.board, VexRiscvConfig()).system_config()
         self._fit = VectorizedFit(self.board, self.grid)
-        self._cost_fold = self.grid.fold(COST_AXES)
         self._planes = {}
 
     def family_plane(self, family):
@@ -303,8 +315,8 @@ class ExhaustiveSweeper:
             batch = BatchCostModel(self.model, self._system, axis_values,
                                    variants=variants)
             cost_indices, _ = self.grid.axis_subgrid(COST_AXES)
-            cost_cycles = batch.cycles(cost_indices)
-            cycles = np.take(cost_cycles, self._cost_fold)
+            cycles = self.grid.flat(self.grid.spread(
+                batch.cycles(cost_indices), COST_AXES))
             logic_cells, fit_ok = self._fit.evaluate(cfu_report)
             front = pareto_front_indices(cycles, logic_cells, fit_ok)
             self._planes[family] = FamilyPlane(

@@ -12,6 +12,7 @@ fronts are checked against ground truth, not against plausibility.
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -286,3 +287,26 @@ def test_whole_space_distinct_fronts_match_committed_bench():
         committed = [(entry["cycles"], entry["logic_cells"])
                      for entry in families[family]["front"]]
         assert sorted(set(result.front_metrics(family))) == committed
+
+
+def test_whole_space_sweep_holds_per_axis_tables_not_per_point_arrays(
+        evaluator):
+    """A full-space sweeper keeps only its small per-axis tables (index
+    and fold arrays over the grid cost 3.1 MiB), and a three-family
+    sweep peaks below the 8.6 MiB that those arrays plus a probe per
+    trace entry cost.  The model is preloaded, so it is not counted."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sweeper = ExhaustiveSweeper(model=evaluator.model)
+        kept, _ = tracemalloc.get_traced_memory()
+        sweep(sweeper=sweeper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert kept - baseline < 0.5 * 2**20
+    assert peak - baseline < 6.5 * 2**20

@@ -7,9 +7,9 @@ Hypothesis drives three obligations the example-based suites can't pin:
 - all three content-addressed stores (the evaluation cache, the compile
   cache and the study store) read torn, garbage and foreign-schema
   files as misses, and so a FIFO, a symlink to ``/dev/zero``, a
-  directory or an oversized file at an entry's path, publish atomically
-  without leftover temp files, keep their keys and read files in the
-  format they have always written;
+  directory, an oversized file or a file they may not open at an
+  entry's path, publish atomically without leftover temp files, keep
+  their keys and read files in the format they have always written;
 - under *any* interleaving of claims, completions, stale retries, and
   clock advances, the lease bookkeeping holds its invariants: every
   trial completes exactly once, stale tokens never win, and the number
@@ -371,26 +371,45 @@ def make_oversized(path):
         handle.truncate(MAX_DOCUMENT_BYTES + 1)
 
 
-#: Non-documents at an entry's path.  Read naively, the FIFO blocks
-#: forever (no writer) and the ``/dev/zero`` symlink reads until memory
-#: runs out.
+def replacing(make):
+    """A maker that swaps the entry at ``path`` for what ``make`` puts
+    there."""
+    def replace(path):
+        os.unlink(path)
+        make(path)
+    return replace
+
+
+#: Ways to spoil a valid entry at its path.  Read naively, the FIFO
+#: blocks forever (no writer) and the ``/dev/zero`` symlink reads until
+#: memory runs out; the unreadable entry is intact, but its mode grants
+#: no read permission.
 HOSTILE_PATHS = {
-    "fifo": lambda path: os.mkfifo(path),
-    "dev-zero-symlink": lambda path: os.symlink("/dev/zero", path),
-    "directory": os.mkdir,
-    "oversized": make_oversized,
+    "fifo": replacing(lambda path: os.mkfifo(path)),
+    "dev-zero-symlink": replacing(lambda path: os.symlink("/dev/zero", path)),
+    "directory": replacing(os.mkdir),
+    "oversized": replacing(make_oversized),
+    "unreadable": lambda path: os.chmod(path, 0),
 }
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Prefix of every child script: cap the child at 1 GiB of address
 #: space, so a read that never ends fails with MemoryError instead of
-#: exhausting the host.
+#: exhausting the host, and make ``os.open`` refuse a file whose mode
+#: grants no read permission with EACCES, as it does for any user but
+#: root, so the unreadable cases hold when the suite runs as root.
 CAPPED_CHILD = """\
-import resource, sys
+import errno, os, resource, sys
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+root_open = os.open
+def open_without_root_override(path, flags, *args, **kwargs):
+    if os.path.exists(path) and not os.stat(path).st_mode & 0o444:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return root_open(path, flags, *args, **kwargs)
+os.open = open_without_root_override
 """
 
 posix_only = pytest.mark.skipif(not hasattr(os, "mkfifo"),
@@ -415,7 +434,6 @@ def test_store_reads_a_hostile_path_as_a_miss(tmp_path, store):
     for name, make in HOSTILE_PATHS.items():
         root = tmp_path / name
         store.write(str(root), store.value)
-        (root / store.path).unlink()
         make(str(root / store.path))
         roots[str(root)] = name
     verdicts = run_capped(
@@ -442,6 +460,31 @@ def test_load_trials_counts_a_fifo_and_keeps_the_rest(tmp_path):
         "print(sorted(records), unreadable)\n",
         str(tmp_path))
     assert loaded.split() == ["[1]", "1"]
+
+
+@posix_only
+def test_study_store_skips_and_counts_unreadable_files(tmp_path):
+    """A trial or study file that cannot be opened is skipped:
+    ``load_trials`` counts it and ``list_studies`` leaves it out."""
+    store = StudyStore(str(tmp_path))
+    for study_id in ("kept", "locked"):
+        store.write_study({"owner": "o", "study_id": study_id})
+    for trial_id in (1, 2):
+        store.write_trial("o", "kept", TrialRecord(trial_id=trial_id,
+                                                   parameters={"x": 1}))
+    skey, lkey = study_key("o", "kept"), study_key("o", "locked")
+    tkey = trial_key(skey, 2)
+    os.chmod(tmp_path / skey[:2] / skey / "trials" / tkey[:2]
+             / (tkey + ".json"), 0)
+    os.chmod(tmp_path / lkey[:2] / lkey / "study.json", 0)
+    loaded = run_capped(
+        "from repro.dse.store import StudyStore\n"
+        "store = StudyStore(sys.argv[1])\n"
+        "records, unreadable = store.load_trials('o', 'kept')\n"
+        "print(sorted(records), unreadable)\n"
+        "print([config['study_id'] for config in store.list_studies()])\n",
+        str(tmp_path))
+    assert loaded.split() == ["[1]", "1", "['kept']"]
 
 
 def test_read_json_caps_a_document_at_max_document_bytes(tmp_path):

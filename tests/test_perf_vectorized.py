@@ -9,6 +9,7 @@ IEEE-754 operations, so any drift is a bug, not noise.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ REDUCED_SPACE = ParameterSpace([
     Parameter("dcache_bytes", (0, 4096)),
     Parameter("icache_ways", (1, 2)),
 ])
+
+#: REDUCED_SPACE declared in another order than COST_AXES and the
+#: resource axes: icache_ways first, dcache_bytes before icache_bytes,
+#: the core axes shuffled.
+SHUFFLED_SPACE = ParameterSpace([REDUCED_SPACE[name] for name in (
+    "icache_ways", "dcache_bytes", "shifter", "icache_bytes", "multiplier",
+    "hw_error_checking", "branch_prediction", "divider", "bypassing")])
 
 
 @pytest.fixture(scope="module")
@@ -100,13 +108,11 @@ def test_mul_none_expansion_bit_exact(model, full_space, batch_model):
         assert vectorized == scalar_cycles(model, point)
 
 
-def test_reduced_space_exhaustively_bit_exact(model, reduced_sweeper):
-    """Every point of a fully-enumerable space, all three metrics."""
-    points = list(REDUCED_SPACE.grid())
-    assert len(points) == REDUCED_SPACE.size()
-    for family in ("none", "cfu2"):
-        cycles, cells, fit_ok = reduced_sweeper.evaluate_points(
-            points, family)
+def assert_every_point_bit_exact(model, sweeper, space, families):
+    points = list(space.grid())
+    assert len(points) == space.size()
+    for family in families:
+        cycles, cells, fit_ok = sweeper.evaluate_points(points, family)
         for index, point in enumerate(points):
             scalar = evaluate_design(model, ARTY_A7_35T, point, family)
             if scalar is None:
@@ -115,6 +121,20 @@ def test_reduced_space_exhaustively_bit_exact(model, reduced_sweeper):
                 assert fit_ok[index]
                 assert cycles[index] == scalar.cycles
                 assert cells[index] == scalar.logic_cells
+
+
+def test_reduced_space_exhaustively_bit_exact(model, reduced_sweeper):
+    """Every point of a fully-enumerable space, all three metrics."""
+    assert_every_point_bit_exact(model, reduced_sweeper, REDUCED_SPACE,
+                                 ("none", "cfu2"))
+
+
+def test_shuffled_parameter_order_exhaustively_bit_exact(model):
+    """A space declared out of grid order takes the transpose in
+    ``GridTensors.spread``; every point still equals the scalar oracle."""
+    sweeper = ExhaustiveSweeper(model=model, space=SHUFFLED_SPACE)
+    assert_every_point_bit_exact(model, sweeper, SHUFFLED_SPACE,
+                                 ("none", "cfu2"))
 
 
 def test_reduced_space_front_matches_scalar_front(model, reduced_sweeper):
@@ -131,14 +151,23 @@ def test_reduced_space_front_matches_scalar_front(model, reduced_sweeper):
 def test_grid_tensors_roundtrip(full_space):
     grid = GridTensors.from_space(full_space)
     assert grid.size == full_space.size() == 31104
+    # Each axis's value index spread onto the grid, and one table over
+    # three axes named out of the order the space declares them in.
+    per_axis = {name: grid.flat(grid.spread(np.arange(len(vals)), (name,)))
+                for name, vals in zip(grid.names, grid.values)}
+    axes = ("icache_ways", "dcache_bytes", "bypassing")
+    subgrid, size = grid.axis_subgrid(axes)
+    combined = grid.flat(grid.spread(np.arange(size), axes))
     rng = random.Random(3)
     for flat in [0, 1, grid.size - 1] + [rng.randrange(grid.size)
                                          for _ in range(20)]:
         point = grid.point(flat)
         assert grid.flat_index(point) == flat
-        # indices tensors agree with the materialized point
         for name, vals in zip(grid.names, grid.values):
-            assert vals[grid.indices[name][flat]] == point[name]
+            assert vals[per_axis[name][flat]] == point[name]
+        for name in axes:
+            vals = grid.values[grid.names.index(name)]
+            assert vals[subgrid[name][combined[flat]]] == point[name]
 
 
 def test_grid_tensors_match_grid_order():
@@ -152,6 +181,41 @@ def test_grid_tensors_match_grid_order():
     for flat, point in enumerate(space.grid()):
         assert grid.point(flat) == point
         assert grid.flat_index(point) == flat
+
+
+def test_build_probes_each_distinct_entry_once(model, full_space,
+                                               monkeypatch):
+    """One build compiles each distinct ``(entry, code_section)`` of its
+    canonical estimate once, and each finish once per
+    ``(code_section, loop_footprint_bytes)``."""
+    entries, finishes = Counter(), Counter()
+    compile_entry = BatchCostModel._compile_entry
+    compile_finish = BatchCostModel._compile_finish
+
+    def count_entry(self, entry, code_section):
+        entries[entry, code_section] += 1
+        return compile_entry(self, entry, code_section)
+
+    def count_finish(self, code_section, loop_footprint_bytes):
+        finishes[code_section, loop_footprint_bytes] += 1
+        return compile_finish(self, code_section, loop_footprint_bytes)
+
+    monkeypatch.setattr(BatchCostModel, "_compile_entry", count_entry)
+    monkeypatch.setattr(BatchCostModel, "_compile_finish", count_finish)
+    system = Soc(ARTY_A7_35T, VexRiscvConfig()).system_config()
+    axis_values = {p.name: p.values for p in full_space
+                   if p.name in COST_AXES}
+    estimate = BatchCostModel(model, system, axis_values).canonical_estimate
+    units = [(cost.trace, cost.code_section, cost.loop_footprint_bytes)
+             for cost in estimate.op_costs]
+    units.append((estimate.overhead_trace, estimate.overhead_code_section,
+                  estimate.overhead_loop_footprint_bytes))
+    assert set(entries) == {(entry, section)
+                            for trace, section, _ in units for entry in trace}
+    assert set(finishes) == {(section, footprint)
+                             for _, section, footprint in units}
+    assert set(entries.values()) == set(finishes.values()) == {1}
+    assert sum(len(trace) for trace, _, _ in units) > 2 * len(entries)
 
 
 def test_pareto_front_indices_matches_reference():

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core.project import PROJECTS, list_projects, load_project
 from repro.core.telemetry import Telemetry
+from repro.dse.runner import ALL_CFU_FAMILIES
 from repro.tflm.serialize import load_model_file
 
 
@@ -96,6 +97,45 @@ def test_cli_dse(capsys):
     out = capsys.readouterr().out
     assert "93,312" in out
     assert "Pareto-optimal" in out
+
+
+def test_cli_exhaustive_rejects_unknown_families_before_sweeping(
+        capsys, monkeypatch):
+    import repro.dse
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before --families was checked")
+
+    monkeypatch.setattr(repro.dse, "sweep", no_sweep)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dse", "exhaustive", "--families", "none,bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--families" in err and "'bogus'" in err
+    assert all(family in err for family in ALL_CFU_FAMILIES)
+
+
+def test_cli_exhaustive_reports_regret_only_for_searched_families(
+        capsys, monkeypatch):
+    import repro.dse
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched although no family is searchable")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.dse, "run_fig7", no_search)
+        assert main(["dse", "exhaustive", "--families", "winograd",
+                     "--regret-trials", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "winograd: no regret" in out
+    assert "hypervolume regret" not in out
+
+    assert main(["dse", "exhaustive", "--families", "cfu1,winograd",
+                 "--regret-trials", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "cfu1: RegularizedEvolution@6 hypervolume regret" in out
+    assert "winograd: no regret" in out
+    assert "winograd: RegularizedEvolution" not in out
 
 
 def test_cli_exports_are_json_lines(tmp_path, capsys):
