@@ -168,8 +168,7 @@ def _trial_setup(cache_dir):
 
     cache = CodeCache(cache_dir) if cache_dir else None
     started = time.perf_counter()
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto",
-                        compile_cache=cache)
+    emulator = Emulator(Soc(ARTY_A7_35T), compile_cache=cache)
     emulator.load_assembly(_TRIAL_FIRMWARE, region="flash")
     emulator.run(1_000_000)
     elapsed = time.perf_counter() - started

@@ -58,7 +58,7 @@ forever:
     j forever
 """
 
-SPEC = {"board": "arty_a7_35t", "sim_backend": "auto"}
+SPEC = {"board": "arty_a7_35t"}
 
 #: First page of ARTY main RAM; the scaling run dirties pages upward.
 RAM_BASE = 0x4000_0000
@@ -164,7 +164,7 @@ def measure_fleet_capacity(cache_dir):
 
 
 def measure_step_latency():
-    """p50/p99 for a 100-instruction step over the wire."""
+    """p50/p99 for a 100-instruction run over the wire."""
     manager = SessionManager(compile_cache=None)
     with SessionServerThread(manager) as handle:
         with SessionClient(handle.url) as client:
@@ -173,7 +173,7 @@ def measure_step_latency():
             latencies = []
             for _ in range(STEPS):
                 started = time.perf_counter()
-                outcome = client.step(sid, max_instructions=100)
+                outcome = client.run(sid, max_instructions=100)
                 latencies.append(time.perf_counter() - started)
                 assert not outcome["halted"]
     return {

@@ -142,7 +142,7 @@ def timed_run(build, mode, backend):
     target = build(mode == "timed")
     machine = target.machine if isinstance(target, Emulator) else target
     start = time.perf_counter()
-    target.run(max_instructions=200_000_000, backend=backend)
+    machine.run(max_instructions=200_000_000, backend=backend)
     return time.perf_counter() - start, machine
 
 
@@ -187,8 +187,6 @@ def measure():
                     "compile_seconds": round(compile_seconds, 4),
                     "steady_seconds": round(steady_seconds, 4),
                     "instructions_per_second": round(translated_ips),
-                    "decode_cache_entries":
-                        trans_machine.decode_cache_entries,
                     "block_cache_entries":
                         trans_machine.block_cache_entries,
                     "block_promotions": trans_machine.block_promotions,

@@ -5,6 +5,12 @@ can feed the same sequence of inputs to both the real CFU and to the
 software emulation, and expect to see the same sequence of outputs".
 This module is that harness, running the gateware in the cycle-accurate
 RTL simulator instead of on a board.
+
+Every entry point takes a bare :class:`~repro.cfu.rtl.RtlCfu` (run on
+the default RTL backend) or an :class:`~repro.cfu.rtl.RtlCfuAdapter`,
+so a test that wants the RTL oracle passes
+``RtlCfuAdapter(cfu, backend="interp")``.  Firmware runs on the ISA
+fast path; the ISA oracle is ``Machine.run(backend="step")``.
 """
 
 from __future__ import annotations
@@ -46,14 +52,10 @@ class GoldenReport:
         return not self.mismatches
 
 
-def run_sequence(rtl_cfu, model, sequence, backend="auto"):
-    """Feed identical (funct3, funct7, a, b) ops to gateware and model.
-
-    ``backend`` picks the RTL simulation backend when a bare
-    :class:`RtlCfu` is passed (an already-built adapter keeps its own).
-    """
+def run_sequence(rtl_cfu, model, sequence):
+    """Feed identical (funct3, funct7, a, b) ops to gateware and model."""
     if isinstance(rtl_cfu, RtlCfu):
-        rtl_cfu = RtlCfuAdapter(rtl_cfu, backend=backend)
+        rtl_cfu = RtlCfuAdapter(rtl_cfu)
     if not isinstance(model, CfuModel):
         raise TypeError("model must be a CfuModel")
     model.reset()
@@ -81,11 +83,9 @@ def random_sequence(opcodes, count=100, seed=0, operand_bits=32):
     ]
 
 
-def assert_equivalent(rtl_cfu, model, opcodes, count=100, seed=0,
-                      backend="auto"):
+def assert_equivalent(rtl_cfu, model, opcodes, count=100, seed=0):
     """Raise AssertionError with a readable diff if RTL and model diverge."""
-    report = run_sequence(rtl_cfu, model, random_sequence(opcodes, count, seed),
-                          backend=backend)
+    report = run_sequence(rtl_cfu, model, random_sequence(opcodes, count, seed))
     if not report.passed:
         shown = "\n".join(str(m) for m in report.mismatches[:10])
         raise AssertionError(
@@ -110,21 +110,17 @@ class FirmwareRun:
 
 
 def run_firmware(soc_factory, cfu, source, region="sram",
-                 max_instructions=5_000_000, sim_backend="auto",
-                 compile_cache=None):
+                 max_instructions=5_000_000, compile_cache=None):
     """Assemble and run ``source`` on a fresh SoC with ``cfu`` attached.
 
     ``soc_factory`` builds the SoC (a fresh one per run, so two runs
-    never share peripheral or RAM state).  ``sim_backend`` picks the ISA
-    execution path (see :data:`repro.cpu.machine.SIM_BACKENDS`).
-    ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
+    never share peripheral or RAM state).  ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
     directory path, or ``True`` for the process default) lets repeated
     runs of the same firmware skip block code generation.
     """
     from ..emu import Emulator
 
-    emulator = Emulator(soc_factory(), cfu=cfu, sim_backend=sim_backend,
-                        compile_cache=compile_cache)
+    emulator = Emulator(soc_factory(), cfu=cfu, compile_cache=compile_cache)
     emulator.load_assembly(source, region=region)
     exit_code = emulator.run(max_instructions)
     machine = emulator.machine
@@ -138,8 +134,7 @@ def run_firmware(soc_factory, cfu, source, region="sram",
 
 
 def assert_firmware_equivalent(soc_factory, rtl_cfu, model, source,
-                               region="sram", max_instructions=5_000_000,
-                               backend="auto", sim_backend="auto"):
+                               region="sram", max_instructions=5_000_000):
     """Section II-E, one level up: the same *firmware* must behave
     identically with the real CFU and with its software emulation.
 
@@ -147,17 +142,12 @@ def assert_firmware_equivalent(soc_factory, rtl_cfu, model, source,
     SoCs and asserts identical exit code, retired-instruction count,
     register file, and UART output.  Cycle counts are reported on the
     returned pair but not asserted (model latencies may legitimately
-    differ from gateware).  ``sim_backend`` applies to both runs, so the
-    harness itself can be exercised on either execution path.
+    differ from gateware).
     """
-    if isinstance(rtl_cfu, RtlCfu):
-        rtl_cfu = RtlCfuAdapter(rtl_cfu, backend=backend)
     rtl_run = run_firmware(soc_factory, rtl_cfu, source, region=region,
-                           max_instructions=max_instructions,
-                           sim_backend=sim_backend)
+                           max_instructions=max_instructions)
     model_run = run_firmware(soc_factory, model, source, region=region,
-                             max_instructions=max_instructions,
-                             sim_backend=sim_backend)
+                             max_instructions=max_instructions)
     for attr in ("exit_code", "instret", "regs", "uart"):
         rtl_value = getattr(rtl_run, attr)
         model_value = getattr(model_run, attr)

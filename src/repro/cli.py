@@ -46,8 +46,7 @@ def _cmd_profile(args):
 
     project = load_project(args.project)
     if args.simulate:
-        sim = project.profile(simulate=True, budget=args.budget,
-                              sim_backend=args.sim_backend)
+        sim = project.profile(simulate=True, budget=args.budget)
         print(sim.summary())
         if args.folded_out:
             count = sim.export_folded(args.folded_out)
@@ -244,22 +243,17 @@ def _session_manager(args):
     from .core import codecache
     from .emu.sessions import SessionManager
 
-    compile_cache = None
-    if not args.no_compile_cache:
-        if args.compile_cache_dir:
-            codecache.configure(args.compile_cache_dir)
-        compile_cache = True
+    if args.compile_cache_dir:
+        codecache.configure(args.compile_cache_dir)
     return SessionManager(max_sessions=args.max_sessions,
-                          compile_cache=compile_cache)
+                          compile_cache=True)
 
 
 def _cmd_sessions_serve(args):
     from .emu.sessions import serve
 
     manager = _session_manager(args)
-    cache = manager.compile_cache
-    cache_label = ("disabled" if cache is None
-                   else cache.cache_dir or "in-memory")
+    cache_label = manager.compile_cache.cache_dir or "in-memory"
     print(f"serving the emulation session fleet on "
           f"http://{args.host}:{args.port} "
           f"(max {args.max_sessions} sessions, "
@@ -319,8 +313,6 @@ def _positive_int(text):
 
 
 def build_parser():
-    from .cpu.machine import SIM_BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CFU Playground reproduction: full-stack TinyML "
@@ -351,12 +343,6 @@ def build_parser():
     profile.add_argument("--metrics-out", default=None,
                          help="write the run's telemetry here as JSON "
                               "Lines (with --simulate)")
-    profile.add_argument(
-        "--sim-backend", choices=SIM_BACKENDS, default="auto",
-        help="ISA simulator execution path: auto runs every basic "
-             "block as generated code (stepping what a block cannot "
-             "cover), step is the reference interpreter; both are "
-             "cycle-identical (mirrors the RTL backend= convention)")
     profile.set_defaults(func=_cmd_profile)
 
     golden = sub.add_parser("golden", help="run a project's golden test")
@@ -479,8 +465,6 @@ def build_parser():
                                      "its entries are exec'd, so it is "
                                      "trusted as code: use a directory "
                                      "only you can write")
-    sessions_serve.add_argument("--no-compile-cache", action="store_true",
-                                help="disable persistent compile reuse")
     sessions_serve.set_defaults(func=_cmd_sessions_serve)
 
     rep = sub.add_parser("report",

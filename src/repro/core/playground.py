@@ -121,7 +121,7 @@ class Playground:
                                estimate=self.profile())
 
     def profile(self, checkpoint=None, simulate=False, budget=None,
-                min_share=0.02, drift_band=None, sim_backend="auto"):
+                min_share=0.02, drift_band=None):
         """Per-operator cycle attribution; the paper's 'Profile' step.
 
         With ``simulate=True`` the analytic estimate is cross-validated
@@ -132,9 +132,6 @@ class Playground:
         :exc:`~repro.core.simprofile.ProfileDriftError` if estimator and
         simulator disagree beyond ``drift_band``.  Returns a
         :class:`~repro.core.simprofile.SimulatedProfile` in that case.
-        ``sim_backend`` selects the simulator's execution path (see
-        :data:`repro.cpu.machine.SIM_BACKENDS`); cycle counts are
-        identical across paths.
         """
         with self.telemetry.span("profile", model=self.model.name,
                                  checkpoint=checkpoint,
@@ -150,7 +147,7 @@ class Playground:
                     self, budget=budget or DEFAULT_BUDGET,
                     min_share=min_share,
                     drift_band=drift_band or DEFAULT_DRIFT_BAND,
-                    estimate=estimate, sim_backend=sim_backend)
+                    estimate=estimate)
                 span.attrs["simulated_cycles"] = result.total_cycles
                 span.attrs["drift"] = round(result.drift, 4)
         self.telemetry.counter("playground_profiles").inc()

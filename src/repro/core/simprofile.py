@@ -438,7 +438,7 @@ def _class_key(cost, names_1x1):
 
 
 def _simulate_class(name, trace, instructions, code_section, estimated,
-                    playground, system, budget, sim_backend="auto"):
+                    playground, system, budget):
     """Synthesize + run + replay one opcode class; returns a ClassSim."""
     from ..emu import Emulator
 
@@ -486,9 +486,9 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
     base = memory_map.get(code_region).base
     code, symbols = assemble(builder.source(), origin=base)
     emulator.bus.load_bytes(base, code)
-    # Scope the invalidation to the pages just rewritten: decoded ops
-    # and translated blocks for other classes' firmware stay warm
-    # across repeated --simulate runs.
+    # Scope the invalidation to the pages just rewritten: translated
+    # blocks for other classes' firmware stay warm across repeated
+    # --simulate runs.
     emulator.machine.invalidate_pages(base, len(code))
     emulator.machine.pc = base
 
@@ -498,7 +498,7 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
 
     profiler = MachineProfiler(emulator.machine, symbols)
     limit = int(replay_instructions * 2) + 10_000
-    profile = profiler.run(max_instructions=limit, backend=sim_backend)
+    profile = profiler.run(max_instructions=limit)
     if profile.truncated:
         raise RuntimeError(
             f"synthesized firmware for {name} exceeded its instruction "
@@ -511,7 +511,7 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
 
 def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
                      drift_band=DEFAULT_DRIFT_BAND, estimate=None,
-                     check=True, sim_backend="auto"):
+                     check=True):
     """Cross-validate a playground's analytic profile against the ISA
     simulator; returns a :class:`SimulatedProfile`.
 
@@ -519,9 +519,6 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
     cycles gets a synthesized firmware run of about ``budget``
     instructions.  ``check=True`` raises :exc:`ProfileDriftError` when
     any class's simulated/analytic ratio leaves ``drift_band``.
-    ``sim_backend`` selects the ISA execution path (see
-    :data:`repro.cpu.machine.SIM_BACKENDS`); both produce identical
-    cycle counts, so this only trades wall-clock for warm-up cost.
     """
     if estimate is None:
         estimate = playground.profile()
@@ -560,14 +557,12 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
             with telemetry.span("simprofile_class", cls=name) as span:
                 sim = _simulate_class(name, trace, instructions,
                                       code_section, estimated, playground,
-                                      system, budget,
-                                      sim_backend=sim_backend)
+                                      system, budget)
                 if sim is not None:
                     span.attrs["drift"] = round(sim.drift, 4)
         else:
             sim = _simulate_class(name, trace, instructions, code_section,
-                                  estimated, playground, system, budget,
-                                  sim_backend=sim_backend)
+                                  estimated, playground, system, budget)
         if sim is None:
             result.skipped[name] = estimated
         else:

@@ -18,13 +18,18 @@ Two execution paths share the same architectural semantics:
   fast path against.
 - :meth:`Machine.run` (default ``backend="auto"``) — the fast path:
   every dispatch pc runs a translated basic block
-  (:mod:`repro.cpu.translate`), generated on the pc's first dispatch
-  from a decoded-instruction cache keyed by physical address, with the
-  hot state (pc, cycle and instruction counters, hazard bookkeeping)
-  kept in locals between blocks.  A pc no block covers — a system
-  instruction, a translation refusal, or a remaining budget shorter
-  than the block — runs on ``step()``.  Stores invalidate decodes and
-  blocks at page granularity, so self-modifying code stays correct.
+  (:mod:`repro.cpu.translate`), decoded from memory and generated on
+  the pc's first dispatch, with the hot state (pc, cycle and
+  instruction counters, hazard bookkeeping) kept in locals between
+  blocks.  A pc no block covers — a system instruction, a translation
+  refusal, or a remaining budget shorter than the block — runs on
+  ``step()``.  Blocks end at the code-page edge, so each lies on its
+  entry page; a store into a page drops that page's blocks, which keeps
+  self-modifying code correct.
+
+:meth:`Machine.run` and :meth:`~repro.cpu.profiler.MachineProfiler.run`
+are the only places the path is chosen: a caller that wants the oracle
+builds the machine and runs it with ``backend="step"``.
 """
 
 from __future__ import annotations
@@ -38,18 +43,15 @@ _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
 _MASK32 = 0xFFFFFFFF
 
-#: Simulator backend names accepted by :meth:`Machine.run` (and
-#: everything that forwards to it).  ``auto`` runs translated blocks,
-#: stepping whatever a block cannot cover; ``step`` is the reference
-#: interpreter.
+#: Simulator backend names accepted by :meth:`Machine.run` and
+#: :meth:`~repro.cpu.profiler.MachineProfiler.run`.  ``auto`` runs
+#: translated blocks, stepping whatever a block cannot cover; ``step``
+#: is the reference interpreter.
 SIM_BACKENDS = ("auto", "step")
 
 
-def check_backend(backend):
-    """Raise ValueError unless ``backend`` is one of :data:`SIM_BACKENDS`."""
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown sim backend {backend!r}"
+def _unknown_backend(name):
+    return (f"unknown sim backend {name!r}"
             f" (expected one of {', '.join(SIM_BACKENDS)})")
 
 
@@ -256,7 +258,7 @@ class SparseMemory(CowPagesMixin):
 
 # --- decoded-instruction dispatch kinds -------------------------------------------
 #
-# Each cached entry is a 7-tuple ``(kind, a, b, c, d, ins, reads)``:
+# Each specialized op is a 7-tuple ``(kind, a, b, c, d, ins, reads)``:
 # ``kind`` selects what the block translator emits, ``a``..``d`` carry
 # the pre-extracted operand fields (meaning depends on the kind),
 # ``ins`` is the full decoded :class:`~repro.cpu.isa.Instruction`, and
@@ -456,17 +458,10 @@ class Machine:
         # Hazard tracking for the timing model.
         self._pending_rd = 0
         self._pending_is_load = False
-        # Decoded-instruction cache: pc -> specialized op tuple, plus a
-        # page index -> [pc] map for page-granular store invalidation.
-        self._decode_cache = {}
-        self._decode_pages = {}
-        self.decode_count = 0          # static decodes performed
-        self.invalidation_count = 0    # pages invalidated by stores/flushes
         # Block cache (repro.cpu.translate): pc -> BlockEntry, plus the
-        # page -> [entry pc] map mirroring the decode cache's
-        # invalidation contract.  NOTE: generated blocks bake direct
-        # references to _decode_pages/_block_pages — mutate those dicts
-        # in place, never rebind them.
+        # page -> [entry pc] map for page-granular store invalidation.
+        # NOTE: generated blocks bake a direct reference to
+        # _block_pages — mutate that dict in place, never rebind it.
         self._blocks = {}
         self._block_pages = {}
         self._block_fault = [0, 0, -1]  # (pc, cycles, instrs) at in-block fault
@@ -475,7 +470,6 @@ class Machine:
         self.block_promotions = 0      # successful block translations
         self.block_invalidation_count = 0
         self.block_compile_seconds = 0.0
-        self.last_run_backend = None
         # Machine-level data-page tuple cache shared by every generated
         # block (page index -> resolved access tuple).  Its identity is
         # baked into generated code; mutate in place, never rebind.  The
@@ -493,27 +487,6 @@ class Machine:
         self.restore_count = 0
         self.pages_restored = 0
 
-    # --- decode cache ---------------------------------------------------------------
-    @property
-    def decode_cache_entries(self):
-        return len(self._decode_cache)
-
-    def flush_decode_cache(self):
-        """Drop every cached decode (e.g. after loading a new image).
-        Translated blocks are built from cached decodes, so they go
-        with it."""
-        if self._decode_pages:
-            self.invalidation_count += len(self._decode_pages)
-        self._decode_cache.clear()
-        self._decode_pages.clear()
-        self.flush_block_cache()
-
-    def _invalidate_page(self, page):
-        cache = self._decode_cache
-        for pc in self._decode_pages.pop(page):
-            cache.pop(pc, None)
-        self.invalidation_count += 1
-
     # --- block cache ----------------------------------------------------------------
     @property
     def block_cache_entries(self):
@@ -521,7 +494,8 @@ class Machine:
         return sum(1 for entry in self._blocks.values() if entry.length)
 
     def flush_block_cache(self):
-        """Drop every translated block."""
+        """Drop every translated block (e.g. after loading a new
+        image)."""
         if self._block_pages:
             self.block_invalidation_count += len(self._block_pages)
         self._blocks.clear()
@@ -536,32 +510,25 @@ class Machine:
         self.block_invalidation_count += 1
 
     def _invalidate_store(self, addr, span):
-        """Invalidate decode + block caches for a store to ``addr``
+        """Drop the blocks of the pages a store to ``addr`` touches
         (called from inside generated blocks).  Returns True when
         anything was dropped, telling the block to bail back to the
         run loop."""
         hit = False
         page = addr >> _PAGE_BITS
-        if page in self._decode_pages:
-            self._invalidate_page(page)
-            hit = True
         if page in self._block_pages:
             self._invalidate_block_page(page)
             hit = True
         last = (addr + span) >> _PAGE_BITS
-        if last != page:
-            if last in self._decode_pages:
-                self._invalidate_page(last)
-                hit = True
-            if last in self._block_pages:
-                self._invalidate_block_page(last)
-                hit = True
+        if last != page and last in self._block_pages:
+            self._invalidate_block_page(last)
+            hit = True
         return hit
 
     def invalidate_pages(self, addr, length):
-        """Drop decode + block cache entries only for the pages covering
-        ``[addr, addr + length)`` — the page-granular alternative to
-        :meth:`flush_decode_cache` for reload paths where most resident
+        """Drop blocks only for the pages covering ``[addr, addr +
+        length)`` — the page-granular alternative to
+        :meth:`flush_block_cache` for reload paths where most resident
         code is unchanged.  Returns the number of pages invalidated."""
         if length <= 0:
             return 0
@@ -569,14 +536,8 @@ class Machine:
         first = addr >> _PAGE_BITS
         last = (addr + length - 1) >> _PAGE_BITS
         for page in range(first, last + 1):
-            hit = False
-            if page in self._decode_pages:
-                self._invalidate_page(page)
-                hit = True
             if page in self._block_pages:
                 self._invalidate_block_page(page)
-                hit = True
-            if hit:
                 dropped += 1
         return dropped
 
@@ -586,10 +547,10 @@ class Machine:
         machine: memory (COW — nothing is copied until written),
         architectural registers, counters, the timing model's cache and
         predictor state, and the CFU's state (via its
-        ``snapshot_state()`` protocol).  The decode and block caches are
-        *not* part of the snapshot — they are derived state, and
-        :meth:`restore` invalidates them only for the restored pages, so
-        warm translated code survives across restore cycles."""
+        ``snapshot_state()`` protocol).  The block cache is *not*
+        part of the snapshot — it is derived state, and :meth:`restore`
+        invalidates it only for the restored pages, so warm translated
+        code survives across restore cycles."""
         self.snapshot_count += 1
         return {
             "memory": self.memory.snapshot(),
@@ -608,12 +569,10 @@ class Machine:
 
     def restore(self, snap):
         """Rewind to a :meth:`snapshot`.  Costs O(pages written since
-        the snapshot); decode/block cache entries are invalidated only
-        for restored pages.  Returns the number of pages restored."""
+        the snapshot); blocks are invalidated only for restored pages.
+        Returns the number of pages restored."""
         restored = self.memory.restore(snap["memory"])
         for page in restored:
-            if page in self._decode_pages:
-                self._invalidate_page(page)
             if page in self._block_pages:
                 self._invalidate_block_page(page)
         self.regs[:] = snap["regs"]
@@ -656,37 +615,15 @@ class Machine:
         self.block_compile_seconds += perf_counter() - started
         return entry
 
-    def _decode_pc(self, pc):
-        word = self.memory.read32(pc)
-        op = _specialize(pc, isa.decode(word))
-        self._decode_cache[pc] = op
-        pages = self._decode_pages
-        first = pc >> _PAGE_BITS
-        pages.setdefault(first, []).append(pc)
-        last = (pc + 3) >> _PAGE_BITS
-        if last != first:
-            pages.setdefault(last, []).append(pc)
-        self.decode_count += 1
-        return op
-
     # --- observability --------------------------------------------------------------
     def export_metrics(self, telemetry, **labels):
         """Feed the machine's counters into a
         :class:`~repro.core.telemetry.Telemetry`: retired
-        instructions and cycles, decode-cache health, and the timing
+        instructions and cycles, block-cache health, and the timing
         model's trace-driven i/d-cache hit/miss counts."""
         telemetry.counter("sim_instructions", **labels).add(self.instret)
         telemetry.counter("sim_cycles", **labels).add(self.cycles)
-        telemetry.counter("sim_decodes", **labels).add(self.decode_count)
-        telemetry.counter("sim_decode_invalidations",
-                          **labels).add(self.invalidation_count)
-        # Cache-size gauges are labelled by the backend that last ran,
-        # so a step run's empty caches are never conflated with an
-        # auto run's.
-        tier = self.last_run_backend or "none"
-        telemetry.gauge("sim_decode_cache_entries", tier=tier,
-                        **labels).set(self.decode_cache_entries)
-        telemetry.gauge("sim_block_cache_entries", tier=tier,
+        telemetry.gauge("sim_block_cache_entries",
                         **labels).set(self.block_cache_entries)
         telemetry.counter("sim_block_promotions",
                           **labels).add(self.block_promotions)
@@ -711,7 +648,7 @@ class Machine:
     # --- program loading -----------------------------------------------------------
     def load_program(self, code, addr=0):
         self.memory.load_bytes(addr, code)
-        self.flush_decode_cache()
+        self.flush_block_cache()
         self.pc = addr
 
     def load_assembly(self, source, addr=0):
@@ -742,15 +679,15 @@ class Machine:
         budget error is raised only when the machine is still running
         after the budget is spent.
         """
-        check_backend(backend)
-        self.last_run_backend = backend
         if backend == "auto":
             self._run_blocks(max_instructions)
-        else:
+        elif backend == "step":
             executed = 0
             while executed < max_instructions and not self.halted:
                 self.step()
                 executed += 1
+        else:
+            raise ValueError(_unknown_backend(backend))
         if not self.halted:
             raise RuntimeError(f"instruction budget exhausted at pc=0x{self.pc:08x}")
         return self.exit_code

@@ -12,14 +12,16 @@ Two collection paths produce bit-identical attributions:
   path: :meth:`Machine._run_blocks` runs each block's
   attribution-instrumented variant, which charges every instruction's
   cycles into a per-pc bucket, and charges each instruction it runs on
-  ``step()`` the same way; symbol resolution happens once per *static*
-  pc via bisect when the profile is finalized.  Profiling cost is a
+  ``step()`` the same way; symbol resolution and the instruction-mix
+  class happen once per *static* pc (bisect over the symbols, one decode
+  from memory) when the profile is finalized.  Profiling cost is a
   small constant factor over the unprofiled fast path
   (``benchmarks/bench_profile_overhead.py`` holds it under 3x).
 - ``run(backend="step")`` wraps the reference ``step()`` loop,
   attributing the machine's cycle delta around every single step — the
   original, slow, trivially-correct collector the fast path is verified
-  against.
+  against.  This and :meth:`Machine.run <repro.cpu.machine.Machine.run>`
+  are the only places the oracle is chosen.
 
 Exhausting the instruction budget no longer raises: the partial profile
 is returned with :attr:`Profile.truncated` set, so a too-short budget
@@ -32,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import isa
-from .machine import _specialize, check_backend, classify_kind
+from .machine import _specialize, _unknown_backend, classify_kind
 
 
 @dataclass
@@ -137,7 +139,7 @@ class MachineProfiler:
 
     def bucket_for_pc(self, pc):
         """Slow-path bucket creation: called once per static pc by the
-        fast path (via the decode-cache-style get-or-create pattern)."""
+        fast path (via a get-or-create pattern)."""
         bucket = [0, 0]
         self.pc_buckets[pc] = bucket
         return bucket
@@ -153,12 +155,10 @@ class MachineProfiler:
         A budget exhaustion returns the partial profile with
         ``truncated=True`` instead of discarding it.
         """
-        check_backend(backend)
         machine = self.machine
-        machine.last_run_backend = backend
         if backend == "auto":
             machine._run_blocks(max_instructions, profile=self)
-        else:
+        elif backend == "step":
             remaining = max_instructions
             buckets = self.pc_buckets
             while not machine.halted and remaining > 0:
@@ -171,6 +171,8 @@ class MachineProfiler:
                 bucket[0] += machine.cycles - before
                 bucket[1] += 1
                 remaining -= 1
+        else:
+            raise ValueError(_unknown_backend(backend))
         return self._finalize()
 
     def _finalize(self):
@@ -179,7 +181,6 @@ class MachineProfiler:
         mix = profile.instruction_mix
         total_cycles = 0
         memory = self.machine.memory
-        decode_cache = self.machine._decode_cache
         for pc in sorted(self.pc_buckets):
             cycles, instructions = self.pc_buckets[pc]
             name = self._symbol_for(pc)
@@ -189,7 +190,7 @@ class MachineProfiler:
             entry.cycles += cycles
             entry.instructions += instructions
             total_cycles += cycles
-            kind_class = self._classify(pc, memory, decode_cache)
+            kind_class = self._classify(pc, memory)
             mix[kind_class] = mix.get(kind_class, 0) + instructions
         profile.total_cycles += total_cycles
         profile.truncated = not self.machine.halted
@@ -199,26 +200,23 @@ class MachineProfiler:
         return profile
 
     @staticmethod
-    def _classify(pc, memory, decode_cache):
-        op = decode_cache.get(pc)
-        if op is None:
-            # Invalidated (self-modifying code) or reference-path run:
-            # re-decode from current memory; anything unreadable or
-            # no-longer-an-instruction counts as unknown.
-            try:
-                op = _specialize(pc, isa.decode(memory.read32(pc)))
-            except Exception:
-                return "unknown"
+    def _classify(pc, memory):
+        # Decode from current memory; anything unreadable or
+        # no-longer-an-instruction (self-modifying code) counts as
+        # unknown.
+        try:
+            op = _specialize(pc, isa.decode(memory.read32(pc)))
+        except Exception:
+            return "unknown"
         return classify_kind(op[0])
 
 
 def profile_assembly(source, timing=None, cfu=None, region_base=0,
-                     max_instructions=5_000_000, backend="auto"):
+                     max_instructions=5_000_000):
     """Assemble, run, and profile a program in one call."""
     from .machine import Machine
 
     machine = Machine(cfu=cfu, timing=timing)
     symbols = machine.load_assembly(source, addr=region_base)
-    profiler = MachineProfiler(machine, symbols)
-    profile = profiler.run(max_instructions, backend=backend)
+    profile = MachineProfiler(machine, symbols).run(max_instructions)
     return profile, machine

@@ -77,10 +77,12 @@ is compiled once per process.
 
 Correctness contract (held by ``tests/test_sim_differential.py``):
 architectural state, cycle counts, fault state, and profiler
-attribution are bit-identical to the reference ``step()`` loop.  Stores
-into a page invalidate that page's blocks exactly like the decode
-cache; a store from *inside* a block that invalidates any cached page
-finishes its own accounting and returns to the run loop immediately.
+attribution are bit-identical to the reference ``step()`` loop.  A
+block is decoded straight from memory and cut at the code-page edge, so
+it lies on its entry page, and the block cache's page map is the only
+one: a store into a page drops that page's blocks, and a store from
+*inside* a block that drops any finishes its own accounting and returns
+to the run loop immediately.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from .machine import (
     _PAGE_BITS,
     _PAGE_SIZE,
 )
+from .isa import decode
 from .timing import BranchPredictor, VexTiming
 from . import machine as _m
 
@@ -172,17 +175,14 @@ def _discover(machine, pc):
         except Exception:
             mul_ok = False
     page_end = ((pc >> _PAGE_BITS) + 1) << _PAGE_BITS
-    cache_get = machine._decode_cache.get
-    decode = machine._decode_pc
+    read32 = machine.memory.read32
     ops = []
     p = pc
     while p + 4 <= page_end and len(ops) < MAX_BLOCK:
-        op = cache_get(p)
-        if op is None:
-            try:
-                op = decode(p)
-            except Exception:
-                break  # unreadable code memory: end the block here
+        try:
+            op = _m._specialize(p, decode(read32(p)))
+        except Exception:
+            break  # unreadable code memory: end the block here
         k = op[0]
         if k >= _m._K_EBREAK:
             break  # system/illegal: cut before, step() runs it
@@ -377,7 +377,6 @@ _BAKED = {
     "_mw8": lambda m, n: m.memory.write8,
     "_mw16": lambda m, n: m.memory.write16,
     "_mw32": lambda m, n: m.memory.write32,
-    "_DP": lambda m, n: m._decode_pages,
     "_BP": lambda m, n: m._block_pages,
     "_SI": lambda m, n: m._invalidate_store,
     "_F": lambda m, n: m._block_fault,
@@ -1012,14 +1011,14 @@ def _emit(machine, entry_pc, ops, profiled):
                     f"{d}[_o] = {value} & 255",
                     f"{d}[_o + 1] = {value} >> 8 & 255",
                 ])
-            need.update(("_DP", "_BP", "_SI"))
+            need.update(("_BP", "_SI"))
             if style == "slow":
                 L(ind, "_p = _a >> 12")
             if span and not check_align:
                 L(ind, f"_q = (_a + {span}) >> 12")
-                cond = "_p in _DP or _p in _BP or _q in _DP or _q in _BP"
+                cond = "_p in _BP or _q in _BP"
             else:
-                cond = "_p in _DP or _p in _BP"
+                cond = "_p in _BP"
             L(ind, f"if {cond}:")
             L(ind + 1, f"_SI(_a, {span})")
             store_bail(ind + 1, i, p)

@@ -25,6 +25,12 @@ from ..soc.soc import Soc
 class Emulator:
     """A SoC + CPU + optional CFU, ready to run programs.
 
+    A bare :class:`~repro.cfu.rtl.RtlCfu` is wrapped in an
+    :class:`~repro.cfu.rtl.RtlCfuAdapter` on the default RTL backend;
+    pass an adapter built with ``backend="interp"`` to run the gateware
+    on the RTL oracle.  Programs run on the machine's fast path; the
+    ISA oracle is ``emulator.machine.run(backend="step")``.
+
     ``compile_cache`` accepts a :class:`~repro.core.codecache.CodeCache`
     (or a directory path, or ``True`` for the process-wide default): the
     machine then binds translated blocks from cached generated
@@ -33,18 +39,14 @@ class Emulator:
     """
 
     def __init__(self, soc, cfu=None, with_timing=True, telemetry=None,
-                 rtl_backend="auto", sim_backend="auto", compile_cache=None):
+                 compile_cache=None):
         if not isinstance(soc, Soc):
             raise TypeError("Emulator requires a Soc")
         self.soc = soc
         self.bus = soc.bus()
-        self.rtl_backend = rtl_backend
-        #: default ISA execution path for run()/profile(); see
-        #: :data:`repro.cpu.machine.SIM_BACKENDS`.
-        self.sim_backend = sim_backend
         if isinstance(cfu, RtlCfu):
             # cycle-accurate gateware simulation
-            cfu = RtlCfuAdapter(cfu, backend=rtl_backend)
+            cfu = RtlCfuAdapter(cfu)
         if cfu is not None and not isinstance(
                 cfu, (CfuModel, RtlCfuAdapter, MeteredCfu)):
             raise TypeError("cfu must be a CfuModel or RtlCfu(-Adapter)")
@@ -59,7 +61,7 @@ class Emulator:
     def load_binary(self, blob, region="sram", offset=0):
         base = self.soc.memory_map.get(region).base + offset
         self.bus.load_bytes(base, blob)
-        # Loading bypasses the store path, so drop stale decodes — but
+        # Loading bypasses the store path, so drop stale blocks — but
         # only for the pages actually rewritten: blocks translated for
         # untouched pages survive a reload.
         self.machine.invalidate_pages(base, len(blob))
@@ -114,22 +116,19 @@ class Emulator:
         self.machine.discard_snapshot(snap["machine"])
 
     # --- execution ---------------------------------------------------------------
-    def run(self, max_instructions=5_000_000, backend=None):
-        """Run the loaded program; ``backend`` defaults to the emulator's
-        ``sim_backend``.  With telemetry attached, records a ``sim_run``
-        span carrying this run's instructions and cycles."""
+    def run(self, max_instructions=5_000_000):
+        """Run the loaded program.  With telemetry attached, records a
+        ``sim_run`` span carrying this run's instructions and cycles."""
         machine = self.machine
-        backend = self.sim_backend if backend is None else backend
         if self.telemetry is None:
-            return machine.run(max_instructions, backend=backend)
+            return machine.run(max_instructions)
         instret0 = machine.instret
         cycles0 = machine.cycles
-        invalidations0 = machine.invalidation_count
         promotions0 = machine.block_promotions
-        with self.telemetry.span("sim_run", backend=backend) as span:
+        with self.telemetry.span("sim_run") as span:
             start = time.perf_counter()
             try:
-                return machine.run(max_instructions, backend=backend)
+                return machine.run(max_instructions)
             finally:
                 elapsed = time.perf_counter() - start
                 instructions = machine.instret - instret0
@@ -137,16 +136,12 @@ class Emulator:
                 span.attrs["cycles"] = machine.cycles - cycles0
                 span.attrs["instructions_per_second"] = (
                     round(instructions / elapsed) if elapsed > 0 else None)
-                span.attrs["decode_cache_entries"] = (
-                    machine.decode_cache_entries)
-                span.attrs["cache_invalidations"] = (
-                    machine.invalidation_count - invalidations0)
                 span.attrs["block_cache_entries"] = (
                     machine.block_cache_entries)
                 span.attrs["block_promotions"] = (
                     machine.block_promotions - promotions0)
 
-    def profile(self, symbols, max_instructions=5_000_000, backend=None):
+    def profile(self, symbols, max_instructions=5_000_000):
         """Run the loaded program under the cycle profiler.
 
         ``symbols`` is the name->address table :meth:`load_assembly`
@@ -155,12 +150,11 @@ class Emulator:
         """
         from ..cpu.profiler import MachineProfiler
 
-        backend = self.sim_backend if backend is None else backend
         profiler = MachineProfiler(self.machine, symbols)
         if self.telemetry is None:
-            return profiler.run(max_instructions, backend=backend)
-        with self.telemetry.span("sim_profile", backend=backend) as span:
-            profile = profiler.run(max_instructions, backend=backend)
+            return profiler.run(max_instructions)
+        with self.telemetry.span("sim_profile") as span:
+            profile = profiler.run(max_instructions)
             span.attrs["cycles"] = profile.total_cycles
             span.attrs["symbols"] = len(profile.entries)
             span.attrs["truncated"] = profile.truncated
@@ -187,7 +181,7 @@ class Emulator:
         """Swap gateware for software emulation (or vice versa) in place —
         the Section II-E debugging technique."""
         if isinstance(cfu, RtlCfu):
-            cfu = RtlCfuAdapter(cfu, backend=self.rtl_backend)
+            cfu = RtlCfuAdapter(cfu)
         self.cfu = cfu
         self.machine.cfu = cfu
         return self

@@ -7,14 +7,13 @@ basic blocks to generated code, compiling the CFU's RTL.  This module
 keeps all of that warm across laps:
 
 - **Sessions** — each session is a live :class:`~repro.emu.Emulator`
-  (board + CPU + optional CFU) that persists between requests, so the
-  decode cache, translated blocks, and compiled RTL stay hot.
+  (board + CPU + optional CFU) that persists between requests, so
+  translated blocks and compiled RTL stay hot.
 
 - **Copy-on-write snapshots** — ``POST .../snapshot`` captures the
   whole system in O(pages-later-touched) via the machine's COW page
   protocol; ``POST .../restore`` rewinds to any live snapshot without
-  losing a single cached decode or translated block for untouched
-  pages.
+  losing a translated block for an untouched page.
 
 - **Shared persistent compile cache** — every session binds translated
   blocks and compiled RTL modules from one process-wide
@@ -35,13 +34,12 @@ supplies only the routes and handlers (:meth:`SessionManager.routes`).
 from __future__ import annotations
 
 import itertools
+import re
 import time
 
 from ..core import wire
 from ..core.telemetry import Telemetry
 from ..core.wire import ClientError, FaultInjector, HttpError, JsonClient, ServerThread
-from ..cpu.machine import check_backend
-from ..rtl.sim import BACKENDS as RTL_BACKENDS
 from ..soc.bus import BusError
 from .renode import Emulator, _resolve_compile_cache
 
@@ -50,7 +48,16 @@ SESSIONS_SCHEMA_VERSION = 1
 #: Live sessions kept resident before LRU eviction kicks in.
 DEFAULT_MAX_SESSIONS = 32
 
-#: Histogram buckets for per-request step/run wall seconds.
+#: The keys a session spec may hold, and the JSON type of each value.
+_SPEC_TYPES = {"board": str, "cfu": str, "cfu_impl": str,
+               "with_timing": bool, "session_id": str}
+
+#: A session id is one URL path segment (every session route matches
+#: exactly one): unreserved characters, no leading dot, and short
+#: enough for any request line.
+_SESSION_ID = re.compile(r"[A-Za-z0-9_~-][A-Za-z0-9._~-]{0,127}")
+
+#: Histogram buckets for per-request run wall seconds.
 STEP_SECONDS_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
                         0.1, 0.5, 1.0, 5.0)
 
@@ -83,27 +90,41 @@ def _build_cfu(name, impl):
                        f"(expected one of {', '.join(known)})")
 
 
-def _check_sim_backend(backend):
-    """An ISA execution path from a wire payload, or a 400."""
-    try:
-        check_backend(backend)
-    except ValueError as error:
-        raise SessionError(str(error)) from None
-    return backend
+def _check_spec(spec):
+    """Refuse (400) a session spec with an unknown key, a value of the
+    wrong type, or a session id no route can reach."""
+    unknown = sorted(set(spec) - set(_SPEC_TYPES))
+    if unknown:
+        raise SessionError(f"unknown session spec keys {unknown} "
+                           f"(expected any of {', '.join(_SPEC_TYPES)})")
+    for key, kind in _SPEC_TYPES.items():
+        if key in spec and not isinstance(spec[key], kind):
+            raise SessionError(f"session spec {key!r} must be a JSON "
+                               f"{kind.__name__}, got {spec[key]!r}")
+    session_id = spec.get("session_id")
+    if session_id is not None and not _SESSION_ID.fullmatch(session_id):
+        raise SessionError(f"session_id {session_id!r} is not one URL "
+                           f"path segment")
 
 
-def _run_args(payload):
-    """``(max_instructions, backend)`` of a run/step/profile payload."""
-    try:
-        budget = int(payload.get("max_instructions", 1_000_000))
-    except (TypeError, ValueError):
-        raise SessionError(
-            f"max_instructions must be an integer, got "
-            f"{payload.get('max_instructions')!r}") from None
+def _integer(payload, key, default):
+    """A payload field that must be a JSON integer, or a 400."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SessionError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _budget(payload):
+    """The ``max_instructions`` of a run/profile payload, its only key."""
+    unknown = sorted(set(payload) - {"max_instructions"})
+    if unknown:
+        raise SessionError(f"unknown payload keys {unknown} "
+                           f"(expected only max_instructions)")
+    budget = _integer(payload, "max_instructions", 1_000_000)
     if budget < 1:
         raise SessionError(f"max_instructions must be >= 1, got {budget}")
-    backend = payload.get("backend")
-    return budget, None if backend is None else _check_sim_backend(backend)
+    return budget
 
 
 def _build_emulator(spec, compile_cache):
@@ -114,19 +135,10 @@ def _build_emulator(spec, compile_cache):
         board = get_board(spec.get("board", "arty_a7_35t"))
     except KeyError as error:
         raise SessionError(str(error)) from None
-    rtl_backend = spec.get("rtl_backend", "auto")
-    if rtl_backend not in RTL_BACKENDS:
-        raise SessionError(f"unknown rtl backend {rtl_backend!r} "
-                           f"(expected one of {', '.join(RTL_BACKENDS)})")
-    sim_backend = _check_sim_backend(spec.get("sim_backend", "auto"))
     cfu = _build_cfu(spec.get("cfu"), spec.get("cfu_impl", "model"))
-    return Emulator(
-        Soc(board), cfu=cfu,
-        with_timing=bool(spec.get("with_timing", True)),
-        rtl_backend=rtl_backend,
-        sim_backend=sim_backend,
-        compile_cache=compile_cache,
-    )
+    return Emulator(Soc(board), cfu=cfu,
+                    with_timing=spec.get("with_timing", True),
+                    compile_cache=compile_cache)
 
 
 class Session:
@@ -154,7 +166,7 @@ class Session:
         translated blocks for untouched pages survive the reload.
         """
         region = str(payload.get("region", "sram"))
-        offset = int(payload.get("offset", 0))
+        offset = _integer(payload, "offset", 0)
         try:
             if "assembly" in payload:
                 self.symbols = self.emulator.load_assembly(
@@ -179,13 +191,14 @@ class Session:
                             in sorted(self.symbols.items())}}
 
     def run(self, payload):
-        """Execute up to ``max_instructions`` from the current state."""
-        budget, backend = _run_args(payload)
+        """Execute up to ``max_instructions`` from the current state;
+        a run that stops on its budget resumes on the next."""
+        budget = _budget(payload)
         machine = self.emulator.machine
         before = machine.instret
         started = time.perf_counter()
         try:
-            exit_code = self.emulator.run(budget, backend=backend)
+            exit_code = self.emulator.run(budget)
         except RuntimeError as error:
             # budget exhaustion is a normal partial step, not a fault
             if "instruction budget exhausted" not in str(error):
@@ -246,7 +259,7 @@ class Session:
         if not self.symbols:
             raise SessionError(
                 "profile needs assembly-loaded firmware (no symbol table)")
-        budget, backend = _run_args(payload)
+        budget = _budget(payload)
         machine = self.emulator.machine
         # Profile the loaded program from its entry point, not from
         # wherever the last run left the pc (that would measure the
@@ -254,8 +267,7 @@ class Session:
         machine.halted = False
         machine.pc = self.entry_pc
         try:
-            profile = self.emulator.profile(self.symbols, budget,
-                                            backend=backend)
+            profile = self.emulator.profile(self.symbols, budget)
         except Exception as error:
             raise SessionError(f"profile failed: {error!r}",
                                status=500) from None
@@ -279,7 +291,6 @@ class Session:
             "board": self.spec.get("board", "arty_a7_35t"),
             "cfu": self.spec.get("cfu") or "none",
             "cfu_name": getattr(cfu, "name", "none") if cfu else "none",
-            "sim_backend": self.emulator.sim_backend,
             "pc": machine.pc,
             "instret": machine.instret,
             "cycles": machine.cycles,
@@ -320,8 +331,8 @@ class SessionManager:
 
     # --- lifecycle ----------------------------------------------------------------
     def create(self, spec):
-        session_id = str(spec.get("session_id") or
-                         f"session-{next(self._ids)}")
+        _check_spec(spec)
+        session_id = spec.get("session_id") or f"session-{next(self._ids)}"
         if session_id in self.sessions:
             raise SessionError(f"session {session_id} already exists",
                                status=409)
@@ -404,8 +415,6 @@ class SessionManager:
              lambda body, session_id: self.get(session_id).load(body)),
             ("POST", f"{session}/run", "run",
              lambda body, session_id: self.get(session_id).run(body)),
-            ("POST", f"{session}/step", "step",
-             lambda body, session_id: self.get(session_id).run(body)),
             ("POST", f"{session}/snapshot", "snapshot",
              lambda body, session_id: self.get(session_id).snapshot()),
             ("POST", f"{session}/restore", "restore",
@@ -436,7 +445,7 @@ class SessionClientError(ClientError):
 
 class SessionClient(JsonClient):
     """JSON-over-HTTP client for the session server.  It never retries:
-    ``run`` and ``step`` are not idempotent."""
+    ``run`` is not idempotent."""
 
     error = SessionClientError
 
@@ -467,9 +476,6 @@ class SessionClient(JsonClient):
 
     def run(self, session_id, **payload):
         return self.request("POST", f"/sessions/{session_id}/run", payload)
-
-    def step(self, session_id, **payload):
-        return self.request("POST", f"/sessions/{session_id}/step", payload)
 
     def snapshot(self, session_id):
         return self.request("POST", f"/sessions/{session_id}/snapshot", {})

@@ -83,14 +83,15 @@ class VcdWriter:
         raise TypeError("text() only available for in-memory streams")
 
 
-def capture_cfu_waveform(rtl_cfu, operations, extra_signals=(),
-                         backend="auto"):
-    """Run an op sequence on a CFU and return the VCD text."""
+def capture_cfu_waveform(rtl_cfu, operations, extra_signals=()):
+    """Run an op sequence on a CFU (a bare ``RtlCfu`` or an
+    ``RtlCfuAdapter``) and return the VCD text."""
     from ..cfu.rtl import RtlCfuAdapter
 
-    adapter = RtlCfuAdapter(rtl_cfu, backend=backend)
-    signals = rtl_cfu.ports.all() + list(extra_signals)
-    writer = VcdWriter(signals, module=rtl_cfu.name.replace("-", "_"))
+    adapter = (rtl_cfu if isinstance(rtl_cfu, RtlCfuAdapter)
+               else RtlCfuAdapter(rtl_cfu))
+    signals = adapter.rtl.ports.all() + list(extra_signals)
+    writer = VcdWriter(signals, module=adapter.rtl.name.replace("-", "_"))
     adapter.sim.add_tracer(writer)
     results = [adapter.execute(*op) for op in operations]
     return writer.text(), results

@@ -59,15 +59,14 @@ def _pairs(items):
 
 def check_equivalence(module_a, module_b, inputs, outputs, cycles=200,
                       seed=0, settle_only=False, input_bias=None,
-                      backend="auto", max_mismatches=10):
+                      max_mismatches=10):
     """Co-simulate two modules under identical random stimulus.
 
     ``inputs``/``outputs`` are lists whose items are either a signal
     shared by both modules, or an ``(a_signal, b_signal)`` pair when the
     two designs use distinct signal objects.  ``input_bias`` optionally
     maps a (first) input signal to a callable(rng) producing its value.
-    ``backend`` selects the simulation backend for both sides
-    (``"auto"``/``"compiled"``/``"interp"``).
+    Both sides run on the default :class:`Simulator` backend.
 
     The check stops early once ``max_mismatches`` mismatches have been
     collected (checked at the end of each cycle); the returned report
@@ -78,8 +77,8 @@ def check_equivalence(module_a, module_b, inputs, outputs, cycles=200,
     """
     input_pairs, output_pairs = _pairs(inputs), _pairs(outputs)
     input_bias = input_bias or {}
-    sim_a = Simulator(module_a, backend=backend)
-    sim_b = Simulator(module_b, backend=backend)
+    sim_a = Simulator(module_a)
+    sim_b = Simulator(module_b)
     rng = random.Random(seed)
     report = EquivalenceReport(seed=seed)
     for cycle in range(cycles):

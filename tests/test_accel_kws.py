@@ -7,7 +7,7 @@ import pytest
 from repro.accel import KwsCfu, KwsCfu2Rtl
 from repro.accel.kws import model as km
 from repro.accel.kws.resources import cfu2_resources
-from repro.cfu import CfuError, run_sequence
+from repro.cfu import CfuError, RtlCfuAdapter, run_sequence
 from repro.tflm.quantize import multiply_by_quantized_multiplier
 
 
@@ -66,7 +66,8 @@ def test_rtl_golden_random_mix(backend):
                          km.F3_READ_ACC])
         f7 = 1 if f3 in (km.F3_MAC4, km.F3_MAC1) and rng.random() < 0.3 else 0
         seq.append((f3, f7, rng.getrandbits(32), rng.getrandbits(32)))
-    report = run_sequence(KwsCfu2Rtl(), KwsCfu(), seq, backend=backend)
+    report = run_sequence(RtlCfuAdapter(KwsCfu2Rtl(), backend=backend),
+                          KwsCfu(), seq)
     assert report.passed, report.mismatches[:3]
 
 
@@ -82,7 +83,8 @@ def test_rtl_reconfiguration_mid_stream(backend):
         seq.append((km.F3_CONFIG, km.CFG_OUTPUT, 0, 0x80 | (0x7F << 8)))
         seq.append((km.F3_MAC4, 1, rng.getrandbits(32), rng.getrandbits(32)))
         seq.append((km.F3_POSTPROC, 0, 0, rng.randrange(-500, 500) & 0xFFFFFFFF))
-    report = run_sequence(KwsCfu2Rtl(), KwsCfu(), seq, backend=backend)
+    report = run_sequence(RtlCfuAdapter(KwsCfu2Rtl(), backend=backend),
+                          KwsCfu(), seq)
     assert report.passed
 
 

@@ -79,8 +79,8 @@ def test_postproc_rtl_golden(backend):
     seq = _param_sequence(rng, 8)
     seq += [(cm.F3_POSTPROC, 0, rng.randrange(-2**24, 2**24) & 0xFFFFFFFF, 0)
             for _ in range(64)]
-    report = run_sequence(PostprocRtl(channels=8), Mnv2Cfu(), seq,
-                          backend=backend)
+    report = run_sequence(RtlCfuAdapter(PostprocRtl(channels=8),
+                                        backend=backend), Mnv2Cfu(), seq)
     assert report.passed, report.mismatches[:3]
 
 
@@ -89,7 +89,8 @@ def test_mac4_rtl_golden(backend):
     rng = random.Random(12)
     seq = [(cm.F3_MAC4, rng.choice([0, 1]), rng.getrandbits(32),
             rng.getrandbits(32)) for _ in range(100)]
-    report = run_sequence(Mac4Rtl(), Mnv2Cfu(), seq, backend=backend)
+    report = run_sequence(RtlCfuAdapter(Mac4Rtl(), backend=backend),
+                          Mnv2Cfu(), seq)
     assert report.passed
 
 
@@ -115,8 +116,8 @@ def test_cfu1_rtl_golden_all_run_modes(run_mode, runs, backend):
     seq = _cfu1_run_sequence(rng, depth=4, channels=8,
                              run_mode=run_mode, runs=runs)
     report = run_sequence(
-        Cfu1Rtl(channels=8, filter_words=64, input_words=16), Mnv2Cfu(), seq,
-        backend=backend)
+        RtlCfuAdapter(Cfu1Rtl(channels=8, filter_words=64, input_words=16),
+                      backend=backend), Mnv2Cfu(), seq)
     assert report.passed, report.mismatches[:3]
 
 

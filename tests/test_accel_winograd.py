@@ -10,7 +10,7 @@ from repro.accel import WinogradCfu, WinogradRtl, winograd_resources
 from repro.accel.winograd import model as wm
 from repro.accel.winograd.model import transform_filter
 from repro.boards import ARTY_A7_35T, fit
-from repro.cfu import CfuError, run_sequence
+from repro.cfu import CfuError, RtlCfuAdapter, run_sequence
 from repro.cpu import Machine
 from repro.cpu.vexriscv import VexRiscvConfig
 from repro.soc import Soc
@@ -220,9 +220,10 @@ def _directed_sequence(seed, rounds=3):
 @pytest.mark.parametrize("backend", ["interp", "compiled"])
 @pytest.mark.parametrize("seed", [7, 8])
 def test_rtl_golden_directed_mix(backend, seed):
-    report = run_sequence(WinogradRtl(**small_cfu()),
+    report = run_sequence(RtlCfuAdapter(WinogradRtl(**small_cfu()),
+                                        backend=backend),
                           WinogradCfu(**small_cfu()),
-                          _directed_sequence(seed), backend=backend)
+                          _directed_sequence(seed))
     assert report.passed, report.mismatches[:3]
     assert report.rtl_cycles == report.model_cycles
 
@@ -232,8 +233,9 @@ def test_rtl_reconfiguration_mid_stream(backend):
     seq = _directed_sequence(21, rounds=1)
     seq += [(wm.F3_CONFIG, wm.CFG_RESET, 0, 0)]
     seq += _directed_sequence(22, rounds=1)
-    report = run_sequence(WinogradRtl(**small_cfu()),
-                          WinogradCfu(**small_cfu()), seq, backend=backend)
+    report = run_sequence(RtlCfuAdapter(WinogradRtl(**small_cfu()),
+                                        backend=backend),
+                          WinogradCfu(**small_cfu()), seq)
     assert report.passed, report.mismatches[:3]
 
 

@@ -64,9 +64,9 @@ def test_null_cfu_rejects():
 
 @pytest.mark.parametrize("backend", ["interp", "compiled"])
 def test_rtl_adapter_matches_model(backend):
-    report = run_sequence(DoublerRtl(), Doubler(),
-                          random_sequence([(0, 0)], count=30, seed=4),
-                          backend=backend)
+    report = run_sequence(RtlCfuAdapter(DoublerRtl(), backend=backend),
+                          Doubler(),
+                          random_sequence([(0, 0)], count=30, seed=4))
     assert report.passed
 
 

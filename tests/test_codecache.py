@@ -148,7 +148,6 @@ def test_tier2_key_depends_on_timing_config(tmp_path):
     cache = CodeCache(str(tmp_path))
     for with_timing in (True, False):
         emulator = Emulator(Soc(ARTY_A7_35T), with_timing=with_timing,
-                            sim_backend="auto",
                             compile_cache=cache)
         emulator.load_assembly(HOT_LOOP, region="flash")
         emulator.run(100_000)

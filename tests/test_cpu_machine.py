@@ -262,27 +262,9 @@ def test_budget_enforced_on_fast_path():
     assert machine.instret == 100
 
 
-# --- decoded-instruction cache -----------------------------------------------------
+# --- block cache ------------------------------------------------------------------
 
-def test_decode_cache_decodes_each_static_instruction_once():
-    machine = Machine()
-    machine.load_assembly("""
-        li t0, 1000
-    loop:
-        addi t0, t0, -1
-        bnez t0, loop
-        li a7, 93
-        ecall
-    """)
-    machine.run()
-    # 2 (li) + 2 (loop) + 2 (li) + 1 (ecall) static instructions, far
-    # fewer decodes than the ~2000 dynamic loop instructions.
-    assert machine.decode_count == 7
-    assert machine.decode_cache_entries == 7
-    assert machine.instret > 2000
-
-
-def test_store_to_code_page_invalidates_decode_cache():
+def test_store_to_code_page_invalidates_blocks():
     machine = Machine()
     machine.load_assembly("""
         li t0, 0x2000
@@ -292,8 +274,7 @@ def test_store_to_code_page_invalidates_decode_cache():
         ecall
     """)
     machine.run()
-    data_only_invalidations = machine.invalidation_count
-    assert data_only_invalidations == 0
+    assert machine.block_invalidation_count == 0
 
     machine = Machine()
     machine.load_assembly("""
@@ -306,21 +287,23 @@ def test_store_to_code_page_invalidates_decode_cache():
     """)
     machine.run()
     assert machine.halted
-    assert machine.invalidation_count >= 1
+    assert machine.block_invalidation_count >= 1
 
 
 def test_load_program_flushes_decode_cache():
+    # Decoded code lives only in translated blocks: a reload over the same
+    # addresses must drop them so the new program runs, not the old one.
     machine = Machine()
     machine.load_assembly(EXIT_IN_3)
     machine.run()
-    assert machine.decode_cache_entries > 0
+    assert machine.block_cache_entries > 0
     machine.halted = False
     machine.exit_code = None
     machine.load_assembly("""
         addi a0, a0, 5
         ebreak
     """)
-    assert machine.decode_cache_entries == 0
+    assert machine.block_cache_entries == 0
     machine.run()
     assert machine.regs[10] & 0xFF == 5
 

@@ -20,7 +20,7 @@ from repro.boards import ARTY_A7_35T
 from repro.cfu.interface import CfuModel, MeteredCfu
 from repro.cpu import Machine, VexTiming
 from repro.cpu.machine import _PAGE_BITS, SIM_BACKENDS
-from repro.cpu.profiler import profile_assembly
+from repro.cpu.profiler import MachineProfiler, profile_assembly
 from repro.cpu.translate import MAX_BLOCK, BlockEntry, translate_block
 from repro.cpu.vexriscv import ARTY_DEFAULT
 from repro.emu import Emulator
@@ -134,7 +134,6 @@ def test_hot_loop_promotes_once():
     assert machine.block_promotions == 3
     assert machine.block_cache_entries == 3
     assert machine.block_compile_seconds > 0.0
-    assert machine.last_run_backend == "auto"
 
 
 def test_code_generation_failure_runs_on_step(monkeypatch):
@@ -174,7 +173,7 @@ def test_store_invalidates_block_page():
     assert machine._invalidate_store(8, 4) is True
     assert machine.block_cache_entries == 0
     assert machine.block_invalidation_count > before
-    # A store to a page with no cached blocks (or decodes) is a miss.
+    # A store to a page with no cached blocks is a miss.
     assert machine._invalidate_store(0x100000, 4) is False
 
 
@@ -229,7 +228,7 @@ def test_traffic_enable_flushes_blocks():
     emu = Emulator(soc, with_timing=False)
     ram = soc.memory_map.get("main_ram").base
     emu.load_assembly(COUNT_LOOP.format(iters=50), region="main_ram")
-    emu.run(backend="auto")
+    emu.run()
     machine = emu.machine
     assert machine.block_cache_entries > 0
     before = machine.block_invalidation_count
@@ -268,7 +267,7 @@ def test_traffic_counters_identical_across_tiers():
             li   a7, 93
             ecall
         """, region="flash")           # fetches count against flash
-        emu.run(backend=backend)
+        emu.machine.run(backend=backend)
         return {key: value for key, value in emu.bus.traffic().items()
                 if key[0] == "main_ram"}
 
@@ -337,9 +336,9 @@ def _symbol_map(profile):
 def test_profiled_attribution_identical_across_tiers(timing):
     profiles = {}
     for backend in ("step", "auto"):
-        make_timing = VexTiming(ARTY_DEFAULT) if timing else None
-        profile, machine = profile_assembly(
-            PROFILED_SOURCE, timing=make_timing, backend=backend)
+        machine = Machine(timing=VexTiming(ARTY_DEFAULT) if timing else None)
+        symbols = machine.load_assembly(PROFILED_SOURCE)
+        profile = MachineProfiler(machine, symbols).run(backend=backend)
         if backend == "auto":
             assert machine.block_promotions > 0
         profiles[backend] = profile
@@ -529,7 +528,7 @@ def test_dcache_conflict_misses_identical():
             li   a7, 93
             ecall
         """, region="main_ram")
-        emu.run(backend=backend)
+        emu.machine.run(backend=backend)
         return emu.machine
 
     step, translated = run("step"), run("auto")
@@ -576,7 +575,7 @@ def test_page_accesses_inline_without_alignment_checks():
             li   a7, 93
             ecall
         """, region="main_ram")
-        emu.run(backend=backend)
+        emu.machine.run(backend=backend)
         return calls, emu.machine
 
     checked, _ = run(True)

@@ -1,9 +1,12 @@
-"""Documentation anti-rot: every file, module, and bench the docs cite
-must exist."""
+"""Documentation anti-rot: every file, module, bench and CLI flag the
+docs cite must exist."""
 
+import argparse
 import importlib
 import os
 import re
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -25,9 +28,13 @@ def test_design_bench_references_exist():
         assert os.path.exists(os.path.join(ROOT, "benchmarks", match)), match
 
 
-def test_docs_module_references_import():
-    text = (read("README.md") + read("DESIGN.md") + read("EXPERIMENTS.md")
+def read_docs():
+    return (read("README.md") + read("DESIGN.md") + read("EXPERIMENTS.md")
             + read("docs/ARCHITECTURE.md") + read("docs/CFU_GUIDE.md"))
+
+
+def test_docs_module_references_import():
+    text = read_docs()
     modules = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
     assert modules  # the docs do name modules
     for name in sorted(modules):
@@ -68,3 +75,34 @@ def test_readme_cli_commands_exist():
     for command in ("projects", "build", "profile", "golden", "ladder",
                     "dse", "report", "menu"):
         assert command in commands
+
+
+#: A ``--flag`` as the docs and ``--help`` texts spell one.
+FLAG = r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
+
+#: Flags of third-party tools the docs cite (``json.tool``, ``pip``).
+THIRD_PARTY_FLAGS = {"--json-lines", "--no-build-isolation"}
+
+
+def parser_options(parser):
+    """Every option string of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= parser_options(subparser)
+    return options
+
+
+def test_docs_cite_only_real_cli_flags():
+    from repro.cli import build_parser
+
+    perfbench_help = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--help"],
+        capture_output=True, text=True, check=True).stdout
+    known = (parser_options(build_parser()) | THIRD_PARTY_FLAGS
+             | set(re.findall(FLAG, perfbench_help)))
+    cited = set(re.findall(FLAG, read_docs()))
+    assert cited  # the docs do cite flags
+    assert sorted(cited - known) == []

@@ -9,6 +9,7 @@ from tests.test_rtl_compile import SHIPPED, _module_signals
 from repro.accel import KwsCfu, KwsCfu2Rtl, Mnv2Cfu
 from repro.accel.kws import model as km
 from repro.boards import ARTY_A7_35T, FOMU
+from repro.cfu import RtlCfuAdapter
 from repro.cpu.vexriscv import ARTY_DEFAULT, FOMU_MINIMAL
 from repro.emu import Emulator, VcdWriter, capture_cfu_waveform
 from repro.rtl import Module, Signal, Simulator, compile_module
@@ -64,7 +65,7 @@ def test_cfu_instruction_with_software_model():
 def test_cfu_instruction_with_rtl_cosimulation(rtl_backend):
     """The Renode mode: ISA CPU + cycle-accurate gateware CFU."""
     soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
-    emu = Emulator(soc, cfu=KwsCfu2Rtl(), rtl_backend=rtl_backend)
+    emu = Emulator(soc, cfu=RtlCfuAdapter(KwsCfu2Rtl(), backend=rtl_backend))
     emu.load_assembly(f"""
         li a1, 0x01010101
         li a2, 0x05050505
@@ -168,9 +169,9 @@ def test_vcd_identical_across_rtl_backends():
         (km.F3_READ_ACC, 0, 0, 0),
     ]
     vcd_interp, results_interp = capture_cfu_waveform(
-        KwsCfu2Rtl(), ops, backend="interp")
+        RtlCfuAdapter(KwsCfu2Rtl(), backend="interp"), ops)
     vcd_compiled, results_compiled = capture_cfu_waveform(
-        KwsCfu2Rtl(), ops, backend="compiled")
+        RtlCfuAdapter(KwsCfu2Rtl(), backend="compiled"), ops)
     assert results_interp == results_compiled
     assert vcd_interp == vcd_compiled
 
@@ -190,9 +191,9 @@ def test_vcd_identical_on_every_shipped_cfu(name, factory, make_seq,
     internal = [sig for sig in _module_signals(cfu.module)
                 if id(sig) not in ports]
     vcd_interp, results_interp = capture_cfu_waveform(
-        cfu, ops, extra_signals=internal, backend="interp")
+        RtlCfuAdapter(cfu, backend="interp"), ops, extra_signals=internal)
     vcd_compiled, results_compiled = capture_cfu_waveform(
-        cfu, ops, extra_signals=internal, backend="compiled")
+        RtlCfuAdapter(cfu, backend="compiled"), ops, extra_signals=internal)
     assert any(compile_module(cfu.module).transactions)
     assert results_interp == results_compiled
     assert vcd_interp == vcd_compiled

@@ -15,6 +15,7 @@ from repro.accel import KwsCfu, KwsCfu2Rtl, Mnv2Cfu
 from repro.accel.kws import model as km
 from repro.accel.mnv2 import model as mm
 from repro.boards import ARTY_A7_35T
+from repro.cfu import RtlCfuAdapter
 from repro.cpu.vexriscv import ARTY_DEFAULT
 from repro.emu import Emulator
 from repro.soc import Soc
@@ -222,9 +223,9 @@ def make_vectors(seed):
     return a, b
 
 
-def run_firmware(cfu, seed=0, rtl_backend="auto"):
+def run_firmware(cfu, seed=0):
     soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
-    emu = Emulator(soc, cfu=cfu, rtl_backend=rtl_backend)
+    emu = Emulator(soc, cfu=cfu)
     ram = soc.memory_map.get("main_ram").base
     data_base = ram + 0x1000
     uart = soc.csr_bank.get("uart_rxtx").address
@@ -248,8 +249,8 @@ def test_dot_product_firmware_with_cfu_model(seed):
 @pytest.mark.parametrize("rtl_backend", ["interp", "compiled"])
 def test_dot_product_firmware_with_cfu_gateware(rtl_backend):
     """Same firmware, CFU simulated cycle-accurately at RTL level."""
-    result, expected, emu = run_firmware(KwsCfu2Rtl(), seed=3,
-                                         rtl_backend=rtl_backend)
+    result, expected, emu = run_firmware(
+        RtlCfuAdapter(KwsCfu2Rtl(), backend=rtl_backend), seed=3)
     assert result == expected
     assert emu.uart_output == "OK"
 

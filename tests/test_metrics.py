@@ -137,12 +137,8 @@ def test_machine_export_metrics():
     machine.export_metrics(reg)
     assert reg.value("sim_instructions") == machine.instret
     assert reg.value("sim_cycles") == machine.cycles
-    # Cache-size gauges are labelled by the backend that produced them;
-    # run() defaults to the "auto" backend.
-    assert reg.value("sim_decode_cache_entries",
-                     tier="auto") == machine.decode_cache_entries
-    assert reg.value("sim_block_cache_entries",
-                     tier="auto") == machine.block_cache_entries
+    assert reg.value("sim_block_cache_entries") == \
+        machine.block_cache_entries
 
 
 def test_machine_export_metrics_block_tier():
@@ -162,25 +158,21 @@ def test_machine_export_metrics_block_tier():
     assert machine.block_promotions >= 1
     reg = Telemetry()
     machine.export_metrics(reg)
-    assert reg.value("sim_block_cache_entries",
-                     tier="auto") == machine.block_cache_entries
+    assert reg.value("sim_block_cache_entries") == \
+        machine.block_cache_entries
     assert reg.value("sim_block_promotions") == machine.block_promotions
     assert reg.value("sim_block_invalidations") == \
         machine.block_invalidation_count
-    assert reg.value("sim_decode_cache_entries",
-                     tier="auto") == machine.decode_cache_entries
 
-    # A step run labels the same gauges with its own backend, so the
-    # two backends' cache sizes are never conflated.
+    # A step run translates nothing, and its gauge says so.
     other = Machine()
     other.load_assembly(src)
     other.run(backend="step")
     assert other.block_cache_entries == 0
     reg2 = Telemetry()
     other.export_metrics(reg2)
-    assert reg2.value("sim_decode_cache_entries",
-                      tier="step") == other.decode_cache_entries == 0
-    assert reg2.value("sim_block_cache_entries", tier="step") == 0
+    assert reg2.value("sim_block_cache_entries") == 0
+    assert reg2.value("sim_block_promotions") == 0
 
 
 def test_machine_block_invalidation_metrics():
@@ -197,8 +189,7 @@ def test_machine_block_invalidation_metrics():
     machine.run(backend="auto")
     before = machine.block_invalidation_count
     assert machine.block_cache_entries >= 1
-    # A store into the code page drops that page's blocks, exactly like
-    # the decode cache.
+    # A store into the code page drops that page's blocks.
     machine.halted = False
     machine.memory.write32(4, 0x00000013)
     machine._invalidate_store(4, 3)
@@ -273,7 +264,7 @@ def test_page_straddling_word_is_one_transaction(via):
             li   a7, 93
             ecall
         """, region="flash")            # fetches count against flash
-        emulator.run(backend=via)
+        emulator.machine.run(backend=via)
         assert emulator.machine.regs[10] == 0x1234_5678
     traffic = bus.traffic()
     assert traffic[("main_ram", "write")] == (1, 4)

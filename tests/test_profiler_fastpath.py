@@ -1,5 +1,5 @@
-"""Fast-path profiler parity: the decoded-cache collection path must be
-bit-identical to the reference step() collector.
+"""Fast-path profiler parity: the translated-block collection path must
+be bit-identical to the reference step() collector.
 
 This is the core guarantee of the reworked profiler: ``run(backend="auto")``
 (cycle attribution inside translated blocks, see

@@ -1,5 +1,6 @@
 """Equivalence-checker tests."""
 
+import functools
 import random
 
 import pytest
@@ -8,9 +9,17 @@ from repro.rtl import (
     Module,
     Mux,
     Signal,
+    Simulator,
     assert_modules_equivalent,
     check_equivalence,
 )
+from repro.rtl import equiv
+
+
+def use_backend(monkeypatch, backend):
+    """Build the checker's two simulators on ``backend``."""
+    monkeypatch.setattr(equiv, "Simulator",
+                        functools.partial(Simulator, backend=backend))
 
 
 def make_abs_diff_mux():
@@ -33,12 +42,12 @@ def make_abs_diff_if():
 
 
 @pytest.mark.parametrize("backend", ["auto", "interp", "compiled"])
-def test_equivalent_implementations_pass(backend):
+def test_equivalent_implementations_pass(backend, monkeypatch):
+    use_backend(monkeypatch, backend)
     m1, a1, b1, o1 = make_abs_diff_mux()
     m2, a2, b2, o2 = make_abs_diff_if()
     report = assert_modules_equivalent(
-        m1, m2, inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)], cycles=100,
-        backend=backend)
+        m1, m2, inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)], cycles=100)
     assert report.equivalent and report.cycles == 100
 
 
@@ -57,7 +66,9 @@ def test_divergent_implementations_caught():
 
 
 @pytest.mark.parametrize("backend", ["interp", "compiled"])
-def test_sequential_equivalence(backend):
+def test_sequential_equivalence(backend, monkeypatch):
+    use_backend(monkeypatch, backend)
+
     def counter(step):
         m = Module()
         en = Signal(1, name="en")
@@ -69,14 +80,12 @@ def test_sequential_equivalence(backend):
     m1, en1, v1 = counter(1)
     m2, en2, v2 = counter(1)
     report = check_equivalence(m1, m2, inputs=[(en1, en2)],
-                               outputs=[(v1, v2)], cycles=50, seed=3,
-                               backend=backend)
+                               outputs=[(v1, v2)], cycles=50, seed=3)
     assert report.equivalent
 
     m3, en3, v3 = counter(2)
     report = check_equivalence(m1, m3, inputs=[(en1, en3)],
-                               outputs=[(v1, v3)], cycles=50, seed=3,
-                               backend=backend)
+                               outputs=[(v1, v3)], cycles=50, seed=3)
     assert not report.equivalent
 
 

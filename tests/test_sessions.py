@@ -69,8 +69,8 @@ def test_manager_rejects_duplicate_session_id():
 
 def test_manager_shares_one_compile_cache(tmp_path):
     manager = SessionManager(compile_cache=str(tmp_path))
-    first = manager.create({"sim_backend": "auto"})
-    second = manager.create({"sim_backend": "auto"})
+    first = manager.create({})
+    second = manager.create({})
     assert first.emulator.machine.compile_cache \
         is second.emulator.machine.compile_cache
     for session in (first, second):
@@ -118,7 +118,7 @@ def test_wire_step_is_resumable(fleet):
     _, client = fleet
     sid = client.create({})["session_id"]
     client.load(sid, assembly=COUNT_ASM, region="flash")
-    stepped = client.step(sid, max_instructions=10)
+    stepped = client.run(sid, max_instructions=10)
     assert stepped["halted"] is False
     assert stepped["instructions"] == 10
     rest = client.run(sid, max_instructions=100_000)
@@ -231,24 +231,48 @@ def test_uart_round_trips_the_wire():
 
 # --- payload validation -------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [
-    {"cfu": "simd-add", "cfu_impl": "rtl", "rtl_backend": "bogus"},
-    {"sim_backend": "bogus"},
-], ids=["rtl_backend", "sim_backend"])
-def test_create_rejects_unknown_backends(fleet, spec):
-    """A bad backend in a session spec is the client's error (400), and
-    no session that would fail every later run is left behind."""
+#: Malformed session input, ``id -> (client method, payload)``: unknown
+#: spec or payload keys (a backend choice among them), wrong types, and
+#: a session id that is not one URL path segment.  A run payload's
+#: ``backend`` is a case of ``test_run_rejects_bad_payloads``.
+MALFORMED = {
+    "spec-sim_backend": ("create", {"sim_backend": "step"}),
+    "spec-rtl_backend": ("create", {"cfu": "simd-add", "cfu_impl": "rtl",
+                                    "rtl_backend": "interp"}),
+    "spec-board-list": ("create", {"board": ["arty_a7_35t"]}),
+    "spec-cfu-list": ("create", {"cfu": ["kws"]}),
+    "spec-with_timing-string": ("create", {"with_timing": "false"}),
+    "spec-session_id-slash": ("create", {"session_id": "a/b"}),
+    "spec-session_id-dots": ("create", {"session_id": ".."}),
+    "spec-session_id-long": ("create", {"session_id": "s" * 20_000}),
+    "load-offset-string": ("load", {"binary_hex": "00", "offset": "abc"}),
+    "load-offset-null": ("load", {"binary_hex": "00", "offset": None}),
+    "profile-backend": ("profile", {"backend": "step"}),
+}
+
+
+@pytest.mark.parametrize("method,payload", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_input_is_a_400(fleet, method, payload):
+    """Malformed session input is the client's error (400), never a 500,
+    and it changes nothing: no session that no route can reach, no run
+    on a default the client did not ask for."""
     _, client = fleet
+    sid = client.create({})["session_id"]
+    client.load(sid, assembly=COUNT_ASM, region="flash")
+    before = client.list()
     with pytest.raises(SessionClientError) as error:
-        client.create(spec)
+        if method == "create":
+            client.create(payload)
+        else:
+            getattr(client, method)(sid, **payload)
     assert error.value.status == 400
-    assert "bogus" in str(error.value)
-    assert client.list()["sessions"] == []
+    assert client.list() == before
 
 
 @pytest.mark.parametrize("payload", [
     {"max_instructions": "x"},
-    {"backend": "bogus"},
+    {"backend": "step"},
 ], ids=["max_instructions", "backend"])
 def test_run_rejects_bad_payloads(fleet, payload):
     """A malformed run payload is a 400 that leaves the session usable."""

@@ -256,7 +256,7 @@ def test_dot_product_firmware_differential(seed, make_cfu, with_timing):
     emulators, exit_codes = {}, set()
     for backend in BACKENDS:
         emu = firmware_emulator(make_cfu(), seed, with_timing)
-        exit_codes.add(emu.run(backend=backend))
+        exit_codes.add(emu.machine.run(backend=backend))
         assert emu.uart_output == "OK"
         emulators[backend] = emu
     assert len(exit_codes) == 1
@@ -272,7 +272,7 @@ def test_postproc_firmware_differential():
         emu = Emulator(soc, cfu=KwsCfu2Rtl())
         emu.load_assembly(postproc_firmware(mult, shift, zp, bias),
                           region="main_ram")
-        emu.run(backend=backend)
+        emu.machine.run(backend=backend)
         machines[backend] = emu.machine
     assert_all_identical(machines)
 
@@ -286,7 +286,7 @@ def test_misuse_firmware_differential():
         emu = Emulator(soc)
         emu.load_assembly("cfu 0, 0, a0, a1, a2", region="main_ram")
         with pytest.raises(RuntimeError, match="no CFU attached") as err:
-            emu.run(backend=backend)
+            emu.machine.run(backend=backend)
         states.append((str(err.value), machine_state(emu.machine)))
         machines.append(emu.machine)
     assert states.count(states[0]) == len(states)
@@ -403,7 +403,7 @@ def test_self_modifying_code_differential():
         machine.run(backend=backend)
         machines[backend] = machine
     assert machines["auto"].regs[10] == 1 + 2 * 4
-    assert machines["auto"].invalidation_count > 0
+    assert machines["auto"].block_invalidation_count > 0
     assert_all_identical(machines)
 
 

@@ -10,10 +10,13 @@ CFU attached in both RTL backends (``interp``, ``compiled``) — and
 even after self-modifying code stores into a snapshotted code page.
 
 The suite also pins the cache-warmth contract: restoring must not
-nuke decoded instructions or translated blocks for untouched pages,
-and page-granular invalidation on firmware (re)load must leave other
-pages' blocks alive (the regression behind the old global
-``flush_decode_cache()`` on every load).
+drop translated blocks for untouched pages, and page-granular
+invalidation on firmware (re)load must leave other pages' blocks alive
+(the regression behind the old global cache flush on every load).
+
+Each test picks its oracle where it runs it: ``machine.run(backend=
+"step")`` for the ISA, ``RtlCfuAdapter(cfu, backend="interp")`` for the
+gateware.
 """
 
 import pytest
@@ -249,24 +252,23 @@ def emulator_state(emulator):
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=TIERS)
 def test_emulator_snapshot_all_tiers(backend):
-    emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(),
-                        sim_backend=backend)
+    emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu())
     emulator.load_assembly(uart_asm(emulator.soc), region="flash")
     snap = emulator.snapshot()
-    emulator.run(100_000)
+    emulator.machine.run(100_000, backend=backend)
     first = emulator_state(emulator)
     assert first["uart"] == "H!"
 
     emulator.restore(snap)
     assert emulator.uart_output == ""   # peripheral state rewound
-    emulator.run(100_000)
+    emulator.machine.run(100_000, backend=backend)
     assert emulator_state(emulator) == first
 
 
 @pytest.mark.parametrize("rtl_backend", RTL_BACKENDS)
 def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
-    emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddRtl(),
-                        rtl_backend=rtl_backend, sim_backend="auto")
+    emulator = Emulator(Soc(ARTY_A7_35T),
+                        cfu=RtlCfuAdapter(SimdAddRtl(), backend=rtl_backend))
     emulator.load_assembly(uart_asm(emulator.soc), region="flash")
     snap = emulator.snapshot()
     emulator.run(100_000)
@@ -277,7 +279,7 @@ def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
     assert emulator_state(emulator) == first
 
     # model and gateware agree through a snapshot/restore cycle
-    model = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(), sim_backend="auto")
+    model = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu())
     model.load_assembly(uart_asm(model.soc), region="flash")
     model.run(100_000)
     assert model.machine.regs == first["regs"]
@@ -285,7 +287,7 @@ def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
 
 
 def test_emulator_snapshot_mid_run():
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto")
+    emulator = Emulator(Soc(ARTY_A7_35T))
     emulator.load_assembly("""
         li a0, 0
         li a1, 100
@@ -313,7 +315,7 @@ def test_emulator_page_first_written_after_snapshot_restores_to_zero(backend):
     """A main_ram page the firmware first touches after the snapshot:
     the load allocates it, so on the translated tier the stores after
     it run inline in the block.  Restore must still zero the page."""
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend=backend)
+    emulator = Emulator(Soc(ARTY_A7_35T))
     data = emulator.soc.memory_map.get("main_ram").base + 0x20000
     emulator.load_assembly(f"""
         li x5, {data}
@@ -330,12 +332,12 @@ def test_emulator_page_first_written_after_snapshot_restores_to_zero(backend):
         ecall
     """, region="flash")
     snap = emulator.snapshot()
-    emulator.run(100_000)
+    emulator.machine.run(100_000, backend=backend)
     page = emulator.bus.backing("main_ram").data[data >> 12]
     assert any(page)
     assert emulator.restore(snap) == 1
     assert not any(page)
-    emulator.run(100_000)
+    emulator.machine.run(100_000, backend=backend)
     assert any(page)
 
 
@@ -343,21 +345,21 @@ def test_emulator_page_first_written_after_snapshot_restores_to_zero(backend):
 
 def test_reload_keeps_blocks_on_untouched_pages():
     """Reloading firmware into one region must not flush translated
-    blocks for other pages (the old global flush_decode_cache())."""
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto")
+    blocks for other pages (the old global cache flush)."""
+    emulator = Emulator(Soc(ARTY_A7_35T))
     machine = emulator.machine
     emulator.load_assembly(LOOP_ASM.replace("0x2000", "0x40000100")
                            .replace("0x3000", "0x40001100"),
                            region="flash")
     emulator.run(100_000)
     blocks = machine.block_cache_entries
-    decodes = machine.decode_cache_entries
+    invalidations = machine.block_invalidation_count
     assert blocks > 0
 
     # a load into a different region touches only that region's pages
     emulator.load_assembly("nop\nnop", region="main_ram")
     assert machine.block_cache_entries == blocks
-    assert machine.decode_cache_entries == decodes
+    assert machine.block_invalidation_count == invalidations
 
     # a load over the same pages does invalidate them
     emulator.load_assembly("nop", region="flash")
