@@ -90,7 +90,7 @@ def measure_trial_setup(cache_dir):
     manager = SessionManager(compile_cache=cache_dir)
     session = manager.create(SPEC)
     session.load({"assembly": FIRMWARE, "region": "flash"})
-    anchor = session.snapshot()["snapshot_id"]
+    anchor = session.snapshot({})["snapshot_id"]
     # Prime once, unmeasured: the first run from the anchor translates
     # the blocks; that is the cold cost warm trials exist to avoid.
     session.run({"max_instructions": 1_000_000})
@@ -123,7 +123,7 @@ def measure_snapshot_scaling():
     points = []
     for pages in (0, 1, 8, 64):
         started = time.perf_counter()
-        snap = session.snapshot()
+        snap = session.snapshot({})
         snapshot_seconds = time.perf_counter() - started
         for page in range(pages):
             memory.write32(RAM_BASE + page * 4096, 0xC0FFEE00 + page)

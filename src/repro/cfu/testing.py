@@ -109,12 +109,14 @@ class FirmwareRun:
     uart: str
 
 
-def run_firmware(soc_factory, cfu, source, region="sram",
+def run_firmware(soc_factory, cfu, source, region=None,
                  max_instructions=5_000_000, compile_cache=None):
     """Assemble and run ``source`` on a fresh SoC with ``cfu`` attached.
 
     ``soc_factory`` builds the SoC (a fresh one per run, so two runs
-    never share peripheral or RAM state).  ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
+    never share peripheral or RAM state).  ``region`` defaults to where
+    the SoC places code (:meth:`~repro.soc.soc.Soc.default_placement`).
+    ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
     directory path, or ``True`` for the process default) lets repeated
     runs of the same firmware skip block code generation.
     """
@@ -134,7 +136,7 @@ def run_firmware(soc_factory, cfu, source, region="sram",
 
 
 def assert_firmware_equivalent(soc_factory, rtl_cfu, model, source,
-                               region="sram", max_instructions=5_000_000):
+                               region=None, max_instructions=5_000_000):
     """Section II-E, one level up: the same *firmware* must behave
     identically with the real CFU and with its software emulation.
 

@@ -483,14 +483,9 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
             builder.store(entry[1], entry[2], writable_section(entry[3]))
 
     code_region = placement[code_section]
-    base = memory_map.get(code_region).base
-    code, symbols = assemble(builder.source(), origin=base)
-    emulator.bus.load_bytes(base, code)
-    # Scope the invalidation to the pages just rewritten: translated
-    # blocks for other classes' firmware stay warm across repeated
-    # --simulate runs.
-    emulator.machine.invalidate_pages(base, len(code))
-    emulator.machine.pc = base
+    code, symbols = assemble(builder.source(),
+                             origin=memory_map.get(code_region).base)
+    emulator.load_binary(code, region=code_region)
 
     analytic, replay_instructions = builder.replay(
         code_section, len(code),

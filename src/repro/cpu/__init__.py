@@ -10,7 +10,7 @@
 from .assembler import AssemblerError, assemble
 from .disasm import disassemble
 from .isa import Instruction, decode, encode_cfu, register_number
-from .machine import SIM_BACKENDS, Machine, MemoryAccessError, SparseMemory
+from .machine import SIM_BACKENDS, Machine, MemoryAccessError
 from .timing import BranchPredictor, VexTiming
 from .vexriscv import (
     ARTY_DEFAULT,
@@ -36,7 +36,6 @@ __all__ = [
     "MemoryAccessError",
     "SHIFTERS",
     "SIM_BACKENDS",
-    "SparseMemory",
     "VexRiscvConfig",
     "VexTiming",
     "assemble",

@@ -1,10 +1,13 @@
 """Executable RV32IM machine: the instruction-set simulator.
 
 This is the functional CPU model (the VexRiscv stand-in).  It executes
-real encoded instructions against a byte-addressed memory, optionally
-attached to a CFU (any object with ``execute(funct3, funct7, a, b) ->
-(result, cycles)``) and a timing model (:mod:`repro.cpu.timing`), in
-which case it also accumulates a cycle count.
+real encoded instructions against a SoC bus
+(:class:`~repro.soc.bus.SocBus`, which also keeps the copy-on-write
+snapshots; a bare ``Machine()`` builds one over a single RAM region
+spanning the 32-bit address space), optionally attached to a CFU (any
+object with ``execute(funct3, funct7, a, b) -> (result, cycles)``) and
+a timing model (:mod:`repro.cpu.timing`), in which case it also
+accumulates a cycle count.
 
 The machine halts on ``ebreak``; ``ecall`` invokes a pluggable handler
 (default: treat ``a7 == 93`` as exit-with-code-in-``a0``, anything else
@@ -62,198 +65,6 @@ def _sext32(value):
 
 class MemoryAccessError(RuntimeError):
     pass
-
-
-class MemorySnapshot:
-    """A copy-on-write undo log: page index -> the page's bytes at
-    snapshot time (``None`` = the page did not exist yet).  Taking one
-    copies nothing; the owning memory records a page's pre-write image
-    here the first time that page is mutated afterwards, so snapshot
-    and restore both cost O(pages touched), never O(total memory)."""
-
-    __slots__ = ("pages",)
-
-    def __init__(self):
-        self.pages = {}
-
-    @property
-    def pages_recorded(self):
-        return len(self.pages)
-
-
-class CowPagesMixin:
-    """The copy-on-write bookkeeping shared by :class:`SparseMemory`
-    and the SoC bus: live snapshots, the protected-page set, and the
-    registered page caches (translated blocks bake page lookups — they
-    must be evicted whenever a page's writability or identity changes).
-
-    The protected set's *identity* is load-bearing: generated code and
-    resolver closures capture it directly, so it is only ever mutated
-    in place.
-    """
-
-    def _init_cow(self):
-        self._snapshots = []       # live MemorySnapshots, oldest first
-        self._cow_protected = set()  # pages some live snapshot hasn't recorded
-        self._page_caches = []     # dicts keyed by page index, evicted on COW events
-
-    def register_page_cache(self, cache):
-        """Register a page-index-keyed dict to clear on COW transitions
-        (protection changes flip what a cached page tuple may assert)."""
-        self._page_caches.append(cache)
-        return cache
-
-    def _evict_page_caches(self):
-        for cache in self._page_caches:
-            cache.clear()
-
-    def _cow_record(self, index):
-        """Save page ``index``'s current image into every live snapshot
-        that lacks one, then lift the write protection."""
-        data = self._cow_page_image(index)
-        for snap in self._snapshots:
-            if index not in snap.pages:
-                snap.pages[index] = data
-        self._cow_protected.discard(index)
-        for cache in self._page_caches:
-            cache.pop(index, None)
-
-    def snapshot(self):
-        """Copy-on-write snapshot of the current memory image: protects
-        the allocated pages and copies none of them."""
-        snap = MemorySnapshot()
-        self._snapshots.append(snap)
-        self._cow_protected.update(self._cow_all_pages())
-        self._evict_page_caches()
-        return snap
-
-    def discard_snapshot(self, snap):
-        """Forget a snapshot (its undo records stop accumulating)."""
-        if snap in self._snapshots:
-            self._snapshots.remove(snap)
-            protected = set()
-            for live in self._snapshots:
-                protected.update(index for index in self._cow_all_pages()
-                                 if index not in live.pages)
-            self._cow_protected.clear()
-            self._cow_protected.update(protected)
-            self._evict_page_caches()
-
-    def restore(self, snap):
-        """Rewrite every page the snapshot recorded back to its image,
-        in place (page identity is preserved, so baked references stay
-        valid).  Returns the sorted list of restored page indices."""
-        if snap not in self._snapshots:
-            raise ValueError("snapshot does not belong to this memory "
-                             "(or was discarded)")
-        restored = []
-        for index, saved in sorted(snap.pages.items()):
-            if index in self._cow_protected:
-                self._cow_record(index)  # later snapshots keep their view
-            self._cow_restore_page(index, saved)
-            restored.append(index)
-        self._evict_page_caches()
-        return restored
-
-
-class SparseMemory(CowPagesMixin):
-    """Byte-addressable sparse memory over 4 KiB pages (little endian)."""
-
-    def __init__(self):
-        self._pages = {}
-        self._init_cow()
-
-    def _page(self, addr):
-        index = addr >> _PAGE_BITS
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(_PAGE_SIZE)
-            self._pages[index] = page
-            for snap in self._snapshots:
-                snap.pages.setdefault(index, None)
-        return page
-
-    # --- COW hooks -------------------------------------------------------------------
-    def _cow_all_pages(self):
-        return self._pages
-
-    def _cow_page_image(self, index):
-        page = self._pages.get(index)
-        return bytes(page) if page is not None else None
-
-    def _cow_restore_page(self, index, saved):
-        if saved is None:
-            self._pages.pop(index, None)
-            return
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(_PAGE_SIZE)
-            self._pages[index] = page
-        page[:] = saved
-
-    # --- access ---------------------------------------------------------------------
-    def load_bytes(self, addr, data):
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            data = bytes(byte & 0xFF for byte in data)
-        view = memoryview(data)
-        offset = 0
-        remaining = len(view)
-        protected = self._cow_protected
-        while remaining:
-            if protected and (addr >> _PAGE_BITS) in protected:
-                self._cow_record(addr >> _PAGE_BITS)
-            page = self._page(addr)
-            start = addr & (_PAGE_SIZE - 1)
-            chunk = min(remaining, _PAGE_SIZE - start)
-            page[start:start + chunk] = view[offset:offset + chunk]
-            addr += chunk
-            offset += chunk
-            remaining -= chunk
-
-    def read_bytes(self, addr, length):
-        parts = []
-        remaining = length
-        while remaining > 0:
-            page = self._page(addr)
-            start = addr & (_PAGE_SIZE - 1)
-            chunk = min(remaining, _PAGE_SIZE - start)
-            parts.append(bytes(page[start:start + chunk]))
-            addr += chunk
-            remaining -= chunk
-        return b"".join(parts)
-
-    def read8(self, addr):
-        return self._page(addr)[addr & (_PAGE_SIZE - 1)]
-
-    def write8(self, addr, value):
-        if self._cow_protected and (addr >> _PAGE_BITS) in self._cow_protected:
-            self._cow_record(addr >> _PAGE_BITS)
-        self._page(addr)[addr & (_PAGE_SIZE - 1)] = value & 0xFF
-
-    def read16(self, addr):
-        return self.read8(addr) | self.read8(addr + 1) << 8
-
-    def write16(self, addr, value):
-        self.write8(addr, value)
-        self.write8(addr + 1, value >> 8)
-
-    def read32(self, addr):
-        page = self._page(addr)
-        offset = addr & (_PAGE_SIZE - 1)
-        if offset <= _PAGE_SIZE - 4:
-            return int.from_bytes(page[offset:offset + 4], "little")
-        return self.read16(addr) | self.read16(addr + 2) << 16
-
-    def write32(self, addr, value):
-        if self._cow_protected and (addr >> _PAGE_BITS) in self._cow_protected:
-            self._cow_record(addr >> _PAGE_BITS)
-        page = self._page(addr)
-        offset = addr & (_PAGE_SIZE - 1)
-        if offset <= _PAGE_SIZE - 4:
-            page[offset:offset + 4] = (value & _MASK32).to_bytes(4, "little")
-        else:
-            self.write16(addr, value)
-            self.write16(addr + 2, value >> 16)
 
 
 # --- decoded-instruction dispatch kinds -------------------------------------------
@@ -442,10 +253,17 @@ def _restore_timing_state(timing, state):
 
 
 class Machine:
-    """A single-hart RV32IM machine with optional CFU and timing model."""
+    """A single-hart RV32IM machine with optional CFU and timing model.
+
+    ``memory`` is the :class:`~repro.soc.bus.SocBus` it runs on; None
+    builds :func:`~repro.soc.bus.flat_bus`."""
 
     def __init__(self, memory=None, cfu=None, timing=None):
-        self.memory = memory if memory is not None else SparseMemory()
+        if memory is None:
+            from ..soc.bus import flat_bus
+
+            memory = flat_bus()
+        self.memory = memory
         self.cfu = cfu
         self.timing = timing
         self.regs = [0] * 32
@@ -473,11 +291,10 @@ class Machine:
         # Machine-level data-page tuple cache shared by every generated
         # block (page index -> resolved access tuple).  Its identity is
         # baked into generated code; mutate in place, never rebind.  The
-        # memory evicts entries on COW transitions (see register_page_cache).
+        # bus evicts entries on COW transitions (see register_page_cache).
         self._data_page_cache = {}
         self._page_resolver = None
-        if hasattr(self.memory, "register_page_cache"):
-            self.memory.register_page_cache(self._data_page_cache)
+        memory.register_page_cache(self._data_page_cache)
         # Persistent cross-process translation cache (a
         # :class:`~repro.core.codecache.CodeCache`, or None to only
         # code-generate in-process).
@@ -711,7 +528,7 @@ class Machine:
         # Blocks bake the timing model's identity and the bus
         # traffic-accounting mode; if either moved under us, the cache
         # is for a different machine configuration.
-        traffic_now = getattr(self.memory, "_traffic", None) is not None
+        traffic_now = self.memory._traffic is not None
         if self._block_timing is not timing or \
                 self._block_traffic != traffic_now:
             self.flush_block_cache()

@@ -20,11 +20,12 @@ What the generated function bakes in as literals:
   only data-dependent costs (``fetch``/``load_cycles``/``store_cycles``
   cache state, branch-predictor outcomes, CFU latency) left as calls,
 - plain-RAM page access: loads/stores index the backing ``bytearray``
-  directly through the bus page cache, falling back to the memory
-  object's slow path for misses, CSR windows, read-only regions, and
-  straddles.  The resolved page (data, base, writability) is kept in
-  locals across accesses, so streaming loops pay one dict probe per
-  page switch instead of one per access.
+  directly through the bus page cache, falling back to the bus's
+  read/write methods for misses, CSR windows, read-only regions, and
+  straddles (and for every access while bus traffic metrics are on, so
+  each transaction is counted).  The resolved page (data, base,
+  writability) is kept in locals across accesses, so streaming loops
+  pay one dict probe per page switch instead of one per access.
 
 When the timing model is the stock :class:`~repro.cpu.timing.VexTiming`
 with stock :class:`~repro.perf.cache.Cache` /
@@ -90,13 +91,7 @@ from __future__ import annotations
 import sys
 
 from ..perf.cache import Cache
-from .machine import (
-    MemoryAccessError,
-    SparseMemory,
-    _div_trunc,
-    _PAGE_BITS,
-    _PAGE_SIZE,
-)
+from .machine import MemoryAccessError, _div_trunc, _PAGE_BITS, _PAGE_SIZE
 from .isa import decode
 from .timing import BranchPredictor, VexTiming
 from . import machine as _m
@@ -222,44 +217,36 @@ def _pending_after(op):
 
 
 def _mem_style(mem):
-    """Memory access style for code generation.  Traffic accounting
-    must observe every transaction, so it forces the slow (method-call)
-    style; the run loop flushes blocks when the flag flips."""
-    if getattr(mem, "_traffic", None) is not None:
-        return "slow"
-    if getattr(mem, "_page_data", None) is not None:
-        return "bus"
-    if isinstance(mem, SparseMemory):
-        return "sparse"
-    return "slow"
+    """Memory access style for code generation: ``"bus"`` indexes
+    plain-RAM pages inline through the bus page cache.  Traffic
+    accounting must observe every transaction, so it forces the
+    ``"slow"`` (method-call) style; the run loop flushes blocks when
+    the flag flips."""
+    return "bus" if mem._traffic is None else "slow"
 
 
 def _build_resolver(machine):
     """The machine-level page resolver shared by every generated block:
     page index -> ``(data, base, writable, word view, cost mode, load
     cost, store cost)``, cached in ``machine._data_page_cache`` (whose
-    identity blocks bake as ``_PGg``).  Only resolvable pages are
-    cached, so a sparse page created later (or a CSR page) is re-probed
-    on the next refresh.
+    identity blocks bake as ``_PGg``).  Only pages the bus page cache
+    holds are cached, so a page the bus has not resolved yet is
+    re-probed on the next refresh (a CSR page never resolves).
 
     COW-protected pages resolve as non-writable: generated stores then
-    fall back to the memory's write methods, which record the undo
-    image and lift the protection (the memory evicts the page from this
-    cache on every protection transition, so the next refresh sees it
-    writable again).
+    fall back to the bus's write methods, which record the undo image
+    and lift the protection (the bus evicts the page from this cache on
+    every protection transition, so the next refresh sees it writable
+    again).
     """
     mem = machine.memory
     timing = machine.timing
     timed = timing is not None
-    style = _mem_style(mem)
     check_align = (not timed) or timing.checks_alignment()
     use_mv = check_align and _LITTLE
     pg = machine._data_page_cache
-    protected = getattr(mem, "_cow_protected", ())
-    if style == "bus":
-        _bus_get = mem._page_data.get
-    else:
-        _sp_get = getattr(mem, "_pages", {}).get
+    protected = mem._cow_protected
+    _bus_get = mem._page_cache.get
     dcache = getattr(timing, "dcache", None)
     dc_ok = timed and _dc_inline_ok(timing, dcache)
     if dc_ok:
@@ -287,16 +274,11 @@ def _build_resolver(machine):
 
     def _resolve_page(page):
         ld, lb, lw, mv = None, 0, False, None
-        if style == "bus":
-            ent = _bus_get(page)
-            if ent is not None:
-                ld, lb, lw = ent
-        else:
-            ld = _sp_get(page)
-            lb = page << _PAGE_BITS
-            lw = ld is not None
+        ent = _bus_get(page)
+        if ent is not None:
+            ld, lb, lw, _name = ent
         if lw and page in protected:
-            lw = False  # COW: route stores through the memory methods
+            lw = False  # COW: route stores through the bus methods
         if use_mv and ld is not None and lb & 3 == 0:
             mv = _mv_cast(ld)
         if dc_ok:
@@ -544,7 +526,7 @@ def _emit(machine, entry_pc, ops, profiled):
             _touch((op[2], op[3]), op[1])
 
     has_mem = any(32 <= op[0] < 43 for _p, op in ops)
-    use_pcache = has_mem and style in ("bus", "sparse")
+    use_pcache = has_mem and style == "bus"
     cfu_sites = [i for i, (_p, op) in enumerate(ops)
                  if op[0] == _m._K_CFU]
 

@@ -58,8 +58,15 @@ class Emulator:
         self.machine.compile_cache = _resolve_compile_cache(compile_cache)
 
     # --- program loading -------------------------------------------------------
-    def load_binary(self, blob, region="sram", offset=0):
-        base = self.soc.memory_map.get(region).base + offset
+    def _base(self, region, offset):
+        """The load address ``offset`` bytes into ``region``; no region
+        means where the SoC places code (``default_placement()["text"]``)."""
+        if region is None:
+            region = self.soc.default_placement()["text"]
+        return self.soc.memory_map.get(region).base + offset
+
+    def load_binary(self, blob, region=None, offset=0):
+        base = self._base(region, offset)
         self.bus.load_bytes(base, blob)
         # Loading bypasses the store path, so drop stale blocks — but
         # only for the pages actually rewritten: blocks translated for
@@ -68,12 +75,9 @@ class Emulator:
         self.machine.pc = base
         return base
 
-    def load_assembly(self, source, region="sram", offset=0):
-        base = self.soc.memory_map.get(region).base + offset
-        code, symbols = assemble(source, origin=base)
-        self.bus.load_bytes(base, code)
-        self.machine.invalidate_pages(base, len(code))
-        self.machine.pc = base
+    def load_assembly(self, source, region=None, offset=0):
+        code, symbols = assemble(source, origin=self._base(region, offset))
+        self.load_binary(code, region, offset)
         return symbols
 
     # --- warm state -------------------------------------------------------------

@@ -115,12 +115,19 @@ def _integer(payload, key, default):
     return value
 
 
+def _refuse_unknown(payload, *keys):
+    """Refuse (400) a payload with a key outside ``keys``: a misspelt
+    key would otherwise silently be a default."""
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        expected = ", ".join(keys) if keys else "an empty body"
+        raise SessionError(f"unknown payload keys {unknown} "
+                           f"(expected {expected})")
+
+
 def _budget(payload):
     """The ``max_instructions`` of a run/profile payload, its only key."""
-    unknown = sorted(set(payload) - {"max_instructions"})
-    if unknown:
-        raise SessionError(f"unknown payload keys {unknown} "
-                           f"(expected only max_instructions)")
+    _refuse_unknown(payload, "max_instructions")
     budget = _integer(payload, "max_instructions", 1_000_000)
     if budget < 1:
         raise SessionError(f"max_instructions must be >= 1, got {budget}")
@@ -162,10 +169,18 @@ class Session:
         """Load firmware into the (warm) machine.
 
         ``assembly`` is assembled in place; ``binary_hex`` loads raw
-        bytes.  Either way only the rewritten pages are invalidated, so
-        translated blocks for untouched pages survive the reload.
+        bytes; a payload carries exactly one of them.  Without
+        ``region`` the firmware goes where the SoC places code.  Either
+        way only the rewritten pages are invalidated, so translated
+        blocks for untouched pages survive the reload.
         """
-        region = str(payload.get("region", "sram"))
+        _refuse_unknown(payload, "assembly", "binary_hex", "region", "offset")
+        if "assembly" in payload and "binary_hex" in payload:
+            raise SessionError("load takes 'assembly' or 'binary_hex', "
+                               "not both")
+        region = payload.get("region")
+        if region is not None:
+            region = str(region)
         offset = _integer(payload, "offset", 0)
         try:
             if "assembly" in payload:
@@ -222,7 +237,8 @@ class Session:
             "seconds": elapsed,
         }
 
-    def snapshot(self):
+    def snapshot(self, payload):
+        _refuse_unknown(payload)
         snapshot_id = f"snap-{next(self._snap_ids)}"
         started = time.perf_counter()
         self.snapshots[snapshot_id] = self.emulator.snapshot()
@@ -231,6 +247,7 @@ class Session:
         return {"snapshot_id": snapshot_id, "seconds": elapsed}
 
     def restore(self, payload):
+        _refuse_unknown(payload, "snapshot_id")
         snapshot_id = str(payload.get("snapshot_id", ""))
         snap = self.snapshots.get(snapshot_id)
         if snap is None:
@@ -245,6 +262,7 @@ class Session:
                 "seconds": elapsed}
 
     def discard(self, payload):
+        _refuse_unknown(payload, "snapshot_id")
         snapshot_id = str(payload.get("snapshot_id", ""))
         snap = self.snapshots.pop(snapshot_id, None)
         if snap is None:
@@ -416,7 +434,7 @@ class SessionManager:
             ("POST", f"{session}/run", "run",
              lambda body, session_id: self.get(session_id).run(body)),
             ("POST", f"{session}/snapshot", "snapshot",
-             lambda body, session_id: self.get(session_id).snapshot()),
+             lambda body, session_id: self.get(session_id).snapshot(body)),
             ("POST", f"{session}/restore", "restore",
              lambda body, session_id: self.get(session_id).restore(body)),
             ("POST", f"{session}/discard-snapshot", "discard-snapshot",

@@ -1,14 +1,17 @@
 """The SoC interconnect: address decode over RAM regions and CSRs.
 
-``SocBus`` implements the same byte/halfword/word protocol as
-:class:`~repro.cpu.machine.SparseMemory`, so an ISA
-:class:`~repro.cpu.machine.Machine` can execute directly against a SoC:
-loads and stores hit real RAM backings or peripheral registers.
+``SocBus`` is the only memory an ISA
+:class:`~repro.cpu.machine.Machine` executes against: loads and stores
+hit paged RAM backings or peripheral registers, and the bus keeps the
+copy-on-write snapshots a warm machine rewinds to.  A bare ``Machine()``
+runs on a bus over one RAM region spanning the 32-bit address space,
+with no CSR bank and nothing read-only.
 """
 
 from __future__ import annotations
 
-from ..cpu.machine import _PAGE_BITS, _PAGE_SIZE, CowPagesMixin
+from ..cpu.machine import _PAGE_BITS, _PAGE_SIZE
+from ..perf.memories import ON_CHIP_SRAM, MemoryMap, MemoryRegion
 from ..rtl.synth import ResourceReport
 
 _PAGE_MASK = _PAGE_SIZE - 1
@@ -90,7 +93,20 @@ class RamBacking:
             done += chunk
 
 
-class SocBus(CowPagesMixin):
+class MemorySnapshot:
+    """A copy-on-write undo log: page index -> the page's image at
+    snapshot time.  Taking one copies nothing; the bus records a page's
+    pre-write image here the first time that page is mutated afterwards,
+    so snapshot and restore both cost O(pages touched), never O(total
+    memory)."""
+
+    __slots__ = ("pages",)
+
+    def __init__(self):
+        self.pages = {}
+
+
+class SocBus:
     """Decodes addresses to RAM backings or the CSR bank.
 
     Address decode is cached per 4 KiB page: a page that lies entirely
@@ -103,15 +119,18 @@ class SocBus(CowPagesMixin):
     one 4-byte transaction whenever it lies inside one region, even
     when it straddles two of the region's pages.
 
-    Copy-on-write snapshots (:class:`~repro.cpu.machine.CowPagesMixin`)
-    index pages in *address* space, the same ``addr >> 12`` that keys
-    the backings' pages, so a page image is the page of each backing
-    overlapping it (region-boundary pages snapshot correctly).  A
-    snapshot protects only allocated pages; a page allocated under a
-    live snapshot records its zero pre-image first, as
-    :class:`~repro.cpu.machine.SparseMemory` does.
-    CSR/peripheral state is not memory and is captured at the
-    :class:`~repro.emu.renode.Emulator` level.
+    Copy-on-write snapshots index pages in *address* space, the same
+    ``addr >> 12`` that keys the backings' pages, so a page image is the
+    page of each backing overlapping it (region-boundary pages snapshot
+    correctly).  A snapshot protects only allocated pages; every page
+    allocation goes through one hook, which records the zero pre-image
+    of a page allocated under a live snapshot before the page exists.
+    Restore rewrites pages in place and never frees one, so cached page
+    tuples stay valid.  CSR/peripheral state is not memory and is
+    captured at the :class:`~repro.emu.renode.Emulator` level.
+
+    The protected-page set's *identity* is load-bearing: the translated
+    blocks' page resolver captures it, so it is only mutated in place.
     """
 
     def __init__(self, memory_map, csr_bank=None, rom_regions=()):
@@ -120,16 +139,16 @@ class SocBus(CowPagesMixin):
         self.backings = {
             region.name: RamBacking(region,
                                     writable=region.name not in rom_regions,
-                                    on_allocate=self._cow_allocate)
+                                    on_allocate=self._on_allocate)
             for region in memory_map
         }
-        self._init_cow()
+        self._snapshots = []         # live MemorySnapshots, oldest first
+        self._cow_protected = set()  # pages some live snapshot hasn't recorded
+        self._page_caches = []       # dicts keyed by page, evicted on COW events
+        # page -> (page bytes, page base, writable, region name); raw
+        # tuples, so generated code (repro.cpu.translate) indexes a page
+        # without attribute lookups.
         self._page_cache = {}
-        # Parallel page cache for generated code (repro.cpu.translate):
-        # page -> (page bytes, page base, writable).  Kept in lockstep
-        # with _page_cache by _resolve_page; raw tuples so hot blocks
-        # index the page without attribute lookups.
-        self._page_data = {}
         # Per-region traffic accounting: (region, "read"|"write") ->
         # [transactions, bytes].  None (default) keeps the hot paths to
         # a single is-None branch; enable_traffic_metrics() turns it on.
@@ -149,47 +168,95 @@ class SocBus(CowPagesMixin):
     def backing(self, name):
         return self.backings[name]
 
-    # --- copy-on-write hooks (CowPagesMixin) -----------------------------------------
-    def _cow_all_pages(self):
+    # --- copy-on-write snapshots ---------------------------------------------------
+    def register_page_cache(self, cache):
+        """Register a page-index-keyed dict to clear on COW transitions
+        (protection changes flip what a cached page tuple may assert)."""
+        self._page_caches.append(cache)
+        return cache
+
+    def _evict_page_caches(self):
+        for cache in self._page_caches:
+            cache.clear()
+
+    def _allocated_pages(self):
         pages = set()
         for backing in self.backings.values():
             if backing.materialized:
                 pages.update(backing.data)
         return pages
 
-    def _cow_allocate(self, index):
+    def _on_allocate(self, index):
         """Every backing's allocation hook: a page allocated under a
         live snapshot was zero when the snapshot was taken, so record
         that image before the page exists."""
         if self._snapshots:
             self._cow_record(index)
 
-    def _cow_page_image(self, index):
+    def _cow_record(self, index):
+        """Save page ``index``'s current image into every live snapshot
+        that lacks one, then lift the write protection.  The image is
+        ``(backing name, bytes or None)`` for each backing overlapping
+        the page; None is a page never allocated, whose pre-image is
+        zeros."""
         lo = index << _PAGE_BITS
         hi = lo + _PAGE_SIZE
-        pieces = []
+        image = []
         for name, backing in sorted(self.backings.items()):
             region = backing.region
             if region.base < hi and lo < region.end:
-                # A page never touched has a pre-image of zeros: record
-                # None and allocate nothing.
                 page = (backing.data.get(index) if backing.materialized
                         else None)
-                pieces.append((name, None if page is None else bytes(page)))
-        return pieces or None
+                image.append((name, None if page is None else bytes(page)))
+        for snap in self._snapshots:
+            if index not in snap.pages:
+                snap.pages[index] = image
+        self._cow_protected.discard(index)
+        for cache in self._page_caches:
+            cache.pop(index, None)
 
-    def _cow_restore_page(self, index, saved):
-        if saved is None:
-            return  # no region overlaps the page
-        for name, blob in saved:
-            backing = self.backings[name]
-            # In place: cached page tuples keep pointing at live pages.
-            if blob is not None:
-                backing.page(index)[:] = blob
-            else:
-                page = backing.data.get(index)
-                if page is not None:
-                    page[:] = bytes(_PAGE_SIZE)
+    def snapshot(self):
+        """Copy-on-write snapshot of the current memory image: protects
+        the allocated pages and copies none of them."""
+        snap = MemorySnapshot()
+        self._snapshots.append(snap)
+        self._cow_protected.update(self._allocated_pages())
+        self._evict_page_caches()
+        return snap
+
+    def discard_snapshot(self, snap):
+        """Forget a snapshot (its undo records stop accumulating)."""
+        if snap in self._snapshots:
+            self._snapshots.remove(snap)
+            allocated = self._allocated_pages()
+            protected = set()
+            for live in self._snapshots:
+                protected.update(index for index in allocated
+                                 if index not in live.pages)
+            self._cow_protected.clear()
+            self._cow_protected.update(protected)
+            self._evict_page_caches()
+
+    def restore(self, snap):
+        """Rewrite every page the snapshot recorded back to its image,
+        in place (page identity is preserved, so baked references stay
+        valid).  Returns the sorted list of restored page indices."""
+        if snap not in self._snapshots:
+            raise ValueError("snapshot does not belong to this memory "
+                             "(or was discarded)")
+        restored = []
+        for index, image in sorted(snap.pages.items()):
+            if index in self._cow_protected:
+                self._cow_record(index)  # later snapshots keep their view
+            for name, blob in image:
+                backing = self.backings[name]
+                if blob is not None:
+                    backing.page(index)[:] = blob
+                elif backing.materialized and index in backing.data:
+                    backing.data[index][:] = bytes(_PAGE_SIZE)
+            restored.append(index)
+        self._evict_page_caches()
+        return restored
 
     # --- traffic metrics ---------------------------------------------------------
     def enable_traffic_metrics(self):
@@ -256,10 +323,8 @@ class SocBus(CowPagesMixin):
         region = self.memory_map.find(addr)
         if region.base <= lo and hi <= region.end:
             backing = self.backings[region.name]
-            data = backing.page(page)
-            self._page_data[page] = (data, lo, backing.writable)
-            entry = self._page_cache[page] = (data, lo, backing.writable,
-                                              region.name)
+            entry = self._page_cache[page] = (backing.page(page), lo,
+                                              backing.writable, region.name)
             return entry
         return None
 
@@ -374,6 +439,12 @@ class SocBus(CowPagesMixin):
         else:
             self.write16(addr, value)
             self.write16(addr + 2, value >> 16)
+
+
+def flat_bus():
+    """A bare machine's memory: one RAM region spanning the 32-bit
+    address space, with no CSR bank and nothing read-only."""
+    return SocBus(MemoryMap([MemoryRegion("ram", 0, 1 << 32, ON_CHIP_SRAM)]))
 
 
 def interconnect_resources(num_slaves):

@@ -102,7 +102,7 @@ def analytic(config):
 def test_results_are_correct():
     machine, inputs, weights = run_isa(VexRiscvConfig())
     acc = np.frombuffer(
-        machine.memory.read_bytes(OUT_BASE, PIXELS * OUT_CH * 4),
+        machine.memory.backing("ram").read(OUT_BASE, PIXELS * OUT_CH * 4),
         dtype="<i4",
     ).reshape(PIXELS, OUT_CH)
     expected = (inputs.reshape(PIXELS, IN_CH).astype(np.int64)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cpu import Machine, MemoryAccessError, SparseMemory, VexTiming
+from repro.cpu import Machine, MemoryAccessError, VexTiming
 from repro.cpu.vexriscv import VexRiscvConfig
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -197,7 +197,7 @@ def test_cfu_without_attachment_raises():
 
 
 def test_sparse_memory_page_boundary():
-    memory = SparseMemory()
+    memory = Machine().memory
     addr = 0x1FFE  # straddles a 4 KiB page
     memory.write32(addr, 0xAABBCCDD)
     assert memory.read32(addr) == 0xAABBCCDD
@@ -308,19 +308,13 @@ def test_load_program_flushes_decode_cache():
     assert machine.regs[10] & 0xFF == 5
 
 
-# --- bulk sparse-memory operations -------------------------------------------------
+# --- bulk memory operations ---------------------------------------------------------
 
 def test_bulk_load_and_read_bytes_across_pages():
-    memory = SparseMemory()
+    memory = Machine().memory
     blob = bytes(range(256)) * 40  # 10,240 bytes: spans three pages
     memory.load_bytes(0x0F80, blob)
-    assert memory.read_bytes(0x0F80, len(blob)) == blob
+    assert memory.backing("ram").read(0x0F80, len(blob)) == blob
     # Byte-level view agrees with the bulk view.
     assert memory.read8(0x0F80) == blob[0]
     assert memory.read8(0x0F80 + len(blob) - 1) == blob[-1]
-
-
-def test_load_bytes_accepts_non_bytes_iterables():
-    memory = SparseMemory()
-    memory.load_bytes(0x100, [1, 2, 3, 0xFF])
-    assert memory.read_bytes(0x100, 4) == b"\x01\x02\x03\xff"

@@ -29,8 +29,10 @@ def test_design_bench_references_exist():
 
 
 def read_docs():
+    """The docs a reader follows, the verification runbook included."""
     return (read("README.md") + read("DESIGN.md") + read("EXPERIMENTS.md")
-            + read("docs/ARCHITECTURE.md") + read("docs/CFU_GUIDE.md"))
+            + read("docs/ARCHITECTURE.md") + read("docs/CFU_GUIDE.md")
+            + read(".claude/skills/verify/SKILL.md"))
 
 
 def test_docs_module_references_import():

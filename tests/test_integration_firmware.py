@@ -15,7 +15,7 @@ from repro.accel import KwsCfu, KwsCfu2Rtl, Mnv2Cfu
 from repro.accel.kws import model as km
 from repro.accel.mnv2 import model as mm
 from repro.boards import ARTY_A7_35T
-from repro.cfu import RtlCfuAdapter
+from repro.cfu import RtlCfuAdapter, assert_firmware_equivalent
 from repro.cpu.vexriscv import ARTY_DEFAULT
 from repro.emu import Emulator
 from repro.soc import Soc
@@ -305,6 +305,23 @@ def test_post_processing_firmware():
     expected = int(multiply_by_quantized_multiplier(acc + bias, mult, shift))
     expected = max(-128, min(127, expected + zp)) & 0xFF
     assert got & 0xFF == expected
+
+
+def test_firmware_golden_harness_loads_where_the_soc_places_code():
+    """The public firmware harness with no region: the firmware goes
+    where the SoC places code (``main_ram`` on Arty), and gateware and
+    software model agree on it and on the TFLite oracle."""
+    from repro.tflm.quantize import multiply_by_quantized_multiplier
+
+    mult, shift, zp, bias = 0x52000000, -7, -12, 4321
+    acc = 6 * 127 * 127 + 127 * 15 + 86
+    rtl_run, model_run = assert_firmware_equivalent(
+        lambda: Soc(ARTY_A7_35T), KwsCfu2Rtl(), KwsCfu(),
+        postproc_firmware(mult, shift, zp, bias))
+    expected = int(multiply_by_quantized_multiplier(acc + bias, mult, shift))
+    expected = max(-128, min(127, expected + zp)) & 0xFF
+    assert rtl_run.exit_code & 0xFF == expected
+    assert model_run.instret == rtl_run.instret > 0
 
 
 def test_firmware_misuse_reports_cleanly():

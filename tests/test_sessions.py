@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.boards import BOARDS
 from repro.emu.sessions import (
     SessionClient,
     SessionClientError,
@@ -36,7 +37,7 @@ def test_manager_create_load_run_snapshot_restore():
     manager = SessionManager(compile_cache=None)
     session = manager.create({"board": "arty_a7_35t"})
     session.load({"assembly": COUNT_ASM, "region": "flash"})
-    snap = session.snapshot()
+    snap = session.snapshot({})
     first = session.run({"max_instructions": 100_000})
     assert first["halted"] and first["exit_code"] == sum(range(1, 121))
 
@@ -222,19 +223,35 @@ def test_uart_round_trips_the_wire():
         li a7, 93
         ecall
     """, "region": "flash"})
-    snap = session.snapshot()
+    snap = session.snapshot({})
     session.run({"max_instructions": 1000})
     assert session.status()["uart"] == "OK"
     session.restore({"snapshot_id": snap["snapshot_id"]})
     assert session.status()["uart"] == ""
 
 
+@pytest.mark.parametrize("board", sorted(BOARDS))
+def test_load_without_region_goes_where_the_soc_places_code(board):
+    """A load that names no region lands where the SoC places code:
+    ``main_ram`` on Arty and OrangeCrab, ``flash`` on Fomu and
+    iCEBreaker."""
+    manager = SessionManager(compile_cache=None)
+    session = manager.create({"board": board})
+    soc = session.emulator.soc
+    base = soc.memory_map.get(soc.default_placement()["text"]).base
+    assert session.load({"binary_hex": "13000000"})["pc"] == base
+    assert session.load({"assembly": COUNT_ASM})["pc"] == base
+    outcome = session.run({"max_instructions": 100_000})
+    assert outcome["halted"] and outcome["exit_code"] == sum(range(121))
+
+
 # --- payload validation -------------------------------------------------------------
 
-#: Malformed session input, ``id -> (client method, payload)``: unknown
-#: spec or payload keys (a backend choice among them), wrong types, and
-#: a session id that is not one URL path segment.  A run payload's
-#: ``backend`` is a case of ``test_run_rejects_bad_payloads``.
+#: Malformed session input, ``id -> (route, payload)``: unknown spec or
+#: payload keys (a backend choice and a misspelt load offset among them),
+#: wrong types, a load naming both firmware forms, a snapshot with a
+#: body, and a session id that is not one URL path segment.  A run
+#: payload's ``backend`` is a case of ``test_run_rejects_bad_payloads``.
 MALFORMED = {
     "spec-sim_backend": ("create", {"sim_backend": "step"}),
     "spec-rtl_backend": ("create", {"cfu": "simd-add", "cfu_impl": "rtl",
@@ -247,6 +264,16 @@ MALFORMED = {
     "spec-session_id-long": ("create", {"session_id": "s" * 20_000}),
     "load-offset-string": ("load", {"binary_hex": "00", "offset": "abc"}),
     "load-offset-null": ("load", {"binary_hex": "00", "offset": None}),
+    "load-unknown-key": ("load", {"binary_hex": "13000000",
+                                  "region": "main_ram", "ofset": 4096}),
+    "load-assembly-and-binary": ("load", {"assembly": "nop",
+                                          "binary_hex": "13000000",
+                                          "region": "main_ram"}),
+    "snapshot-body": ("snapshot", {"label": "before"}),
+    "restore-unknown-key": ("restore", {"snapshot_id": "snap-1",
+                                        "keep": True}),
+    "discard-unknown-key": ("discard-snapshot", {"snapshot_id": "snap-1",
+                                                 "keep": True}),
     "profile-backend": ("profile", {"backend": "step"}),
 }
 
@@ -256,16 +283,19 @@ MALFORMED = {
 def test_malformed_input_is_a_400(fleet, method, payload):
     """Malformed session input is the client's error (400), never a 500,
     and it changes nothing: no session that no route can reach, no run
-    on a default the client did not ask for."""
+    on a default the client did not ask for, no snapshot taken, used or
+    dropped."""
     _, client = fleet
     sid = client.create({})["session_id"]
     client.load(sid, assembly=COUNT_ASM, region="flash")
+    assert client.snapshot(sid)["snapshot_id"] == "snap-1"
+    client.run(sid, max_instructions=100_000)   # a restore would rewind
     before = client.list()
     with pytest.raises(SessionClientError) as error:
         if method == "create":
             client.create(payload)
         else:
-            getattr(client, method)(sid, **payload)
+            client.request("POST", f"/sessions/{sid}/{method}", payload)
     assert error.value.status == 400
     assert client.list() == before
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.accel import KwsCfu, KwsCfu2Rtl
 from repro.boards import ARTY_A7_35T
-from repro.cpu import Machine, SparseMemory, VexTiming
+from repro.cpu import Machine, VexTiming
 from repro.cpu.vexriscv import ARTY_DEFAULT, FOMU_MINIMAL
 from repro.emu import Emulator
 from repro.soc import Soc
@@ -61,13 +61,10 @@ def cfu_state(cfu):
 def assert_same_memory(fast_memory, slow_memory):
     """Byte-exact over the union of pages either side allocated, with
     an absent page equal to a page of zeros."""
-    if isinstance(fast_memory, SparseMemory):
-        sides = [("memory", fast_memory._pages, slow_memory._pages)]
-    else:
-        sides = [(name, backing.data, slow_memory.backings[name].data)
-                 for name, backing in fast_memory.backings.items()]
     zero = bytes(4096)
-    for name, fast_pages, slow_pages in sides:
+    for name, backing in fast_memory.backings.items():
+        fast_pages = backing.data
+        slow_pages = slow_memory.backings[name].data
         for index in fast_pages.keys() | slow_pages.keys():
             assert (fast_pages.get(index, zero)
                     == slow_pages.get(index, zero)), (
@@ -96,9 +93,9 @@ def assert_all_identical(machines):
 
 
 @pytest.mark.parametrize("make_memory",
-                         [SparseMemory,
+                         [lambda: Machine().memory,
                           lambda: Soc(ARTY_A7_35T, ARTY_DEFAULT).bus()],
-                         ids=["sparse", "bus"])
+                         ids=["flat", "bus"])
 def test_memory_comparison_is_page_exact(make_memory):
     """A page of zeros equals an absent page, and one differing byte in
     a page only one side allocated is a mismatch, either way round."""

@@ -26,7 +26,7 @@ from repro.boards import ARTY_A7_35T
 from repro.cfu.interface import MeteredCfu
 from repro.cfu.rtl import RtlCfuAdapter
 from repro.core.telemetry import Telemetry
-from repro.cpu import Machine, SparseMemory
+from repro.cpu import Machine
 from repro.emu import Emulator
 from repro.soc import Soc
 
@@ -81,7 +81,7 @@ def machine_state(machine):
 def page_images(memory):
     zero = bytes(4096)
     return {index: bytes(page)
-            for index, page in memory._pages.items()
+            for index, page in memory.backing("ram").data.items()
             if bytes(page) != zero}
 
 
@@ -116,14 +116,14 @@ def test_restore_replays_bit_identical(backend):
 def test_self_modifying_store_to_snapshotted_page(backend):
     machine = Machine()
     machine.load_assembly(SMC_ASM)
-    code_page = bytes(machine.memory._pages[0])
+    code_page = bytes(machine.memory.backing("ram").data[0])
     snap = machine.snapshot()
     first = run_to_halt(machine, backend)
     assert first["regs"][10] == 2  # the patched instruction executed
 
     machine.restore(snap)
     # the patched code page reverted to its pre-snapshot image
-    assert bytes(machine.memory._pages[0]) == code_page
+    assert bytes(machine.memory.backing("ram").data[0]) == code_page
     second = run_to_halt(machine, backend)
     assert second == first
 
