@@ -1,29 +1,16 @@
 """CFU gateware library: the MNV2 ladder CFUs (CFU1) and the KWS CFU (CFU2)."""
 
-from .audio import FftButterflyCfu, FftButterflyRtl, cfu3_resources
-from .library import (
-    LIBRARY,
-    ByteReverseCfu,
-    ByteReverseRtl,
-    MinMaxCfu,
-    MinMaxRtl,
-    PopcountCfu,
-    PopcountRtl,
-    SimdAddCfu,
-    SimdAddRtl,
-)
-from .kws.model import KwsCfu
-from .kws.rtl import KwsCfu2Rtl
-from .mnv2.model import Mnv2Cfu
-from .mnv2.resources import STAGES as MNV2_STAGES
-from .mnv2.resources import stage_resources
-from .mnv2.rtl import Cfu1Rtl, Mac4Rtl, PostprocRtl
-from .winograd import WinogradCfu, WinogradRtl, winograd_resources
+from .. import lazy_exports
 
-__all__ = [
-    "ByteReverseCfu", "ByteReverseRtl", "Cfu1Rtl", "FftButterflyCfu",
-    "FftButterflyRtl", "LIBRARY", "MinMaxCfu", "MinMaxRtl", "PopcountCfu",
-    "PopcountRtl", "SimdAddCfu", "SimdAddRtl", "cfu3_resources", "KwsCfu", "KwsCfu2Rtl", "MNV2_STAGES", "Mac4Rtl",
-    "Mnv2Cfu", "PostprocRtl", "stage_resources",
-    "WinogradCfu", "WinogradRtl", "winograd_resources",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "audio": ["FftButterflyCfu", "FftButterflyRtl", "cfu3_resources"],
+    "library": ["ByteReverseCfu", "ByteReverseRtl", "LIBRARY", "MinMaxCfu",
+                "MinMaxRtl", "PopcountCfu", "PopcountRtl", "SimdAddCfu",
+                "SimdAddRtl"],
+    "kws.model": ["KwsCfu"],
+    "kws.rtl": ["KwsCfu2Rtl"],
+    "mnv2.model": ["Mnv2Cfu"],
+    "mnv2.resources": ["STAGES as MNV2_STAGES", "stage_resources"],
+    "mnv2.rtl": ["Cfu1Rtl", "Mac4Rtl", "PostprocRtl"],
+    "winograd": ["WinogradCfu", "WinogradRtl", "winograd_resources"],
+})

@@ -1,10 +1,10 @@
 """Board models and the resource fitter."""
 
-from .board import ARTY_A7_35T, BOARDS, FOMU, ICEBREAKER, ORANGECRAB, Board, get_board
-from .fitter import UTILIZATION_LIMIT, FitError, FitResult, fit, require_fit
+from .. import lazy_exports
 
-__all__ = [
-    "ARTY_A7_35T", "BOARDS", "Board", "FOMU", "FitError", "FitResult",
-    "ICEBREAKER", "ORANGECRAB", "UTILIZATION_LIMIT", "fit", "get_board",
-    "require_fit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "board": ["ARTY_A7_35T", "BOARDS", "Board", "FOMU", "ICEBREAKER",
+              "ORANGECRAB", "get_board"],
+    "fitter": ["FitError", "FitResult", "UTILIZATION_LIMIT", "fit",
+               "require_fit"],
+})

@@ -7,41 +7,15 @@
 - :mod:`repro.cpu.timing` — cycle-cost model for a configuration.
 """
 
-from .assembler import AssemblerError, assemble
-from .disasm import disassemble
-from .isa import Instruction, decode, encode_cfu, register_number
-from .machine import SIM_BACKENDS, Machine, MemoryAccessError
-from .timing import BranchPredictor, VexTiming
-from .vexriscv import (
-    ARTY_DEFAULT,
-    BRANCH_PREDICTORS,
-    DIVIDERS,
-    FOMU_MINIMAL,
-    MULTIPLIERS,
-    SHIFTERS,
-    VexRiscvConfig,
-    cpu_resources,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "ARTY_DEFAULT",
-    "AssemblerError",
-    "BRANCH_PREDICTORS",
-    "BranchPredictor",
-    "DIVIDERS",
-    "FOMU_MINIMAL",
-    "Instruction",
-    "MULTIPLIERS",
-    "Machine",
-    "MemoryAccessError",
-    "SHIFTERS",
-    "SIM_BACKENDS",
-    "VexRiscvConfig",
-    "VexTiming",
-    "assemble",
-    "cpu_resources",
-    "decode",
-    "disassemble",
-    "encode_cfu",
-    "register_number",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "assembler": ["AssemblerError", "assemble"],
+    "disasm": ["disassemble"],
+    "isa": ["Instruction", "decode", "encode_cfu", "register_number"],
+    "machine": ["Machine", "MemoryAccessError", "SIM_BACKENDS"],
+    "timing": ["BranchPredictor", "VexTiming"],
+    "vexriscv": ["ARTY_DEFAULT", "BRANCH_PREDICTORS", "DIVIDERS",
+                 "FOMU_MINIMAL", "MULTIPLIERS", "SHIFTERS", "VexRiscvConfig",
+                 "cpu_resources"],
+})

@@ -50,7 +50,6 @@ from ..perf.vectorized import COST_AXES, BatchCostModel
 from ..soc import Soc
 from .pareto import hypervolume_2d
 from .runner import CFU_FAMILIES, DsePoint, evaluate_design, family_extras
-from .service import ServiceError, space_to_spec
 from .space import vexriscv_space
 
 #: Default number of trials streamed per service completion batch.
@@ -430,6 +429,8 @@ def run_exhaustive_service(service, model=None, board=None,
     crash, and its fronts are served by the standard pareto routes.
     Returns ``(ExhaustiveResult, [ServiceStudy, ...])``.
     """
+    from .service import ServiceError, space_to_spec
+
     sweeper = sweeper or ExhaustiveSweeper(model=model, board=board,
                                            space=space)
     result = sweep(sweeper=sweeper, families=families)

@@ -44,8 +44,6 @@ from ..perf.estimator import estimate_inference
 from ..soc import Soc
 from .cache import MISS, EvaluationCache, cache_key
 from .pareto import pareto_front
-from .pool import WorkerPool
-from .service import DEFAULT_BATCH, DseService
 from .space import point_to_cpu_config, vexriscv_space
 
 CFU_FAMILIES = ("none", "cfu1", "cfu2")
@@ -312,6 +310,8 @@ class Fig7Evaluator:
 def fig7_study_configs(trials_per_family, seed=0, batch=None,
                        owner=FIG7_OWNER, prefix=""):
     """The three Fig. 7 study configs (one per CFU family)."""
+    from .service import DEFAULT_BATCH
+
     batch = DEFAULT_BATCH if batch is None else batch
     return [
         {
@@ -345,6 +345,9 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None, workers=1,
     evaluator's own) collects per-trial spans, per-family progress
     events, and cache/fit counters.
     """
+    from .pool import WorkerPool
+    from .service import DseService
+
     if evaluator is None:
         telemetry = telemetry if telemetry is not None else Telemetry()
         evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),

@@ -1,14 +1,9 @@
 """System emulation: Renode-style ISA+RTL co-simulation and VCD capture."""
 
-from .renode import Emulator
-from .sessions import (
-    SessionClient,
-    SessionManager,
-    SessionServerThread,
-)
-from .waveform import VcdWriter, capture_cfu_waveform
+from .. import lazy_exports
 
-__all__ = [
-    "Emulator", "SessionClient", "SessionManager", "SessionServerThread",
-    "VcdWriter", "capture_cfu_waveform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "renode": ["Emulator"],
+    "sessions": ["SessionClient", "SessionManager", "SessionServerThread"],
+    "waveform": ["VcdWriter", "capture_cfu_waveform"],
+})

@@ -1,23 +1,14 @@
 """Kernel variants: reference cost models and the optimization ladders."""
 
-from .api import KernelVariant, VariantSet
-from .conv1x1 import LADDER_VARIANTS
-from .kws import KwsSimdConv2D, KwsSimdDepthwise, kws_variants
-from .reference import reference_variants
-from .winograd import (
-    WinogradDepthwise,
-    WinogradPointwise,
-    depthwise_via_winograd_cfu,
-    pointwise_via_winograd_cfu,
-    winograd_depthwise,
-    winograd_pointwise,
-    winograd_variants,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "KernelVariant", "KwsSimdConv2D", "KwsSimdDepthwise", "LADDER_VARIANTS",
-    "VariantSet", "WinogradDepthwise", "WinogradPointwise",
-    "depthwise_via_winograd_cfu", "kws_variants", "pointwise_via_winograd_cfu",
-    "reference_variants", "winograd_depthwise", "winograd_pointwise",
-    "winograd_variants",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "api": ["KernelVariant", "VariantSet"],
+    "conv1x1": ["LADDER_VARIANTS"],
+    "kws": ["KwsSimdConv2D", "KwsSimdDepthwise", "kws_variants"],
+    "reference": ["reference_variants"],
+    "winograd": ["WinogradDepthwise", "WinogradPointwise",
+                 "depthwise_via_winograd_cfu", "pointwise_via_winograd_cfu",
+                 "winograd_depthwise", "winograd_pointwise",
+                 "winograd_variants"],
+})

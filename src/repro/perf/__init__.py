@@ -1,45 +1,17 @@
 """Performance modeling: caches, memory technologies, cost/energy models,
 the whole-model estimator, and the Cortex-M4/CMSIS-NN comparator."""
 
-from .cache import Cache, expected_miss_rate
-from .cost import (
-    CaptureCosts,
-    CostBreakdown,
-    CostContext,
-    CostSnapshot,
-    SystemConfig,
-)
-from .energy import (
-    ENERGY_PER_EVENT_NJ,
-    EnergyBreakdown,
-    EnergyModel,
-    energy_per_inference,
-    static_power_mw,
-)
-from .estimator import (
-    FrameworkOverhead,
-    InferenceEstimate,
-    OpCost,
-    estimate_inference,
-)
-from .memories import (
-    BLOCK_RAM,
-    DDR3,
-    ON_CHIP_SRAM,
-    QSPI_FLASH,
-    SPI_FLASH,
-    MemoryMap,
-    MemoryRegion,
-    MemoryTech,
-)
-from .vectorized import COST_AXES, BatchCostModel
+from .. import lazy_exports
 
-__all__ = [
-    "BLOCK_RAM", "BatchCostModel", "COST_AXES", "Cache", "CaptureCosts",
-    "CostBreakdown", "CostContext", "CostSnapshot", "DDR3",
-    "ENERGY_PER_EVENT_NJ", "EnergyBreakdown", "EnergyModel",
-    "FrameworkOverhead", "InferenceEstimate", "MemoryMap", "MemoryRegion",
-    "MemoryTech", "ON_CHIP_SRAM", "OpCost", "QSPI_FLASH", "SPI_FLASH",
-    "SystemConfig", "energy_per_inference", "estimate_inference",
-    "expected_miss_rate", "static_power_mw",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ["Cache", "expected_miss_rate"],
+    "cost": ["CaptureCosts", "CostBreakdown", "CostContext", "CostSnapshot",
+             "SystemConfig"],
+    "energy": ["ENERGY_PER_EVENT_NJ", "EnergyBreakdown", "EnergyModel",
+               "energy_per_inference", "static_power_mw"],
+    "estimator": ["FrameworkOverhead", "InferenceEstimate", "OpCost",
+                  "estimate_inference"],
+    "memories": ["BLOCK_RAM", "DDR3", "ON_CHIP_SRAM", "QSPI_FLASH",
+                 "SPI_FLASH", "MemoryMap", "MemoryRegion", "MemoryTech"],
+    "vectorized": ["BatchCostModel", "COST_AXES"],
+})

@@ -20,6 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .ast import Operator, Signal, Slice, Value
+from .fsm import fsm_context, set_next, state_context
 
 
 class Assign:
@@ -218,6 +219,15 @@ class Module:
         for c in conds:
             any_prior = c if any_prior is None else Operator("|", [any_prior, c])
         return Operator("~", [any_prior])[0]
+
+    # --- FSMs (repro.rtl.fsm) ----------------------------------------------------
+    def FSM(self, name="fsm", state_bits=4):
+        return fsm_context(self, name, state_bits)
+
+    def State(self, state_name):
+        return state_context(self, state_name)
+
+    next = property(fget=lambda self: None, fset=set_next)
 
     # --- structure ---------------------------------------------------------------
     def add_memory(self, memory):

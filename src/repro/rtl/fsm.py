@@ -25,7 +25,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .ast import Operator, Signal
-from .dsl import Module
 
 
 class FsmHandle:
@@ -80,32 +79,10 @@ def state_context(module, state_name):
         module._guard_stack.pop()
 
 
-def _set_next(module, state_name):
+def set_next(module, state_name):
+    """``m.next = state_name``: transition under the current guards."""
     stack = getattr(module, "_fsm_stack", [])
     if not stack:
         raise SyntaxError("m.next assigned outside of an FSM block")
     handle = stack[-1]
     module.d.sync += handle.signal.eq(handle.encode(state_name))
-
-
-def install_fsm_support():
-    """Attach FSM/State/next to :class:`~repro.rtl.dsl.Module`."""
-    if getattr(Module, "_fsm_installed", False):
-        return
-
-    def fsm(self, name="fsm", state_bits=4):
-        return fsm_context(self, name, state_bits)
-
-    def state(self, state_name):
-        return state_context(self, state_name)
-
-    def set_next(self, state_name):
-        _set_next(self, state_name)
-
-    Module.FSM = fsm
-    Module.State = state
-    Module.next = property(fget=lambda self: None, fset=set_next)
-    Module._fsm_installed = True
-
-
-install_fsm_support()

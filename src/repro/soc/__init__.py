@@ -1,24 +1,13 @@
 """SoC construction: bus, CSRs, peripherals, builder, linker (LiteX stand-in)."""
 
-from .bus import BusError, RamBacking, SocBus
-from .csr import CsrBank, CsrRegister
-from .linker import ImageLayout, LinkError, image_sections, link
-from .peripherals import (
-    CtrlRegisters,
-    DebugBridge,
-    Peripheral,
-    SdramController,
-    SpiFlashController,
-    Timer,
-    Uart,
-    UsbBridge,
-)
-from .soc import CSR_BASE, FLASH_BASE, MAIN_RAM_BASE, SRAM_BASE, Soc
+from .. import lazy_exports
 
-__all__ = [
-    "BusError", "CSR_BASE", "CsrBank", "CsrRegister", "CtrlRegisters",
-    "DebugBridge", "FLASH_BASE", "ImageLayout", "LinkError",
-    "MAIN_RAM_BASE", "Peripheral", "RamBacking", "SRAM_BASE",
-    "SdramController", "Soc", "SocBus", "SpiFlashController", "Timer",
-    "Uart", "UsbBridge", "image_sections", "link",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bus": ["BusError", "RamBacking", "SocBus"],
+    "csr": ["CsrBank", "CsrRegister"],
+    "linker": ["ImageLayout", "LinkError", "image_sections", "link"],
+    "peripherals": ["CtrlRegisters", "DebugBridge", "Peripheral",
+                    "SdramController", "SpiFlashController", "Timer", "Uart",
+                    "UsbBridge"],
+    "soc": ["CSR_BASE", "FLASH_BASE", "MAIN_RAM_BASE", "SRAM_BASE", "Soc"],
+})

@@ -1,39 +1,17 @@
 """TFLite-Micro stand-in: int8 inference with exact TFLite arithmetic."""
 
-from .arena import ArenaPlan, plan_arena, tensor_lifetimes
-from .builder import ModelBuilder
-from .interpreter import Interpreter, KernelRegistry, reference_registry
-from .model import Model, Operator
-from .quantize import (
-    QuantParams,
-    multiply_by_quantized_multiplier,
-    quantize_multiplier,
-    requantize,
-    rounding_divide_by_pot,
-    saturating_rounding_doubling_high_mul,
-)
-from .serialize import dump_model, load_model, load_model_file, save_model
-from .tensor import Tensor
+from .. import lazy_exports
 
-__all__ = [
-    "ArenaPlan",
-    "Interpreter",
-    "KernelRegistry",
-    "Model",
-    "ModelBuilder",
-    "Operator",
-    "QuantParams",
-    "Tensor",
-    "multiply_by_quantized_multiplier",
-    "plan_arena",
-    "quantize_multiplier",
-    "reference_registry",
-    "requantize",
-    "rounding_divide_by_pot",
-    "saturating_rounding_doubling_high_mul",
-    "dump_model",
-    "load_model",
-    "load_model_file",
-    "save_model",
-    "tensor_lifetimes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "arena": ["ArenaPlan", "plan_arena", "tensor_lifetimes"],
+    "builder": ["ModelBuilder"],
+    "interpreter": ["Interpreter", "KernelRegistry", "reference_registry"],
+    "model": ["Model", "Operator"],
+    "quantize": ["QuantParams", "multiply_by_quantized_multiplier",
+                 "quantize_multiplier", "requantize",
+                 "rounding_divide_by_pot",
+                 "saturating_rounding_doubling_high_mul"],
+    "serialize": ["dump_model", "load_model", "load_model_file",
+                  "save_model"],
+    "tensor": ["Tensor"],
+})
