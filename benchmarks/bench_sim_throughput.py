@@ -138,12 +138,22 @@ def arch_state(machine):
 
 
 def timed_run(build, mode, backend):
-    """Build a fresh environment and run it; returns (seconds, machine)."""
+    """Build a fresh environment and run it; returns (seconds, seconds
+    spent translating blocks, machine)."""
     target = build(mode == "timed")
     machine = target.machine if isinstance(target, Emulator) else target
+    promote, compile_seconds = machine._promote, [0.0]
+
+    def timed_promote(pc, profiled=False):
+        started = time.perf_counter()
+        entry = promote(pc, profiled)
+        compile_seconds[0] += time.perf_counter() - started
+        return entry
+
+    machine._promote = timed_promote
     start = time.perf_counter()
     machine.run(max_instructions=200_000_000, backend=backend)
-    return time.perf_counter() - start, machine
+    return time.perf_counter() - start, compile_seconds[0], machine
 
 
 WORKLOADS = [
@@ -161,15 +171,15 @@ def measure():
     for name, build, is_firmware in WORKLOADS:
         modes = ["functional", "timed"] if is_firmware else ["functional"]
         for mode in modes:
-            ref_seconds, ref_machine = timed_run(build, mode, backend="step")
-            trans_seconds, trans_machine = timed_run(build, mode,
-                                                     backend="auto")
+            ref_seconds, _, ref_machine = timed_run(build, mode,
+                                                    backend="step")
+            trans_seconds, compile_seconds, trans_machine = timed_run(
+                build, mode, backend="auto")
             instructions = ref_machine.instret
             assert instructions == trans_machine.instret
             identical = arch_state(trans_machine) == arch_state(ref_machine)
             # Translation/compile overhead is one-time work; steady-state
             # throughput excludes it so the two numbers stay separable.
-            compile_seconds = trans_machine.block_compile_seconds
             steady_seconds = max(trans_seconds - compile_seconds, 1e-9)
             translated_ips = instructions / steady_seconds
             results.append({

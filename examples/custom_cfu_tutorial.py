@@ -16,6 +16,9 @@ The CFU here computes a packed SIMD absolute-difference-accumulate
 Run:  python examples/custom_cfu_tutorial.py
 """
 
+import os
+import tempfile
+
 from repro.boards import ARTY_A7_35T
 from repro.cfu import CfuModel, RtlCfu, assert_equivalent
 from repro.cpu.vexriscv import ARTY_DEFAULT
@@ -121,7 +124,7 @@ def main():
     vcd, _ = capture_cfu_waveform(
         SadCfuRtl(), [(F3_SAD, 1, 0x01010101, 0x03030303),
                       (F3_READ, 0, 0, 0)])
-    path = "/tmp/simd_sad.vcd"
+    path = os.path.join(tempfile.mkdtemp(prefix="simd_sad-"), "simd_sad.vcd")
     with open(path, "w") as handle:
         handle.write(vcd)
     print(f"VCD written to {path} ({len(vcd)} bytes) — open in GTKWave")

@@ -335,7 +335,7 @@ def build_parser():
     profile.add_argument("--simulate", action="store_true",
                          help="cross-validate the estimate on the ISA "
                               "simulator (drift-checked)")
-    profile.add_argument("--budget", type=int, default=None,
+    profile.add_argument("--budget", type=_positive_int, default=None,
                          help="simulated instructions per opcode class")
     profile.add_argument("--folded-out", default=None,
                          help="write flamegraph folded stacks here "

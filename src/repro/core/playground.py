@@ -144,7 +144,8 @@ class Playground:
                 from .simprofile import (DEFAULT_BUDGET, DEFAULT_DRIFT_BAND,
                                          simulate_profile)
                 result = simulate_profile(
-                    self, budget=budget or DEFAULT_BUDGET,
+                    self,
+                    budget=DEFAULT_BUDGET if budget is None else budget,
                     min_share=min_share,
                     drift_band=drift_band or DEFAULT_DRIFT_BAND,
                     estimate=estimate)

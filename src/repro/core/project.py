@@ -20,11 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..accel.kws.model import KwsCfu
-from ..accel.kws.resources import cfu2_resources
-from ..accel.kws.rtl import KwsCfu2Rtl
 from ..accel.mnv2.model import Mnv2Cfu
-from ..accel.mnv2.resources import stage_resources
-from ..accel.mnv2.rtl import Cfu1Rtl
 from ..boards import ARTY_A7_35T, FOMU
 from ..cpu.vexriscv import ARTY_DEFAULT, VexRiscvConfig
 from ..kernels.conv1x1 import OverlapInput
@@ -46,7 +42,6 @@ class ProjectSpec:
     kernel_factory: object = None         # () -> [KernelVariant]
     cfu_factory: object = None            # () -> CfuModel
     rtl_factory: object = None            # () -> RtlCfu (for Verilog emit)
-    cfu_resources: object = None          # ResourceReport
     removed_features: tuple = ()
     quad_spi: bool = False
     placement: dict = field(default_factory=dict)
@@ -85,8 +80,7 @@ class Project:
         if spec.kernel_factory is not None:
             self.playground.swap_kernel(*spec.kernel_factory())
         if spec.cfu_factory is not None:
-            self.playground.attach_cfu(spec.cfu_factory(),
-                                       resources=spec.cfu_resources)
+            self.playground.attach_cfu(spec.cfu_factory())
 
     @property
     def name(self):
@@ -127,6 +121,18 @@ def _kws_cpu():
     )
 
 
+def _cfu1_rtl():
+    from ..accel.mnv2.rtl import Cfu1Rtl
+
+    return Cfu1Rtl(channels=64, filter_words=512, input_words=64)
+
+
+def _cfu2_rtl():
+    from ..accel.kws.rtl import KwsCfu2Rtl
+
+    return KwsCfu2Rtl()
+
+
 def _registry():
     return {
         "proj_template": ProjectSpec(
@@ -147,9 +153,7 @@ def _registry():
             cpu_config=ARTY_DEFAULT,
             kernel_factory=lambda: [OverlapInput()],
             cfu_factory=lambda: Mnv2Cfu(pipelined_input=True),
-            rtl_factory=lambda: Cfu1Rtl(channels=64, filter_words=512,
-                                        input_words=64),
-            cfu_resources=stage_resources("overlap_input"),
+            rtl_factory=_cfu1_rtl,
         ),
         "kws_micro_accel": ProjectSpec(
             name="kws_micro_accel",
@@ -161,8 +165,7 @@ def _registry():
             kernel_factory=lambda: list(
                 kws_variants(postproc=True, specialized=True)),
             cfu_factory=KwsCfu,
-            rtl_factory=KwsCfu2Rtl,
-            cfu_resources=cfu2_resources(),
+            rtl_factory=_cfu2_rtl,
             removed_features=("timer", "ctrl", "rgb", "touch"),
             quad_spi=True,
             placement={"kernel_text": "sram", "model_weights": "sram"},

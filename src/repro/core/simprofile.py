@@ -515,6 +515,8 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
     instructions.  ``check=True`` raises :exc:`ProfileDriftError` when
     any class's simulated/analytic ratio leaves ``drift_band``.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if estimate is None:
         estimate = playground.profile()
     system = playground.system()

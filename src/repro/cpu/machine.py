@@ -9,9 +9,8 @@ object with ``execute(funct3, funct7, a, b) -> (result, cycles)``) and
 a timing model (:mod:`repro.cpu.timing`), in which case it also
 accumulates a cycle count.
 
-The machine halts on ``ebreak``; ``ecall`` invokes a pluggable handler
-(default: treat ``a7 == 93`` as exit-with-code-in-``a0``, anything else
-halts too).
+The machine halts on ``ebreak``, and on ``ecall`` with ``a0`` as the
+exit code.
 
 Two execution paths share the same architectural semantics:
 
@@ -26,8 +25,11 @@ Two execution paths share the same architectural semantics:
   instruction counters, hazard bookkeeping) kept in locals between
   blocks.  A pc no block covers — a system instruction, a translation
   refusal, or a remaining budget shorter than the block — runs on
-  ``step()``.  Blocks end at the code-page edge, so each lies on its
-  entry page; a store into a page drops that page's blocks, which keeps
+  ``step()``.  Blocks serve no timing model or exactly the stock
+  :class:`~repro.cpu.timing.VexTiming`, on a bus that counts no
+  traffic; any other machine runs every instruction on ``step()``.
+  Blocks end at the code-page edge, so each lies on its entry page; a
+  store into a page drops that page's blocks, which keeps
   self-modifying code correct.
 
 :meth:`Machine.run` and :meth:`~repro.cpu.profiler.MachineProfiler.run`
@@ -36,8 +38,6 @@ builds the machine and runs it with ``backend="step"``.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from . import isa
 from .isa import OPCODE_CUSTOM0
@@ -272,7 +272,6 @@ class Machine:
         self.cycles = 0
         self.halted = False
         self.exit_code = None
-        self.ecall_handler = self._default_ecall
         # Hazard tracking for the timing model.
         self._pending_rd = 0
         self._pending_is_load = False
@@ -287,7 +286,6 @@ class Machine:
         self._block_traffic = False    # bus traffic accounting at bake time
         self.block_promotions = 0      # successful block translations
         self.block_invalidation_count = 0
-        self.block_compile_seconds = 0.0
         # Machine-level data-page tuple cache shared by every generated
         # block (page index -> resolved access tuple).  Its identity is
         # baked into generated code; mutate in place, never rebind.  The
@@ -419,7 +417,6 @@ class Machine:
         translated."""
         from .translate import translate_block
 
-        started = perf_counter()
         entry = self._blocks.get(pc)
         if entry is None:
             entry = translate_block(self, pc, profiled)
@@ -429,7 +426,6 @@ class Machine:
                 self.block_promotions += 1
         else:
             entry.variant(self, profiled)
-        self.block_compile_seconds += perf_counter() - started
         return entry
 
     # --- observability --------------------------------------------------------------
@@ -480,9 +476,6 @@ class Machine:
         if index:
             self.regs[index] = value & _MASK32
 
-    def get_reg(self, index):
-        return self.regs[index]
-
     # --- execution ------------------------------------------------------------------
     def run(self, max_instructions=1_000_000, backend="auto"):
         """Execute until halt or the instruction budget is exhausted.
@@ -513,10 +506,11 @@ class Machine:
         """The fast path: run the translated block at every dispatch pc,
         translating it on first dispatch, with the hot state in locals.
         A pc no block covers runs on :meth:`step`: one instruction at a
-        sentinel (a system instruction or a translation refusal), and
-        the rest of the budget when it is shorter than the block, so
-        truncation is instruction-exact.  Bit-identical to the
-        ``step()`` loop, timing model and CFU included.
+        sentinel (a system instruction, a translation refusal, or any pc
+        of a machine blocks do not serve), and the rest of the budget
+        when it is shorter than the block, so truncation is
+        instruction-exact.  Bit-identical to the ``step()`` loop, timing
+        model and CFU included.
 
         ``profile`` (a :class:`~repro.cpu.profiler.MachineProfiler`, or
         anything exposing ``pc_buckets``/``bucket_for_pc``) runs each
@@ -525,9 +519,9 @@ class Machine:
         ``step()``-based profiler does.  A faulting instruction's
         partial cycles stay unattributed on both paths."""
         timing = self.timing
-        # Blocks bake the timing model's identity and the bus
-        # traffic-accounting mode; if either moved under us, the cache
-        # is for a different machine configuration.
+        # Blocks bake the timing model's identity, and a bus counting
+        # traffic gets only sentinels; if either moved under us, the
+        # cache is for a different machine configuration.
         traffic_now = self.memory._traffic is not None
         if self._block_timing is not timing or \
                 self._block_traffic != traffic_now:
@@ -856,8 +850,10 @@ class Machine:
         if ins.raw == 0x00100073:  # ebreak
             self.halted = True
             return self.pc
-        if ins.raw == 0x00000073:  # ecall
-            return self.ecall_handler(next_pc)
+        if ins.raw == 0x00000073:  # ecall: exit with a0 as the code
+            self.exit_code = _sext32(self.regs[10])
+            self.halted = True
+            return self.pc
         csr = ins.imm & 0xFFF
         if ins.funct3 in (1, 2, 3):  # csrrw/csrrs/csrrc
             value = {0xB00: self.cycles, 0xC00: self.cycles,
@@ -865,15 +861,6 @@ class Machine:
             self.set_reg(ins.rd, value)
             return next_pc
         raise RuntimeError(f"unsupported SYSTEM instruction 0x{ins.raw:08x}")
-
-    def _default_ecall(self, next_pc):
-        if self.regs[17] == 93:  # exit
-            self.exit_code = _sext32(self.regs[10])
-            self.halted = True
-            return self.pc
-        self.halted = True
-        self.exit_code = _sext32(self.regs[10])
-        return self.pc
 
     def _check_align(self, addr, size):
         if self.timing is not None and not self.timing.checks_alignment():

@@ -17,21 +17,23 @@ What the generated function bakes in as literals:
 - the timing model's configuration-pure costs (shift/mul/div cycles,
   jump penalties, hazard interlock costs, per-pair static RAW hazards
   inside the block) constant-folded into per-instruction literals, with
-  only data-dependent costs (``fetch``/``load_cycles``/``store_cycles``
-  cache state, branch-predictor outcomes, CFU latency) left as calls,
+  only data-dependent costs (cache and branch-predictor state, CFU
+  latency) left to run time,
 - plain-RAM page access: loads/stores index the backing ``bytearray``
   directly through the bus page cache, falling back to the bus's
   read/write methods for misses, CSR windows, read-only regions, and
-  straddles (and for every access while bus traffic metrics are on, so
-  each transaction is counted).  The resolved page (data, base,
-  writability) is kept in locals across accesses, so streaming loops
-  pay one dict probe per page switch instead of one per access.
+  straddles.  The resolved page (data, base, writability) is kept in
+  locals across accesses, so streaming loops pay one dict probe per
+  page switch instead of one per access.
 
-When the timing model is the stock :class:`~repro.cpu.timing.VexTiming`
-with stock :class:`~repro.perf.cache.Cache` /
-:class:`~repro.cpu.timing.BranchPredictor` internals (exact-type
-checks; duck-typed timing doubles keep the method-call path), three
-data-dependent costs are inlined too:
+Blocks serve one machine configuration: no timing model or exactly the
+stock :class:`~repro.cpu.timing.VexTiming`, on a bus that counts no
+traffic.  Any other machine (a timing double or subclass, or traffic
+accounting on) gets a sentinel at every pc and runs on ``step()``, so
+its counts are the reference loop's own.  With VexTiming, whose caches
+and predictor are the stock :class:`~repro.perf.cache.Cache` and
+:class:`~repro.cpu.timing.BranchPredictor`, three data-dependent costs
+are inlined too:
 
 - *fetch*: all block pcs share one memory region (checked at
   translation time).  With no icache (or an uncacheable region) the
@@ -90,10 +92,9 @@ from __future__ import annotations
 
 import sys
 
-from ..perf.cache import Cache
 from .machine import MemoryAccessError, _div_trunc, _PAGE_BITS, _PAGE_SIZE
 from .isa import decode
-from .timing import BranchPredictor, VexTiming
+from .timing import VexTiming
 from . import machine as _m
 
 #: Longest run of instructions folded into one block.
@@ -160,13 +161,18 @@ def _discover(machine, pc):
     illegal: they need live machine state or halt), before a MUL when
     the timing model has no multiplier (``step()`` raises mid-dispatch
     and the block would mis-count cycles first), and at the code-page
-    edge so every block lives on exactly one invalidation page.
+    edge so every block lives on exactly one invalidation page.  A
+    machine blocks do not serve (see the module docstring) gets no ops.
     """
-    timed = machine.timing is not None
+    timing = machine.timing
+    if machine.memory._traffic is not None or \
+            timing is not None and type(timing) is not VexTiming:
+        return []
+    timed = timing is not None
     mul_ok = True
     if timed:
         try:
-            machine.timing.mul_cycles()
+            timing.mul_cycles()
         except Exception:
             mul_ok = False
     page_end = ((pc >> _PAGE_BITS) + 1) << _PAGE_BITS
@@ -216,15 +222,6 @@ def _pending_after(op):
     return 0, False  # stores, branches, jumps
 
 
-def _mem_style(mem):
-    """Memory access style for code generation: ``"bus"`` indexes
-    plain-RAM pages inline through the bus page cache.  Traffic
-    accounting must observe every transaction, so it forces the
-    ``"slow"`` (method-call) style; the run loop flushes blocks when
-    the flag flips."""
-    return "bus" if mem._traffic is None else "slow"
-
-
 def _build_resolver(machine):
     """The machine-level page resolver shared by every generated block:
     page index -> ``(data, base, writable, word view, cost mode, load
@@ -247,14 +244,13 @@ def _build_resolver(machine):
     pg = machine._data_page_cache
     protected = mem._cow_protected
     _bus_get = mem._page_cache.get
-    dcache = getattr(timing, "dcache", None)
-    dc_ok = timed and _dc_inline_ok(timing, dcache)
-    if dc_ok:
+    if timed:
+        dcache = timing.dcache
         _mm = timing.memory_map
         _lbytes = timing.line_bytes
         _costs = {}
 
-        def _page_costs(page, _dcache=dcache):
+        def _page_costs(page):
             lo = page << _PAGE_BITS
             hi = lo + _PAGE_SIZE
             try:
@@ -263,7 +259,7 @@ def _build_resolver(machine):
                 region = None
             if region is None or lo < region.base or region.end < hi:
                 entry = (-1, 0, 0)  # page spans regions: keep the call
-            elif _dcache is not None and region.cacheable:
+            elif dcache is not None and region.cacheable:
                 fill = 1 + region.tech.line_fill_cycles(_lbytes)
                 entry = (1, fill, fill)
             else:
@@ -281,7 +277,7 @@ def _build_resolver(machine):
             lw = False  # COW: route stores through the bus methods
         if use_mv and ld is not None and lb & 3 == 0:
             mv = _mv_cast(ld)
-        if dc_ok:
+        if timed:
             lc, lmc, lsc = _costs.get(page) or _page_costs(page)
         else:
             lc = lmc = lsc = 0
@@ -301,25 +297,11 @@ def _ensure_resolver(machine):
     return resolver
 
 
-def _dc_inline_ok(timing, dcache):
-    """Whether the stock-dcache data-access cost can be inlined (the
-    resolver and the code generator must agree on this gate)."""
-    tt = type(timing)
-    return (tt.load_cycles is VexTiming.load_cycles
-            and tt.store_cycles is VexTiming.store_cycles
-            and tt._data_access is VexTiming._data_access
-            and (dcache is None or type(dcache) is Cache))
-
-
 def _timing_key(timing):
     """The canonical (JSON-able via repr) timing configuration a block
-    bakes in, or a refusal (None return means "don't cache"): only the
-    stock VexTiming is canonicalizable — duck-typed timing doubles have
-    no value identity."""
+    bakes in."""
     if timing is None:
         return {"timing": None}
-    if type(timing) is not VexTiming:
-        return None
     return {
         "config": repr(timing.config),
         "regions": [repr(region) for region in timing.memory_map.regions],
@@ -328,23 +310,16 @@ def _timing_key(timing):
 
 
 def _block_key(machine, entry_pc, ops, profiled):
-    """The persistent-cache key for one block, or None when this
-    machine configuration cannot be content-addressed."""
-    timing_key = _timing_key(machine.timing)
-    if timing_key is None:
-        return None
+    """The persistent-cache key for one block."""
     from ..core.codecache import code_key, generator_digest
 
     return code_key("tier2-block", {
         "generator": generator_digest(__name__),
         "pc": entry_pc,
-        # The instruction words come from the already-decoded ops (not
-        # a fresh memory read, which would perturb traffic accounting).
         "code": [op[5].raw for _p, op in ops],
         "profiled": bool(profiled),
-        "style": _mem_style(machine.memory),
         "byteorder": sys.byteorder,
-        "timing": timing_key,
+        "timing": _timing_key(machine.timing),
     })
 
 
@@ -369,7 +344,6 @@ _BAKED = {
     "_ft": lambda m, n: m.timing.fetch,
     "_ldc": lambda m, n: m.timing.load_cycles,
     "_stc": lambda m, n: m.timing.store_cycles,
-    "_bp": lambda m, n: m.timing.branch_penalty,
     "_ic": lambda m, n: m.timing.icache,
     "_dc": lambda m, n: m.timing.dcache,
     "_dsets": lambda m, n: m.timing.dcache._sets,
@@ -423,8 +397,6 @@ def _emit(machine, entry_pc, ops, profiled):
     where ``need`` names the objects :func:`_bind` must supply."""
     timing = machine.timing
     timed = timing is not None
-    mem = machine.memory
-    style = _mem_style(mem)
 
     check_align = (not timed) or timing.checks_alignment()
 
@@ -457,41 +429,26 @@ def _emit(machine, entry_pc, ops, profiled):
         term = "fall"
         loop = False
 
-    # --- timing-internals inlining gates ------------------------------------------
-    # Only the stock VexTiming with stock Cache/BranchPredictor
-    # internals qualifies (exact-type checks): a duck-typed or
-    # subclassed timing double keeps the method-call path.
-    ic_mode = "call"   # per-instruction fetch strategy: call|const|line
+    # --- fetch strategy: call (block pcs span regions)|const|line --------------
+    ic_mode = "call"
     fetch_const = 0
     ic_lb = 32
-    bp_inline = False
-    dc_inline = False
-    predictor = None
-    dcache = None
     if timed:
-        tt = type(timing)
-        region = None
-        if tt.fetch is VexTiming.fetch:
-            try:
-                region = timing.memory_map.find(entry_pc)
-                if timing.memory_map.find(last_pc) is not region:
-                    region = None
-            except Exception:
+        try:
+            region = timing.memory_map.find(entry_pc)
+            if timing.memory_map.find(last_pc) is not region:
                 region = None
+        except Exception:
+            region = None
         if region is not None:
             icache = timing.icache
             if icache is None or not region.cacheable:
                 # fetch is a pure region constant: fold it away
                 ic_mode = "const"
                 fetch_const = region.tech.first_word_latency - 1
-            elif type(icache) is Cache:
+            else:
                 ic_mode = "line"
                 ic_lb = icache.line_bytes
-        predictor = getattr(timing, "predictor", None)
-        bp_inline = (tt.branch_penalty is VexTiming.branch_penalty
-                     and type(predictor) is BranchPredictor)
-        dcache = getattr(timing, "dcache", None)
-        dc_ok = _dc_inline_ok(timing, dcache)
 
     # --- registers touched ------------------------------------------------------
     reads, writes = set(), set()
@@ -525,8 +482,6 @@ def _emit(machine, entry_pc, ops, profiled):
         elif k == _m._K_CFU:
             _touch((op[2], op[3]), op[1])
 
-    has_mem = any(32 <= op[0] < 43 for _p, op in ops)
-    use_pcache = has_mem and style == "bus"
     cfu_sites = [i for i, (_p, op) in enumerate(ops)
                  if op[0] == _m._K_CFU]
 
@@ -535,8 +490,8 @@ def _emit(machine, entry_pc, ops, profiled):
     # miss/uncached costs, resolved lazily per page into a block-local
     # cache.  With that, the whole dcache simulation (LRU tag lists,
     # hit/miss stats, fill cost) inlines to a handful of integer ops.
-    dc_inline = timed and dc_ok and use_pcache
-    if dc_inline and dcache is not None:
+    dcache = timing.dcache if timed else None
+    if dcache is not None:
         dlb, dns = dcache.line_bytes, dcache.num_sets
         dc_line = (f"_a >> {dlb.bit_length() - 1}"
                    if dlb & (dlb - 1) == 0 else f"_a // {dlb}")
@@ -561,8 +516,8 @@ def _emit(machine, entry_pc, ops, profiled):
     # backing instead of four byte indexes (little-endian hosts only;
     # the alignment check above the access guarantees in-page, aligned
     # word offsets).
-    use_mv = (use_pcache and check_align and _LITTLE
-              and any(op[0] in (_m._K_LW, _m._K_SW) for _p, op in ops))
+    use_mv = check_align and _LITTLE and any(
+        op[0] in (_m._K_LW, _m._K_SW) for _p, op in ops)
 
     # Page resolution is machine-level (see _build_resolver): every
     # block shares one resolver and one page cache, so the resolved
@@ -642,7 +597,7 @@ def _emit(machine, entry_pc, ops, profiled):
             L(ind + 1, f"_lw{i} = _e[2]")
         if word:
             L(ind + 1, f"_mv{i} = _e[3]")
-        if dc_inline:
+        if timed:
             L(ind + 1, f"_lc{i} = _e[4]")
             L(ind + 1, f"_lmc{i} = _e[5]")
             L(ind + 1, f"_lsc{i} = _e[6]")
@@ -653,10 +608,6 @@ def _emit(machine, entry_pc, ops, profiled):
         ``_o``."""
         slow = {1: "_mr8", 2: "_mr16", 4: "_mr32"}[nbytes]
         need.add(slow)
-        if style == "slow":
-            slow_fj(ind, i)
-            L(ind, f"{target} = {slow}(_a)")
-            return
         limit = _PAGE_SIZE - nbytes
         word = nbytes == 4 and use_mv
         refresh_page(ind, i, word, write=False)
@@ -687,10 +638,6 @@ def _emit(machine, entry_pc, ops, profiled):
         maps the backing's local name to per-byte stores over ``_o``."""
         slow = {1: "_mw8", 2: "_mw16", 4: "_mw32"}[nbytes]
         need.add(slow)
-        if style == "slow":
-            slow_fj(ind, i)
-            L(ind, f"{slow}(_a, {value})")
-            return
         limit = _PAGE_SIZE - nbytes
         word = nbytes == 4 and use_mv
         refresh_page(ind, i, word, write=True)
@@ -729,9 +676,6 @@ def _emit(machine, entry_pc, ops, profiled):
         # call.  ``_lc{i}`` 1 = cacheable behind a dcache, 0 = constant
         # cost, -1 = slow.
         need.add(call_name)
-        if not dc_inline:
-            L(ind, f"cycles += {call_name}(_a)")
-            return
         cost = f"_lsc{i}" if call_name == "_stc" else f"_lmc{i}"
         if dcache is not None:
             need.update(("_dc", "_dsets"))
@@ -994,8 +938,6 @@ def _emit(machine, entry_pc, ops, profiled):
                     f"{d}[_o + 1] = {value} >> 8 & 255",
                 ])
             need.update(("_BP", "_SI"))
-            if style == "slow":
-                L(ind, "_p = _a >> 12")
             if span and not check_align:
                 L(ind, f"_q = (_a + {span}) >> 12")
                 cond = "_p in _BP or _q in _BP"
@@ -1058,10 +1000,7 @@ def _emit(machine, entry_pc, ops, profiled):
 
     def emit_branch_cycles(ind, p, op):
         # cycles for the branch slot + penalty; ``_t`` holds taken.
-        if not bp_inline:
-            need.add("_bp")
-            L(ind, f"cycles += 1 + _bp({p}, _t, {bool(op[4])})")
-            return
+        predictor = timing.predictor
         kind = predictor.kind
         mp = timing.config.mispredict_penalty
         kt = predictor.knows_target()
@@ -1173,14 +1112,13 @@ def _emit(machine, entry_pc, ops, profiled):
         else:
             lines.append(f"{A1}_hz0 = ({hz_load} if pending_is_load else"
                          f" {hz_other}) if ({hcond}) else 0")
-    if use_pcache:
-        for i, (_p, op) in enumerate(ops):
-            if not 32 <= op[0] < 43:
-                continue
-            lines.append(f"{A1}_lp{i} = -1")
-            lines.append(f"{A1}_ld{i} = None")
-            if use_mv and op[0] in (_m._K_LW, _m._K_SW):
-                lines.append(f"{A1}_mv{i} = None")
+    for i, (_p, op) in enumerate(ops):
+        if not 32 <= op[0] < 43:
+            continue
+        lines.append(f"{A1}_lp{i} = -1")
+        lines.append(f"{A1}_ld{i} = None")
+        if use_mv and op[0] in (_m._K_LW, _m._K_SW):
+            lines.append(f"{A1}_mv{i} = None")
     if cfu_sites:
         # Resolve the CFU call targets — the generic execute plus any
         # single-latency fast_call the model offers for a baked

@@ -133,7 +133,6 @@ def test_hot_loop_promotes_once():
     # the tail block; the ecall is a sentinel the loop steps.
     assert machine.block_promotions == 3
     assert machine.block_cache_entries == 3
-    assert machine.block_compile_seconds > 0.0
 
 
 def test_code_generation_failure_runs_on_step(monkeypatch):
@@ -268,15 +267,12 @@ def test_traffic_counters_identical_across_tiers():
             ecall
         """, region="flash")           # fetches count against flash
         emu.machine.run(backend=backend)
-        return {key: value for key, value in emu.bus.traffic().items()
-                if key[0] == "main_ram"}
+        return emu.bus.traffic()
 
-    # The step loop refetches every instruction through the bus, while
-    # blocks fetch each static instruction once, so only flash reads
-    # differ; the data traffic in main_ram is identical exactly.
     step, translated = run("step"), run("auto")
     assert translated == step
-    assert set(translated) == {("main_ram", "read"), ("main_ram", "write")}
+    assert set(translated) == {("flash", "read"), ("main_ram", "read"),
+                               ("main_ram", "write")}
 
 
 # --- budget handling --------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Smoke tests: the fast examples must run end to end (no rot)."""
 
 import os
+import re
 import runpy
+import shutil
 import sys
 
 import pytest
@@ -16,10 +18,23 @@ def run_example(name, capsys):
 
 
 def test_custom_cfu_tutorial(capsys):
-    out = run_example("custom_cfu_tutorial.py", capsys)
-    assert "PASS: 200 operations" in out
-    assert "program exit value: 9" in out
-    assert "VCD written" in out
+    paths = []
+    try:
+        for _ in range(2):
+            out = run_example("custom_cfu_tutorial.py", capsys)
+            assert "PASS: 200 operations" in out
+            assert "program exit value: 9" in out
+            paths.append(re.search(r"VCD written to (\S+) ", out).group(1))
+            with open(paths[-1]) as handle:
+                vcd = handle.read()
+            assert vcd.startswith("$timescale")
+            assert "$enddefinitions $end" in vcd
+        # Each run writes its own file, so concurrent runs cannot collide.
+        assert "/tmp/simd_sad.vcd" not in paths
+        assert paths[0] != paths[1]
+    finally:
+        for path in paths:
+            shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 
 
 def test_quickstart(capsys):

@@ -82,6 +82,9 @@ def test_projects_command_loads_no_dse():
     assert "repro.cli" in modules
     assert [name for name in repro_modules(modules)
             if name == "repro.dse" or name.startswith("repro.dse.")] == []
+    # The registry names the gateware without elaborating or importing it.
+    assert sorted(modules & {"repro.accel.mnv2.rtl", "repro.accel.kws.rtl",
+                             "repro.cfu.rtl", "repro.rtl.sim"}) == []
 
 
 @pytest.mark.parametrize("name", PACKAGES)

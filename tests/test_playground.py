@@ -151,6 +151,13 @@ def test_profile_simulate_cross_validates_estimate(kws):
         pg.profile(simulate=True, budget=5_000, drift_band=(0.999, 1.001))
 
 
+def test_simulate_rejects_a_budget_below_one(kws):
+    pg = Playground(ARTY_A7_35T, kws)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            pg.profile(simulate=True, budget=budget)
+
+
 def test_simulate_skips_minor_classes_and_reports_them(kws):
     pg = Playground(ARTY_A7_35T, kws)
     sim = pg.profile(simulate=True, budget=5_000, min_share=0.5)

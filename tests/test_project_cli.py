@@ -138,6 +138,14 @@ def test_cli_exhaustive_reports_regret_only_for_searched_families(
     assert "winograd: RegularizedEvolution" not in out
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_cli_profile_rejects_a_budget_below_one(budget, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["profile", "mnv2_first", "--simulate", "--budget", budget])
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_exports_are_json_lines(tmp_path, capsys):
     """``dse --trace-out`` and ``profile --simulate --metrics-out`` write
     one format: a header carrying the series, then spans and events."""

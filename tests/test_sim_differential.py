@@ -9,7 +9,9 @@ without a CFU attached.  Every firmware image from
 ``tests.test_integration_firmware`` and a randomized RV32IM corpus run
 through both backends here, plus the nasty cases: self-modifying code
 rewriting an already-promoted block, a branch target landing
-mid-block, and budget truncation.
+mid-block, and budget truncation.  Machines that blocks do not serve
+(a timing-model subclass, a bus counting traffic) must run every
+instruction on ``step()`` under ``auto`` too.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ import pytest
 from repro.accel import KwsCfu, KwsCfu2Rtl
 from repro.boards import ARTY_A7_35T
 from repro.cpu import Machine, VexTiming
+from repro.cpu.assembler import assemble
+from repro.cpu.profiler import MachineProfiler
 from repro.cpu.vexriscv import ARTY_DEFAULT, FOMU_MINIMAL
 from repro.emu import Emulator
 from repro.soc import Soc
@@ -480,4 +484,98 @@ def test_branch_target_lands_mid_block():
     # phase 1: 20x(+1+100); phase 2: +100 at entry, then 9x(+1+100).
     assert translated.regs[10] == 20 * 101 + 100 + 9 * 101
     assert translated.block_promotions > 0
+    assert_all_identical(machines)
+
+
+# --- machines blocks do not serve --------------------------------------------------
+
+class SlowFetchTiming(VexTiming):
+    """A timing double: every fetch costs one cycle more than stock."""
+
+    def fetch(self, pc):
+        return super().fetch(pc) + 1
+
+
+def per_pc_profile(source, timing, backend):
+    """Profile ``source`` with one symbol per instruction, so the
+    profile's entries are its per-pc buckets."""
+    code, _ = assemble(source)
+    machine = Machine(timing=timing)
+    machine.load_program(code)
+    symbols = {f"{pc:#x}": pc for pc in range(0, len(code), 4)}
+    profile = MachineProfiler(machine, symbols).run(backend=backend)
+    buckets = {name: (entry.cycles, entry.instructions)
+               for name, entry in profile.entries.items()}
+    return machine, buckets
+
+
+def test_timing_subclass_runs_on_step():
+    """Blocks serve only the stock VexTiming: a subclass gets no block,
+    and ``auto`` charges every pc exactly as the step profiler does."""
+    source = random_program(7)
+    runs = {backend: per_pc_profile(source, SlowFetchTiming(ARTY_DEFAULT),
+                                    backend)
+            for backend in BACKENDS}
+    (auto, auto_buckets), (step, step_buckets) = runs["auto"], runs["step"]
+    assert auto.block_promotions == 0
+    assert_identical(auto, step, label="subclass")
+    assert auto_buckets == step_buckets
+
+
+COPY_LOOP = """
+    li   t0, {src}
+    li   t1, {dst}
+    li   t2, 16
+loop:
+    lw   t3, 0(t0)
+    sw   t3, 0(t1)
+    addi t0, t0, 4
+    addi t1, t1, 4
+    addi t2, t2, -1
+    bnez t2, loop
+    li   a7, 93
+    ecall
+"""
+
+
+def run_counting_traffic(backend):
+    """Run a copy loop fetched from flash, with its data in main_ram, on
+    a bus counting traffic; returns the emulator and its traffic."""
+    soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
+    emu = Emulator(soc, with_timing=True)
+    emu.bus.enable_traffic_metrics()
+    data = soc.memory_map.get("main_ram").base + 0x4000
+    emu.bus.load_bytes(data, bytes(range(64)))
+    emu.load_assembly(COPY_LOOP.format(src=data, dst=data + 0x1000),
+                      region="flash")
+    emu.machine.run(backend=backend)
+    return emu, emu.bus.traffic()
+
+
+def test_traffic_accounting_runs_on_step():
+    """A bus counting traffic gets no block, so ``auto`` makes exactly
+    the reference loop's transactions, instruction fetches included."""
+    (auto, auto_traffic), (step, step_traffic) = (
+        run_counting_traffic("auto"), run_counting_traffic("step"))
+    assert auto.machine.block_promotions == 0
+    assert auto_traffic == step_traffic
+    assert set(auto_traffic) == {("flash", "read"), ("main_ram", "read"),
+                                 ("main_ram", "write")}
+    assert_identical(auto.machine, step.machine, label="traffic")
+
+
+def test_translation_resumes_when_traffic_accounting_stops():
+    """With accounting off again the next run translates blocks, and
+    still matches ``step()``."""
+    machines = {}
+    for backend in BACKENDS:
+        emu, _ = run_counting_traffic(backend)
+        machine = emu.machine
+        emu.bus._traffic = None          # accounting off again
+        machine.pc = emu.soc.memory_map.get("flash").base
+        machine.halted, machine.exit_code = False, None
+        machine.regs[:] = [0] * 32
+        machine.run(backend=backend)
+        machines[backend] = machine
+    assert machines["auto"].block_promotions > 0
     assert_all_identical(machines)
