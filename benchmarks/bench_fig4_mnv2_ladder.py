@@ -14,15 +14,7 @@ from repro.core.ladders import (
     mnv2_ladder,
     run_ladder,
 )
-
-PAPER_SPEEDUPS = {
-    "sw-1x1": 2.0,
-    "cfu-postproc": 2.3,
-    "cfu-mac4": 9.8,
-    "mac4-run1": 26.0,
-    "incl-postproc": 31.1,
-    "overlap-input": 55.0,
-}
+from repro.core.reporting import PAPER_FIG4
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +40,7 @@ def test_fig4_mnv2_ladder(report, ladder_results):
            f"{'cyc/MAC':>8s} {'cells':>7s} {'DSP':>4s} {'BRAM kb':>8s}")
     for r in results:
         op_cycles = base_op_cycles / r.op_speedup
-        paper = PAPER_SPEEDUPS.get(r.step.name)
+        paper = PAPER_FIG4.get(r.step.name)
         paper_txt = f"{paper:.1f}" if paper else "-"
         usage = r.fit.usage
         report(f"{r.step.name:16s} {r.op_speedup:>10.2f}x {paper_txt:>7s} "
@@ -62,7 +54,7 @@ def test_fig4_mnv2_ladder(report, ladder_results):
     # Shape assertions (the reproduction criteria from EXPERIMENTS.md).
     final = results[-1].op_speedup
     assert 35 <= final <= 80
-    for name, paper_value in PAPER_SPEEDUPS.items():
+    for name, paper_value in PAPER_FIG4.items():
         measured = next(r.op_speedup for r in results if r.step.name == name)
         assert 0.5 * paper_value <= measured <= 2.0 * paper_value, (
             name, measured, paper_value)

@@ -10,18 +10,9 @@ import pytest
 
 from repro.boards import FOMU, fit
 from repro.core.ladders import kws_initial_state, kws_ladder, run_ladder
+from repro.core.reporting import PAPER_FIG6
 from repro.cpu.vexriscv import VexRiscvConfig
 from repro.soc import Soc
-
-PAPER_SPEEDUPS = {
-    "quadspi": 3.04,
-    "sram-ops-model": 7.84,
-    "larger-icache": 8.3,
-    "fast-mult": 15.35,
-    "mac-conv": 32.10,
-    "post-proc": 37.64,
-    "sw-spec": 75.0,
-}
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +30,7 @@ def test_fig6_kws_ladder(report, ladder_results):
     report(f"{'step':16s} {'speedup':>9s} {'paper':>7s} {'seconds':>9s} "
            f"{'cells':>6s} {'DSP':>4s} {'fit':>4s}")
     for r in results:
-        paper = PAPER_SPEEDUPS.get(r.step.name)
+        paper = PAPER_FIG6.get(r.step.name)
         paper_txt = f"{paper:.2f}" if paper else "-"
         report(f"{r.step.name:16s} {r.speedup:>8.2f}x {paper_txt:>7s} "
                f"{r.cycles / clock:>9.2f} {r.fit.usage.logic_cells:>6d} "
@@ -51,7 +42,7 @@ def test_fig6_kws_ladder(report, ladder_results):
 
     # Shape assertions.
     assert 50 <= final.speedup <= 115
-    for name, paper_value in PAPER_SPEEDUPS.items():
+    for name, paper_value in PAPER_FIG6.items():
         measured = next(r.speedup for r in results if r.step.name == name)
         assert 0.5 * paper_value <= measured <= 2.0 * paper_value, (
             name, measured, paper_value)

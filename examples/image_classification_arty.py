@@ -24,7 +24,7 @@ def main():
           f"{model.weights_bytes():,} weight bytes\n")
 
     print("== profile the baseline ==")
-    baseline = state.estimate()
+    baseline = state.profile()
     print(baseline.summary(split_conv_1x1=True))
     print("\n-> 1x1 CONV_2D dominates: that is the operator to accelerate\n")
 

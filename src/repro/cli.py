@@ -46,7 +46,13 @@ def _cmd_profile(args):
 
     project = load_project(args.project)
     if args.simulate:
-        sim = project.profile(simulate=True, budget=args.budget)
+        from .core.simprofile import ProfileDriftError
+
+        try:
+            sim = project.profile(simulate=True, budget=args.budget)
+        except ProfileDriftError as error:
+            print(f"error: {args.project}: {error}", file=sys.stderr)
+            return 1
         print(sim.summary())
         if args.folded_out:
             count = sim.export_folded(args.folded_out)
@@ -336,7 +342,10 @@ def build_parser():
                          help="cross-validate the estimate on the ISA "
                               "simulator (drift-checked)")
     profile.add_argument("--budget", type=_positive_int, default=None,
-                         help="simulated instructions per opcode class")
+                         help="simulated instructions per opcode class "
+                              "(default 40,000); a small budget "
+                              "over-weights fixed per-primitive costs and "
+                              "can fail the drift check")
     profile.add_argument("--folded-out", default=None,
                          help="write flamegraph folded stacks here "
                               "(with --simulate)")

@@ -5,10 +5,9 @@ from .. import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "golden": ["golden_checksum", "golden_input", "run_golden_inference",
                "variant_interpreter", "variant_registry"],
-    "ladders": ["DeploymentState", "FOMU_BASELINE_CPU", "LadderResult",
-                "LadderStep", "kws_initial_state", "kws_ladder",
-                "mnv2_1x1_filter", "mnv2_initial_state", "mnv2_ladder",
-                "run_ladder"],
+    "ladders": ["FOMU_BASELINE_CPU", "LadderResult", "LadderStep",
+                "kws_initial_state", "kws_ladder", "mnv2_1x1_filter",
+                "mnv2_initial_state", "mnv2_ladder", "run_ladder"],
     "menu": ["Menu", "UartConsole", "build_firmware_menu"],
     "playground": ["BuildReport", "Playground", "PlaygroundError"],
     "project": ["BuildArtifacts", "PROJECTS", "Project", "ProjectSpec",

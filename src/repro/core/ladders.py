@@ -1,54 +1,37 @@
-"""The paper's two optimization ladders as executable step sequences.
+"""The paper's two optimization ladders as step sequences over a Playground.
 
-Each :class:`LadderStep` mutates one aspect of the deployment — a
-kernel swap, a CFU attachment, a CPU configuration change, a memory-map
-or linker change — exactly mirroring the incremental moves of Sections
-III-A (Fig. 4) and III-B (Fig. 6).  :func:`run_ladder` replays the steps,
-re-estimating whole-model cycles and re-fitting the FPGA after each.
+Each :class:`LadderStep` applies one incremental move of Sections III-A
+(Fig. 4) and III-B (Fig. 6) to a :class:`~repro.core.playground.Playground`
+in place — a kernel swap, a CFU attachment, a CPU reconfiguration, a
+memory-map or linker change — through the Playground method for that
+move.  A rung that changes the CFU attaches the CFU model its kernels
+issue instructions to, charged with that rung's gateware report.
+:func:`run_ladder` replays the steps, re-profiling the model and
+re-fitting the FPGA after each.  The Section III projects
+(:mod:`repro.core.project`) are these ladders' end states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
+from ..accel.kws.model import KwsCfu
 from ..accel.kws.resources import cfu2_resources
 from ..accel.mnv2.resources import stage_resources
-from ..boards import ARTY_A7_35T, FOMU, fit
+from ..boards import ARTY_A7_35T, FOMU
 from ..cpu.vexriscv import ARTY_DEFAULT, VexRiscvConfig
 from ..kernels.conv1x1 import LADDER_VARIANTS
 from ..kernels.kws import kws_variants
-from ..kernels.reference import reference_variants
 from ..models import load
-from ..perf.estimator import estimate_inference
-from ..rtl.synth import ResourceReport
-from ..soc import Soc, link
-
-
-@dataclass
-class DeploymentState:
-    """Everything that defines a running deployment at one ladder rung."""
-
-    model: object
-    soc: Soc
-    variants: object
-    placement: dict = field(default_factory=dict)
-    cfu_resources: ResourceReport = field(default_factory=ResourceReport)
-
-    def system(self):
-        return self.soc.system_config(placement=self.placement)
-
-    def estimate(self):
-        return estimate_inference(self.model, self.system(), self.variants)
-
-    def fit(self):
-        return fit(self.soc.board, self.soc.resources(), self.cfu_resources)
+from ..soc import link
+from .playground import Playground
 
 
 @dataclass
 class LadderStep:
     name: str
     description: str
-    apply: object  # callable(DeploymentState) -> DeploymentState
+    apply: object  # callable(Playground): changes the playground in place
 
 
 @dataclass
@@ -68,19 +51,19 @@ class LadderResult:
                 f"{'OK' if self.fit.ok else 'NO-FIT'}")
 
 
-def run_ladder(steps, initial_state, op_filter=None):
-    """Replay a ladder; returns the list of :class:`LadderResult`.
+def run_ladder(steps, playground, op_filter=None):
+    """Replay a ladder on ``playground``; returns the list of
+    :class:`LadderResult`.
 
     ``op_filter(op_cost) -> bool`` selects the operator subset whose
     speedup Fig. 4 tracks (e.g. only 1x1 convs); overall speedup uses
     total cycles.
     """
-    state = initial_state
     results = []
     base_total = base_op = None
     for step in steps:
-        state = step.apply(state)
-        estimate = state.estimate()
+        step.apply(playground)
+        estimate = playground.profile()
         total = estimate.total_cycles
         op_cycles = (estimate.cycles_for(op_filter)
                      if op_filter else total)
@@ -91,10 +74,14 @@ def run_ladder(steps, initial_state, op_filter=None):
             cycles=total,
             speedup=base_total / total,
             op_speedup=base_op / op_cycles if op_cycles else float("inf"),
-            fit=state.fit(),
+            fit=playground.fit(),
             estimate=estimate,
         ))
     return results
+
+
+def _baseline(playground):
+    """The rung every speedup is measured against: no change."""
 
 
 # --------------------------------------------------------------------------------
@@ -102,33 +89,25 @@ def run_ladder(steps, initial_state, op_filter=None):
 # --------------------------------------------------------------------------------
 
 def mnv2_initial_state(model=None):
+    """The Fig. 4 start: a Playground of MobileNetV2 on the stock Arty
+    SoC with the reference kernels."""
     model = model or load("mobilenet_v2", width_multiplier=0.75, num_classes=100)
-    soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
-    return DeploymentState(model=model, soc=soc,
-                           variants=reference_variants())
+    return Playground(ARTY_A7_35T, model, cpu_config=ARTY_DEFAULT)
 
 
 def mnv2_ladder():
     """Fig. 4's bars: baseline + the nine variant swaps."""
-    def baseline(state):
-        return state
-
-    steps = [LadderStep("base", "TFLM reference kernels, stock SoC", baseline)]
+    steps = [LadderStep("base", "TFLM reference kernels, stock SoC",
+                        _baseline)]
     for variant_cls in LADDER_VARIANTS:
-        def swap(state, cls=variant_cls):
-            return replace(
-                state,
-                variants=reference_variants().extended(cls()),
-                cfu_resources=stage_resources(cls.stage),
-            )
+        def swap(playground, cls=variant_cls):
+            variant = cls()
+            cfu = variant.cfu_factory() if variant.cfu_model else None
+            playground.reset_kernels().swap_kernel(variant).attach_cfu(
+                cfu, resources=stage_resources(cls.stage))
         steps.append(LadderStep(variant_cls.name, variant_cls.__doc__ or "",
                                 swap))
     return steps
-
-
-def is_conv_1x1(op_cost):
-    return op_cost.opcode == "CONV_2D" and op_cost.variant != "reference" or (
-        op_cost.opcode == "CONV_2D" and op_cost.op_name.endswith("_1x1"))
 
 
 def mnv2_1x1_filter(model):
@@ -161,81 +140,53 @@ FOMU_BASELINE_CPU = VexRiscvConfig(
 
 
 def kws_initial_state(model=None):
+    """The Fig. 6 start: a Playground of DS-CNN KWS on the dieted Fomu
+    SoC, code and weights executing from flash."""
     model = model or load("dscnn_kws")
-    soc = Soc(FOMU, FOMU_BASELINE_CPU)
+    playground = Playground(FOMU, model, cpu_config=FOMU_BASELINE_CPU)
     # The SoC diet that makes VexRiscv fit at all (Section III-B).
-    soc.remove_peripheral("timer")
-    soc.remove_peripheral("ctrl")
-    soc.remove_peripheral("rgb")
-    soc.remove_peripheral("touch")
-    state = DeploymentState(model=model, soc=soc,
-                            variants=reference_variants())
-    link(soc, model, state.placement)  # verify the image actually fits
-    return state
+    for feature in ("timer", "ctrl", "rgb", "touch"):
+        playground.remove_soc_feature(feature)
+    link(playground.soc, model, playground.placement)  # the image must fit
+    return playground
 
 
 def kws_ladder():
     """Fig. 6's bars, from the flash-XIP baseline to the SW-specialized
     CFU2 deployment."""
 
-    def baseline(state):
-        return state
+    def sram_ops_model(playground):
+        playground.place_section("kernel_text", "sram")
+        playground.place_section("model_weights", "sram")
+        link(playground.soc, playground.model, playground.placement)
 
-    def quadspi(state):
-        state.soc.upgrade_to_quad_spi()
-        return state
+    def cfu2(postproc):
+        def attach(playground):
+            playground.reset_kernels().swap_kernel(
+                *kws_variants(postproc=postproc)).attach_cfu(
+                KwsCfu(), resources=cfu2_resources(postproc=postproc))
+        return attach
 
-    def sram_ops_model(state):
-        placement = dict(state.placement)
-        placement.update({"kernel_text": "sram", "model_weights": "sram"})
-        link(state.soc, state.model, placement)
-        return replace(state, placement=placement)
-
-    def larger_icache(state):
-        cpu = state.soc.cpu_config.evolve(icache_bytes=4096)
-        state.soc.with_cpu(cpu)
-        return state
-
-    def fast_mult(state):
-        cpu = state.soc.cpu_config.evolve(multiplier="single_cycle")
-        state.soc.with_cpu(cpu)
-        return state
-
-    def mac_conv(state):
-        return replace(
-            state,
-            variants=reference_variants().extended(*kws_variants()),
-            cfu_resources=cfu2_resources(postproc=False),
-        )
-
-    def post_proc(state):
-        return replace(
-            state,
-            variants=reference_variants().extended(*kws_variants(postproc=True)),
-            cfu_resources=cfu2_resources(postproc=True),
-        )
-
-    def sw_spec(state):
-        return replace(
-            state,
-            variants=reference_variants().extended(
-                *kws_variants(postproc=True, specialized=True)
-            ),
-        )
+    def sw_spec(playground):
+        playground.reset_kernels().swap_kernel(
+            *kws_variants(postproc=True, specialized=True))
 
     return [
-        LadderStep("base", "flash-XIP baseline on the dieted SoC", baseline),
-        LadderStep("quadspi", "SPI -> Quad SPI flash interface", quadspi),
+        LadderStep("base", "flash-XIP baseline on the dieted SoC", _baseline),
+        LadderStep("quadspi", "SPI -> Quad SPI flash interface",
+                   Playground.upgrade_to_quad_spi),
         LadderStep("sram-ops-model", "conv/dw code + weights into SRAM",
                    sram_ops_model),
         LadderStep("larger-icache", "freed CSR/logic space -> 4 kB icache",
-                   larger_icache),
+                   lambda playground: playground.reconfigure_cpu(
+                       icache_bytes=4096)),
         LadderStep("fast-mult", "iterative -> single-cycle multiply (4 DSP)",
-                   fast_mult),
+                   lambda playground: playground.reconfigure_cpu(
+                       multiplier="single_cycle")),
         LadderStep("mac-conv", "4-way SIMD MAC CFU (remaining 4 DSP)",
-                   mac_conv),
+                   cfu2(postproc=False)),
         LadderStep("post-proc", "accumulator post-processing in the CFU",
-                   post_proc),
+                   cfu2(postproc=True)),
         LadderStep("sw-spec", "operator specialization (constants known)",
                    sw_spec),
     ]

@@ -11,7 +11,11 @@ iterative methodology:
 
 Every optimization surface in the paper has a method here: kernel
 swaps, CFU attachment, CPU reconfiguration, memory-map changes, linker
-placement, SoC feature removal.
+placement, SoC feature removal.  The Fig. 4 and Fig. 6 ladders
+(:mod:`repro.core.ladders`) are step sequences over a Playground, and
+each project (:mod:`repro.core.project`) is one brought to its
+deployment, so users, ladders and projects share this one copy of the
+loop.
 """
 
 from __future__ import annotations
@@ -82,10 +86,6 @@ class Playground:
         self.cfu_resources = resources or ResourceReport()
         return self
 
-    def set_cpu(self, cpu_config):
-        self.soc.with_cpu(cpu_config)
-        return self
-
     def reconfigure_cpu(self, **changes):
         self.soc.with_cpu(self.soc.cpu_config.evolve(**changes))
         return self
@@ -120,8 +120,7 @@ class Playground:
             return BuildReport(fit=fit_result, layout=layout,
                                estimate=self.profile())
 
-    def profile(self, checkpoint=None, simulate=False, budget=None,
-                min_share=0.02, drift_band=None):
+    def profile(self, checkpoint=None, simulate=False, budget=None):
         """Per-operator cycle attribution; the paper's 'Profile' step.
 
         With ``simulate=True`` the analytic estimate is cross-validated
@@ -130,7 +129,8 @@ class Playground:
         instructions of real firmware, run cycle-modelled, and the
         estimate rescaled by the measured drift — raising
         :exc:`~repro.core.simprofile.ProfileDriftError` if estimator and
-        simulator disagree beyond ``drift_band``.  Returns a
+        simulator disagree beyond
+        :data:`~repro.core.simprofile.DEFAULT_DRIFT_BAND`.  Returns a
         :class:`~repro.core.simprofile.SimulatedProfile` in that case.
         """
         with self.telemetry.span("profile", model=self.model.name,
@@ -141,13 +141,10 @@ class Playground:
                                           telemetry=self.telemetry)
             span.attrs["cycles"] = estimate.total_cycles
             if simulate:
-                from .simprofile import (DEFAULT_BUDGET, DEFAULT_DRIFT_BAND,
-                                         simulate_profile)
+                from .simprofile import DEFAULT_BUDGET, simulate_profile
                 result = simulate_profile(
                     self,
                     budget=DEFAULT_BUDGET if budget is None else budget,
-                    min_share=min_share,
-                    drift_band=drift_band or DEFAULT_DRIFT_BAND,
                     estimate=estimate)
                 span.attrs["simulated_cycles"] = result.total_cycles
                 span.attrs["drift"] = round(result.drift, 4)

@@ -7,26 +7,30 @@ and the board configuration, driven by ``make`` targets.  Here a
 produces the same artifacts — CFU Verilog, resource/fit report, image
 layout, serialized model, cycle estimate — into an output directory.
 
-The two case-study projects from Section III ship in the registry:
+A project is a :class:`~repro.core.playground.Playground` plus the
+ladder steps (:mod:`repro.core.ladders`) that bring it to its
+deployment, CFU included, so each Section III case study is its
+ladder's end state:
 
-- ``mnv2_first``      — MobileNetV2 on Arty with CFU1 (Section III-A);
-- ``kws_micro_accel`` — DS-CNN KWS on Fomu with CFU2 (Section III-B);
-- ``proj_template``   — the starting point users copy, no CFU.
+- ``mnv2_first``      — MobileNetV2 on Arty with CFU1 (Section III-A):
+  the Fig. 4 start plus its last rung;
+- ``kws_micro_accel`` — DS-CNN KWS on Fomu with CFU2 (Section III-B):
+  the Fig. 6 start plus every rung;
+- ``proj_template``   — the starting point users copy: a bare
+  Playground, no CFU.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..accel.kws.model import KwsCfu
-from ..accel.mnv2.model import Mnv2Cfu
-from ..boards import ARTY_A7_35T, FOMU
-from ..cpu.vexriscv import ARTY_DEFAULT, VexRiscvConfig
-from ..kernels.conv1x1 import OverlapInput
-from ..kernels.kws import kws_variants
+from ..boards import ARTY_A7_35T
+from ..cpu.vexriscv import ARTY_DEFAULT
 from ..models import load
 from ..tflm.serialize import save_model
+from .ladders import (kws_initial_state, kws_ladder, mnv2_initial_state,
+                      mnv2_ladder)
 from .playground import Playground
 
 
@@ -36,15 +40,9 @@ class ProjectSpec:
 
     name: str
     description: str
-    board: object
-    model_factory: object                 # () -> Model
-    cpu_config: VexRiscvConfig = None
-    kernel_factory: object = None         # () -> [KernelVariant]
-    cfu_factory: object = None            # () -> CfuModel
+    playground_factory: object            # () -> Playground
+    steps: tuple = ()                     # LadderSteps applied in order
     rtl_factory: object = None            # () -> RtlCfu (for Verilog emit)
-    removed_features: tuple = ()
-    quad_spi: bool = False
-    placement: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -68,19 +66,9 @@ class Project:
 
     def __init__(self, spec):
         self.spec = spec
-        self.model = spec.model_factory()
-        self.playground = Playground(spec.board, self.model,
-                                     cpu_config=spec.cpu_config)
-        for feature in spec.removed_features:
-            self.playground.remove_soc_feature(feature)
-        if spec.quad_spi:
-            self.playground.upgrade_to_quad_spi()
-        for section, region in spec.placement.items():
-            self.playground.place_section(section, region)
-        if spec.kernel_factory is not None:
-            self.playground.swap_kernel(*spec.kernel_factory())
-        if spec.cfu_factory is not None:
-            self.playground.attach_cfu(spec.cfu_factory())
+        self.playground = spec.playground_factory()
+        for step in spec.steps:
+            step.apply(self.playground)
 
     @property
     def name(self):
@@ -98,9 +86,10 @@ class Project:
                 artifacts.verilog_path = os.path.join(output_dir, "cfu.v")
                 with open(artifacts.verilog_path, "w") as handle:
                     handle.write(verilog)
-            artifacts.model_path = os.path.join(
-                output_dir, f"{self.model.name}.rtflm")
-            save_model(self.model, artifacts.model_path)
+            model = self.playground.model
+            artifacts.model_path = os.path.join(output_dir,
+                                                f"{model.name}.rtflm")
+            save_model(model, artifacts.model_path)
             artifacts.report_path = os.path.join(output_dir, "build_report.txt")
             with open(artifacts.report_path, "w") as handle:
                 handle.write(report.summary() + "\n")
@@ -111,14 +100,6 @@ class Project:
 
     def profile(self, **kwargs):
         return self.playground.profile(**kwargs)
-
-
-def _kws_cpu():
-    return VexRiscvConfig(
-        bypassing=False, branch_prediction="none", multiplier="single_cycle",
-        divider="none", shifter="iterative", icache_bytes=4096,
-        dcache_bytes=0, hw_error_checking=False,
-    )
 
 
 def _cfu1_rtl():
@@ -139,36 +120,24 @@ def _registry():
             name="proj_template",
             description="Starting point: reference kernels, no CFU "
                         "(copy me to begin a new accelerator)",
-            board=ARTY_A7_35T,
-            model_factory=lambda: load("dscnn_kws"),
-            cpu_config=ARTY_DEFAULT,
+            playground_factory=lambda: Playground(
+                ARTY_A7_35T, load("dscnn_kws"), cpu_config=ARTY_DEFAULT),
         ),
         "mnv2_first": ProjectSpec(
             name="mnv2_first",
             description="Section III-A: MobileNetV2 1x1-conv acceleration "
                         "on Arty A7-35T with CFU1",
-            board=ARTY_A7_35T,
-            model_factory=lambda: load("mobilenet_v2", width_multiplier=0.75,
-                                       num_classes=100),
-            cpu_config=ARTY_DEFAULT,
-            kernel_factory=lambda: [OverlapInput()],
-            cfu_factory=lambda: Mnv2Cfu(pipelined_input=True),
+            playground_factory=mnv2_initial_state,
+            steps=tuple(mnv2_ladder()[-1:]),
             rtl_factory=_cfu1_rtl,
         ),
         "kws_micro_accel": ProjectSpec(
             name="kws_micro_accel",
             description="Section III-B: DS-CNN keyword spotting on Fomu "
                         "with CFU2 (SoC diet + QSPI + SRAM sections)",
-            board=FOMU,
-            model_factory=lambda: load("dscnn_kws"),
-            cpu_config=_kws_cpu(),
-            kernel_factory=lambda: list(
-                kws_variants(postproc=True, specialized=True)),
-            cfu_factory=KwsCfu,
+            playground_factory=kws_initial_state,
+            steps=tuple(kws_ladder()),
             rtl_factory=_cfu2_rtl,
-            removed_features=("timer", "ctrl", "rgb", "touch"),
-            quad_spi=True,
-            placement={"kernel_text": "sram", "model_weights": "sram"},
         ),
     }
 

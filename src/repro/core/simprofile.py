@@ -41,6 +41,10 @@ DEFAULT_DRIFT_BAND = (0.35, 2.5)
 #: Budget (simulated instructions per opcode class) for the default run.
 DEFAULT_BUDGET = 40_000
 
+#: Classes below this share of the estimated cycles are not simulated;
+#: they stay analytic in the simulation-backed total.
+MIN_SHARE = 0.02
+
 _UNROLL = 8
 #: Odd stride (> a cache line) so "rand" walks defeat spatial locality
 #: while still visiting a power-of-two window uniformly.
@@ -351,8 +355,6 @@ class SimulatedProfile:
     classes: list = field(default_factory=list)
     skipped: dict = field(default_factory=dict)  # class -> estimated cycles
     budget: int = DEFAULT_BUDGET
-    min_share: float = 0.0
-    drift_band: tuple = DEFAULT_DRIFT_BAND
 
     @property
     def total_estimated(self):
@@ -372,18 +374,18 @@ class SimulatedProfile:
         sim = sum(c.simulated_cycles for c in self.classes)
         return sim / est if est else 1.0
 
-    def drift_offenders(self, band=None):
-        lo, hi = band or self.drift_band
+    def drift_offenders(self):
+        lo, hi = DEFAULT_DRIFT_BAND
         return [c for c in self.classes if not lo <= c.drift <= hi]
 
-    def check_drift(self, band=None):
-        offenders = self.drift_offenders(band)
+    def check_drift(self):
+        offenders = self.drift_offenders()
         if offenders:
             detail = ", ".join(f"{c.name}={c.drift:.2f}" for c in offenders)
-            lo, hi = band or self.drift_band
+            lo, hi = DEFAULT_DRIFT_BAND
             raise ProfileDriftError(
-                f"estimator/simulator drift outside [{lo}, {hi}]: {detail}",
-                offenders)
+                f"estimator/simulator drift outside [{lo}, {hi}] at budget "
+                f"{self.budget:,}: {detail}", offenders)
         return self
 
     def summary(self):
@@ -504,16 +506,14 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
         instructions=emulator.machine.instret, scale=scale, profile=profile)
 
 
-def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
-                     drift_band=DEFAULT_DRIFT_BAND, estimate=None,
-                     check=True):
+def simulate_profile(playground, budget=DEFAULT_BUDGET, estimate=None):
     """Cross-validate a playground's analytic profile against the ISA
     simulator; returns a :class:`SimulatedProfile`.
 
-    Every opcode class holding at least ``min_share`` of the estimated
-    cycles gets a synthesized firmware run of about ``budget``
-    instructions.  ``check=True`` raises :exc:`ProfileDriftError` when
-    any class's simulated/analytic ratio leaves ``drift_band``.
+    Every opcode class holding at least :data:`MIN_SHARE` of the
+    estimated cycles gets a synthesized firmware run of about ``budget``
+    instructions.  Raises :exc:`ProfileDriftError` when any class's
+    simulated/analytic ratio leaves :data:`DEFAULT_DRIFT_BAND`.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -531,11 +531,10 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
             reps[key] = cost
 
     result = SimulatedProfile(
-        model_name=estimate.model_name, estimate=estimate, budget=budget,
-        min_share=min_share, drift_band=drift_band)
+        model_name=estimate.model_name, estimate=estimate, budget=budget)
     telemetry = getattr(playground, "telemetry", None)
     for name, estimated in by_class.items():
-        if estimated / total < min_share:
+        if estimated / total < MIN_SHARE:
             result.skipped[name] = estimated
             continue
         if name == "(framework)":
@@ -564,6 +563,4 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
             result.skipped[name] = estimated
         else:
             result.classes.append(sim)
-    if check:
-        result.check_drift()
-    return result
+    return result.check_drift()

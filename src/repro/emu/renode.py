@@ -200,11 +200,3 @@ def _resolve_compile_cache(compile_cache):
     if compile_cache is True:
         return default_cache()
     return CodeCache(str(compile_cache))
-
-
-def uart_putc_assembly(csr_address):
-    """Assembly snippet: write a0's low byte to the UART TX register."""
-    return f"""
-        li t5, {csr_address}
-        sw a0, 0(t5)
-    """

@@ -7,8 +7,10 @@ A :class:`KernelVariant` bundles, for one TFLite opcode:
 - an analytic cycle model (``cycles``) describing the variant's loop
   nest against a :class:`~repro.perf.cost.SystemConfig`;
 - optionally, the CFU it needs (``cfu_model`` — a
-  :class:`~repro.cfu.interface.CfuModel` subclass) and extra gateware
-  resources, used by the build/fit flow.
+  :class:`~repro.cfu.interface.CfuModel` subclass), which
+  :meth:`VariantSet.cfu_models` lists.  A variant charges no gateware
+  itself: whoever attaches the CFU (a ladder rung or the DSE
+  evaluator) sets its resource cost.
 
 A :class:`VariantSet` is what the user swaps kernels into — the
 equivalent of replacing a TFLM kernel with one that issues custom

@@ -14,7 +14,6 @@ kernel).
 from __future__ import annotations
 
 from ..accel.mnv2.model import Mnv2Cfu
-from ..accel.mnv2.resources import stage_resources
 from ..perf.cost import CostContext
 from .api import KernelVariant
 from .reference import _postprocess
@@ -27,9 +26,6 @@ class _Conv1x1Variant(KernelVariant):
     def applies_to(self, op, model):
         return (op.opcode == "CONV_2D"
                 and tuple(op.params.get("kernel", ())) == (1, 1))
-
-    def cfu_resources(self):
-        return stage_resources(self.stage)
 
     @staticmethod
     def _upload_postproc_params(ctx, out_ch):

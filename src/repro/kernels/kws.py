@@ -21,7 +21,6 @@ three rungs:
 from __future__ import annotations
 
 from ..accel.kws.model import KwsCfu
-from ..accel.kws.resources import cfu2_resources
 from ..perf.cost import CostContext
 from .api import KernelVariant
 from .reference import _REQUANT_ALUS, _REQUANT_MULS, _REQUANT_SHIFTS
@@ -38,9 +37,6 @@ class _KwsVariant(KernelVariant):
         suffix = "+pp" if postproc else ""
         suffix += "+sw" if specialized else ""
         self.name = f"{self.base_name}{suffix}"
-
-    def cfu_resources(self):
-        return cfu2_resources()
 
     def _postprocess(self, ctx, outputs, out_ch):
         """Per-output postproc: software SRDHM path or the CFU unit."""

@@ -14,7 +14,7 @@ platforms in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class MemoryRegion:
     def contains(self, addr):
         return self.base <= addr < self.end
 
-    def with_tech(self, tech):
-        return replace(self, tech=tech)
-
 
 class MemoryMap:
     """The SoC address map: an ordered set of non-overlapping regions."""
@@ -95,12 +92,6 @@ class MemoryMap:
             if region.name == name:
                 return region
         raise KeyError(f"no region named {name!r}")
-
-    def replace_tech(self, name, tech):
-        """Swap the technology of a region in place (e.g. SPI -> QSPI)."""
-        region = self.get(name)
-        region.tech = tech
-        return region
 
     def __iter__(self):
         return iter(self.regions)

@@ -54,3 +54,22 @@ def test_keyword_spotting_walkthrough(capsys):
     assert "LinkError (expected)" in out
     assert "sw-spec" in out
     assert "8/8 DSP" in out or "DSP tiles" in out
+
+
+def test_end_to_end_audio(capsys):
+    out = run_example("end_to_end_audio.py", capsys)
+    assert "MFCC: (49, 10)" in out
+    assert "sw-spec" in out and "pre-processing is the emerging hotspot" in out
+
+
+def test_energy_exploration(capsys):
+    out = run_example("energy_exploration.py", capsys)
+    assert "energy along the Fig. 6 ladder" in out
+    assert "less energy per inference" in out
+    assert "energy-optimal:" in out and "latency-optimal:" in out
+
+
+def test_design_space_exploration(capsys):
+    out = run_example("design_space_exploration.py", capsys)
+    assert "cfu1:" in out and "cfu2:" in out
+    assert "fastest design overall:" in out

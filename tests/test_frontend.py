@@ -95,7 +95,7 @@ def test_frontend_cycles_respond_to_fast_mult():
     state = kws_initial_state()
     slow_system = state.system()
     for step in kws_ladder()[:5]:  # through fast-mult
-        state = step.apply(state)
+        step.apply(state)
     fast_system = state.system()
     slow = frontend_cycles(slow_system)
     fast = frontend_cycles(fast_system)

@@ -3,6 +3,8 @@
 These assert the *shape* criteria from EXPERIMENTS.md: monotone
 improvement along each ladder, factors in the paper's band, every Fomu
 rung fitting the FPGA, and the untouched configuration not fitting.
+The last section pins every rung's and every project's numbers, and
+checks each Section III project is its ladder's last rung.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.core.ladders import (
     mnv2_ladder,
     run_ladder,
 )
+from repro.core.project import load_project
 from repro.cpu.vexriscv import VexRiscvConfig
 from repro.soc import Soc
 
@@ -185,3 +188,78 @@ def test_fomu_baseline_cpu_is_the_dieted_config():
     assert FOMU_BASELINE_CPU.multiplier == "iterative"
     assert FOMU_BASELINE_CPU.divider == "none"
     assert not FOMU_BASELINE_CPU.hw_error_checking
+
+
+# --- Pinned numbers ---------------------------------------------------------------------
+
+#: (cycles, logic cells, DSPs) at every rung.  A total is ``sum()`` over
+#: float operator costs, which Python 3.12 rounds with compensated
+#: summation and earlier versions do not, so cycles compare to a relative
+#: 1e-12: far below any change to the cost model, which moves them by
+#: whole cycles.  The resource counts are integers and compare exactly.
+FIG4_NUMBERS = [
+    ("base", 771122157.6500001, 8806, 4),
+    ("sw-1x1", 473111135.64999974, 8806, 4),
+    ("cfu-postproc", 457580360.8500001, 10097, 8),
+    ("cfu-hold-filt", 433094444.8500001, 10587, 8),
+    ("cfu-hold-inp", 466837811.8500001, 11044, 8),
+    ("cfu-mac4", 242789673.45000005, 11360, 12),
+    ("mac4-run1", 216252965.05000004, 11464, 28),
+    ("incl-postproc", 208292865.05000007, 11206, 28),
+    ("macc4-run4", 200785269.35000005, 11091, 28),
+    ("overlap-input", 195988602.35000005, 11186, 28),
+]
+FIG6_NUMBERS = [
+    ("base", 2510056021.0, 4496, 0),
+    ("quadspi", 833680376.0, 4536, 0),
+    ("sram-ops-model", 260014304.0, 4536, 0),
+    ("larger-icache", 259173206.0, 4826, 0),
+    ("fast-mult", 144591158.0, 4772, 4),
+    ("mac-conv", 59169458.0, 5024, 8),
+    ("post-proc", 55023986.0, 5115, 8),
+    ("sw-spec", 29892386.0, 5115, 8),
+]
+#: Each project's ``profile().total_cycles`` and fit usage as
+#: (LUTs, FFs, DSPs, BRAM bits).
+PROJECT_NUMBERS = {
+    "mnv2_first": (195988602.35000005, (10057, 4519, 28, 280960)),
+    "kws_micro_accel": (29892386.0, (4594, 2087, 8, 43776)),
+    "proj_template": (51101012.725, (7773, 4132, 4, 106368)),
+}
+
+
+def _cycles(value):
+    return pytest.approx(value, rel=1e-12)
+
+
+def _assert_rungs(results, expected):
+    assert [r.step.name for r in results] == [row[0] for row in expected]
+    for result, (name, cycles, cells, dsps) in zip(results, expected):
+        assert result.cycles == _cycles(cycles), name
+        usage = result.fit.usage
+        assert (usage.logic_cells, usage.dsps) == (cells, dsps), name
+
+
+def test_fig4_numbers_are_pinned(fig4):
+    _assert_rungs(fig4[0], FIG4_NUMBERS)
+
+
+def test_fig6_numbers_are_pinned(fig6):
+    _assert_rungs(fig6, FIG6_NUMBERS)
+
+
+@pytest.mark.parametrize("name", sorted(PROJECT_NUMBERS))
+def test_project_numbers_are_pinned(name):
+    playground = load_project(name).playground
+    cycles, usage = PROJECT_NUMBERS[name]
+    assert playground.profile().total_cycles == _cycles(cycles)
+    fitted = playground.fit().usage
+    assert (fitted.luts, fitted.ffs, fitted.dsps, fitted.bram_bits) == usage
+
+
+def test_section_iii_projects_are_their_ladders_last_rungs(fig4, fig6):
+    for name, final in (("mnv2_first", fig4[0][-1]),
+                        ("kws_micro_accel", fig6[-1])):
+        playground = load_project(name).playground
+        assert playground.profile().total_cycles == final.cycles, name
+        assert playground.fit().usage == final.fit.usage, name

@@ -124,11 +124,11 @@ def test_reset_kernels(mnv2):
     assert pg.profile().total_cycles == pytest.approx(base)
 
 
-def test_profile_simulate_cross_validates_estimate(kws):
+def test_profile_simulate_cross_validates_estimate(kws, monkeypatch):
     """Playground.profile(simulate=True): the analytic estimate is
     replayed as synthesized firmware on the ISA simulator and rescaled
     by the measured drift — which must stay inside the asserted band."""
-    from repro.core import ProfileDriftError, SimulatedProfile
+    from repro.core import ProfileDriftError, SimulatedProfile, simprofile
 
     pg = Playground(ARTY_A7_35T, kws)
     estimate = pg.profile()
@@ -136,7 +136,7 @@ def test_profile_simulate_cross_validates_estimate(kws):
     assert isinstance(sim, SimulatedProfile)
     assert sim.classes, "dominant classes must have been simulated"
     for cls in sim.classes:
-        lo, hi = sim.drift_band
+        lo, hi = simprofile.DEFAULT_DRIFT_BAND
         assert lo <= cls.drift <= hi
         assert cls.sim_cycles > 0
         assert cls.profile.total_cycles == cls.sim_cycles
@@ -147,8 +147,9 @@ def test_profile_simulate_cross_validates_estimate(kws):
     # Folded stacks are two-level: class;segment.
     assert all(";" in line.split(" ")[0] for line in sim.folded())
     # An impossible band trips the drift assertion.
+    monkeypatch.setattr(simprofile, "DEFAULT_DRIFT_BAND", (0.999, 1.001))
     with pytest.raises(ProfileDriftError):
-        pg.profile(simulate=True, budget=5_000, drift_band=(0.999, 1.001))
+        pg.profile(simulate=True, budget=5_000)
 
 
 def test_simulate_rejects_a_budget_below_one(kws):
@@ -158,9 +159,12 @@ def test_simulate_rejects_a_budget_below_one(kws):
             pg.profile(simulate=True, budget=budget)
 
 
-def test_simulate_skips_minor_classes_and_reports_them(kws):
+def test_simulate_skips_minor_classes_and_reports_them(kws, monkeypatch):
+    from repro.core import simprofile
+
+    monkeypatch.setattr(simprofile, "MIN_SHARE", 0.5)
     pg = Playground(ARTY_A7_35T, kws)
-    sim = pg.profile(simulate=True, budget=5_000, min_share=0.5)
+    sim = pg.profile(simulate=True, budget=5_000)
     assert len(sim.classes) <= 1
     assert sim.skipped
     assert sim.total_estimated == pytest.approx(

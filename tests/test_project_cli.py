@@ -146,6 +146,31 @@ def test_cli_profile_rejects_a_budget_below_one(budget, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_profile_reports_drift_in_one_line(capsys, monkeypatch):
+    """A drift failure is one ``error:`` line naming the project and the
+    budget, exit code 1, no traceback."""
+    from repro.core import simprofile
+
+    monkeypatch.setattr(simprofile, "DEFAULT_DRIFT_BAND", (0.999, 1.001))
+    assert main(["profile", "kws_micro_accel", "--simulate",
+                 "--budget", "5000"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: kws_micro_accel: ")
+    assert " at budget 5,000: " in lines[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_profile_budget_help_states_the_default(capsys):
+    from repro.core.simprofile import DEFAULT_BUDGET
+
+    with pytest.raises(SystemExit):
+        main(["profile", "--help"])
+    assert f"(default {DEFAULT_BUDGET:,})" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def test_cli_exports_are_json_lines(tmp_path, capsys):
     """``dse --trace-out`` and ``profile --simulate --metrics-out`` write
     one format: a header carrying the series, then spans and events."""
