@@ -67,11 +67,17 @@ class RtlCfuAdapter:
     gateware.  Reported latency is the measured number of clock cycles
     from command acceptance to response.
 
-    On the compiled backend each call runs as one transaction straight
-    on the program's slot list, generated for its funct3 once that is
-    hot (:meth:`~repro.rtl.compile.CompiledProgram.transaction`); the
-    interpreter keeps the poke-level handshake (:meth:`_handshake`),
-    which is the transactions' oracle.
+    :meth:`execute` is the one entry point for every call.  On the
+    compiled backend a call writes the command ports straight into the
+    program's slot list.  A funct3 that is hot has a generated
+    transaction (:meth:`~repro.rtl.compile.CompiledProgram.transaction`)
+    that commits the call's clock edge, after which ``execute`` only
+    advances the clock and marks the comb slots stale; every other
+    call finishes in :meth:`_generic`, the handshake as settles and
+    clock edges on the slots.  The interpreter keeps the poke-level
+    handshake (:meth:`_handshake`), which is the oracle of both.
+    Operands are Python ints (the ISA machine's registers), and the
+    masks keep every slot one.
     """
 
     def __init__(self, rtl_cfu, timeout=4096, backend="auto"):
@@ -81,7 +87,7 @@ class RtlCfuAdapter:
         self.ports = rtl_cfu.ports
         self.timeout = timeout
         self.name = f"{rtl_cfu.name} (rtl)"
-        self._bound_sim = self._slots = None
+        self._bound_sim = self._slots = self._response = None
 
     def reset(self):
         # The compiled program is cached per module, so this re-inits
@@ -126,12 +132,16 @@ class RtlCfuAdapter:
         sim.time = state["time"]
 
     def _bind(self, sim):
-        """Where the transaction reads and writes the ports of ``sim``:
-        a ``(container, key)`` per command-side port (the slot list, or
-        the simulator's store for pokes of ports the netlist never
-        reads) and a slot per response-side port.  None selects the
-        poke-level handshake: the interpreter, or a netlist that drives
-        a command port or never touches a response port."""
+        """Where a call reads and writes the ports of ``sim``.
+
+        ``_slots`` holds the slot list, the memories and the program's
+        transaction table, then a flat ``(container, key)`` per
+        command-side port: the slot list, or the simulator's store for
+        pokes of ports the netlist never reads.  ``_response`` holds
+        the slots of the three response-side ports.  A ``_slots`` of
+        None selects the poke-level handshake: the interpreter, or a
+        netlist that drives a command port or never touches a response
+        port."""
         self._bound_sim, self._slots = sim, None
         program = getattr(sim, "program", None)
         if program is None:
@@ -144,47 +154,59 @@ class RtlCfuAdapter:
         if any(id(sig) in program.driven_ids for sig in inputs) \
                 or any(id(sig) not in slot_of for sig in outputs):
             return
-        self._slots = tuple(
-            (sim._vals, slot_of[id(sig)]) if id(sig) in slot_of
-            else (sim._extra, id(sig)) for sig in inputs) + tuple(
-            slot_of[id(sig)] for sig in outputs)
+        pairs = []
+        for sig in inputs:
+            pairs += ((sim._vals, slot_of[id(sig)]) if id(sig) in slot_of
+                      else (sim._extra, id(sig)))
+        self._slots = (sim._vals, sim._mems, program.transactions, *pairs)
+        self._response = tuple(slot_of[id(sig)] for sig in outputs)
 
     def execute(self, funct3, funct7, a, b):
+        """One call: ``(result, cycles)``."""
         sim = self.sim
         if sim is not self._bound_sim:
             self._bind(sim)
-        if self._slots is None:
+        slots = self._slots
+        if slots is None:
             return self._handshake(funct3, funct7, a, b)
-        # _handshake() as one transaction on the compiled program.  Each
-        # clock edge follows a settle with nothing poked since, so it
-        # skips the comb pass tick() runs before its sync update, and
-        # the settle that ends the call is deferred (the simulator
-        # marks its comb slots stale): the next call's settle subsumes
-        # it.  A funct3 called often enough runs its generated
-        # transaction instead, falling back to the generic one below
-        # when the CFU is busy or answers after more than one cycle.
-        ((valid, valid_key), (f3, f3_key), (f7, f7_key), (in0, in0_key),
-         (in1, in1_key), (ready, ready_key), cmd_ready, rsp_valid,
-         rsp_out) = self._slots
-        funct3 = int(funct3 & 0x7)
+        # _handshake() straight on the compiled program's slot list.  A
+        # funct3 called often enough runs its generated transaction,
+        # which commits the clock edge itself: only the clock and the
+        # stale mark remain (tracers see the edge through _clocked).
+        # The settle that ends the call is deferred, the next call's
+        # settle subsumes it.  A busy CFU or one answering after more
+        # than one cycle takes the generic handshake.
+        (vals, mems, transactions, valid, valid_key, f3, f3_key, f7, f7_key,
+         in0, in0_key, in1, in1_key, ready, ready_key) = slots
+        funct3 &= 7
         valid[valid_key] = 1
         f3[f3_key] = funct3
-        f7[f7_key] = int(funct7 & 0x7F)
-        in0[in0_key] = int(a & 0xFFFFFFFF)
-        in1[in1_key] = int(b & 0xFFFFFFFF)
+        f7[f7_key] = funct7 & 127
+        in0[in0_key] = a & 4294967295
+        in1[in1_key] = b & 4294967295
         ready[ready_key] = 1
-        vals = sim._vals
-        program = sim.program
-        transact = (program.transactions[funct3]
-                    or program.transaction(funct3, self.ports))
+        transact = (transactions[funct3]
+                    or sim.program.transaction(funct3, self.ports))
         if transact is not None:
-            result = transact(vals, sim._mems)
+            result = transact(vals, mems)
             if result is not None:
-                sim._clocked()
+                if sim._tracers:
+                    sim._clocked()
+                else:
+                    sim.time += 1
                 valid[valid_key] = 0
                 sim._stale = True
                 return result, 1
-        edge = sim._edge
+        return self._generic(valid, valid_key)
+
+    def _generic(self, valid, valid_key):
+        """Finish a compiled call whose command ports are written: the
+        handshake as settles and clock edges on the slot list.  Each
+        edge follows a settle with nothing poked since, so it skips the
+        comb pass ``tick()`` runs before its sync update."""
+        sim = self.sim
+        vals, edge = sim._vals, sim._edge
+        cmd_ready, rsp_valid, rsp_out = self._response
         sim.settle()  # settles what the previous call deferred, too
         waited = 0
         while not vals[cmd_ready]:

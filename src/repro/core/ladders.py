@@ -5,7 +5,8 @@ Each :class:`LadderStep` applies one incremental move of Sections III-A
 in place — a kernel swap, a CFU attachment, a CPU reconfiguration, a
 memory-map or linker change — through the Playground method for that
 move.  A rung that changes the CFU attaches the CFU model its kernels
-issue instructions to, charged with that rung's gateware report.
+issue instructions to, charged with that rung's gateware report, which
+is computed when the rung's fit first reads it.
 :func:`run_ladder` replays the steps, re-profiling the model and
 re-fitting the FPGA after each.  The Section III projects
 (:mod:`repro.core.project`) are these ladders' end states.
@@ -14,6 +15,7 @@ re-fitting the FPGA after each.  The Section III projects
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..accel.kws.model import KwsCfu
 from ..accel.kws.resources import cfu2_resources
@@ -104,7 +106,7 @@ def mnv2_ladder():
             variant = cls()
             cfu = variant.cfu_factory() if variant.cfu_model else None
             playground.reset_kernels().swap_kernel(variant).attach_cfu(
-                cfu, resources=stage_resources(cls.stage))
+                cfu, resources=partial(stage_resources, cls.stage))
         steps.append(LadderStep(variant_cls.name, variant_cls.__doc__ or "",
                                 swap))
     return steps
@@ -164,7 +166,8 @@ def kws_ladder():
         def attach(playground):
             playground.reset_kernels().swap_kernel(
                 *kws_variants(postproc=postproc)).attach_cfu(
-                KwsCfu(), resources=cfu2_resources(postproc=postproc))
+                KwsCfu(), resources=partial(cfu2_resources,
+                                            postproc=postproc))
         return attach
 
     def sw_spec(playground):

@@ -63,7 +63,7 @@ class Playground:
         self.soc = Soc(board, cpu_config, clock_hz=clock_hz)
         self.variants = reference_variants()
         self.cfu = None
-        self.cfu_resources = ResourceReport()
+        self._cfu_resources = None
         self.placement = {}
         self._deployed = False
         self.history = []  # (label, total_cycles) checkpoints
@@ -79,12 +79,25 @@ class Playground:
         return self
 
     def attach_cfu(self, cfu_model, resources=None):
-        """Attach a CFU (software model object) with its gateware cost."""
+        """Attach a CFU (software model object) with its gateware cost.
+
+        ``resources`` is a :class:`~repro.rtl.synth.ResourceReport` or a
+        zero-argument callable returning one, by default the model's
+        own ``resources``.  A callable runs when :meth:`fit` first needs
+        the report, so a flow that only profiles never elaborates the
+        gateware behind it."""
         self.cfu = cfu_model
-        if resources is None and hasattr(cfu_model, "resources"):
-            resources = cfu_model.resources()
-        self.cfu_resources = resources or ResourceReport()
+        if resources is None:
+            resources = getattr(cfu_model, "resources", None)
+        self._cfu_resources = resources
         return self
+
+    @property
+    def cfu_resources(self):
+        """The attached CFU's gateware cost (empty with no CFU)."""
+        if callable(self._cfu_resources):
+            self._cfu_resources = self._cfu_resources()
+        return self._cfu_resources or ResourceReport()
 
     def reconfigure_cpu(self, **changes):
         self.soc.with_cpu(self.soc.cpu_config.evolve(**changes))

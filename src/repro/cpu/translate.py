@@ -35,14 +35,19 @@ and predictor are the stock :class:`~repro.perf.cache.Cache` and
 :class:`~repro.cpu.timing.BranchPredictor`, three data-dependent costs
 are inlined too:
 
-- *fetch*: all block pcs share one memory region (checked at
-  translation time).  With no icache (or an uncacheable region) the
+- *fetch*: when all block pcs share one memory region (checked at
+  translation time), with no icache (or an uncacheable region) the
   fetch cost is a region constant, folded away entirely.  With an
-  icache, only the first instruction of each cache line pays a real
-  ``fetch`` call; the rest of the line is a guaranteed MRU hit — no
-  intervening icache access can evict it — so those fetches fold to a
-  batched ``hits += k`` with zero cycles, flushed before any
-  instruction that can fault so stats stay exact mid-block.
+  icache, the first instruction of each cache line probes it inline:
+  the region's line-fill cost and the pc's set index and tag are
+  literals, and the stock access (MRU test, LRU reorder and eviction,
+  hit/miss counts) runs on the icache's baked set lists, which
+  ``Machine.restore`` rewrites in place.  The rest of the line is a
+  guaranteed MRU hit — no intervening icache access can evict it — so
+  those fetches fold to a batched ``hits += k`` with zero cycles,
+  flushed before any instruction that can fault so stats stay exact
+  mid-block.  Only a block whose pcs span two regions calls
+  ``timing.fetch``.
 - *branch penalty*: the predictor's table index ``(pc >> 2) % size`` is
   a translation-time constant, so the 2-bit counter read/update and the
   penalty selection inline to a few integer ops ("none"/"static" kinds
@@ -345,6 +350,7 @@ _BAKED = {
     "_ldc": lambda m, n: m.timing.load_cycles,
     "_stc": lambda m, n: m.timing.store_cycles,
     "_ic": lambda m, n: m.timing.icache,
+    "_isets": lambda m, n: m.timing.icache._sets,
     "_dc": lambda m, n: m.timing.dcache,
     "_dsets": lambda m, n: m.timing.dcache._sets,
     "_bpc": lambda m, n: m.timing.predictor._counters,
@@ -447,8 +453,11 @@ def _emit(machine, entry_pc, ops, profiled):
                 ic_mode = "const"
                 fetch_const = region.tech.first_word_latency - 1
             else:
+                # One cacheable region: its line-fill cost, and each
+                # fetch pc's set and tag, are translation-time constants.
                 ic_mode = "line"
                 ic_lb = icache.line_bytes
+                ic_fill = region.tech.line_fill_cycles(timing.line_bytes)
 
     # --- registers touched ------------------------------------------------------
     reads, writes = set(), set()
@@ -738,6 +747,29 @@ def _emit(machine, entry_pc, ops, profiled):
             return jalr_c
         return 0  # loads/stores/branches/CFU: data-dependent
 
+    def icache_probe(ind, p):
+        # The stock icache access (set, MRU reorder, LRU eviction,
+        # hit/miss counts) against the baked set lists, with the fill
+        # cost of the block's region on a miss: ``timing.fetch(p)``.
+        need.update(("_ic", "_isets"))
+        icache = timing.icache
+        line = p // ic_lb
+        tag = line // icache.num_sets
+        L(ind, f"_ts = _isets[{line % icache.num_sets}]")
+        L(ind, f"if _ts and _ts[-1] == {tag}:")
+        L(ind + 1, "_ic.hits += 1")
+        if icache.ways > 1:
+            L(ind, f"elif {tag} in _ts:")
+            L(ind + 1, f"_ts.remove({tag})")
+            L(ind + 1, f"_ts.append({tag})")
+            L(ind + 1, "_ic.hits += 1")
+        L(ind, "else:")
+        L(ind + 1, "_ic.misses += 1")
+        L(ind + 1, f"_ts.append({tag})")
+        L(ind + 1, f"if len(_ts) > {icache.ways}:")
+        L(ind + 2, "_ts.pop(0)")
+        L(ind + 1, f"cycles += {ic_fill}")
+
     def prologue(ind, i, p, op):
         if not timed:
             return
@@ -758,31 +790,26 @@ def _emit(machine, entry_pc, ops, profiled):
         cost = const_cost(op) + static_hz(i)
         if ic_mode == "const":
             cost += fetch_const
-        if fetch_real:
+        parts = [str(cost)] if cost else []
+        if i == 0 and hz0_needed:
+            parts.append("_hz0")
+        if fetch_real and ic_mode == "call":
             need.add("_ft")
-            line = f"cycles += _ft({p})"
+            parts.insert(0, f"_ft({p})")
+        elif fetch_real and loop_ic_hoist:
+            # Real fetch only on iteration 1; afterwards the line is a
+            # guaranteed MRU hit (see the hoist gate above).
+            L(ind, "if _it:")
+            L(ind + 1, "_ic.hits += 1")
             if cost:
-                line += f" + {cost}"
-            if i == 0 and hz0_needed:
-                line += " + _hz0"
-            if loop_ic_hoist:
-                # Real fetch only on iteration 1; afterwards the line
-                # is a guaranteed MRU hit (see the hoist gate above).
-                need.add("_ic")
-                L(ind, "if _it:")
-                L(ind + 1, "_ic.hits += 1")
-                if cost:
-                    L(ind + 1, f"cycles += {cost}")
-                L(ind, "else:")
-                L(ind + 1, line)
-            else:
-                L(ind, line)
-        else:
-            parts = ([str(cost)] if cost else [])
-            if i == 0 and hz0_needed:
-                parts.append("_hz0")
-            if parts:
-                L(ind, "cycles += " + " + ".join(parts))
+                L(ind + 1, f"cycles += {cost}")
+            L(ind, "else:")
+            ind += 1
+            icache_probe(ind, p)
+        elif fetch_real:
+            icache_probe(ind, p)
+        if parts:
+            L(ind, "cycles += " + " + ".join(parts))
 
     def store_bail(ind, i, p):
         # A store just invalidated cached pages (possibly this block's):

@@ -8,7 +8,8 @@ keeps all of that warm across laps:
 
 - **Sessions** — each session is a live :class:`~repro.emu.Emulator`
   (board + CPU + optional CFU) that persists between requests, so
-  translated blocks and compiled RTL stay hot.
+  translated blocks and compiled RTL stay hot.  Sessions on one RTL
+  CFU share its elaborated gateware (see :func:`_build_cfu`).
 
 - **Copy-on-write snapshots** — ``POST .../snapshot`` captures the
   whole system in O(pages-later-touched) via the machine's COW page
@@ -66,12 +67,22 @@ class SessionError(HttpError):
     """A request the session server refuses; carries the HTTP status."""
 
 
+#: The gateware each RTL CFU name elaborated to in this process.
+_GATEWARE = {}
+
+
 def _build_cfu(name, impl):
     """A CFU instance from its wire spec (library name + impl flavor).
 
     ``impl`` picks the realisation: ``"model"`` for the software
-    emulation, ``"rtl"`` for cycle-accurate gateware (the Emulator
-    wraps bare :class:`~repro.cfu.rtl.RtlCfu` instances itself).
+    emulation, a fresh instance per session, or ``"rtl"`` for
+    cycle-accurate gateware (the Emulator wraps bare
+    :class:`~repro.cfu.rtl.RtlCfu` instances itself).  Every session on
+    one RTL CFU shares one gateware instance per process, so only the
+    first elaborates its netlist and warms the compiled program up to
+    its generated transactions; the rest share the module and that
+    program.  All state is each session's own: its adapter's simulator
+    holds the slot list, the memories and the clock.
     """
     if name in (None, "", "none"):
         return None
@@ -82,12 +93,18 @@ def _build_cfu(name, impl):
                            f"(expected 'model' or 'rtl')")
     if name in LIBRARY:
         model_cls, rtl_cls, _opcodes = LIBRARY[name]
-        return rtl_cls() if impl == "rtl" else model_cls()
-    if name == "kws":
-        return KwsCfu2Rtl() if impl == "rtl" else KwsCfu()
-    known = sorted(LIBRARY) + ["kws", "none"]
-    raise SessionError(f"unknown cfu {name!r} "
-                       f"(expected one of {', '.join(known)})")
+    elif name == "kws":
+        model_cls, rtl_cls = KwsCfu, KwsCfu2Rtl
+    else:
+        known = sorted(LIBRARY) + ["kws", "none"]
+        raise SessionError(f"unknown cfu {name!r} "
+                           f"(expected one of {', '.join(known)})")
+    if impl == "model":
+        return model_cls()
+    gateware = _GATEWARE.get(name)
+    if gateware is None:
+        gateware = _GATEWARE[name] = rtl_cls()
+    return gateware
 
 
 def _check_spec(spec):

@@ -77,9 +77,10 @@ class CompileError(RuntimeError):
 #: READ_ACC: 0.5 ms ÷ 10.6 µs) to 1,844 (popcount: 1.6 ms ÷ 0.85 µs),
 #: median ~470; kws-cfu2's MAC4 breaks even at 1.1 ms ÷ 8.7 µs ≈ 126.
 #: 1,024 clears 16 of the 20, keeps the 400-op RTL throughput benchmark
-#: from paying codegen it cannot earn back, and is crossed in the first
-#: run by both of session-rtl's hot opcodes (18,000 MAC4 and 2,000
-#: READ_ACC calls per run).
+#: from paying codegen it cannot earn back, and is crossed by both of
+#: session-rtl's hot opcodes (18,000 MAC4 and 2,000 READ_ACC calls per
+#: run) in the first run of a process: sessions share one gateware
+#: instance per CFU, so later sessions start specialised.
 SPECIALIZE_AFTER = 1024
 
 #: Generated runtime names: slot reads ``V[i]`` and locals, which all

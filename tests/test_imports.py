@@ -66,6 +66,27 @@ def test_flow_loads_no_serving_stack(flow):
     assert sorted(loaded_after(flow) & set(SERVING)) == []
 
 
+#: The gateware behind the last Fig-4 rung's fit report: a full-size
+#: ``Cfu1Rtl`` netlist and the RTL layers it is elaborated in.
+MNV2_GATEWARE = {"repro.accel.common", "repro.accel.mnv2.rtl",
+                 "repro.cfu.rtl", "repro.rtl.dsl", "repro.rtl.fsm",
+                 "repro.rtl.sim"}
+
+
+def test_analytic_profile_elaborates_no_gateware():
+    modules = loaded_after('from repro.core.project import load_project\n'
+                           'load_project("mnv2_first").profile()')
+    assert sorted(modules & MNV2_GATEWARE) == []
+
+
+def test_simulated_profile_elaborates_no_mnv2_gateware():
+    modules = loaded_after('from repro.core.project import load_project\n'
+                           'load_project("mnv2_first").profile(simulate=True)')
+    assert sorted(modules & {"repro.accel.mnv2.rtl",
+                             "repro.accel.common"}) == []
+    assert "repro.cfu.rtl" in modules  # the emulator drives RTL CFUs too
+
+
 def test_emulator_import_leaves_sessions_unloaded():
     assert "repro.emu.sessions" not in loaded_after(
         "from repro.emu import Emulator")

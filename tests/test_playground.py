@@ -42,6 +42,29 @@ def test_kernel_swap_reduces_cycles(mnv2):
     assert history[1][1] > 2
 
 
+def test_cfu_resources_are_computed_when_fit_reads_them(kws):
+    """A callable resource report runs on the first fit, once; profiling
+    never runs it."""
+    from repro.accel.kws.resources import cfu2_resources
+
+    calls = []
+
+    def report():
+        calls.append(1)
+        return cfu2_resources()
+
+    pg = Playground(ARTY_A7_35T, kws)
+    pg.swap_kernel(*kws_variants(postproc=True)).attach_cfu(KwsCfu(), report)
+    pg.profile()
+    assert calls == []
+    fitted = pg.fit()
+    assert calls == [1]
+    assert pg.fit() == fitted and calls == [1]
+    assert pg.cfu_resources == cfu2_resources()
+    assert pg.attach_cfu(KwsCfu()).cfu_resources == cfu2_resources()
+    assert pg.attach_cfu(None).cfu_resources.dsps == 0
+
+
 def test_fomu_requires_diet(kws):
     pg = Playground(FOMU, kws, cpu_config=FOMU_BASELINE_CPU)
     # The stock SoC + even a dieted CPU is too big with USB on board.

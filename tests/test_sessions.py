@@ -318,11 +318,12 @@ def test_run_rejects_bad_payloads(fleet, payload):
 # --- the served fleet's compile cache -------------------------------------------
 
 def test_serve_compile_cache_dir_holds_rtl_modules_and_transactions(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, fresh_gateware):
     """``repro sessions serve --compile-cache-dir DIR`` persists RTL
     source, not just tier-2 blocks: an RTL session run past the
     specialisation gate leaves its module and its MAC4 transaction in
-    DIR, where a fresh cache (a new process) finds them."""
+    DIR, where a fresh cache (a new process) finds them.  The server
+    starts from no elaborated gateware, as a new process does."""
     from repro import cli
     from repro.accel.kws import model as km
     from repro.core import codecache
@@ -355,3 +356,163 @@ def test_serve_compile_cache_dir_holds_rtl_modules_and_transactions(
     assert fresh.get(program.key) is not codecache.MISS
     assert fresh.get(rtl_compile._transaction_key(
         program, km.F3_MAC4, adapter.ports)) is not codecache.MISS
+
+
+# --- shared gateware ----------------------------------------------------------------
+
+#: Int8 vectors of DOT_N elements at main_ram + DATA_OFFSET.
+DOT_N, DOT_REPS, DATA_OFFSET = 16, 1100, 0x10000
+
+
+def dot_asm(data_base):
+    """A CFU2 MAC4 dot product repeated DOT_REPS times: more calls of
+    MAC4 and of READ_ACC than the specialisation gate."""
+    from repro.accel.kws import model as km
+
+    return f"""
+        li   s0, {DOT_REPS}
+    outer:
+        li   t0, {data_base}
+        li   t1, {data_base + DOT_N}
+        li   t2, {DOT_N // 4}
+        li   a1, 0
+        li   a2, 0
+        cfu  1, {km.F3_MAC4}, a0, a1, a2
+    loop:
+        lw   a1, 0(t0)
+        lw   a2, 0(t1)
+        cfu  0, {km.F3_MAC4}, a0, a1, a2
+        addi t0, t0, 4
+        addi t1, t1, 4
+        addi t2, t2, -1
+        bnez t2, loop
+        cfu  0, {km.F3_READ_ACC}, a0, x0, x0
+        addi s0, s0, -1
+        bnez s0, outer
+        li   a7, 93
+        ecall
+    """
+
+
+def load_dot(session):
+    vectors = bytes((i * 37 + 11) & 0xFF for i in range(2 * DOT_N))
+    session.load({"binary_hex": vectors.hex(), "region": "main_ram",
+                  "offset": DATA_OFFSET})
+    ram = session.emulator.soc.memory_map.get("main_ram").base
+    session.load({"assembly": dot_asm(ram + DATA_OFFSET),
+                  "region": "main_ram"})
+
+
+def outcome(run):
+    assert run["halted"]
+    return run["exit_code"], run["instret"], run["cycles"]
+
+
+@pytest.fixture
+def fresh_gateware(monkeypatch):
+    """Start from no elaborated gateware, as a new process does."""
+    from repro.emu import sessions
+
+    monkeypatch.setattr(sessions, "_GATEWARE", {})
+    return sessions._GATEWARE
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """Every RTL call that took the generic (unspecialised) handshake."""
+    from repro.cfu.rtl import RtlCfuAdapter
+
+    calls, generic = [], RtlCfuAdapter._generic
+
+    def counted(adapter, *args):
+        calls.append(adapter)
+        return generic(adapter, *args)
+
+    monkeypatch.setattr(RtlCfuAdapter, "_generic", counted)
+    return calls
+
+
+def test_rtl_sessions_share_one_netlist(fresh_gateware, generic_calls):
+    """Two kws gateware sessions share the elaborated netlist and its
+    generated transactions, not state: interleaved runs, snapshots and
+    restores each match the software model, and the session created
+    after the first has specialised never runs a generic handshake."""
+    from repro.accel.kws import model as km
+
+    manager = SessionManager(compile_cache=None)
+    model = manager.create({"cfu": "kws", "cfu_impl": "model"})
+    load_dot(model)
+    expected = outcome(model.run({"max_instructions": 1_000_000}))
+
+    first = manager.create({"cfu": "kws", "cfu_impl": "rtl"})
+    load_dot(first)
+    first_snap = first.snapshot({})["snapshot_id"]
+    assert outcome(first.run({"max_instructions": 1_000_000})) == expected
+    program = first.emulator.cfu.sim.program
+    assert program.transactions[km.F3_MAC4] is not None
+    assert program.transactions[km.F3_READ_ACC] is not None
+
+    generic_calls.clear()
+    second = manager.create({"cfu": "kws", "cfu_impl": "rtl"})
+    first_cfu, second_cfu = first.emulator.cfu, second.emulator.cfu
+    assert second_cfu.rtl is first_cfu.rtl
+    assert second_cfu.sim.program is program
+    assert second_cfu.sim is not first_cfu.sim
+    load_dot(second)
+    second_snap = second.snapshot({})["snapshot_id"]
+    partial = second.run({"max_instructions": 20_000})
+    assert not partial["halted"]
+    first.restore({"snapshot_id": first_snap})
+    assert outcome(first.run({"max_instructions": 1_000_000})) == expected
+    assert outcome(second.run({"max_instructions": 1_000_000})) == expected
+    second.restore({"snapshot_id": second_snap})
+    first.restore({"snapshot_id": first_snap})
+    assert outcome(second.run({"max_instructions": 1_000_000})) == expected
+    assert outcome(first.run({"max_instructions": 1_000_000})) == expected
+    assert generic_calls == []
+    assert list(fresh_gateware) == ["kws"]
+    for cfu in (first_cfu, second_cfu):  # masks keep the ISA's ints ints
+        assert {type(value) for value in cfu.sim._vals} == {int}
+
+
+def test_gateware_is_shared_per_cfu_name(fresh_gateware):
+    """Sessions on one RTL CFU share its gateware; different CFUs, and
+    software models, never share an instance."""
+    manager = SessionManager(compile_cache=None)
+
+    def cfu(name, impl="rtl"):
+        return manager.create({"cfu": name, "cfu_impl": impl}).emulator.cfu
+
+    kws, simd, simd_again = cfu("kws"), cfu("simd-add"), cfu("simd-add")
+    assert simd_again.rtl is simd.rtl
+    assert kws.rtl.module is not simd.rtl.module
+    assert kws.sim.program is not simd.sim.program
+    assert cfu("kws", "model") is not cfu("kws", "model")
+    assert sorted(fresh_gateware) == ["kws", "simd-add"]
+
+
+def test_interp_adapter_on_shared_gateware_keeps_the_poke_handshake(
+        fresh_gateware, generic_calls, monkeypatch):
+    """An interpreter-backed adapter on the sessions' gateware runs the
+    poke-level handshake, and answers as the specialised one does."""
+    from repro.accel.kws import model as km
+    from repro.cfu.rtl import RtlCfuAdapter
+    from repro.emu.sessions import _build_cfu
+    from repro.rtl import compile as rtl_compile
+
+    monkeypatch.setattr(rtl_compile, "SPECIALIZE_AFTER", 1)
+    gateware = _build_cfu("kws", "rtl")
+    compiled = RtlCfuAdapter(gateware)
+    interp = RtlCfuAdapter(gateware, backend="interp")
+    handshakes, handshake = [], RtlCfuAdapter._handshake
+    monkeypatch.setattr(RtlCfuAdapter, "_handshake", lambda adapter, *op: (
+        handshakes.append(adapter) or handshake(adapter, *op)))
+    ops = [(km.F3_MAC4, 1, 0x01020304, 0x05060708),
+           (km.F3_MAC4, 0, 0xFF7F8001, 0x02030405),
+           (km.F3_READ_ACC, 0, 0, 0)]
+    for op in ops:
+        assert interp.execute(*op) == compiled.execute(*op)
+    assert compiled.sim.program.transactions[km.F3_MAC4] is not None
+    assert interp._slots is None and compiled._slots is not None
+    assert handshakes == [interp] * len(ops)
+    assert generic_calls == []

@@ -4,10 +4,12 @@ Both backends of ``Machine.run`` — the reference interpreter (``step``)
 and translated basic blocks (``auto``, every block translated on its
 first dispatch) — must be architecturally bit-identical: same ``regs``,
 ``pc``, ``instret``, ``cycles``, memory contents, CFU state, halt
-state, and exit code — with and without a timing model, with and
-without a CFU attached.  Every firmware image from
-``tests.test_integration_firmware`` and a randomized RV32IM corpus run
-through both backends here, plus the nasty cases: self-modifying code
+state, exit code, and icache/dcache hits, misses and tags — with and
+without a timing model, with and without a CFU attached.  Every
+firmware image from ``tests.test_integration_firmware`` and a
+randomized RV32IM corpus run through both backends here, plus the
+nasty cases: small 1- and 2-way icaches thrashed from DDR and flash,
+a block spanning two timing regions, self-modifying code
 rewriting an already-promoted block, a branch target landing
 mid-block, and budget truncation.  Machines that blocks do not serve
 (a timing-model subclass, a bus counting traffic) must run every
@@ -41,7 +43,13 @@ BACKENDS = ("step", "auto")
 
 def machine_state(machine):
     """Architectural state minus memory (memory is compared in place —
-    SoC RAM backings are hundreds of MB, copying them dominates)."""
+    SoC RAM backings are hundreds of MB, copying them dominates), plus
+    the timing model's icache and dcache: hits, misses and every set's
+    tags."""
+    timing = machine.timing
+    caches = [] if timing is None else [
+        (cache.hits, cache.misses, [list(tags) for tags in cache._sets])
+        for cache in (timing.icache, timing.dcache) if cache is not None]
     return {
         "regs": list(machine.regs),
         "pc": machine.pc,
@@ -49,6 +57,7 @@ def machine_state(machine):
         "cycles": machine.cycles,
         "halted": machine.halted,
         "exit_code": machine.exit_code,
+        "caches": caches,
     }
 
 
@@ -578,4 +587,118 @@ def test_translation_resumes_when_traffic_accounting_stops():
         machine.run(backend=backend)
         machines[backend] = machine
     assert machines["auto"].block_promotions > 0
+    assert_all_identical(machines)
+
+
+# --- the inline icache probe --------------------------------------------------------
+
+def icache_loops():
+    """Two loops, each entered on a line boundary: ``big`` spans 12
+    icache lines, more than a 256-byte icache holds, and ``fits``
+    spans 8, exactly that many.  One instruction per source line, so
+    the nop padding can count."""
+    body = [f"xori x{18 + j % 10}, x{18 + (j + 3) % 10}, {j}"
+            for j in range(94)]
+    lines = ["addi s0, x0, 3", "outer:", "addi t0, x0, 4"]
+
+    def align():
+        count = sum(1 for line in lines if not line.endswith(":"))
+        lines.extend(["nop"] * (-count % 8))
+
+    align()
+    lines += ["big:", *body, "addi t0, t0, -1", "bnez t0, big",
+              "addi t1, x0, 5"]
+    align()
+    lines += ["fits:", *body[:62], "addi t1, t1, -1", "bnez t1, fits",
+              "addi s0, s0, -1", "bnez s0, outer", "addi a7, x0, 93",
+              "ecall"]
+    return "\n".join(lines)
+
+
+def icache_events(cache):
+    """Count how each access of ``cache`` lands — an MRU hit, a hit that
+    reorders its set, a fill, or an eviction — by wrapping its
+    ``access`` (the ``step()`` loop calls it; blocks inline it)."""
+    events = {"mru": 0, "reorder": 0, "fill": 0, "evict": 0}
+    access = cache.access
+
+    def counted(addr, write=False):
+        line = addr // cache.line_bytes
+        tags = cache._sets[line % cache.num_sets]
+        tag = line // cache.num_sets
+        if tags and tags[-1] == tag:
+            events["mru"] += 1
+        elif tag in tags:
+            events["reorder"] += 1
+        else:
+            events["evict" if len(tags) == cache.ways else "fill"] += 1
+        return access(addr, write)
+
+    cache.access = counted
+    return events
+
+
+@pytest.mark.parametrize("region", ["main_ram", "flash"])
+@pytest.mark.parametrize("ways", [1, 2])
+def test_inline_icache_probe_lockstep(ways, region):
+    """Blocks probe the icache inline: the MRU, reordering, fill and
+    evicting accesses of a small 1- and 2-way icache, with code in DDR
+    and in flash, leave instret, cycles, hits, misses and every set's
+    tag list equal to ``step()``'s, at a snapshot taken mid-run and at
+    the end, and again after restoring that snapshot and re-running."""
+    config = ARTY_DEFAULT.evolve(icache_bytes=256, icache_ways=ways)
+    runs, events = {}, {}
+    for backend in BACKENDS:
+        emu = Emulator(Soc(ARTY_A7_35T, config))
+        events[backend] = icache_events(emu.machine.timing.icache)
+        emu.load_assembly(icache_loops(), region=region)
+        with pytest.raises(RuntimeError, match="budget exhausted"):
+            emu.machine.run(max_instructions=1_001, backend=backend)
+        mid = machine_state(emu.machine)
+        snap = emu.snapshot()
+        emu.machine.run(backend=backend)
+        end = machine_state(emu.machine)
+        emu.restore(snap)
+        assert machine_state(emu.machine) == mid
+        emu.machine.run(backend=backend)
+        assert machine_state(emu.machine) == end
+        runs[backend] = mid, end, emu.machine
+    assert runs["auto"][:2] == runs["step"][:2]
+    assert runs["auto"][2].block_promotions > 0
+    assert_identical(runs["auto"][2], runs["step"][2], label=region)
+    # The step run called the icache for every fetch; the program made
+    # it take every branch the inline probe has for this associativity.
+    step_events = events["step"]
+    assert step_events["evict"] and step_events["fill"] and step_events["mru"]
+    assert bool(step_events["reorder"]) == (ways > 1)
+
+
+def test_block_spanning_two_regions_calls_fetch():
+    """A block whose pcs lie in two timing regions keeps the real
+    ``timing.fetch`` call, and still matches ``step()``."""
+    from repro.perf.memories import DDR3, ON_CHIP_SRAM, MemoryMap, MemoryRegion
+
+    source = "\n".join(["li t0, 5", "loop:"]
+                       + [f"addi x{18 + j % 8}, x{18 + j % 8}, {j}"
+                          for j in range(20)]
+                       + ["addi t0, t0, -1", "bnez t0, loop",
+                          "li a7, 93", "ecall"])
+    machines, fetches = {}, {}
+    for backend in BACKENDS:
+        split = MemoryMap([
+            MemoryRegion("boot", base=0, size=0x40, tech=ON_CHIP_SRAM),
+            MemoryRegion("ram", base=0x40, size=(1 << 28) - 0x40, tech=DDR3),
+        ])
+        timing = VexTiming(ARTY_DEFAULT, memory_map=split)
+        calls, fetch = [], timing.fetch
+        timing.fetch = lambda pc: calls.append(pc) or fetch(pc)
+        machine = Machine(timing=timing)
+        machine.load_assembly(source)
+        machine.run(backend=backend)
+        machines[backend], fetches[backend] = machine, calls
+    spanning = [entry for entry in machines["auto"]._blocks.values()
+                if entry.length and entry.pc < 0x40 < entry.pc
+                + 4 * entry.length]
+    assert spanning and all("_ft(" in entry.source for entry in spanning)
+    assert 0 < len(fetches["auto"]) < len(fetches["step"])
     assert_all_identical(machines)
