@@ -28,7 +28,7 @@ def test_fig4_mnv2_ladder(report, ladder_results):
     results, state = ladder_results
     macs_1x1 = sum(op.macs for op in state.model.operators
                    if op.opcode == "CONV_2D"
-                   and op.params.get("kernel") == (1, 1))
+                   and op.options.get("kernel") == (1, 1))
     base_op_cycles = results[0].estimate.cycles_for(
         mnv2_1x1_filter(state.model))
 
@@ -70,7 +70,7 @@ def test_fig4_text_deltas(report, ladder_results):
     outputs = sum(
         op.macs // state.model.tensor(op.inputs[0]).shape[-1]
         for op in state.model.operators
-        if op.opcode == "CONV_2D" and op.params.get("kernel") == (1, 1)
+        if op.opcode == "CONV_2D" and op.options.get("kernel") == (1, 1)
     )
     sw = by_name["sw-1x1"].estimate.cycles_for(filt)
     pp = by_name["cfu-postproc"].estimate.cycles_for(filt)
@@ -81,7 +81,7 @@ def test_fig4_text_deltas(report, ladder_results):
 
     macs_1x1 = sum(op.macs for op in state.model.operators
                    if op.opcode == "CONV_2D"
-                   and op.params.get("kernel") == (1, 1))
+                   and op.options.get("kernel") == (1, 1))
     run1 = by_name["mac4-run1"].estimate.cycles_for(filt) / macs_1x1
     report(f"Mac4Run1: {run1:.3f} cycles/MAC (paper: 'less than one')")
     assert run1 < 1.0

@@ -88,7 +88,7 @@ def test_amdahl_structure(report, setup):
     cfu1_only = estimate_inference(
         model, system, reference_variants().extended(OverlapInput()))
     filt = {op.name for op in model.operators
-            if op.opcode == "CONV_2D" and op.params.get("kernel") == (1, 1)}
+            if op.opcode == "CONV_2D" and op.options.get("kernel") == (1, 1)}
     moved = baseline.cycles_for(lambda c: c.op_name in filt)
     unmoved = baseline.total_cycles - moved
     amdahl_limit = baseline.total_cycles / unmoved

@@ -116,7 +116,7 @@ def mnv2_1x1_filter(model):
     """Predicate selecting the 1x1 CONV_2D operators of a built model."""
     names = {
         op.name for op in model.operators
-        if op.opcode == "CONV_2D" and op.params.get("kernel") == (1, 1)
+        if op.opcode == "CONV_2D" and op.options.get("kernel") == (1, 1)
     }
     return lambda op_cost: op_cost.op_name in names
 

@@ -50,7 +50,7 @@ class KernelVariant:
         """(pixels, in_ch, out_ch, kh, kw) of a conv-like operator."""
         out_shape = model.tensor(op.outputs[0]).shape
         in_shape = model.tensor(op.inputs[0]).shape
-        kh, kw = op.params.get("kernel", (1, 1))
+        kh, kw = op.options.get("kernel", (1, 1))
         pixels = out_shape[1] * out_shape[2] if len(out_shape) == 4 else 1
         return pixels, in_shape[-1], out_shape[-1], kh, kw
 

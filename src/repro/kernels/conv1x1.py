@@ -25,7 +25,7 @@ class _Conv1x1Variant(KernelVariant):
 
     def applies_to(self, op, model):
         return (op.opcode == "CONV_2D"
-                and tuple(op.params.get("kernel", ())) == (1, 1))
+                and tuple(op.options.get("kernel", ())) == (1, 1))
 
     @staticmethod
     def _upload_postproc_params(ctx, out_ch):

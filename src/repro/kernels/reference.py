@@ -131,7 +131,7 @@ class RefPool(KernelVariant):
 
     def cycles(self, op, model, system):
         out = model.tensor(op.outputs[0])
-        pool = op.params["pool_size"]
+        pool = op.options["pool_size"]
         window = pool[0] * pool[1]
         elements = out.num_elements
         ctx = CostContext(system, code_section="text")

@@ -70,5 +70,5 @@ def conv_1x1_ops(model):
     """The operators Section III-A's ladder accelerates: 1x1 CONV_2D."""
     return [
         op for op in model.operators
-        if op.opcode == "CONV_2D" and op.params.get("kernel") == (1, 1)
+        if op.opcode == "CONV_2D" and op.options.get("kernel") == (1, 1)
     ]

@@ -58,7 +58,7 @@ def cmsis_nn_cycles(model, timing=None):
         out_tensor = model.tensor(op.outputs[0])
         outputs = out_tensor.num_elements
         if op.opcode == "CONV_2D":
-            kh, kw = op.params.get("kernel", (1, 1))
+            kh, kw = op.options.get("kernel", (1, 1))
             in_ch = model.tensor(op.inputs[0]).shape[-1]
             patch_bytes = kh * kw * in_ch
             pixels = outputs // out_tensor.shape[-1]

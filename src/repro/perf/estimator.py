@@ -158,7 +158,7 @@ def estimate_inference(model, system, variants=None, overhead=None,
             code_section=snap.code_section if snap else "kernel_text",
             loop_footprint_bytes=snap.loop_footprint_bytes if snap else 256,
         ))
-        if op.opcode == "CONV_2D" and op.params.get("kernel") == (1, 1):
+        if op.opcode == "CONV_2D" and op.options.get("kernel") == (1, 1):
             names_1x1.add(op.name)
     with CaptureCosts() as capture:
         estimate.overhead_cycles = overhead.cycles(model, system)

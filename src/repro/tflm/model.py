@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
 
 OPCODES = (
     "CONV_2D",
@@ -17,30 +17,99 @@ OPCODES = (
     "MEAN",
 )
 
+#: The operator options a graph fixes before any number is known: all a
+#: cost model or a kernel's applicability test needs.
+GRAPH_OPTIONS = frozenset({
+    "stride", "padding", "kernel", "depth_multiplier", "pool_size",
+    "new_shape", "axes", "paddings", "macs",
+})
 
-@dataclass
-class Operator:
-    """One graph node: an opcode, tensor names, and prepared parameters.
 
-    ``params`` holds everything a kernel needs at Invoke time (strides,
-    precomputed requantization multipliers, activation clamps), mirroring
-    TFLM's Prepare/Eval split: all floating-point work happens at model
-    construction, kernels run on integers only.
+class NumericPass:
+    """The deferred numbers of a built model: its recorded steps, run
+    once, in layer order, under a lock, on the first read of a number.
+
+    A step may read only numbers that earlier steps set; the lock is
+    reentrant so that a step breaking that rule recurses loudly instead
+    of deadlocking.  Pickling keeps the steps and drops the lock.
     """
 
-    opcode: str
-    name: str
-    inputs: list
-    outputs: list
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.opcode not in OPCODES:
-            raise ValueError(f"unknown opcode {self.opcode!r}")
+    def __init__(self):
+        self._steps = []
+        self._lock = threading.RLock()
 
     @property
-    def macs(self):
-        return self.params.get("macs", 0)
+    def done(self):
+        return self._steps is None
+
+    def record(self, step):
+        """Append ``step``, a picklable callable, to the pass."""
+        self._steps.append(step)
+
+    def run(self):
+        """Run the recorded steps, unless they have run."""
+        with self._lock:
+            if self._steps is not None:
+                for step in self._steps:
+                    step()
+                self._steps = None
+
+    def __getstate__(self):
+        return {"steps": self._steps}
+
+    def __setstate__(self, state):
+        self._steps = state["steps"]
+        self._lock = threading.RLock()
+
+
+class Deferred:
+    """An attribute of a graph element that its model's numeric pass sets.
+
+    A non-data descriptor: the instance's own value hides it, so a read
+    after the pass is a plain attribute lookup.  A read before it finds
+    the descriptor, which runs the element's pass (``_numbers``) first.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance._numbers.run()
+        return instance.__dict__[self.name]
+
+
+class Operator:
+    """One graph node: an opcode, tensor names, options and parameters.
+
+    ``options`` is the structure (strides, padding, kernel, MACs ...).
+    ``params`` adds what a kernel needs at Invoke time (precomputed
+    requantization multipliers, activation clamps), mirroring TFLM's
+    Prepare/Eval split: all floating-point work happens before Invoke,
+    kernels run on integers only.  An operator built with ``params``
+    takes its options from them; one built with ``numbers`` (a
+    :class:`NumericPass`) gets ``params`` from that pass.
+    """
+
+    params = Deferred()
+
+    def __init__(self, opcode, name, inputs, outputs, params=None,
+                 options=None, numbers=None):
+        if opcode not in OPCODES:
+            raise ValueError(f"unknown opcode {opcode!r}")
+        self.opcode = opcode
+        self.name = name
+        self.inputs = inputs
+        self.outputs = outputs
+        if numbers is None:
+            self.params = {} if params is None else params
+            options = {key: value for key, value in self.params.items()
+                       if key in GRAPH_OPTIONS}
+        else:
+            self._numbers = numbers
+        self.options = options
+        self.macs = options.get("macs", 0)
 
     def __repr__(self):
         return f"Operator({self.name}: {self.opcode})"
@@ -48,14 +117,17 @@ class Operator:
 
 class Model:
     """An ordered operator graph with a tensor table (TFLite flatbuffer
-    stand-in)."""
+    stand-in).  ``numbers`` is the :class:`NumericPass` of a model whose
+    numbers are deferred; :meth:`prepare` runs it."""
 
-    def __init__(self, name, tensors, operators, input_names, output_names):
+    def __init__(self, name, tensors, operators, input_names, output_names,
+                 numbers=None):
         self.name = name
         self.tensors = dict(tensors)
         self.operators = list(operators)
         self.input_names = list(input_names)
         self.output_names = list(output_names)
+        self._numbers = numbers
         self._validate()
 
     def _validate(self):
@@ -69,6 +141,18 @@ class Model:
         for name in self.input_names + self.output_names:
             if name not in defined:
                 raise ValueError(f"model I/O references unknown tensor {name}")
+
+    @property
+    def prepared(self):
+        """Whether every number is in place: nothing is deferred, or the
+        numeric pass has run."""
+        return self._numbers is None or self._numbers.done
+
+    def prepare(self):
+        """Run the numeric pass now if it has not run (TFLM's Prepare)."""
+        if self._numbers is not None:
+            self._numbers.run()
+        return self
 
     def tensor(self, name):
         return self.tensors[name]

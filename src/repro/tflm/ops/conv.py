@@ -14,19 +14,24 @@ from ..quantize import requantize
 from .gemm import int_matmul
 
 
+def output_hw(in_hw, kernel_hw, stride_hw, padding):
+    """Output (height, width) of a window op under TFLite SAME/VALID."""
+    (h, w), (kh, kw), (sh, sw) = in_hw, kernel_hw, stride_hw
+    if padding == "valid":
+        return (h - kh) // sh + 1, (w - kw) // sw + 1
+    if padding != "same":
+        raise ValueError(f"unknown padding {padding!r}")
+    return -(-h // sh), -(-w // sw)
+
+
 def pad_input(input_data, kernel_hw, stride_hw, padding, pad_value):
     """Apply TFLite SAME/VALID padding; returns (padded, (oh, ow))."""
     n, h, w, c = input_data.shape
     kh, kw = kernel_hw
     sh, sw = stride_hw
+    oh, ow = output_hw((h, w), kernel_hw, stride_hw, padding)
     if padding == "valid":
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
         return input_data, (oh, ow)
-    if padding != "same":
-        raise ValueError(f"unknown padding {padding!r}")
-    oh = -(-h // sh)
-    ow = -(-w // sw)
     pad_h = max(0, (oh - 1) * sh + kh - h)
     pad_w = max(0, (ow - 1) * sw + kw - w)
     top, left = pad_h // 2, pad_w // 2
@@ -86,9 +91,5 @@ def conv2d_macs(input_shape, filters_shape, stride, padding):
     """Multiply-accumulate count of one conv layer."""
     n, h, w, _ = input_shape
     out_ch, kh, kw, in_ch = filters_shape
-    if padding == "same":
-        oh, ow = -(-h // stride[0]), -(-w // stride[1])
-    else:
-        oh = (h - kh) // stride[0] + 1
-        ow = (w - kw) // stride[1] + 1
+    oh, ow = output_hw((h, w), (kh, kw), stride, padding)
     return n * oh * ow * out_ch * kh * kw * in_ch

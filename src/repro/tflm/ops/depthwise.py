@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantize import requantize
-from .conv import pad_input
+from .conv import output_hw, pad_input
 
 
 def depthwise_accumulate(input_data, input_zero_point, filters, stride,
@@ -55,9 +55,5 @@ def depthwise_reference(input_data, input_zero_point, filters, bias, stride,
 def depthwise_macs(input_shape, filters_shape, stride, padding):
     n, h, w, _ = input_shape
     _, kh, kw, out_ch = filters_shape
-    if padding == "same":
-        oh, ow = -(-h // stride[0]), -(-w // stride[1])
-    else:
-        oh = (h - kh) // stride[0] + 1
-        ow = (w - kw) // stride[1] + 1
+    oh, ow = output_hw((h, w), (kh, kw), stride, padding)
     return n * oh * ow * out_ch * kh * kw

@@ -2,34 +2,49 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .model import Deferred
 from .quantize import QuantParams
 
 
-@dataclass
 class Tensor:
     """A typed, optionally-quantized tensor in a model graph.
 
     ``data`` is None for activation tensors until the interpreter
     allocates/produces them; constant tensors (weights, biases) carry
     their data up front.  Layout is NHWC throughout, matching TFLite.
+    A tensor built with ``numbers`` (a
+    :class:`~repro.tflm.model.NumericPass`) is unprepared: that pass
+    sets ``quant``, ``channel_scales`` and ``data``, and reading any of
+    them runs it.
     """
 
-    name: str
-    shape: tuple
-    dtype: type = np.int8
-    quant: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    channel_scales: np.ndarray = None  # per-channel weight scales, or None
-    data: np.ndarray = None
-    is_constant: bool = False
+    quant = Deferred()
+    channel_scales = Deferred()
+    data = Deferred()
 
-    def __post_init__(self):
-        self.shape = tuple(int(d) for d in self.shape)
-        if self.data is not None:
-            self.data = np.asarray(self.data, dtype=self.dtype).reshape(self.shape)
+    def __init__(self, name, shape, dtype=np.int8, quant=None,
+                 channel_scales=None, data=None, is_constant=False,
+                 numbers=None):
+        self.name = name
+        self.shape = tuple(int(d) for d in shape)
+        self.dtype = dtype
+        self.is_constant = is_constant
+        if numbers is None:
+            self.set_numbers(quant or QuantParams(1.0, 0), channel_scales,
+                             data)
+        else:
+            self._numbers = numbers
+
+    def set_numbers(self, quant, channel_scales=None, data=None):
+        """Quantization, per-channel weight scales (or None) and data (or
+        None); ``data`` is cast to the tensor's dtype and shape."""
+        self.quant = quant
+        self.channel_scales = channel_scales
+        if data is not None:
+            data = np.asarray(data, dtype=self.dtype).reshape(self.shape)
+        self.data = data
 
     @property
     def num_elements(self):

@@ -28,7 +28,7 @@ def arty_system():
 def conv_ops(model, one_by_one):
     return [op for op in model.operators
             if op.opcode == "CONV_2D"
-            and (op.params.get("kernel") == (1, 1)) == one_by_one]
+            and (op.options.get("kernel") == (1, 1)) == one_by_one]
 
 
 def test_1x1_variants_only_apply_to_1x1(mnv2):

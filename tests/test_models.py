@@ -1,6 +1,9 @@
 """Model zoo tests: topology, op mixes, golden stability."""
 
 import hashlib
+import pickle
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -196,8 +199,8 @@ def test_zoo_numerics_pinned(name, kwargs):
         PINNED_DIGESTS[name, kwargs]
 
 
-def test_build_accumulates_each_layer_once(monkeypatch):
-    """Calibration and the sample output share one accumulate per layer."""
+def count_accumulates(monkeypatch):
+    """A Counter of calls to the three int8 accumulates, by name."""
     calls = Counter()
     for module, name in ((conv_ops, "conv2d_accumulate"),
                          (dw_ops, "depthwise_accumulate"),
@@ -206,31 +209,95 @@ def test_build_accumulates_each_layer_once(monkeypatch):
             calls[_name] += 1
             return _kernel(*args)
         monkeypatch.setattr(module, name, counted)
-    model = build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+    return calls
+
+
+def one_pass(model):
+    """The accumulates of one numeric pass over ``model``: one per layer."""
     layers = Counter(op.opcode for op in model.operators)
-    assert calls == {"conv2d_accumulate": layers["CONV_2D"],
-                     "depthwise_accumulate": layers["DEPTHWISE_CONV_2D"],
-                     "fully_connected_accumulate": layers["FULLY_CONNECTED"]}
+    return Counter({"conv2d_accumulate": layers["CONV_2D"],
+                    "depthwise_accumulate": layers["DEPTHWISE_CONV_2D"],
+                    "fully_connected_accumulate": layers["FULLY_CONNECTED"]})
+
+
+def test_build_accumulates_each_layer_once(monkeypatch):
+    """The graph build accumulates nothing.  The numeric pass that the
+    first read of a number runs shares one accumulate per layer between
+    calibration and the sample output, and a second read runs nothing."""
+    calls = count_accumulates(monkeypatch)
+    model = build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+    assert not calls and not model.prepared
+    assert model.operators[0].params["out_multipliers"].size == 24
+    assert calls == one_pass(model) and model.prepared
+    assert model.output.quant.scale > 0
+    assert model.tensor("classifier_weights").data.shape == (100, 1280)
+    assert calls == one_pass(model)
 
 
 def test_build_traced_peak_is_bounded():
-    """A cold MobileNetV2 build holds about one accumulator-sized
+    """A cold MobileNetV2 numeric pass holds about one accumulator-sized
     temporary per layer: requantization runs in place on one copy and
     calibration reads integer extremes, not a float64 plane.  The bound
     sits between its ~6 MiB peak and the ~14.5 MiB that a copy per
     requantization step costs; the model itself keeps 2.5 MiB."""
+    model = build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+    assert not model.prepared
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+        model.input.quant  # the first numeric read runs the pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
+    assert model.prepared
     assert peak - baseline < 8 * 2**20
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("mobilenet_v2", (("width_multiplier", 0.75), ("num_classes", 100))),
+    ("dscnn_kws", ()),
+], ids=["mobilenet_v2-0.75-100", "dscnn_kws"])
+def test_unprepared_model_pickles(name, kwargs):
+    """WorkerPool's spawn fallback pickles the evaluator's model.  An
+    unprepared model travels with its recorded steps, pickling prepares
+    neither side, and the copy's numbers are the pinned ones."""
+    model = ZOO[name](**dict(kwargs))
+    copy = pickle.loads(pickle.dumps(model))
+    assert not model.prepared and not copy.prepared
+    assert (model_digest(copy), inference_digest(copy)) == \
+        PINNED_DIGESTS[name, kwargs]
+
+
+def test_first_reads_from_threads_run_one_pass(monkeypatch):
+    """Threads that read their first number at once (more threads than
+    cores, a short switch interval) share one pass and see the same
+    numbers."""
+    calls = count_accumulates(monkeypatch)
+    model = build_mobilenet_v2(width_multiplier=0.75, num_classes=100)
+    barrier = threading.Barrier(4, timeout=10)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append(model.output.quant)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert calls == one_pass(model)
+    assert len(seen) == 4 and all(quant is seen[0] for quant in seen)
 
 
 def test_width_multiplier_scales_macs():

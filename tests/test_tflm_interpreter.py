@@ -45,17 +45,31 @@ def test_different_seeds_differ():
 
 def test_interpreter_output_matches_builder_sample():
     """The builder's propagated sample must equal a real inference on the
-    same input — the calibration path and the runtime path agree."""
+    same input at every operator — the calibration path and the runtime
+    path agree.  The graph build draws no sample; the numeric pass
+    draws them all."""
     b = ModelBuilder("check", seed=9)
     b.input((1, 6, 6, 3))
-    sample_in = b.samples["input"].copy()
     b.conv2d(4, 3, name="c")
+    entry = b.tip
     b.depthwise_conv2d(name="d")
-    b.average_pool(name="g")
+    b.add(entry, relu=True, name="res")
+    b.max_pool(2, name="mp")
+    b.mean_hw(name="mean")
+    b.reshape((1, 4), name="r")
+    b.fully_connected(5, name="fc")
+    b.softmax(name="sm")
     model = b.build()
-    expected = b.samples[model.output_names[0]]
-    got = Interpreter(model).invoke(sample_in)
-    assert np.array_equal(got, expected)
+    assert b.samples == {}
+    model.prepare()
+    sample_in = b.samples["input"].copy()
+    outputs = {}
+    Interpreter(model, listeners=[
+        lambda op, inputs, output: outputs.update({op.outputs[0]: output}),
+    ]).invoke(sample_in)
+    assert set(outputs) == {op.outputs[0] for op in model.operators}
+    for name, output in outputs.items():
+        assert np.array_equal(output, b.samples[name]), name
 
 
 def test_interpreter_rejects_bad_shape():

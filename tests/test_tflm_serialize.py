@@ -13,6 +13,7 @@ from repro.tflm import (
     load_model_file,
     save_model,
 )
+from repro.tflm.serialize import MAGIC, VERSION
 
 
 def small_model(seed=0):
@@ -63,6 +64,22 @@ def test_ndarray_params_roundtrip():
     assert isinstance(conv.params["out_multipliers"], np.ndarray)
     assert conv.params["stride"] == (1, 1)
     assert conv.params["kernel"] == (3, 3)
+
+
+def test_unprepared_model_dumps_the_bytes_of_a_prepared_one():
+    """Dumping reads every number, so an unprepared model gives the same
+    container (still version 1) as a prepared one.  A loaded model
+    defers nothing and takes its operators' options from their params."""
+    unprepared, prepared = small_model(), small_model().prepare()
+    assert not unprepared.prepared and prepared.prepared
+    blob = dump_model(unprepared)
+    assert blob == dump_model(prepared)
+    assert VERSION == 1
+    assert blob[len(MAGIC):len(MAGIC) + 2] == VERSION.to_bytes(2, "little")
+    restored = load_model(blob)
+    assert restored.prepared
+    for op, loaded in zip(prepared.operators, restored.operators):
+        assert loaded.options == op.options and loaded.macs == op.macs
 
 
 def test_file_roundtrip(tmp_path):
