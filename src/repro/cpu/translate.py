@@ -16,9 +16,12 @@ What the generated function bakes in as literals:
 - immediates, masks, and sign-extension constants,
 - the timing model's configuration-pure costs (shift/mul/div cycles,
   jump penalties, hazard interlock costs, per-pair static RAW hazards
-  inside the block) constant-folded into per-instruction literals, with
-  only data-dependent costs (cache and branch-predictor state, CFU
-  latency) left to run time,
+  inside the block) constant-folded into literals, with only
+  data-dependent costs (cache and branch-predictor state, CFU latency)
+  left to run time; the plain variant sums the literals of a run of
+  instructions and adds the sum before the next instruction that can
+  raise, real fetch, exit or back edge (the profiled one charges each
+  instruction, since its buckets read the running count),
 - plain-RAM page access: loads/stores index the backing ``bytearray``
   directly through the bus page cache, falling back to the bus's
   read/write methods for misses, CSR windows, read-only regions, and
@@ -588,6 +591,18 @@ def _emit(machine, entry_pc, ops, profiled):
             L(ind, f"_ic.hits += {ih_pending[0]}")
             ih_pending[0] = 0
 
+    # The plain variant's constant cycle charges, summed: nothing reads
+    # ``cycles`` between two instructions that cannot raise, so the sum
+    # is added before an instruction that can (load, store, CFU call), a
+    # real fetch, and every exit and back edge.  The profiled variant
+    # charges per instruction (its buckets read the running count).
+    cyc_pending = [0]
+
+    def flush_cycles(ind):
+        if cyc_pending[0]:
+            L(ind, f"cycles += {cyc_pending[0]}")
+            cyc_pending[0] = 0
+
     def refresh_page(ind, i, word, write):
         # Per-site page locals: each static load/store site keeps its
         # own resolved page, so a loop alternating two pages (memcpy:
@@ -790,6 +805,12 @@ def _emit(machine, entry_pc, ops, profiled):
         cost = const_cost(op) + static_hz(i)
         if ic_mode == "const":
             cost += fetch_const
+        entry_ind = ind
+        if not profiled:
+            if fetch_real:
+                flush_cycles(ind)
+            cyc_pending[0] += cost
+            cost = 0
         parts = [str(cost)] if cost else []
         if i == 0 and hz0_needed:
             parts.append("_hz0")
@@ -810,6 +831,8 @@ def _emit(machine, entry_pc, ops, profiled):
             icache_probe(ind, p)
         if parts:
             L(ind, "cycles += " + " + ".join(parts))
+        if fault_capable:
+            flush_cycles(entry_ind)
 
     def store_bail(ind, i, p):
         # A store just invalidated cached pages (possibly this block's):
@@ -1026,19 +1049,23 @@ def _emit(machine, entry_pc, ops, profiled):
         L(ind, "continue")
 
     def emit_branch_cycles(ind, p, op):
-        # cycles for the branch slot + penalty; ``_t`` holds taken.
+        # cycles for the branch slot + penalty; ``_t`` holds taken.  Each
+        # literal takes the pending constant charges along.
         predictor = timing.predictor
         kind = predictor.kind
         mp = timing.config.mispredict_penalty
         kt = predictor.knows_target()
-        hit_t = 1 if kt else 2  # correct taken: redirect bubble sans BTB
+        extra, cyc_pending[0] = cyc_pending[0], 0
+        # correct taken: redirect bubble sans BTB
+        hit_t = extra + (1 if kt else 2)
+        hit, miss = extra + 1, extra + 1 + mp
         if kind == "none":
-            L(ind, f"cycles += {1 + mp} if _t else 1")
+            L(ind, f"cycles += {miss} if _t else {hit}")
             return
         if kind == "static":
             backward = bool(op[4])
-            ct = hit_t if backward else 1 + mp
-            cnt = 1 + mp if backward else 1
+            ct = hit_t if backward else miss
+            cnt = miss if backward else hit
             L(ind, f"cycles += {ct} if _t else {cnt}")
             return
         # dynamic / dynamic_target: the table index is baked, the 2-bit
@@ -1049,11 +1076,11 @@ def _emit(machine, entry_pc, ops, profiled):
         L(ind, "if _t:")
         L(ind + 1, "if _ct < 3:")
         L(ind + 2, f"_bpc[{idx}] = _ct + 1")
-        L(ind + 1, f"cycles += {1 + mp} if _ct < 2 else {hit_t}")
+        L(ind + 1, f"cycles += {miss} if _ct < 2 else {hit_t}")
         L(ind, "else:")
         L(ind + 1, "if _ct > 0:")
         L(ind + 2, f"_bpc[{idx}] = _ct - 1")
-        L(ind + 1, f"cycles += {1 + mp} if _ct >= 2 else 1")
+        L(ind + 1, f"cycles += {miss} if _ct >= 2 else {hit}")
 
     def emit_terminator(ind, i, p, op):
         k = op[0]
@@ -1085,6 +1112,7 @@ def _emit(machine, entry_pc, ops, profiled):
         elif k == _m._K_JAL:
             prologue(ind, i, p, op)
             flush_hits(ind)
+            flush_cycles(ind)
             if op[1]:
                 L(ind, f"_r{op[1]} = {op[2]}")
             attr(ind, i)
@@ -1095,6 +1123,7 @@ def _emit(machine, entry_pc, ops, profiled):
         else:  # JALR
             prologue(ind, i, p, op)
             flush_hits(ind)
+            flush_cycles(ind)
             if op[2] == 0:
                 L(ind, f"_t = {op[3] & 0xFFFFFFFE}")
             elif op[3] == 0:
@@ -1118,6 +1147,7 @@ def _emit(machine, entry_pc, ops, profiled):
         emit_instr(base, i, ops[i][0], ops[i][1])
     if term == "fall":
         flush_hits(base)
+        flush_cycles(base)
         L(base, f"_pc = {entry_pc + 4 * n_ops}")
     else:
         emit_terminator(base, n_ops - 1, last_pc, last_op)

@@ -20,10 +20,13 @@ memory backing stores.  Widths, masks, shift amounts, sign-extension
 constants, and memory depths are baked into the generated source as
 integer literals; guards become plain ``if`` statements; shared
 subexpressions become shared temporaries; any subexpression over
-literals only is evaluated at codegen time.  nMigen semantics — later
-assignment wins, comb falls back to reset, sign/width rules — are
-preserved bit for bit (:mod:`tests.test_rtl_compile` is the
-differential proof).
+literals only is evaluated at codegen time.  The lowering
+(:mod:`repro.rtl.lower`) tracks the exact integer interval of every
+value, so arithmetic runs on plain Python ints and a mask or sign
+conversion appears only where a value can leave its width or a
+consumer needs its bit pattern.  nMigen semantics — later assignment
+wins, comb falls back to reset, sign/width rules — are preserved bit
+for bit (:mod:`tests.test_rtl_compile` is the differential proof).
 
 The generated program is compiled once per source text per process
 (:func:`repro.core.codecache.compile_entry`), exec'd once and cached
@@ -44,50 +47,34 @@ settle a guard-false pseudo-latch), while ``backend="compiled"`` raises
 
 from __future__ import annotations
 
-import re
 import weakref
 from collections import deque
 
-from .ast import (
-    Cat,
-    Const,
-    Mux,
-    Operator,
-    Reinterpret,
-    Signal,
-    Slice,
-    Repl,
-    to_signed,
-    to_unsigned,
-)
+from .ast import Const, Operator, Repl, Signal, Slice, to_unsigned
 from .dsl import Module
 from .lint import find_comb_cycle
+from .lower import CompileError, Codegen, TransactionCodegen, emit_sync
 from .sim import Simulator
-
-
-class CompileError(RuntimeError):
-    """The module uses a construct the compiled backend cannot schedule."""
 
 
 #: Calls of one funct3 on a program before it gets a generated
 #: transaction.  A transaction costs its codegen once and then saves
 #: time on every call, so it pays off after codegen ms ÷ µs saved per
 #: call.  Measured on a 2-vCPU Xeon VM over the 20 single-cycle opcodes
-#: of the shipped CFUs, that breakeven runs from 48 calls (kws-cfu2
-#: READ_ACC: 0.5 ms ÷ 10.6 µs) to 1,844 (popcount: 1.6 ms ÷ 0.85 µs),
-#: median ~470; kws-cfu2's MAC4 breaks even at 1.1 ms ÷ 8.7 µs ≈ 126.
-#: 1,024 clears 16 of the 20, keeps the 400-op RTL throughput benchmark
+#: of the shipped CFUs (generating and compiling the source, best of
+#: nine; generic and specialised calls, best of seven 2,000-call runs;
+#: two rounds), that breakeven runs from ~47 calls (kws-cfu2 READ_ACC:
+#: 0.23 ms ÷ 4.7 µs) to ~1,700 (winograd: 9–14 ms ÷ 5.7–8.0 µs),
+#: median ~530–590; kws-cfu2's MAC4 breaks even at 0.6–1.1 ms ÷
+#: 2.9–3.9 µs ≈ 160–370.  Range-aware lowering cut the generic call as
+#: well as the transaction, so the saving per call, and with it the
+#: median breakeven, moved from ~490 (same method, before).  1,024
+#: clears 14–15 of the 20, keeps the 400-op RTL throughput benchmark
 #: from paying codegen it cannot earn back, and is crossed by both of
 #: session-rtl's hot opcodes (18,000 MAC4 and 2,000 READ_ACC calls per
 #: run) in the first run of a process: sessions share one gateware
 #: instance per CFU, so later sessions start specialised.
 SPECIALIZE_AFTER = 1024
-
-#: Generated runtime names: slot reads ``V[i]`` and locals, which all
-#: start with an underscore (``_t``, ``_v``, ``_m``).  An expression
-#: without either is literals only and folds at codegen time.
-_RUNTIME = re.compile(r"V\[|_")
-_ATOM = re.compile(r"(?:V\[\d+\]|_\w+)\Z")
 
 
 def _expr_token(node, slot_of):
@@ -121,7 +108,8 @@ def _module_key(signals, slot_of, memories, comb_stmts, sync_stmts):
 
     try:
         payload = {
-            "generator": generator_digest(__name__),
+            "generator": [generator_digest(name)
+                          for name in (__name__, Codegen.__module__)],
             "slots": [(sig.width, int(sig.signed), sig.reset)
                       for sig in signals],
             "comb": [(_expr_token(stmt.lhs, slot_of),
@@ -160,299 +148,6 @@ def _reads(value):
         else:
             stack.extend(reversed(node.operands()))
     return out
-
-
-class _Codegen:
-    """Lowers expression trees to straight-line three-address statements.
-
-    Every lowered node yields an *atom* — an ``int`` literal known at
-    codegen time, a temp name, or a ``V[i]`` slot read — holding the
-    node's unsigned bit pattern (exactly what the interpreter's ``_eval``
-    returns).  A node whose operands are all literals is folded by
-    evaluating its generated expression on them, so folding runs the
-    very arithmetic the generated code would.  Atoms are memoized by
-    node identity, so expression objects shared between statements
-    (guard conjunctions, the ``accepted`` strobe, a reused datapath) are
-    computed once per generated function, and temps by expression text,
-    so structurally equal expressions share one too: a generated
-    function writes each ``V`` slot before any read of it (comb
-    targets) or after every read (the clock edge's commit), and memory
-    only after every read.  All temps are emitted at function top level,
-    never under a guard, so memoized atoms are always in scope for later
-    statements.
-    """
-
-    def __init__(self, slot_of):
-        self.slot_of = slot_of  # id(signal) -> V index
-        self.lines = []
-        self._memo = {}
-        self._temps = {}  # expression text -> temp name
-        self._counter = 0
-
-    def emit(self, line):
-        self.lines.append("    " + line)
-
-    def function(self, name):
-        """Source of ``def name(V, M)`` over the emitted body, binding
-        the memories the body uses."""
-        body = self.lines or ["    pass"]
-        used = sorted({int(index) for index in
-                       re.findall(r"_m(\d+)\[", "\n".join(body))})
-        head = [f"def {name}(V, M):"] + [f"    _m{index} = M[{index}]"
-                                         for index in used]
-        return "\n".join(head + body) + "\n"
-
-    @staticmethod
-    def fold(expr):
-        """``expr`` evaluated now when it is made of literals only."""
-        if isinstance(expr, int) or _RUNTIME.search(expr):
-            return expr
-        return eval(expr, {"__builtins__": {"bin": bin}})
-
-    def temp(self, expr):
-        value = self.fold(expr)
-        if isinstance(value, int):
-            return value
-        name = self._temps.get(expr)
-        if name is None:
-            name = self._temps[expr] = f"_t{self._counter}"
-            self._counter += 1
-            self.emit(f"{name} = {expr}")
-        return name
-
-    def atom(self, expr):
-        """``expr`` as an atom, through a temp unless it already is one."""
-        if isinstance(expr, int) or _ATOM.match(expr):
-            return expr
-        return self.temp(expr)
-
-    def read(self, signal):
-        return f"V[{self.slot_of[id(signal)]}]"
-
-    # --- expression lowering ---------------------------------------------------
-    def u(self, node):
-        """Atom holding the node's unsigned bit pattern."""
-        key = id(node)
-        atom = self._memo.get(key)
-        if atom is None:
-            atom = self._memo[key] = self._lower(node)
-        return atom
-
-    def num(self, node):
-        """Expression for the node's numeric value (sign-interpreted)."""
-        raw = self.u(node)
-        if not node.signed:
-            return raw
-        if isinstance(raw, int):
-            return to_signed(raw, node.width)
-        sign_bit = 1 << (node.width - 1)
-        modulus = 1 << node.width
-        return f"({raw} - {modulus} if {raw} & {sign_bit} else {raw})"
-
-    def _unsigned_at(self, operand, width):
-        """to_unsigned(num(operand), width): truncate, sign-extend or
-        pass through."""
-        mask = (1 << width) - 1
-        if operand.width > width:
-            return self.fold(f"{self.u(operand)} & {mask}")
-        if operand.signed and operand.width < width:
-            return self.fold(f"({self.num(operand)}) & {mask}")
-        return self.u(operand)
-
-    def _lower(self, node):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Signal):
-            return self.read(node)
-        if isinstance(node, Reinterpret):
-            return self.u(node.value)
-        if isinstance(node, Slice):
-            inner = self.u(node.value)
-            if node.start == 0 and node.stop == node.value.width:
-                return inner  # full-width slice is the identity
-            mask = (1 << node.width) - 1
-            if node.start:
-                return self.temp(f"({inner} >> {node.start}) & {mask}")
-            return self.temp(f"{inner} & {mask}")
-        if isinstance(node, Cat):
-            shift, parts = 0, []
-            for part in node.parts:
-                atom = self.u(part)
-                parts.append(atom if shift == 0 else f"({atom} << {shift})")
-                shift += part.width
-            return self.temp(" | ".join(map(str, parts))) if parts else 0
-        if isinstance(node, Repl):
-            atom = self.u(node.value)
-            parts = [atom if i == 0 else f"({atom} << {i * node.value.width})"
-                     for i in range(node.count)]
-            return self.temp(" | ".join(map(str, parts))) if parts else 0
-        if isinstance(node, Mux):
-            sel = self.u(node.sel)
-            if isinstance(sel, int):  # constant select: the chosen arm
-                arm = node.if_true if sel else node.if_false
-                return self.atom(self._unsigned_at(arm, node.width))
-            if_true = self._unsigned_at(node.if_true, node.width)
-            if_false = self._unsigned_at(node.if_false, node.width)
-            return self.temp(f"({if_true}) if {sel} else ({if_false})")
-        if isinstance(node, Operator):
-            return self._lower_operator(node)
-        raise CompileError(f"cannot compile expression node {node!r}")
-
-    def _lower_operator(self, node):
-        op, ops = node.op, node.ops
-        mask = (1 << node.width) - 1
-        if op in ("+", "-", "*"):
-            return self.temp(f"(({self.num(ops[0])}) {op} "
-                             f"({self.num(ops[1])})) & {mask}")
-        if op == "neg":
-            return self.temp(f"(-({self.num(ops[0])})) & {mask}")
-        if op == "~":
-            return self.temp(f"(~{self.u(ops[0])}) & {mask}")
-        if op in ("&", "|", "^"):
-            a = self._unsigned_at(ops[0], node.width)
-            if op == "^":
-                return self.temp(f"({a}) ^ "
-                                 f"({self._unsigned_at(ops[1], node.width)})")
-            # 0 and the full mask absorb or pass the other operand, so a
-            # false guard term never lowers the term it masks.
-            absorbing, identity = (0, mask) if op == "&" else (mask, 0)
-            if a == absorbing:
-                return absorbing
-            b = self._unsigned_at(ops[1], node.width)
-            if b == absorbing:
-                return absorbing
-            if a == identity:
-                return self.atom(b)
-            if b == identity:
-                return self.atom(a)
-            return self.temp(f"({a}) {op} ({b})")
-        if op == "<<":
-            return self.temp(f"(({self.num(ops[0])}) << "
-                             f"{self.u(ops[1])}) & {mask}")
-        if op == ">>":
-            return self.temp(f"(({self.num(ops[0])}) >> "
-                             f"{self.u(ops[1])}) & {mask}")
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return self.temp(f"1 if ({self.num(ops[0])}) {op} "
-                             f"({self.num(ops[1])}) else 0")
-        if op == "b":
-            if ops[0].width == 1:
-                return self.u(ops[0])
-            return self.temp(f"1 if {self.u(ops[0])} else 0")
-        if op == "r&":
-            return self.temp(f"1 if {self.u(ops[0])} == "
-                             f"{(1 << ops[0].width) - 1} else 0")
-        if op == "r^":
-            return self.temp(f'bin({self.u(ops[0])}).count("1") & 1')
-        raise CompileError(f"cannot compile operator {op!r}")
-
-    # --- statement lowering ----------------------------------------------------
-    def value_of(self, stmt):
-        """The value an assignment writes, masked to the lhs width."""
-        return self._unsigned_at(stmt.rhs, stmt.lhs.width)
-
-    def assign(self, value, stmts, acc):
-        """Apply one target's guarded assignments, later ones winning,
-        to its starting ``value``; returns the final value.
-
-        A literal-false guard drops its assignment, datapath and all; a
-        literal-true one applies it unconditionally.  Only a runtime
-        guard materializes the accumulator variable ``acc``, and only
-        its update sits under the ``if`` (the guard atom and the value
-        temps are emitted at top level first: expressions are pure).
-        """
-        for stmt in stmts:
-            guard = None if stmt.guard is None else self.u(stmt.guard)
-            if guard == 0:
-                continue
-            new = self.value_of(stmt)
-            if isinstance(stmt.lhs, Slice):
-                start = stmt.lhs.start
-                mask = ((1 << stmt.lhs.width) - 1) << start
-                shifted = new if start == 0 else f"(({new}) << {start})"
-                new = f"(({value}) & {~mask}) | {shifted}"
-            if isinstance(guard, str):
-                if value != acc:
-                    self.emit(f"{acc} = {value}")
-                    value = acc
-                self.emit(f"if {guard}:")
-                self.emit(f"    {acc} = {new}")
-            elif value == acc:
-                self.emit(f"{acc} = {new}")
-            else:
-                value = self.fold(new)
-        return value
-
-    def comb_value(self, target, stmts, ports):
-        """Emit one comb target's logic; returns its value.  Comb falls
-        back to reset, then to the comb read ports driving it."""
-        value = target.reset
-        for mem_index, rp in ports:
-            addr = self.u(rp.addr)
-            value = self.temp(f"_m{mem_index}[{addr} % {rp.memory.depth}]")
-        return self.assign(value, stmts, f"_v{self.slot_of[id(target)]}")
-
-
-class _TransactionCodegen(_Codegen):
-    """Lowering for one funct3's transaction.
-
-    The command ports the handshake holds constant are literals, and a
-    comb signal is lowered where something first reads it: only the
-    cone the outputs, the sync update and the memory ports read is
-    emitted, into locals that are never written back to ``V``.
-    """
-
-    def __init__(self, slot_of, consts, comb_of):
-        super().__init__(slot_of)
-        self.consts = consts    # id(port) -> literal
-        self.comb_of = comb_of  # see _comb_groups
-
-    def read(self, signal):
-        const = self.consts.get(id(signal))
-        if const is not None:
-            return const
-        comb = self.comb_of.get(id(signal))
-        if comb is None:
-            return super().read(signal)
-        return self.atom(self.comb_value(*comb))
-
-
-def _emit_sync(gen, memories, sync_targets, sync_stmts_of):
-    """Emit one clock edge: next register values, sync read ports and
-    memory writes evaluated against the current state, then committed
-    (read-before-write; sync port data wins over register updates)."""
-    commits, writes = [], []
-    for target in sync_targets:
-        slot = gen.slot_of[id(target)]
-        current = f"V[{slot}]"
-        value = gen.assign(current, sync_stmts_of[id(target)], f"_n{slot}")
-        if value == current:
-            continue  # no assignment applies: the register holds
-        value = gen.atom(value)
-        if isinstance(value, str) and value.startswith("V["):
-            value = gen.temp(value)  # read before any commit
-        commits.append((slot, value))
-    for mem_index, mem in enumerate(memories):
-        for rp in mem.read_ports:
-            if rp.domain == "sync":
-                addr = gen.u(rp.addr)
-                commits.append((gen.slot_of[id(rp.data)], gen.temp(
-                    f"_m{mem_index}[{addr} % {mem.depth}]")))
-        for wp in mem.write_ports:
-            enable = gen.u(wp.en)
-            if enable != 0:
-                writes.append((enable,
-                               f"_m{mem_index}[{gen.u(wp.addr)} % "
-                               f"{mem.depth}] = {gen.u(wp.data)} & "
-                               f"{(1 << mem.width) - 1}"))
-    for enable, write in writes:
-        if isinstance(enable, int):
-            gen.emit(write)
-        else:
-            gen.emit(f"if {enable}:")
-            gen.emit("    " + write)
-    for slot, value in commits:
-        gen.emit(f"V[{slot}] = {value}")
 
 
 class CompiledProgram:
@@ -681,14 +376,13 @@ def _codegen_module(module, slot_of, memories, comb_stmts, sync_stmts):
     order, comb_of, levels = _comb_schedule(module, memories, comb_stmts)
 
     # --- comb(V, M): one scheduled pass --------------------------------------
-    gen = _Codegen(slot_of)
+    gen = Codegen(slot_of)
     for target in order:
-        value = gen.comb_value(*comb_of[id(target)])
-        gen.emit(f"V[{slot_of[id(target)]}] = {value}")
+        gen.emit_comb(*comb_of[id(target)])
 
     # --- tick(V, M): sync update + memory cycle, then commit ----------------
-    gen2 = _Codegen(slot_of)
-    _emit_sync(gen2, memories, *_sync_groups(sync_stmts))
+    gen2 = Codegen(slot_of)
+    emit_sync(gen2, memories, *_sync_groups(sync_stmts))
     return gen.function("comb") + "\n" + gen2.function("tick"), levels
 
 
@@ -698,19 +392,19 @@ def _codegen_transaction(program, funct3, ports):
     comb_of, sync_targets, sync_stmts_of = program.groups()
     consts = {id(ports.cmd_valid): 1, id(ports.rsp_ready): 1,
               id(ports.cmd_funct3): funct3}
-    gen = _TransactionCodegen(program.slot_of, consts, comb_of)
+    gen = TransactionCodegen(program.slot_of, consts, comb_of)
     for flag in (ports.cmd_ready, ports.rsp_valid):
-        atom = gen.u(flag)
+        atom = gen.truth(flag)
         if atom == 0:  # never accepted and answered in one cycle
             gen.emit("return None")
             return gen.function("transact")
         if not isinstance(atom, int):
             gen.emit(f"if not {atom}:")
             gen.emit("    return None")
-    result = gen.u(ports.rsp_out)
+    result = gen.bits(ports.rsp_out)[0]
     if isinstance(result, str) and result.startswith("V["):
         result = gen.temp(result)  # the response predates the edge
-    _emit_sync(gen, program.memories, sync_targets, sync_stmts_of)
+    emit_sync(gen, program.memories, sync_targets, sync_stmts_of)
     gen.emit(f"return {result}")
     return gen.function("transact")
 

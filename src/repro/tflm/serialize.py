@@ -128,8 +128,12 @@ def load_model(data):
     cursor += (-cursor) % _ALIGN
     payload_base = cursor
 
+    # The header lists tensors by name; rebuild the table with the ones
+    # carrying data in payload order, the order dump_model wrote them,
+    # so a loaded model dumps to the same bytes.
     tensors = {}
-    for name, spec in header["tensors"].items():
+    for name, spec in sorted(header["tensors"].items(),
+                             key=lambda item: item[1].get("data_offset", -1)):
         dtype = _DTYPES[spec["dtype"]]
         tensor = Tensor(
             name=name,

@@ -309,6 +309,23 @@ def test_tier2_entry_from_another_generator_is_regenerated(tmp_path,
     assert _run_hot(CodeCache(str(tmp_path))).block_cache_loads > 0
 
 
+def test_rtl_module_key_covers_the_lowering_source(monkeypatch):
+    """An RTL module's key carries the digest of the lowering module as
+    well as the compiler's, so an edit to either misses the cache."""
+    from repro.accel import SimdAddRtl
+    from repro.rtl import compile as rtl_compile
+
+    module = SimdAddRtl().module
+    parts = rtl_compile._elaborate(module)[:5]
+    key = rtl_compile._module_key(*parts)
+    assert key == rtl_compile.compile_module(module).key
+    digest = codecache.generator_digest
+    monkeypatch.setattr(codecache, "generator_digest", lambda name: (
+        _other_generator(name) if name == "repro.rtl.lower"
+        else digest(name)))
+    assert rtl_compile._module_key(*parts) != key
+
+
 def test_generator_digest_hashes_the_module_source():
     import hashlib
 

@@ -12,7 +12,9 @@ driven-signal pokes, handshake timeouts, backend selection) and the
 per-module program cache that makes ``RtlCfuAdapter.reset()`` cheap.
 """
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -706,6 +708,103 @@ def test_signed_reinterpret_differential():
         for sig in (out, shifted):
             assert sim_i.peek(sig) == sim_c.peek(sig), value
             assert sim_i.peek_signed(sig) == sim_c.peek_signed(sig), value
+
+
+# --- range-aware lowering ----------------------------------------------------
+
+def _edges(signal):
+    """Zero, one, all ones and both sides of the sign bit."""
+    mask = (1 << signal.width) - 1
+    return sorted({0, 1, mask, mask >> 1, (mask >> 1) + 1})
+
+
+def _range_corners():
+    """Expressions whose intervals leave their width (mixed-sign sums
+    that overflow ``max(w) + 1`` bits, ``neg`` of the minimum, ``~``,
+    shifts past the 64-bit ``<<`` cap, mixed-sign ``Mux`` arms,
+    reinterpreted sums) or only just fit it."""
+    u7 = Signal(7, name="u7")
+    u8, s8 = Signal(8, name="u8"), Signal(8, name="s8", signed=True)
+    u32, s32 = Signal(32, name="u32"), Signal(32, name="s32", signed=True)
+    u33, s33 = Signal(33, name="u33"), Signal(33, name="s33", signed=True)
+    u64, s64 = Signal(64, name="u64"), Signal(64, name="s64", signed=True)
+    return [
+        u8 + s8, s8 - u8, u32 - s32, u33 + s33, s33 - u33, s32 * s32,
+        -s32, -u8, -(u64 - s8), ~(s8 + s8), ~u8, ~(u8 - u8),
+        (u8 + u8).as_signed() >> 1, (u8 - s8).as_unsigned() >> 1,
+        s64 << u7, (u64 << u7) >> 60, (s8 << u7) + 1,
+        Mux(u7[0], s8, u32) + 1, Mux(u7[1], u8 + s8, s32 - u8) * 3,
+        Mux(u7[2], u8 - u8, s8) >> 1, Mux(u7[3], s8, -u8).any(),
+        (s8 + s8) & s32, (u8 - u32) | s8, (s64 * s64) ^ u64,
+        (u8 + s8) < 0, (u8 - u32)[4:40], Cat(s8 + s8, u8 - u8),
+        (u33 - s8).all(), (s33 + s8).xor(),
+    ]
+
+
+def test_range_corners_match_interpreter():
+    """Every node of each corner expression, read back through a signal
+    of its own, agrees with the interpreter at every combination of
+    extreme inputs."""
+    from tests.test_rtl_properties import observed
+
+    for expr in _range_corners():
+        nodes = observed(expr)
+        outs = [Signal(min(64, node.width), signed=node.signed)
+                for node in nodes]
+        m = Module()
+        m.d.comb += [out.eq(node) for out, node in zip(outs, nodes)]
+        inputs = rtl_compile._reads(expr)
+        sims = [Simulator(m, backend=backend)
+                for backend in ("interp", "compiled")]
+        for values in itertools.product(*map(_edges, inputs)):
+            for sim in sims:
+                for signal, value in zip(inputs, values):
+                    sim.poke(signal, value)
+                sim.settle()
+            assert ([sims[0].peek(out) for out in outs]
+                    == [sims[1].peek(out) for out in outs]), (expr, values)
+
+
+def test_mac4_transaction_masks_only_the_accumulator_write():
+    """kws-cfu2's MAC4 transaction: the lane products and their running
+    sum are plain arithmetic, every interval fitting its width; the
+    only masks are the byte-lane slices and the 32-bit accumulator
+    write, the only sign conversions the lanes' and the accumulator's."""
+    adapter = RtlCfuAdapter(KwsCfu2Rtl(), backend="compiled")
+    source = rtl_compile._codegen_transaction(
+        adapter.sim.program, km.F3_MAC4, adapter.ports)
+    masks = re.findall(r"& (\d+)", source)
+    assert set(masks) == {"255", "4294967295"}
+    assert masks.count("4294967295") == 1
+    assert set(re.findall(r"\^ (\d+)", source)) == {"128", "2147483648"}
+    # One expression computes the accumulator's sum of four lane
+    # products and masks it once, for the register write and response.
+    name, expr = re.search(r"    (_t\d+) = (.*) & 4294967295\n",
+                           source).groups()
+    assert expr.count(" * ") == source.count(" * ") == 4
+    assert source.endswith(f"] = {name}\n    return {name}\n")
+
+
+@pytest.mark.parametrize("a_signed,masked", [(False, True), (True, False)],
+                         ids=["u8+s8", "s8+s8"])
+def test_sum_masks_only_when_it_can_overflow(a_signed, masked):
+    """``u8 + s8`` spans [-128, 382], past its 9-bit signed range, so
+    its numeric value is recovered through the 9-bit mask; ``s8 + s8``
+    fits and is used as it is."""
+    a = Signal(8, name="a", signed=a_signed)
+    b = Signal(8, name="b", signed=True)
+    out = Signal(16, name="out", signed=True)
+    m = Module()
+    m.d.comb += out.eq((a + b) >> 1)
+    assert ("& 511" in compile_module(m).source) == masked
+    sims = [Simulator(m, backend=backend)
+            for backend in ("interp", "compiled")]
+    for sim in sims:
+        sim.poke(a, 0xFF)
+        sim.poke(b, 0x7F)
+        sim.settle()
+    expected = (-130 if a_signed is False else 126) >> 1
+    assert [sim.peek_signed(out) for sim in sims] == [expected] * 2
 
 
 # --- backend selection & error paths -----------------------------------------

@@ -109,3 +109,15 @@ def test_container_size_tracks_weights():
     model = load("dscnn_kws")
     blob = dump_model(model)
     assert model.weights_bytes() < len(blob) < model.weights_bytes() * 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load("mobilenet_v2", width_multiplier=0.75, num_classes=100),
+    lambda: load("dscnn_kws"),
+    small_model,
+], ids=["mobilenet_v2", "dscnn_kws", "builder"])
+def test_dump_load_dump_is_byte_identical(make):
+    """A loaded model keeps its payload order, so re-saving it writes
+    the container it was loaded from."""
+    data = dump_model(make())
+    assert dump_model(load_model(data)) == data
